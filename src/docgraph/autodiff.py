@@ -43,6 +43,7 @@ __all__ = [
     "mul",
     "sigmoid",
     "tanh",
+    "lstm_last",
     "leaky_relu",
     "exp",
     "log",
@@ -245,14 +246,18 @@ def _mul_bwd(e: TapeEntry):
 # ---------------------------------------------------------------------------
 # elementwise unary ops
 
-def sigmoid(x: Tensor) -> Tensor:
-    v = x.values
-    out_v = np.empty_like(v)
+def _sigmoid(v: np.ndarray) -> np.ndarray:
+    # piecewise so that exp never overflows
+    out = np.empty_like(v)
     pos = v >= 0
-    out_v[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
+    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
     ev = np.exp(v[~pos])
-    out_v[~pos] = ev / (1.0 + ev)
-    out = Tensor._wrap(out_v)
+    out[~pos] = ev / (1.0 + ev)
+    return out
+
+
+def sigmoid(x: Tensor) -> Tensor:
+    out = Tensor._wrap(_sigmoid(x.values))
     return _record("sigmoid", (x,), out)
 
 
@@ -307,6 +312,92 @@ def log(x: Tensor) -> Tensor:
 @_rule("log")
 def _log_bwd(e: TapeEntry):
     return (e.output.grad / e.inputs[0].values,)
+
+
+# ---------------------------------------------------------------------------
+# LSTM over a batch of sequences, keeping each sequence's last hidden state
+
+def lstm_last(xw: Tensor, w_h: Tensor, lengths: Sequence[int]) -> Tensor:
+    """Last hidden state of an LSTM run over each of several sequences.
+
+    ``xw`` stacks every sequence's input projection ``x @ W_x + b``, one
+    sequence after another, with gate columns in i|f|g|o order: it has
+    ``sum(lengths)`` rows and 4H columns. ``w_h`` is the (H, 4H) recurrent
+    weight. Row s of the (len(lengths), H) result is h_T of sequence s and
+    depends on that sequence's rows alone.
+
+    The sequences run as one batch, longest first (packed-sequence
+    layout), so step t updates exactly the sequences longer than t.
+    """
+    if w_h.values.ndim != 2 or w_h.shape[1] != 4 * w_h.shape[0]:
+        raise ShapeError(f"lstm_last recurrent weight must be (H, 4H), got {w_h.shape}")
+    hidden = w_h.shape[0]
+    lens = np.asarray(lengths, dtype=np.intp)
+    if lens.ndim != 1 or lens.size == 0 or lens.min() < 1:
+        raise ShapeError("lstm_last requires at least one sequence, each of length >= 1")
+    if xw.values.ndim != 2 or xw.shape != (int(lens.sum()), 4 * hidden):
+        raise ShapeError(f"lstm_last input must be ({int(lens.sum())}, {4 * hidden}), "
+                         f"got {xw.shape}")
+    order = np.argsort(-lens, kind="stable")
+    sorted_lens = lens[order]
+    starts = (np.cumsum(lens) - lens)[order]
+    batch = [int(np.count_nonzero(sorted_lens > t)) for t in range(int(sorted_lens[0]))]
+    packed_rows = np.concatenate([starts[:n] + t for t, n in enumerate(batch)])
+    packed = xw.values[packed_rows]
+    w = w_h.values
+    h = np.zeros((lens.size, hidden))
+    c = np.zeros((lens.size, hidden))
+    last = np.empty((lens.size, hidden))
+    steps = []
+    offset = 0
+    for n in batch:
+        pre = packed[offset : offset + n] + h[:n] @ w
+        offset += n
+        gates = _sigmoid(pre)
+        gates[:, 2 * hidden : 3 * hidden] = np.tanh(pre[:, 2 * hidden : 3 * hidden])
+        i, f, g, o = np.split(gates, 4, axis=1)
+        c_prev, h_prev = c[:n], h[:n]
+        c = f * c_prev + i * g
+        tanh_c = np.tanh(c)
+        h = o * tanh_c
+        steps.append((gates, c_prev, tanh_c, h_prev))
+        last[:n] = h  # rows from n on have ended and keep their final h
+    out_v = np.empty_like(last)
+    out_v[order] = last
+    out = Tensor._wrap(out_v)
+    return _record("lstm_last", (xw, w_h), out, order=order, packed_rows=packed_rows,
+                   steps=steps)
+
+
+@_rule("lstm_last")
+def _lstm_last_bwd(e: TapeEntry):
+    # Backpropagation through time over the packed steps, newest first.
+    xw, w_h = e.inputs
+    w = w_h.values
+    order = e.ctx["order"]
+    dh = e.output.grad[order]
+    dc = np.zeros_like(dh)
+    dw = np.zeros_like(w)
+    dpacked = np.empty_like(xw.values)
+    offset = xw.shape[0]
+    for gates, c_prev, tanh_c, h_prev in reversed(e.ctx["steps"]):
+        n = gates.shape[0]
+        offset -= n
+        i, f, g, o = np.split(gates, 4, axis=1)
+        dh_n = dh[:n]
+        dc_n = dc[:n] + dh_n * o * (1.0 - tanh_c * tanh_c)
+        dpre = dpacked[offset : offset + n]
+        di, df, dg, do = np.split(dpre, 4, axis=1)
+        di[...] = dc_n * g * i * (1.0 - i)
+        df[...] = dc_n * c_prev * f * (1.0 - f)
+        dg[...] = dc_n * i * (1.0 - g * g)
+        do[...] = dh_n * tanh_c * o * (1.0 - o)
+        dw += h_prev.T @ dpre
+        dh[:n] = dpre @ w.T
+        dc[:n] = dc_n * f
+    dxw = np.empty_like(dpacked)
+    dxw[e.ctx["packed_rows"]] = dpacked
+    return dxw, dw
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,12 @@
 A document's node feature matrix has one row per sentence: the last
 hidden state of an LSTM run over that sentence's word embeddings. The
 same parameters are shared by every sentence, so gradients from all
-rows accumulate into one parameter set, and rows depend only on their
-own sentence (no cross-sentence interaction before the graph layer).
+rows accumulate into one parameter set.
+
+A document is one batched recurrence: one embedding lookup and one
+input projection for all of its tokens, then one ``lstm_last`` op over
+all of its sentences. Rows still depend only on their own sentence (no
+cross-sentence interaction before the graph layer).
 """
 
 from __future__ import annotations
@@ -71,39 +75,29 @@ def embed(token_ids: Sequence[int], embedding: Tensor) -> Tensor:
     return ad.gather_rows(embedding, token_ids)
 
 
-def _lstm_last_row(x: Tensor, params: EncoderParams) -> Tensor:
-    """Run the LSTM over the rows of x; returns h_T with shape (1, hidden)."""
+def _lstm(x: Tensor, params: EncoderParams, lengths: Sequence[int]) -> Tensor:
+    """Last hidden states, shape (len(lengths), hidden), of the LSTM over
+    consecutive runs of x's rows; the gates are joined in i|f|g|o order."""
     hidden = params.hidden_dim
-    h = Tensor(np.zeros((1, hidden)))
-    c = Tensor(np.zeros((1, hidden)))
-    steps = x.shape[0]
-    for t in range(steps):
-        x_t = ad.slice_rows(x, t, t + 1)
-        pre = {}
-        for gate in GATES:
-            w_x, w_h, b = params.gates[gate]
-            pre[gate] = ad.add(ad.add(ad.matmul(x_t, w_x), ad.matmul(h, w_h)), b)
-        i = ad.sigmoid(pre["i"])
-        f = ad.sigmoid(pre["f"])
-        g = ad.tanh(pre["g"])
-        o = ad.sigmoid(pre["o"])
-        c = ad.add(ad.mul(f, c), ad.mul(i, g))
-        h = ad.mul(o, ad.tanh(c))
-    return h
+    w_x = ad.concat_cols([params.gates[gate][0] for gate in GATES])
+    w_h = ad.concat_cols([params.gates[gate][1] for gate in GATES])
+    bias = ad.concat_cols([ad.reshape(params.gates[gate][2], (1, hidden)) for gate in GATES])
+    xw = ad.add(ad.matmul(x, w_x), bias)
+    return ad.lstm_last(xw, w_h, lengths)
 
 
 def lstm_last_hidden(x: Tensor, params: EncoderParams) -> Tensor:
     """Last hidden state of the LSTM over x's rows, as a flat vector."""
-    h = _lstm_last_row(x, params)
+    h = _lstm(x, params, [x.shape[0]])
     return ad.reshape(h, (params.hidden_dim,))
+
+
+def flat_tokens(doc: Document) -> list[int]:
+    """The document's token ids, sentence after sentence."""
+    return [token for sentence in doc.sentences for token in sentence]
 
 
 def encode_document(doc: Document, params: EncoderParams) -> Tensor:
     """Node feature matrix: row i is the LSTM encoding of sentence i."""
-    rows = [
-        _lstm_last_row(embed(sentence, params.embedding), params)
-        for sentence in doc.sentences
-    ]
-    if len(rows) == 1:
-        return rows[0]
-    return ad.concat_rows(rows)
+    x = embed(flat_tokens(doc), params.embedding)
+    return _lstm(x, params, [len(sentence) for sentence in doc.sentences])

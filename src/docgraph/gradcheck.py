@@ -117,6 +117,14 @@ def _op_fixtures(rng: np.random.Generator) -> dict[str, tuple[dict[str, Tensor],
         w = rng.normal(size=(3, 3))
         register(name, {"x": x}, lambda fn=fn, x=x, w=w: _weighted(fn(x), w))
 
+    # unsorted, uneven lengths: the op batches sequences longest first
+    lengths = [3, 1, 2]
+    xw = Tensor(rng.normal(size=(sum(lengths), 8)), requires_grad=True)
+    w_h = Tensor(rng.normal(size=(2, 8)), requires_grad=True)
+    w_lstm = rng.normal(size=(3, 2))
+    register("lstm_last", {"xw": xw, "w_h": w_h},
+             lambda: _weighted(ad.lstm_last(xw, w_h, lengths), w_lstm))
+
     x_log = Tensor(rng.uniform(0.5, 2.0, size=(3, 3)), requires_grad=True)
     w_log = rng.normal(size=(3, 3))
     register("log", {"x": x_log}, lambda: _weighted(ad.log(x_log), w_log))

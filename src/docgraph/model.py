@@ -20,7 +20,14 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .corpus import ClassSet, Document
-from .encoder import EncoderParams, embed, encode_document, lstm_last_hidden, xavier_uniform
+from .encoder import (
+    EncoderParams,
+    embed,
+    encode_document,
+    flat_tokens,
+    lstm_last_hidden,
+    xavier_uniform,
+)
 from .errors import ModelError
 from .graph import EdgeWeightSet, build_graph
 from .layers import (
@@ -241,13 +248,9 @@ def _project(pooled: Tensor, params: ModelParams, n_classes: int) -> Tensor:
     return ad.reshape(logits, (n_classes,))
 
 
-def _flat_tokens(doc: Document) -> list[int]:
-    return [token for sentence in doc.sentences for token in sentence]
-
-
 def cnn_forward(doc: Document, params: ModelParams, config: ModelConfig) -> Tensor:
     """Width-3 convolution over the flattened document, max-pooled over time."""
-    tokens = _flat_tokens(doc)
+    tokens = flat_tokens(doc)
     x = embed(tokens, params.embedding)
     padded = ad.pad_rows(x, 1, 1)  # 'same' padding keeps one output per token
     t = len(tokens)
@@ -263,7 +266,7 @@ def cnn_forward(doc: Document, params: ModelParams, config: ModelConfig) -> Tens
 
 def lstm_forward(doc: Document, params: ModelParams, config: ModelConfig) -> Tensor:
     """Document-level LSTM over the flattened token sequence."""
-    x = embed(_flat_tokens(doc), params.embedding)
+    x = embed(flat_tokens(doc), params.embedding)
     hidden = lstm_last_hidden(x, params.encoder)
     return _project(hidden, params, config.n_classes)
 

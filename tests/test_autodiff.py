@@ -271,6 +271,28 @@ class TestStructuralOps:
         check_op_gradient(lambda t: ad.gather_rows(t, [0, 2, 2]), rng.normal(size=(3, 2)))
 
 
+class TestLstmLast:
+    def test_bad_shapes_and_empty_sequences_rejected(self):
+        xw = ad.Tensor(np.zeros((3, 8)))
+        w_h = ad.Tensor(np.zeros((2, 8)))
+        assert ad.lstm_last(xw, w_h, [1, 2]).shape == (2, 2)
+        cases = [
+            (xw, ad.Tensor(np.zeros((2, 6))), [1, 2]),  # w_h is not (H, 4H)
+            (ad.Tensor(np.zeros((3, 6))), w_h, [1, 2]),  # xw is not 4H wide
+            (xw, w_h, [2, 2]),  # xw rows != sum(lengths)
+            (xw, w_h, [3, 0]),  # zero-length sequence
+            (xw, w_h, []),
+        ]
+        for bad_xw, bad_w_h, lengths in cases:
+            with pytest.raises(ShapeError):
+                ad.lstm_last(bad_xw, bad_w_h, lengths)
+
+    def test_extreme_preactivations_stay_finite(self):
+        xw = ad.Tensor(np.tile([800.0, -800.0], (3, 4)))
+        out = ad.lstm_last(xw, ad.Tensor(np.ones((2, 8))), [2, 1])
+        assert np.all(np.isfinite(out.values))
+
+
 class TestCrossEntropy:
     def test_uniform_two_way(self):
         loss = ad.cross_entropy_logits(ad.Tensor([0.0, 0.0]), 0)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from docgraph import autodiff as ad
 from docgraph import encoder
@@ -12,6 +14,36 @@ from docgraph.corpus import Document
 from docgraph.errors import ShapeError
 
 from test_autodiff import fd_grad, max_rel_err
+
+
+VOCAB = 30
+
+
+def reference_encode(doc, params):
+    """Straight-line numpy LSTM, one sentence and one token at a time."""
+    hidden = params.hidden_dim
+    emb = params.embedding.values
+    gates = {g: tuple(t.values for t in params.gates[g]) for g in encoder.GATES}
+
+    def sig(v):
+        return 1.0 / (1.0 + np.exp(-v))
+
+    rows = []
+    for sentence in doc.sentences:
+        h = np.zeros(hidden)
+        c = np.zeros(hidden)
+        for token in sentence:
+            pre = {g: emb[token] @ w_x + h @ w_h + b for g, (w_x, w_h, b) in gates.items()}
+            c = sig(pre["f"]) * c + sig(pre["i"]) * np.tanh(pre["g"])
+            h = sig(pre["o"]) * np.tanh(c)
+        rows.append(h)
+    return np.array(rows)
+
+
+sentences_strategy = st.lists(
+    st.lists(st.integers(0, VOCAB - 1), min_size=1, max_size=12).map(tuple),
+    min_size=1, max_size=8,
+).map(tuple)
 
 
 @pytest.fixture
@@ -148,3 +180,47 @@ class TestEncodeDocument:
             loss = ad.sum_all(encoder.encode_document(single, params))
         ad.backward(tape, loss)
         assert np.allclose(double_grad, 2.0 * params.embedding.grad, atol=1e-12)
+
+
+class TestBatchedEncoderProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), sentences=sentences_strategy, data=st.data())
+    def test_matches_reference_and_permutes_exactly(self, seed, sentences, data):
+        params = encoder.EncoderParams.init(np.random.default_rng(seed), vocab_size=VOCAB,
+                                            embed_dim=5, hidden_dim=4)
+        doc = Document("d", 0, sentences)
+        out = encoder.encode_document(doc, params).values
+        assert out.shape == (len(sentences), 4)
+        assert np.max(np.abs(out - reference_encode(doc, params))) < 1e-12
+
+        perm = data.draw(st.permutations(range(len(sentences))))
+        permuted = encoder.encode_document(
+            Document("d", 0, tuple(sentences[i] for i in perm)), params).values
+        assert np.array_equal(permuted, out[list(perm)])
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), steps=st.integers(1, 12))
+    def test_single_sequence_lstm_last_is_lstm_last_hidden(self, seed, steps):
+        rng = np.random.default_rng(seed)
+        params = encoder.EncoderParams.init(rng, vocab_size=VOCAB, embed_dim=5, hidden_dim=4)
+        x = rng.normal(size=(steps, 5))
+        w_x, w_h, b = (np.concatenate([np.atleast_2d(params.gates[g][k].values)
+                                       for g in encoder.GATES], axis=1) for k in range(3))
+        h = ad.lstm_last(Tensor(x @ w_x + b), Tensor(w_h), [steps])
+        expected = encoder.lstm_last_hidden(Tensor(x), params)
+        assert np.array_equal(h.values[0], expected.values)
+
+
+def test_tape_size_does_not_grow_with_sentence_length(params):
+    # one batched recurrence per document, never a per-token loop on the tape
+    rng = np.random.default_rng(5)
+    sizes = set()
+    for max_len in (1, 4, 12, 30):
+        doc = Document("d", 0, tuple(
+            tuple(int(t) for t in rng.integers(0, 12, size=rng.integers(1, max_len + 1)))
+            for _ in range(10)))
+        with ad.Tape() as tape:
+            encoder.encode_document(doc, params)
+        sizes.add(len(tape))
+    assert len(sizes) == 1
+    assert sizes.pop() <= 16
