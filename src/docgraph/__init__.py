@@ -22,7 +22,7 @@ from .corpus import (
 )
 from .errors import DocGraphError
 from .evaluation import Metrics, compute_metrics, evaluate
-from .graph import DocumentGraph, EdgeWeightSet, build_adjacency, build_graph, load_edge_weights
+from .graph import EdgeWeightSet, build_adjacency, build_graph, load_edge_weights
 from .model import ModelConfig, ModelParams, forward, init_params
 from .training import Checkpoint, TrainRun, load_checkpoint, save_checkpoint, train
 
@@ -34,7 +34,6 @@ __all__ = [
     "ClassSet",
     "DocGraphError",
     "Document",
-    "DocumentGraph",
     "EdgeWeightSet",
     "Metrics",
     "ModelConfig",

@@ -39,14 +39,11 @@ __all__ = [
     "OP_NAMES",
     "matmul",
     "add",
-    "sub",
     "mul",
     "sigmoid",
     "tanh",
     "lstm_last",
     "leaky_relu",
-    "exp",
-    "log",
     "softmax_rows",
     "max_over_rows",
     "concat_cols",
@@ -216,19 +213,6 @@ def _add_bwd(e: TapeEntry):
     return g, _broadcast_grad(b, g) if e.ctx["bcast"] else g
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    bcast = _check_binary(a, b)
-    out = Tensor._wrap(a.values - b.values)
-    return _record("sub", (a, b), out, bcast=bcast)
-
-
-@_rule("sub")
-def _sub_bwd(e: TapeEntry):
-    _, b = e.inputs
-    g = e.output.grad
-    return g, _broadcast_grad(b, -g) if e.ctx["bcast"] else -g
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     bcast = _check_binary(a, b)
     out = Tensor._wrap(a.values * b.values)
@@ -290,28 +274,6 @@ def _leaky_relu_bwd(e: TapeEntry):
     x = e.inputs[0].values
     slope = e.ctx["slope"]
     return (e.output.grad * np.where(x > 0, 1.0, slope),)
-
-
-def exp(x: Tensor) -> Tensor:
-    out = Tensor._wrap(np.exp(x.values))
-    return _record("exp", (x,), out)
-
-
-@_rule("exp")
-def _exp_bwd(e: TapeEntry):
-    return (e.output.grad * e.output.values,)
-
-
-def log(x: Tensor) -> Tensor:
-    if np.any(x.values <= 0):
-        raise NumericError("log requires strictly positive values")
-    out = Tensor._wrap(np.log(x.values))
-    return _record("log", (x,), out)
-
-
-@_rule("log")
-def _log_bwd(e: TapeEntry):
-    return (e.output.grad / e.inputs[0].values,)
 
 
 # ---------------------------------------------------------------------------

@@ -35,9 +35,8 @@ from .corpus import (
 from .errors import DocGraphError
 from .graph import load_edge_weights
 from .heatmap import PREVIEW_CHARS, render_attention_svg
-from .model import ModelConfig, forward
+from .model import SPECS, VARIANTS, ModelConfig, forward
 
-MODEL_CHOICES = ("cnn", "lstm", "gcn", "gcn_ss", "gcn_attn", "gcn_attn_ss", "gat", "gat2")
 TWO_WAY_CLASSES = ("satire", "trusted")
 FOUR_WAY_CLASSES = ("hoax", "propaganda", "satire", "trusted")
 SPLIT_RATIO = 0.8
@@ -85,7 +84,7 @@ def _load_weights(args):
 def cmd_train(args) -> int:
     train_raw = _load(args.train, args.format)
     weights = _load_weights(args)
-    if args.model in ("gcn_ss", "gcn_attn_ss") and weights is None:
+    if SPECS[args.model].edge_weights and weights is None:
         raise DocGraphError(
             f"model '{args.model}' requires --edge-weights (precomputed "
             f"sentence-similarity scores)")
@@ -137,8 +136,8 @@ def cmd_train(args) -> int:
     run = training.train(train_docs, dev_docs, config, vocab, weights)
     training.save_checkpoint(run.checkpoint, args.out)
     log_path = Path(args.out + ".runlog.json")
-    log_path.write_text(json.dumps(run.log_dict(), sort_keys=True) + "\n",
-                        encoding="utf-8")
+    training.write_file_atomic(
+        log_path, (json.dumps(run.log_dict(), sort_keys=True) + "\n").encode("utf-8"))
 
     summary = dict(run.log_dict())
     summary["checkpoint"] = args.out
@@ -198,9 +197,10 @@ def cmd_export_attention(args) -> int:
     ckpt = training.load_checkpoint(args.ckpt)
     config = ckpt.config
     if not config.produces_attention:
+        with_attention = ", ".join(v for v, s in SPECS.items() if s.produces_attention)
         raise DocGraphError(
             f"variant '{config.variant}' does not produce attention; "
-            f"use a gat, gat2, gcn_attn or gcn_attn_ss checkpoint")
+            f"use a checkpoint of one of: {with_attention}")
     docs = _load(args.data, args.format)
     matches = [d for d in docs if d.id == args.doc_id]
     if not matches:
@@ -288,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test", default=None,
                    help="optional test corpus scored with the best checkpoint")
     _add_format(p)
-    p.add_argument("--model", choices=MODEL_CHOICES, required=True)
+    p.add_argument("--model", choices=VARIANTS, required=True)
     _add_edge_weights(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--lr", type=float, default=0.001)

@@ -8,7 +8,6 @@ replaces the 0/1 values; scores must already be normalized to [0, 1].
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -18,15 +17,6 @@ from .corpus import Document
 from .errors import GraphError
 
 SYMMETRY_TOL = 1e-9
-
-
-@dataclass
-class DocumentGraph:
-    """Adjacency (not learned) and node features for one document."""
-
-    n: int
-    adjacency: Tensor
-    features: Tensor
 
 
 class EdgeWeightSet:
@@ -73,7 +63,7 @@ def load_edge_weights(path: str | Path) -> EdgeWeightSet:
     """Parse and validate an edge-weight JSONL file.
 
     Each line holds {"id": str, "n": int, "weights": [[...], ...]} with a
-    symmetric, zero-diagonal matrix of scores in [0, 1].
+    symmetric, zero-diagonal n-by-n matrix of finite scores in [0, 1].
     """
     path = Path(path)
     try:
@@ -91,11 +81,20 @@ def load_edge_weights(path: str | Path) -> EdgeWeightSet:
         if not isinstance(rec, dict) or not {"id", "n", "weights"} <= rec.keys():
             raise GraphError(f"{path}:{lineno}: record needs 'id', 'n' and 'weights'")
         doc_id = str(rec["id"])
-        matrix = np.asarray(rec["weights"], dtype=np.float64)
-        if matrix.shape != (rec["n"], rec["n"]):
+        n = rec["n"]
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise GraphError(f"{path}:{lineno}: 'n' must be an integer, got {n!r}")
+        try:
+            matrix = np.asarray(rec["weights"], dtype=np.float64)
+        except (TypeError, ValueError) as err:
             raise GraphError(
-                f"{path}:{lineno}: weights shape {matrix.shape} does not match n={rec['n']}"
+                f"{path}:{lineno}: weights are not a numeric matrix: {err}") from err
+        if matrix.shape != (n, n):
+            raise GraphError(
+                f"{path}:{lineno}: weights shape {matrix.shape} does not match n={n}"
             )
+        if not np.all(np.isfinite(matrix)):
+            raise GraphError(f"{path}:{lineno}: weights for '{doc_id}' must be finite")
         _validate_weights(doc_id, matrix)
         weights[doc_id] = matrix
     return EdgeWeightSet(weights)
@@ -113,8 +112,10 @@ def build_graph(
     doc: Document,
     features: Tensor,
     weights: EdgeWeightSet | None = None,
-) -> DocumentGraph:
-    """Assemble the document graph from node features and optional weights."""
+) -> Tensor:
+    """The document's adjacency (not learned): fully connected, or the
+    document's edge weights when a weight set is given. ``features`` must
+    hold one row per sentence."""
     n = doc.n_sentences
     if features.shape[0] != n:
         raise GraphError(
@@ -122,7 +123,5 @@ def build_graph(
             f"for document '{doc.id}'"
         )
     if weights is None:
-        adjacency = build_adjacency(n)
-    else:
-        adjacency = Tensor(weights.matrix_for(doc.id, n))
-    return DocumentGraph(n=n, adjacency=adjacency, features=features)
+        return build_adjacency(n)
+    return Tensor(weights.matrix_for(doc.id, n))

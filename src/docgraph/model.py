@@ -3,7 +3,9 @@
 Every variant ends the same way: max-pool over its representation rows,
 then a linear projection to class logits. Graph variants share the
 pipeline encoder -> document graph -> graph layer(s) -> pool -> project;
-the baselines flatten the document to one token sequence.
+the baselines flatten the document to one token sequence. ``SPECS``
+holds every per-variant fact; the code below branches on its fields,
+never on variant names.
 
 Single-sentence documents have no neighbors, so graph variants bypass
 the propagation step and project the lone node feature through the
@@ -40,11 +42,41 @@ from .layers import (
     self_attention,
 )
 
-VARIANTS = ("cnn", "lstm", "gcn", "gcn_ss", "gcn_attn", "gcn_attn_ss", "gat", "gat2")
-SS_VARIANTS = ("gcn_ss", "gcn_attn_ss")
-ATTENTION_VARIANTS = ("gcn_attn", "gcn_attn_ss", "gat", "gat2")
-GRAPH_VARIANTS = ("gcn", "gcn_ss", "gcn_attn", "gcn_attn_ss", "gat", "gat2")
 CNN_WIDTH = 3
+
+
+@dataclass(frozen=True)
+class VariantSpec:
+    """What sets one variant apart: the representation it pools (``kind``:
+    cnn, lstm, gcn or gat), its attention heads, a self-attention layer
+    after the convolution, and similarity-weighted edges."""
+
+    kind: str
+    heads: int = 1
+    self_attn: bool = False
+    edge_weights: bool = False
+
+    @property
+    def is_graph(self) -> bool:
+        return self.kind in ("gcn", "gat")
+
+    @property
+    def produces_attention(self) -> bool:
+        return self.kind == "gat" or self.self_attn
+
+
+SPECS: dict[str, VariantSpec] = {
+    "cnn": VariantSpec("cnn"),
+    "lstm": VariantSpec("lstm"),
+    "gcn": VariantSpec("gcn"),
+    "gcn_ss": VariantSpec("gcn", edge_weights=True),
+    "gcn_attn": VariantSpec("gcn", self_attn=True),
+    "gcn_attn_ss": VariantSpec("gcn", self_attn=True, edge_weights=True),
+    "gat": VariantSpec("gat"),
+    "gat2": VariantSpec("gat", heads=2),
+}
+VARIANTS = tuple(SPECS)
+GRAPH_VARIANTS = tuple(v for v, spec in SPECS.items() if spec.is_graph)
 
 
 @dataclass(frozen=True)
@@ -83,24 +115,26 @@ class ModelConfig:
         return len(self.class_names)
 
     @property
+    def spec(self) -> VariantSpec:
+        return SPECS[self.variant]
+
+    @property
     def heads(self) -> int:
-        return 2 if self.variant == "gat2" else 1
+        return self.spec.heads
 
     @property
     def needs_edge_weights(self) -> bool:
-        return self.variant in SS_VARIANTS
+        return self.spec.edge_weights
 
     @property
     def produces_attention(self) -> bool:
-        return self.variant in ATTENTION_VARIANTS
+        return self.spec.produces_attention
 
     @property
     def pool_dim(self) -> int:
-        if self.variant in ("cnn", "lstm"):
+        if not self.spec.is_graph:
             return self.hidden_dim
-        if self.variant in ("gat", "gat2"):
-            return self.node_dim * self.heads
-        return self.node_dim
+        return self.node_dim * self.heads
 
     @property
     def class_set(self) -> ClassSet:
@@ -160,17 +194,18 @@ class ModelParams:
 
 def param_names(config: ModelConfig) -> list[str]:
     """The exact tensor names a variant owns, in initialization order."""
+    spec = config.spec
     names = ["embedding"]
-    if config.variant != "cnn":
+    if spec.kind == "cnn":
+        names += ["cnn.w0", "cnn.w1", "cnn.w2", "cnn.b"]
+    else:
         for gate in ("i", "f", "g", "o"):
             names += [f"lstm.{gate}.w_x", f"lstm.{gate}.w_h", f"lstm.{gate}.b"]
-    if config.variant == "cnn":
-        names += ["cnn.w0", "cnn.w1", "cnn.w2", "cnn.b"]
-    if config.variant.startswith("gcn"):
+    if spec.kind == "gcn":
         names += [f"gcn.{layer}.w" for layer in range(config.gcn_layers)]
-    if config.variant in ("gcn_attn", "gcn_attn_ss"):
+    if spec.self_attn:
         names += ["attn.q", "attn.k", "attn.v"]
-    if config.variant in ("gat", "gat2"):
+    if spec.kind == "gat":
         for h in range(config.heads):
             names += [f"gat.{h}.w", f"gat.{h}.a"]
     names += ["proj.w", "proj.b"]
@@ -181,6 +216,7 @@ def init_params(config: ModelConfig, rng: np.random.Generator | None = None) -> 
     """Build all parameter tensors for a variant, in a fixed draw order."""
     if rng is None:
         rng = np.random.default_rng(config.seed)
+    spec = config.spec
     tensors: dict[str, Tensor] = {}
     encoder = None
     cnn = None
@@ -188,7 +224,7 @@ def init_params(config: ModelConfig, rng: np.random.Generator | None = None) -> 
     self_attn = None
     gat_heads: list[GatHeadParams] = []
 
-    if config.variant == "cnn":
+    if spec.kind == "cnn":
         embedding = Tensor(xavier_uniform(rng, config.vocab_size, config.embed_dim),
                            requires_grad=True)
         tensors["embedding"] = embedding
@@ -201,18 +237,18 @@ def init_params(config: ModelConfig, rng: np.random.Generator | None = None) -> 
         embedding = encoder.embedding
         tensors.update(encoder.named_tensors())
 
-    if config.variant.startswith("gcn"):
+    if spec.kind == "gcn":
         in_dim = config.hidden_dim
         for layer in range(config.gcn_layers):
             p = GcnParams.init(rng, in_dim, config.node_dim, config.leaky_slope)
             gcn.append(p)
             tensors[f"gcn.{layer}.w"] = p.weight
             in_dim = config.node_dim
-    if config.variant in ("gcn_attn", "gcn_attn_ss"):
+    if spec.self_attn:
         self_attn = SelfAttnParams.init(rng, config.node_dim)
         tensors.update({"attn.q": self_attn.query, "attn.k": self_attn.key,
                         "attn.v": self_attn.value})
-    if config.variant in ("gat", "gat2"):
+    if spec.kind == "gat":
         for h in range(config.heads):
             head = GatHeadParams.init(rng, config.hidden_dim, config.node_dim,
                                       config.leaky_slope)
@@ -279,31 +315,25 @@ def _graph_forward(
 ) -> tuple[Tensor, list[Tensor] | None]:
     features = encode_document(doc, params.encoder)
     use_weights = weights if config.needs_edge_weights else None
-    document_graph = build_graph(doc, features, use_weights)
+    adjacency = build_graph(doc, features, use_weights)
     attentions: list[Tensor] | None = None
+    spec = config.spec
+    # no neighbors to propagate over: project the node through the layer weights
+    single = doc.n_sentences == 1
 
-    if doc.n_sentences == 1:
-        # no neighbors to propagate over: project the node through the layer weights
-        if config.variant in ("gat", "gat2"):
+    if spec.kind == "gat":
+        if single:
             parts = [ad.matmul(features, head.weight) for head in params.gat_heads]
             z = parts[0] if len(parts) == 1 else ad.concat_cols(parts)
         else:
-            z = features
-            for layer in params.gcn:
-                z = ad.matmul(z, layer.weight)
-            if params.self_attn is not None:
-                z, attention = self_attention(z, params.self_attn)
-                attentions = [attention]
-    elif config.variant in ("gat", "gat2"):
-        z, attentions = multi_head(document_graph.adjacency, features, params.gat_heads)
+            z, attentions = multi_head(adjacency, features, params.gat_heads)
     else:
-        adjacency = document_graph.adjacency
-        if config.normalize_adjacency:
+        if config.normalize_adjacency and not single:
             adjacency = row_normalize(adjacency)
         z = features
         for layer in params.gcn:
-            z = gcn_layer(adjacency, z, layer)
-        if params.self_attn is not None:
+            z = ad.matmul(z, layer.weight) if single else gcn_layer(adjacency, z, layer)
+        if spec.self_attn:
             z, attention = self_attention(z, params.self_attn)
             attentions = [attention]
 
@@ -322,9 +352,9 @@ def forward(
     validate_params(params, config)
     if config.needs_edge_weights and weights is None:
         raise ModelError(f"variant '{config.variant}' requires an edge-weight set")
-    if config.variant == "cnn":
+    if config.spec.kind == "cnn":
         return cnn_forward(doc, params, config), None
-    if config.variant == "lstm":
+    if config.spec.kind == "lstm":
         return lstm_forward(doc, params, config), None
     return _graph_forward(doc, params, config, weights)
 

@@ -10,6 +10,7 @@ epoch's parameters are kept (ties go to the earliest epoch).
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -18,7 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import AdamState, Tape
 from .corpus import Document, Vocabulary
-from .errors import CheckpointError, NumericError, TrainingError
+from .errors import CheckpointError, CorpusError, ModelError, NumericError, TrainingError
 from .evaluation import evaluate_documents
 from .graph import EdgeWeightSet
 from .model import ModelConfig, ModelParams, forward, init_params, loss, param_names
@@ -177,6 +178,20 @@ def train(
     return run
 
 
+def write_file_atomic(path: str | Path, data: bytes) -> None:
+    """Replace ``path`` with ``data`` through a temporary file in the same
+    directory, so an interrupted write leaves the previous file intact."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 # ---------------------------------------------------------------------------
 # checkpoint persistence
 #
@@ -200,7 +215,7 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     }
     header = json.dumps(manifest, sort_keys=True, separators=(",", ":"))
     blob = b"".join(v.astype("<f8").tobytes() for v in ckpt.values.values())
-    Path(path).write_bytes(header.encode("utf-8") + b"\n" + blob)
+    write_file_atomic(path, header.encode("utf-8") + b"\n" + blob)
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
@@ -215,12 +230,17 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         manifest = json.loads(raw[:newline].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as err:
         raise CheckpointError(f"{path}: invalid manifest: {err}") from err
+    if not isinstance(manifest, dict):
+        raise CheckpointError(f"{path}: invalid manifest: not a JSON object")
     version = manifest.get("format_version")
     if version != CHECKPOINT_FORMAT_VERSION:
         raise CheckpointError(
             f"{path}: unsupported format version {version!r} "
             f"(expected {CHECKPOINT_FORMAT_VERSION})"
         )
+    # A manifest can hold any JSON, so every value-level failure while
+    # building the config, vocabulary and a model from it is a bad file.
+    malformed = (KeyError, TypeError, ValueError, ModelError, CorpusError)
     try:
         config = ModelConfig.from_dict(manifest["config"])
         vocab = Vocabulary(
@@ -230,13 +250,15 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         directory = [(str(p["name"]), tuple(int(s) for s in p["shape"]))
                      for p in manifest["parameters"]]
         metadata = manifest["metadata"]
-    except (KeyError, TypeError, ValueError) as err:
+    except malformed as err:
         raise CheckpointError(f"{path}: malformed manifest: {err}") from err
 
     blob = raw[newline + 1:]
     values: dict[str, np.ndarray] = {}
     offset = 0
     for name, shape in directory:
+        if any(d < 0 for d in shape):
+            raise CheckpointError(f"{path}: negative shape {shape} for '{name}'")
         count = int(np.prod(shape)) if shape else 1
         nbytes = count * 8
         if offset + nbytes > len(blob):
@@ -244,10 +266,15 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         values[name] = np.frombuffer(
             blob, dtype="<f8", count=count, offset=offset
         ).reshape(shape).astype(np.float64)
+        if not np.all(np.isfinite(values[name])):
+            raise CheckpointError(f"{path}: parameter '{name}' has non-finite values")
         offset += nbytes
     if offset != len(blob):
         raise CheckpointError(f"{path}: {len(blob) - offset} trailing bytes")
 
     ckpt = Checkpoint(config=config, vocab=vocab, values=values, metadata=metadata)
-    ckpt.to_params()  # validates names and shapes against the config
+    try:
+        ckpt.to_params()  # validates names and shapes against the config
+    except malformed as err:
+        raise CheckpointError(f"{path}: config cannot build a model: {err}") from err
     return ckpt

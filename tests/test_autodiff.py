@@ -112,8 +112,6 @@ class TestElementwise:
     def test_unary_gradients(self):
         rng = np.random.default_rng(2)
         check_op_gradient(ad.sigmoid, rng.normal(size=(2, 4)))
-        check_op_gradient(ad.exp, rng.normal(size=(3, 2)))
-        check_op_gradient(ad.log, rng.uniform(0.5, 2.0, size=(3, 2)))
         check_op_gradient(lambda t: ad.leaky_relu(t, 0.2), rng.normal(size=(3, 3)) + 0.01)
 
     def test_binary_gradients_and_broadcast(self):
@@ -121,14 +119,14 @@ class TestElementwise:
         a = rng.normal(size=(3, 4))
         b = rng.normal(size=(3, 4))
         bias = rng.normal(size=4)
-        for op in (ad.add, ad.sub, ad.mul):
+        for op in (ad.add, ad.mul):
             ta = ad.Tensor(a, requires_grad=True)
             tb = ad.Tensor(b, requires_grad=True)
             w = rng.normal(size=(3, 4))
             with ad.Tape() as tape:
                 loss = ad.sum_all(ad.mul(op(ta, tb), ad.Tensor(w)))
             ad.backward(tape, loss)
-            np_op = {ad.add: np.add, ad.sub: np.subtract, ad.mul: np.multiply}[op]
+            np_op = {ad.add: np.add, ad.mul: np.multiply}[op]
             fa = fd_grad(lambda v: float(np.sum(w * np_op(v, b))), a.copy())
             fb = fd_grad(lambda v: float(np.sum(w * np_op(a, v))), b.copy())
             assert max_rel_err(ta.grad, fa) < 1e-6
@@ -145,10 +143,6 @@ class TestElementwise:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             ad.add(ad.Tensor([[1.0, 2.0]]), ad.Tensor([[1.0], [2.0]]))
-
-    def test_log_domain_error(self):
-        with pytest.raises(NumericError):
-            ad.log(ad.Tensor([1.0, 0.0]))
 
 
 class TestSoftmaxRows:

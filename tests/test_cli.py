@@ -1,6 +1,8 @@
 """End-to-end command-line tests, run in-process."""
 
+import argparse
 import json
+import os
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -90,6 +92,31 @@ class TestTrainCommand:
         assert ckpt.config.variant == "gcn"
         log = json.loads((corpus_files["tmp"] / "gcn.ckpt.runlog.json").read_text())
         assert log["epochs"] == summary["epochs"]
+
+    def test_model_choices_are_the_variant_table(self):
+        commands = next(a for a in cli.build_parser()._actions
+                        if isinstance(a, argparse._SubParsersAction))
+        model_flag = next(a for a in commands.choices["train"]._actions
+                          if a.dest == "model")
+        assert tuple(model_flag.choices) == model.VARIANTS
+
+    def test_interrupted_run_log_write_keeps_previous_log(self, capsys, corpus_files,
+                                                          monkeypatch):
+        train_checkpoint(capsys, corpus_files, "cnn", epochs="1")
+        log_path = corpus_files["tmp"] / "cnn.ckpt.runlog.json"
+        before = log_path.read_bytes()
+        real_replace = os.replace
+
+        def replace(src, dst):
+            if str(dst).endswith(".runlog.json"):
+                raise KeyboardInterrupt
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        with pytest.raises(KeyboardInterrupt):
+            train_checkpoint(capsys, corpus_files, "cnn", epochs="2")
+        assert log_path.read_bytes() == before
+        assert not list(corpus_files["tmp"].glob("*.tmp"))
 
     def test_determinism_byte_identical_outputs(self, capsys, corpus_files):
         out1, _ = train_checkpoint(capsys, corpus_files, "lstm")

@@ -59,6 +59,17 @@ class TestLoadEdgeWeights:
         with pytest.raises(GraphError, match="diagonal"):
             graph.load_edge_weights(p)
 
+    @pytest.mark.parametrize("record, message", [
+        ({"id": "d2", "n": 2, "weights": [[0, float("nan")], [float("nan"), 0]]}, "finite"),
+        ({"id": "d2", "n": 2.0, "weights": [[0, 0.5], [0.5, 0]]}, "'n' must be an integer"),
+        ({"id": "d2", "n": True, "weights": [[0]]}, "'n' must be an integer"),
+        ({"id": "d2", "n": 2, "weights": [[0, 0.5], [0.5]]}, "not a numeric matrix"),
+    ], ids=["nan_weight", "float_n", "bool_n", "ragged_weights"])
+    def test_bad_record_error_names_its_line(self, tmp_path, record, message):
+        p = weights_file(tmp_path, [{"id": "d1", "n": 1, "weights": [[0]]}, record])
+        with pytest.raises(GraphError, match=rf"weights\.jsonl:2: .*{message}"):
+            graph.load_edge_weights(p)
+
     def test_declared_size_mismatch(self, tmp_path):
         p = weights_file(tmp_path, [{"id": "d1", "n": 3, "weights": [[0, 0.3], [0.3, 0]]}])
         with pytest.raises(GraphError, match="n=3"):
@@ -71,13 +82,13 @@ class TestBuildGraph:
 
     def test_default_dense(self):
         g = graph.build_graph(self.doc(2), Tensor(np.zeros((2, 4))))
-        assert np.array_equal(g.adjacency.values, [[0.0, 1.0], [1.0, 0.0]])
+        assert np.array_equal(g.values, [[0.0, 1.0], [1.0, 0.0]])
 
     def test_weights_substitution(self, tmp_path):
         p = weights_file(tmp_path, [{"id": "d1", "n": 2, "weights": [[0, 0.8], [0.8, 0]]}])
         ws = graph.load_edge_weights(p)
         g = graph.build_graph(self.doc(2), Tensor(np.zeros((2, 4))), ws)
-        assert np.array_equal(g.adjacency.values, [[0.0, 0.8], [0.8, 0.0]])
+        assert np.array_equal(g.values, [[0.0, 0.8], [0.8, 0.0]])
 
     def test_missing_id_names_document(self, tmp_path):
         ws = graph.load_edge_weights(weights_file(
@@ -90,7 +101,7 @@ class TestBuildGraph:
         ws = graph.load_edge_weights(weights_file(
             tmp_path, [{"id": "d1", "n": 3, "weights": m}]))
         g = graph.build_graph(self.doc(2), Tensor(np.zeros((2, 4))), ws)
-        assert np.array_equal(g.adjacency.values, [[0.0, 0.1], [0.1, 0.0]])
+        assert np.array_equal(g.values, [[0.0, 0.1], [0.1, 0.0]])
 
     def test_undersized_weights_error(self, tmp_path):
         ws = graph.load_edge_weights(weights_file(

@@ -277,3 +277,30 @@ class TestEndToEndGradients:
 
             numeric = fd_grad(f, tensor.values.copy())
             assert max_rel_err(analytic, numeric) < 1e-4, name
+
+
+class TestVariantTable:
+    def test_variant_order_is_stable(self):
+        # checkpoints, the gradcheck report and the benchmark iterate this order
+        assert model.VARIANTS == ("cnn", "lstm", "gcn", "gcn_ss", "gcn_attn",
+                                  "gcn_attn_ss", "gat", "gat2")
+        assert model.GRAPH_VARIANTS == model.VARIANTS[2:]
+
+    def test_every_op_but_the_helpers_is_recorded_by_some_variant(self):
+        rng = np.random.default_rng(5)
+        recorded = set()
+        for n_sentences in (1, 3):
+            doc = make_doc(rng, n_sentences)
+            weights = EdgeWeightSet({"d": symmetric_weights(rng, n_sentences)})
+            for variant in model.VARIANTS:
+                config = tiny_config(variant)
+                with ad.Tape() as tape:
+                    logits, _ = model.forward(doc, model.init_params(config), config,
+                                              weights)
+                    model.loss(logits, doc.label)
+                recorded |= {entry.op for entry in tape.entries}
+        # sum_all and mul weight an op's output in the gradcheck fixtures;
+        # sigmoid, tanh, mul and concat_rows are wrapped by the benchmark's
+        # tracer (bench/tracing.py MODEL_OPS) and go when it is refreshed.
+        assert set(ad.OP_NAMES) - recorded == {"sum_all", "mul", "sigmoid", "tanh",
+                                               "concat_rows"}

@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from docgraph import model, training
+from docgraph.corpus import Vocabulary
 from docgraph.errors import CheckpointError, NumericError, TrainingError
 from docgraph.graph import EdgeWeightSet
 
@@ -182,3 +185,77 @@ class TestCheckpointPersistence:
         assert loaded.metadata == run.checkpoint.metadata
         assert loaded.config == run.config
         assert loaded.vocab.id_to_token == run.checkpoint.vocab.id_to_token
+
+    def test_non_finite_parameter_rejected(self, tmp_path):
+        run, path, _ = self.trained(tmp_path)
+        run.checkpoint.values["embedding"][3, 1] = np.nan
+        training.save_checkpoint(run.checkpoint, path)
+        with pytest.raises(CheckpointError, match="'embedding' has non-finite"):
+            training.load_checkpoint(path)
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda raw: b"[1]" + raw[raw.index(b"\n"):], "not a JSON object"),
+        (lambda raw: raw.replace(b'"proj.w","shape":[', b'"proj.w","shape":[-', 1),
+         "negative shape"),
+    ], ids=["non_object_manifest", "negative_shape"])
+    def test_malformed_manifest_rejected(self, tmp_path, corrupt, message):
+        _, path, _ = self.trained(tmp_path)
+        path.write_bytes(corrupt(path.read_bytes()))
+        with pytest.raises(CheckpointError, match=message):
+            training.load_checkpoint(path)
+
+    def test_write_failing_midway_keeps_previous_file(self, tmp_path, monkeypatch):
+        run, path, _ = self.trained(tmp_path)
+        before = path.read_bytes()
+        run.checkpoint.metadata["best_epoch"] = 7
+
+        class HalfWriter:
+            def __init__(self, f):
+                self.f = f
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, data):
+                self.f.write(data[: len(data) // 2])
+                raise OSError("disk full")
+
+        monkeypatch.setattr(training, "open", lambda p, mode: HalfWriter(open(p, mode)),
+                            raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            training.save_checkpoint(run.checkpoint, path)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.fixture(scope="module")
+def tiny_checkpoint_bytes(tmp_path_factory):
+    vocab = Vocabulary(["<pad>", "<unk>", "zebra", "quokka"], min_frequency=2)
+    config = model.ModelConfig(variant="gat2", vocab_size=len(vocab),
+                               class_names=("satire", "trusted"), embed_dim=3,
+                               hidden_dim=3, node_dim=2, clip_norm=1.5)
+    params = model.init_params(config)
+    values = {name: t.values for name, t in params.tensors.items()}
+    ckpt = training.Checkpoint(config, vocab, values, metadata={"best_epoch": 1, "seed": 0})
+    path = tmp_path_factory.mktemp("ckpt") / "tiny.ckpt"
+    training.save_checkpoint(ckpt, path)
+    return path.read_bytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_any_single_byte_manifest_change_loads_or_raises_checkpoint_error(
+        tiny_checkpoint_bytes, tmp_path_factory, data):
+    raw = tiny_checkpoint_bytes
+    manifest_len = raw.index(b"\n") + 1
+    pos = data.draw(st.integers(0, manifest_len - 1), label="position")
+    byte = data.draw(st.integers(0, 255), label="byte")
+    path = tmp_path_factory.getbasetemp() / "mutated.ckpt"
+    path.write_bytes(raw[:pos] + bytes([byte]) + raw[pos + 1:])
+    try:
+        training.load_checkpoint(path)
+    except CheckpointError:
+        pass
