@@ -82,6 +82,9 @@ def _load_weights(args):
 # train
 
 def cmd_train(args) -> int:
+    out_dir = Path(args.out).parent
+    if not out_dir.is_dir():
+        raise DocGraphError(f"output directory {out_dir} does not exist")
     train_raw = _load(args.train, args.format)
     weights = _load_weights(args)
     if SPECS[args.model].edge_weights and weights is None:
@@ -172,16 +175,18 @@ def cmd_predict(args) -> int:
     weights = _load_weights(args)
     config = ckpt.config
     params = ckpt.to_params()
+    # score every document before printing, so a bad one leaves no partial output
+    scored = []
     for raw in docs:
         doc = encode_document(raw, ckpt.vocab, config.class_set,
                               config.max_sentences, config.max_tokens)
         if doc is None:
             raise DocGraphError(f"document '{raw.id}' is empty after encoding")
-        probabilities = evaluation.predict_probabilities(doc, params, config, weights)
-        predicted = int(probabilities.argmax())
+        scored.append((raw.id, evaluation.predict_probabilities(doc, params, config, weights)))
+    for doc_id, probabilities in scored:
         _emit({
-            "id": raw.id,
-            "predicted": config.class_names[predicted],
+            "id": doc_id,
+            "predicted": config.class_names[int(probabilities.argmax())],
             "probabilities": {
                 name: float(p)
                 for name, p in zip(config.class_names, probabilities)
@@ -339,7 +344,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except DocGraphError as err:
+    except (DocGraphError, OSError) as err:
         _info(f"error: {err}")
         return 1
 

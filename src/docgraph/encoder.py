@@ -38,36 +38,9 @@ class EncoderParams:
     embedding: Tensor
     gates: dict[str, tuple[Tensor, Tensor, Tensor]]
 
-    @classmethod
-    def init(
-        cls,
-        rng: np.random.Generator,
-        vocab_size: int,
-        embed_dim: int,
-        hidden_dim: int,
-    ) -> "EncoderParams":
-        embedding = Tensor(xavier_uniform(rng, vocab_size, embed_dim), requires_grad=True)
-        gates = {}
-        for gate in GATES:
-            w_x = Tensor(xavier_uniform(rng, embed_dim, hidden_dim), requires_grad=True)
-            w_h = Tensor(xavier_uniform(rng, hidden_dim, hidden_dim), requires_grad=True)
-            # forget-gate bias starts at 1 to keep early cell state open
-            bias = np.full(hidden_dim, 1.0) if gate == "f" else np.zeros(hidden_dim)
-            gates[gate] = (w_x, w_h, Tensor(bias, requires_grad=True))
-        return cls(embedding=embedding, gates=gates)
-
     @property
     def hidden_dim(self) -> int:
         return self.gates["i"][0].shape[1]
-
-    def named_tensors(self, prefix: str = "lstm") -> dict[str, Tensor]:
-        out = {"embedding": self.embedding}
-        for gate in GATES:
-            w_x, w_h, b = self.gates[gate]
-            out[f"{prefix}.{gate}.w_x"] = w_x
-            out[f"{prefix}.{gate}.w_h"] = w_h
-            out[f"{prefix}.{gate}.b"] = b
-        return out
 
 
 def embed(token_ids: Sequence[int], embedding: Tensor) -> Tensor:

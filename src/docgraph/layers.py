@@ -30,11 +30,6 @@ class GcnParams:
     weight: Tensor
     slope: float = LEAKY_SLOPE
 
-    @classmethod
-    def init(cls, rng: np.random.Generator, in_dim: int, out_dim: int,
-             slope: float = LEAKY_SLOPE) -> "GcnParams":
-        return cls(Tensor(xavier_uniform(rng, in_dim, out_dim), requires_grad=True), slope)
-
 
 @dataclass
 class SelfAttnParams:
@@ -43,11 +38,6 @@ class SelfAttnParams:
     query: Tensor
     key: Tensor
     value: Tensor
-
-    @classmethod
-    def init(cls, rng: np.random.Generator, dim: int) -> "SelfAttnParams":
-        return cls(*(Tensor(xavier_uniform(rng, dim, dim), requires_grad=True)
-                     for _ in range(3)))
 
 
 @dataclass

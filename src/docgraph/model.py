@@ -5,7 +5,9 @@ then a linear projection to class logits. Graph variants share the
 pipeline encoder -> document graph -> graph layer(s) -> pool -> project;
 the baselines flatten the document to one token sequence. ``SPECS``
 holds every per-variant fact; the code below branches on its fields,
-never on variant names.
+never on variant names. ``param_layout`` lists the tensors a variant
+owns; initialization, checkpoint validation and the per-layer parameter
+views all follow it.
 
 Single-sentence documents have no neighbors, so graph variants bypass
 the propagation step and project the lone node feature through the
@@ -14,6 +16,7 @@ layer weights directly.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
@@ -23,6 +26,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .corpus import ClassSet, Document
 from .encoder import (
+    GATES,
     EncoderParams,
     embed,
     encode_document,
@@ -106,8 +110,10 @@ class ModelConfig:
             raise ModelError("a model needs at least 2 classes")
         for name in ("vocab_size", "embed_dim", "hidden_dim", "node_dim", "gcn_layers",
                      "max_sentences", "max_tokens"):
-            if getattr(self, name) < 1:
-                raise ModelError(f"{name} must be positive")
+            value = getattr(self, name)
+            # sizes become array shapes and loop bounds: 3.0 is not a size
+            if not isinstance(value, numbers.Integral) or value < 1:
+                raise ModelError(f"{name} must be a positive integer")
         object.__setattr__(self, "class_names", tuple(self.class_names))
 
     @property
@@ -167,12 +173,6 @@ class CnnParams:
     w2: Tensor
     bias: Tensor
 
-    @classmethod
-    def init(cls, rng: np.random.Generator, embed_dim: int, n_filters: int) -> "CnnParams":
-        ws = [Tensor(xavier_uniform(rng, embed_dim, n_filters), requires_grad=True)
-              for _ in range(CNN_WIDTH)]
-        return cls(*ws, bias=Tensor(np.zeros(n_filters), requires_grad=True))
-
 
 @dataclass
 class ModelParams:
@@ -192,90 +192,99 @@ class ModelParams:
         return sum(t.size for t in self.tensors.values())
 
 
-def param_names(config: ModelConfig) -> list[str]:
-    """The exact tensor names a variant owns, in initialization order."""
+def param_layout(config: ModelConfig) -> dict[str, tuple[tuple[int, ...], str]]:
+    """Every tensor a variant owns, in draw order: name -> (shape, init).
+
+    ``init`` is "xavier", "zeros" or "ones"; a 1-D xavier vector draws as
+    a column (the GAT pair-scoring vector scores a 2*node concatenation).
+    """
     spec = config.spec
-    names = ["embedding"]
+    embed, hidden, node = config.embed_dim, config.hidden_dim, config.node_dim
+    layout = {"embedding": ((config.vocab_size, embed), "xavier")}
     if spec.kind == "cnn":
-        names += ["cnn.w0", "cnn.w1", "cnn.w2", "cnn.b"]
+        for k in range(CNN_WIDTH):
+            layout[f"cnn.w{k}"] = ((embed, hidden), "xavier")
+        layout["cnn.b"] = ((hidden,), "zeros")
     else:
-        for gate in ("i", "f", "g", "o"):
-            names += [f"lstm.{gate}.w_x", f"lstm.{gate}.w_h", f"lstm.{gate}.b"]
+        for gate in GATES:
+            layout[f"lstm.{gate}.w_x"] = ((embed, hidden), "xavier")
+            layout[f"lstm.{gate}.w_h"] = ((hidden, hidden), "xavier")
+            # forget-gate bias starts at 1 to keep early cell state open
+            layout[f"lstm.{gate}.b"] = ((hidden,), "ones" if gate == "f" else "zeros")
     if spec.kind == "gcn":
-        names += [f"gcn.{layer}.w" for layer in range(config.gcn_layers)]
+        for layer in range(config.gcn_layers):
+            layout[f"gcn.{layer}.w"] = ((hidden if layer == 0 else node, node), "xavier")
     if spec.self_attn:
-        names += ["attn.q", "attn.k", "attn.v"]
+        for name in ("q", "k", "v"):
+            layout[f"attn.{name}"] = ((node, node), "xavier")
     if spec.kind == "gat":
-        for h in range(config.heads):
-            names += [f"gat.{h}.w", f"gat.{h}.a"]
-    names += ["proj.w", "proj.b"]
-    return names
+        for h in range(spec.heads):
+            layout[f"gat.{h}.w"] = ((hidden, node), "xavier")
+            layout[f"gat.{h}.a"] = ((2 * node,), "xavier")
+    layout["proj.w"] = ((config.pool_dim, config.n_classes), "xavier")
+    layout["proj.b"] = ((config.n_classes,), "zeros")
+    return layout
+
+
+def check_layout(config: ModelConfig, shapes: list[tuple[str, tuple[int, ...]]]) -> None:
+    """Raise ModelError unless ``shapes`` (name, shape pairs) lists the
+    variant's tensors in layout order with the layout's shapes."""
+    layout = param_layout(config)
+    names = [name for name, _ in shapes]
+    if names != list(layout):
+        raise ModelError(
+            f"parameters {names} do not match variant '{config.variant}' "
+            f"(expected {list(layout)})"
+        )
+    for name, shape in shapes:
+        expected = layout[name][0]
+        if tuple(shape) != expected:
+            raise ModelError(f"parameter '{name}' has shape {tuple(shape)}, "
+                             f"expected {expected}")
+
+
+def _draw(rng: np.random.Generator, shape: tuple[int, ...], init: str) -> np.ndarray:
+    if init == "zeros":
+        return np.zeros(shape)
+    if init == "ones":
+        return np.ones(shape)
+    rows, cols = shape if len(shape) == 2 else (shape[0], 1)
+    return xavier_uniform(rng, rows, cols).reshape(shape)
 
 
 def init_params(config: ModelConfig, rng: np.random.Generator | None = None) -> ModelParams:
-    """Build all parameter tensors for a variant, in a fixed draw order."""
+    """Draw every tensor of ``param_layout`` in order and bind them."""
     if rng is None:
         rng = np.random.default_rng(config.seed)
+    return bind_params(config, {name: _draw(rng, shape, init)
+                                for name, (shape, init) in param_layout(config).items()})
+
+
+def bind_params(config: ModelConfig, values: dict[str, np.ndarray]) -> ModelParams:
+    """Wrap ``values`` (checked against ``param_layout``; the arrays are
+    used, not copied) as trainable tensors and build the per-layer views
+    over them."""
+    check_layout(config, [(name, np.shape(v)) for name, v in values.items()])
+    t = {name: Tensor(v, requires_grad=True) for name, v in values.items()}
     spec = config.spec
-    tensors: dict[str, Tensor] = {}
-    encoder = None
-    cnn = None
-    gcn: list[GcnParams] = []
-    self_attn = None
-    gat_heads: list[GatHeadParams] = []
-
+    slope = config.leaky_slope
+    params = ModelParams(tensors=t, embedding=t["embedding"], proj_w=t["proj.w"],
+                         proj_b=t["proj.b"])
     if spec.kind == "cnn":
-        embedding = Tensor(xavier_uniform(rng, config.vocab_size, config.embed_dim),
-                           requires_grad=True)
-        tensors["embedding"] = embedding
-        cnn = CnnParams.init(rng, config.embed_dim, config.hidden_dim)
-        tensors.update({"cnn.w0": cnn.w0, "cnn.w1": cnn.w1, "cnn.w2": cnn.w2,
-                        "cnn.b": cnn.bias})
+        params.cnn = CnnParams(t["cnn.w0"], t["cnn.w1"], t["cnn.w2"], t["cnn.b"])
     else:
-        encoder = EncoderParams.init(rng, config.vocab_size, config.embed_dim,
-                                     config.hidden_dim)
-        embedding = encoder.embedding
-        tensors.update(encoder.named_tensors())
-
+        params.encoder = EncoderParams(t["embedding"], {
+            gate: (t[f"lstm.{gate}.w_x"], t[f"lstm.{gate}.w_h"], t[f"lstm.{gate}.b"])
+            for gate in GATES})
     if spec.kind == "gcn":
-        in_dim = config.hidden_dim
-        for layer in range(config.gcn_layers):
-            p = GcnParams.init(rng, in_dim, config.node_dim, config.leaky_slope)
-            gcn.append(p)
-            tensors[f"gcn.{layer}.w"] = p.weight
-            in_dim = config.node_dim
+        params.gcn = [GcnParams(t[f"gcn.{layer}.w"], slope)
+                      for layer in range(config.gcn_layers)]
     if spec.self_attn:
-        self_attn = SelfAttnParams.init(rng, config.node_dim)
-        tensors.update({"attn.q": self_attn.query, "attn.k": self_attn.key,
-                        "attn.v": self_attn.value})
+        params.self_attn = SelfAttnParams(t["attn.q"], t["attn.k"], t["attn.v"])
     if spec.kind == "gat":
-        for h in range(config.heads):
-            head = GatHeadParams.init(rng, config.hidden_dim, config.node_dim,
-                                      config.leaky_slope)
-            gat_heads.append(head)
-            tensors[f"gat.{h}.w"] = head.weight
-            tensors[f"gat.{h}.a"] = head.attn
-
-    proj_w = Tensor(xavier_uniform(rng, config.pool_dim, config.n_classes),
-                    requires_grad=True)
-    proj_b = Tensor(np.zeros(config.n_classes), requires_grad=True)
-    tensors["proj.w"] = proj_w
-    tensors["proj.b"] = proj_b
-
-    assert list(tensors) == param_names(config)
-    return ModelParams(tensors=tensors, embedding=embedding, proj_w=proj_w,
-                       proj_b=proj_b, encoder=encoder, cnn=cnn, gcn=gcn,
-                       self_attn=self_attn, gat_heads=gat_heads)
-
-
-def validate_params(params: ModelParams, config: ModelConfig) -> None:
-    expected = param_names(config)
-    actual = list(params.tensors)
-    if actual != expected:
-        raise ModelError(
-            f"parameter set does not match variant '{config.variant}': "
-            f"expected {expected}, got {actual}"
-        )
+        params.gat_heads = [GatHeadParams(t[f"gat.{h}.w"], t[f"gat.{h}.a"], slope)
+                            for h in range(spec.heads)]
+    return params
 
 
 def _project(pooled: Tensor, params: ModelParams, n_classes: int) -> Tensor:
@@ -349,7 +358,7 @@ def forward(
 ) -> tuple[Tensor, list[Tensor] | None]:
     """Class logits for one document, plus attention matrices when the
     variant produces them (one per head for gat2)."""
-    validate_params(params, config)
+    check_layout(config, [(name, t.shape) for name, t in params.tensors.items()])
     if config.needs_edge_weights and weights is None:
         raise ModelError(f"variant '{config.variant}' requires an edge-weight set")
     if config.spec.kind == "cnn":

@@ -10,6 +10,7 @@ epoch's parameters are kept (ties go to the earliest epoch).
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -22,7 +23,15 @@ from .corpus import Document, Vocabulary
 from .errors import CheckpointError, CorpusError, ModelError, NumericError, TrainingError
 from .evaluation import evaluate_documents
 from .graph import EdgeWeightSet
-from .model import ModelConfig, ModelParams, forward, init_params, loss, param_names
+from .model import (
+    ModelConfig,
+    ModelParams,
+    bind_params,
+    check_layout,
+    forward,
+    init_params,
+    loss,
+)
 
 CHECKPOINT_FORMAT_VERSION = 1
 
@@ -44,23 +53,12 @@ class Checkpoint:
     metadata: dict
 
     def to_params(self) -> ModelParams:
-        """Materialize parameter tensors (structure validated against config)."""
-        params = init_params(self.config)
-        expected = param_names(self.config)
-        if list(self.values) != expected:
-            raise CheckpointError(
-                f"checkpoint parameters {list(self.values)} do not match "
-                f"variant '{self.config.variant}' (expected {expected})"
-            )
-        for name in expected:
-            stored = self.values[name]
-            if stored.shape != params.tensors[name].shape:
-                raise CheckpointError(
-                    f"parameter '{name}' has shape {stored.shape}, "
-                    f"expected {params.tensors[name].shape}"
-                )
-            params.tensors[name].values = stored.copy()
-        return params
+        """Parameter tensors over copies of the stored values, checked
+        against the config's parameter layout."""
+        try:
+            return bind_params(self.config, {n: v.copy() for n, v in self.values.items()})
+        except ModelError as err:
+            raise CheckpointError(f"checkpoint does not fit its config: {err}") from err
 
 
 @dataclass
@@ -239,7 +237,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             f"(expected {CHECKPOINT_FORMAT_VERSION})"
         )
     # A manifest can hold any JSON, so every value-level failure while
-    # building the config, vocabulary and a model from it is a bad file.
+    # building the config and vocabulary from it, or checking the parameter
+    # directory against the config's layout, is a bad file.
     malformed = (KeyError, TypeError, ValueError, ModelError, CorpusError)
     try:
         config = ModelConfig.from_dict(manifest["config"])
@@ -250,6 +249,11 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         directory = [(str(p["name"]), tuple(int(s) for s in p["shape"]))
                      for p in manifest["parameters"]]
         metadata = manifest["metadata"]
+        for name, shape in directory:
+            if any(d < 0 for d in shape):
+                raise CheckpointError(f"{path}: negative shape {shape} for '{name}'")
+        # before any allocation: a manifest may claim arbitrarily large shapes
+        check_layout(config, directory)
     except malformed as err:
         raise CheckpointError(f"{path}: malformed manifest: {err}") from err
 
@@ -257,9 +261,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     values: dict[str, np.ndarray] = {}
     offset = 0
     for name, shape in directory:
-        if any(d < 0 for d in shape):
-            raise CheckpointError(f"{path}: negative shape {shape} for '{name}'")
-        count = int(np.prod(shape)) if shape else 1
+        count = math.prod(shape)  # exact: a claimed shape may overflow int64
         nbytes = count * 8
         if offset + nbytes > len(blob):
             raise CheckpointError(f"{path}: truncated parameter data at '{name}'")
@@ -271,10 +273,4 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         offset += nbytes
     if offset != len(blob):
         raise CheckpointError(f"{path}: {len(blob) - offset} trailing bytes")
-
-    ckpt = Checkpoint(config=config, vocab=vocab, values=values, metadata=metadata)
-    try:
-        ckpt.to_params()  # validates names and shapes against the config
-    except malformed as err:
-        raise CheckpointError(f"{path}: config cannot build a model: {err}") from err
-    return ckpt
+    return Checkpoint(config=config, vocab=vocab, values=values, metadata=metadata)

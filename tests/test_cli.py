@@ -118,6 +118,21 @@ class TestTrainCommand:
         assert log_path.read_bytes() == before
         assert not list(corpus_files["tmp"].glob("*.tmp"))
 
+    def test_missing_output_directory_fails_before_training(self, capsys, corpus_files,
+                                                            monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("training ran")
+
+        monkeypatch.setattr(training, "train", never)
+        code, stdout, err = run_cli(capsys, [
+            "train", "--protocol", "two_way",
+            "--train", corpus_files["train"], "--dev", corpus_files["dev"],
+            "--model", "cnn", "--out", str(corpus_files["tmp"] / "missing" / "x.ckpt"),
+        ])
+        assert code == 1
+        assert stdout == ""
+        assert "missing" in err and "does not exist" in err
+
     def test_determinism_byte_identical_outputs(self, capsys, corpus_files):
         out1, _ = train_checkpoint(capsys, corpus_files, "lstm")
         log1 = (corpus_files["tmp"] / "lstm.ckpt.runlog.json").read_bytes()
@@ -212,6 +227,20 @@ class TestPredictCommand:
             assert np.allclose(got, expected, atol=1e-12)
 
 
+    def test_bad_document_leaves_no_partial_output(self, capsys, corpus_files, tmp_path):
+        ckpt, _ = train_checkpoint(capsys, corpus_files, "gcn", epochs="1")
+        first, second = corpus_files["dev_docs"][:2]
+        data = tmp_path / "mixed.jsonl"
+        data.write_text(
+            json.dumps({"id": first.id, "label": first.label, "text": first.text}) + "\n"
+            + json.dumps({"id": second.id, "label": "hoax", "text": second.text}) + "\n",
+            encoding="utf-8")
+        code, stdout, err = run_cli(capsys, ["predict", "--ckpt", ckpt, "--data", str(data)])
+        assert code == 1
+        assert stdout == ""
+        assert "hoax" in err
+
+
 class TestExportAttentionCommand:
     def test_svg_values_match_forward_pass(self, capsys, corpus_files):
         ckpt_path, _ = train_checkpoint(capsys, corpus_files, "gat2")
@@ -281,6 +310,18 @@ class TestExportAttentionCommand:
         ])
         assert code == 1
         assert "nope" in err
+
+
+    def test_unwritable_output_is_an_error(self, capsys, corpus_files):
+        ckpt, _ = train_checkpoint(capsys, corpus_files, "gat", epochs="1")
+        code, stdout, err = run_cli(capsys, [
+            "export-attention", "--ckpt", ckpt,
+            "--data", corpus_files["dev_jsonl"], "--doc-id", "doc-0",
+            "--out", str(corpus_files["tmp"] / "missing" / "x.svg"),
+        ])
+        assert code == 1
+        assert stdout == ""
+        assert err.startswith("error: ")
 
 
 class TestGradcheckCommand:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from docgraph import autodiff as ad
-from docgraph import encoder
+from docgraph import encoder, model
 from docgraph.autodiff import Tensor
 from docgraph.corpus import Document
 from docgraph.errors import ShapeError
@@ -46,10 +46,22 @@ sentences_strategy = st.lists(
 ).map(tuple)
 
 
+def lstm_params(rng, vocab_size, embed_dim, hidden_dim):
+    """An lstm model's parameters; ``.encoder`` is the sentence-encoder view."""
+    config = model.ModelConfig(variant="lstm", vocab_size=vocab_size,
+                               class_names=("a", "b"), embed_dim=embed_dim,
+                               hidden_dim=hidden_dim)
+    return model.init_params(config, rng)
+
+
 @pytest.fixture
-def params():
-    return encoder.EncoderParams.init(np.random.default_rng(0), vocab_size=12,
-                                      embed_dim=4, hidden_dim=4)
+def model_params():
+    return lstm_params(np.random.default_rng(0), vocab_size=12, embed_dim=4, hidden_dim=4)
+
+
+@pytest.fixture
+def params(model_params):
+    return model_params.encoder
 
 
 class TestEmbed:
@@ -121,7 +133,8 @@ class TestLstm:
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(3)
-        params = encoder.EncoderParams.init(rng, vocab_size=4, embed_dim=3, hidden_dim=2)
+        model_params = lstm_params(rng, vocab_size=4, embed_dim=3, hidden_dim=2)
+        params = model_params.encoder
         x_vals = rng.normal(size=(3, 3))
         w = rng.normal(size=2)
 
@@ -133,8 +146,8 @@ class TestLstm:
 
         tape, loss = loss_value()
         ad.backward(tape, loss)
-        for name, tensor in params.named_tensors().items():
-            if name == "embedding":
+        for name, tensor in model_params.tensors.items():
+            if not name.startswith("lstm."):
                 continue
             analytic = tensor.grad
 
@@ -168,14 +181,14 @@ class TestEncodeDocument:
             Document("d", 0, tuple(sentences[i] for i in perm)), params)
         assert np.array_equal(s_perm.values, s.values[list(perm)])
 
-    def test_shared_parameter_gradients_accumulate(self, params):
+    def test_shared_parameter_gradients_accumulate(self, model_params, params):
         doc = Document("d", 0, ((1, 2), (1, 2)))
         single = Document("d", 0, ((1, 2),))
         with ad.Tape() as tape:
             loss = ad.sum_all(encoder.encode_document(doc, params))
         ad.backward(tape, loss)
         double_grad = params.embedding.grad.copy()
-        ad.zero_grads(params.named_tensors())
+        ad.zero_grads(model_params.tensors)
         with ad.Tape() as tape:
             loss = ad.sum_all(encoder.encode_document(single, params))
         ad.backward(tape, loss)
@@ -186,8 +199,8 @@ class TestBatchedEncoderProperties:
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), sentences=sentences_strategy, data=st.data())
     def test_matches_reference_and_permutes_exactly(self, seed, sentences, data):
-        params = encoder.EncoderParams.init(np.random.default_rng(seed), vocab_size=VOCAB,
-                                            embed_dim=5, hidden_dim=4)
+        params = lstm_params(np.random.default_rng(seed), vocab_size=VOCAB,
+                             embed_dim=5, hidden_dim=4).encoder
         doc = Document("d", 0, sentences)
         out = encoder.encode_document(doc, params).values
         assert out.shape == (len(sentences), 4)
@@ -202,7 +215,7 @@ class TestBatchedEncoderProperties:
     @given(seed=st.integers(0, 2**32 - 1), steps=st.integers(1, 12))
     def test_single_sequence_lstm_last_is_lstm_last_hidden(self, seed, steps):
         rng = np.random.default_rng(seed)
-        params = encoder.EncoderParams.init(rng, vocab_size=VOCAB, embed_dim=5, hidden_dim=4)
+        params = lstm_params(rng, vocab_size=VOCAB, embed_dim=5, hidden_dim=4).encoder
         x = rng.normal(size=(steps, 5))
         w_x, w_h, b = (np.concatenate([np.atleast_2d(params.gates[g][k].values)
                                        for g in encoder.GATES], axis=1) for k in range(3))

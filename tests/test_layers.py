@@ -117,7 +117,7 @@ class TestGcnLayer:
 class TestSelfAttention:
     def test_single_node_returns_value_projection(self):
         rng = np.random.default_rng(24)
-        params = layers.SelfAttnParams.init(rng, 3)
+        params = layers.SelfAttnParams(*(Tensor(rng.normal(size=(3, 3))) for _ in range(3)))
         z = Tensor(rng.normal(size=(1, 3)))
         out, attention = layers.self_attention(z, params)
         assert np.array_equal(attention.values, [[1.0]])
@@ -136,7 +136,7 @@ class TestSelfAttention:
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(26)
-        params = layers.SelfAttnParams.init(rng, 4)
+        params = layers.SelfAttnParams(*(Tensor(rng.normal(size=(4, 4))) for _ in range(3)))
         _, attention = layers.self_attention(Tensor(rng.normal(size=(5, 4))), params)
         assert np.max(np.abs(attention.values.sum(axis=1) - 1.0)) < 1e-12
 

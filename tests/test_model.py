@@ -1,5 +1,6 @@
 """Variant assembly tests: shapes, invariances, degenerate paths, gradients."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -242,11 +243,58 @@ class TestParameterAccounting:
 
     @pytest.mark.parametrize("variant", model.VARIANTS)
     def test_names_unique_and_ordered(self, variant):
-        config = tiny_config(variant)
-        params = model.init_params(config)
-        names = model.param_names(config)
-        assert list(params.tensors) == names
-        assert len(set(names)) == len(names)
+        for gcn_layers in (1, 2):
+            config = tiny_config(variant, gcn_layers=gcn_layers)
+            params = model.init_params(config)
+            layout = model.param_layout(config)
+            names = list(params.tensors)
+            assert names == list(layout)
+            assert len(set(names)) == len(names)
+            for name, (shape, init) in layout.items():
+                values = params.tensors[name].values
+                assert values.shape == shape, name
+                if init == "xavier":
+                    fans = sum(shape) if len(shape) == 2 else shape[0] + 1
+                    assert np.all(np.abs(values) <= math.sqrt(6.0 / fans)), name
+                else:
+                    assert np.all(values == (1.0 if init == "ones" else 0.0)), name
+
+
+# SHA-256 over each tensor's name and little-endian float64 bytes, in
+# order, of init_params at vocab 50, seed 3 and default dimensions, with
+# gcn_layers 1 and 2. Pins the draw order: checkpoints and every seeded
+# result depend on it.
+INIT_DIGESTS = {
+    "cnn": ("28408601501dd45fe1bcc01c70a955e50d9ccb96af455da8d2af5d7e4f5d0a7e",
+            "28408601501dd45fe1bcc01c70a955e50d9ccb96af455da8d2af5d7e4f5d0a7e"),
+    "lstm": ("01632f6712309d9468f560a4e700220d8bfd6e203e82710da2354546acf310e0",
+             "01632f6712309d9468f560a4e700220d8bfd6e203e82710da2354546acf310e0"),
+    "gcn": ("88f46d6bcbbb4a3e762eeef6fb44c231547d6ca239bef9c7fe8ebbb93ff2f1e1",
+            "3aba83bdb21eb76953502858b59de74f5b740836eb4f6eaaaaccfa17a3ff4f37"),
+    "gcn_ss": ("88f46d6bcbbb4a3e762eeef6fb44c231547d6ca239bef9c7fe8ebbb93ff2f1e1",
+               "3aba83bdb21eb76953502858b59de74f5b740836eb4f6eaaaaccfa17a3ff4f37"),
+    "gcn_attn": ("64e31af4fac7e6692369797a3b3257ce387e52ec9106c011cb01643e8f022de8",
+                 "f1cb9b3f40dba9e7bb860d9c4d4db7cc2240683799e34191d50f545abd23dadf"),
+    "gcn_attn_ss": ("64e31af4fac7e6692369797a3b3257ce387e52ec9106c011cb01643e8f022de8",
+                    "f1cb9b3f40dba9e7bb860d9c4d4db7cc2240683799e34191d50f545abd23dadf"),
+    "gat": ("b44bde571d65bcd8598fc9f54030f38848f90b9aa6d3e3f8ed7b7826e5d4be24",
+            "b44bde571d65bcd8598fc9f54030f38848f90b9aa6d3e3f8ed7b7826e5d4be24"),
+    "gat2": ("5e79941494c99fa2a325e0039ef3ba3464859035bb73a56821e59e83b41febeb",
+             "5e79941494c99fa2a325e0039ef3ba3464859035bb73a56821e59e83b41febeb"),
+}
+
+
+class TestInitDrawOrder:
+    @pytest.mark.parametrize("variant", model.VARIANTS)
+    def test_init_params_digest(self, variant):
+        for gcn_layers, expected in zip((1, 2), INIT_DIGESTS[variant]):
+            config = model.ModelConfig(variant=variant, vocab_size=50, class_names=CLASSES,
+                                       seed=3, gcn_layers=gcn_layers)
+            digest = hashlib.sha256()
+            for name, tensor in model.init_params(config).tensors.items():
+                digest.update(name.encode("utf-8"))
+                digest.update(tensor.values.astype("<f8").tobytes())
+            assert digest.hexdigest() == expected, gcn_layers
 
 
 class TestEndToEndGradients:

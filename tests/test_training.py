@@ -197,11 +197,22 @@ class TestCheckpointPersistence:
         (lambda raw: b"[1]" + raw[raw.index(b"\n"):], "not a JSON object"),
         (lambda raw: raw.replace(b'"proj.w","shape":[', b'"proj.w","shape":[-', 1),
          "negative shape"),
-    ], ids=["non_object_manifest", "negative_shape"])
+        (lambda raw: raw.replace(b'"embed_dim":6,', b'"embed_dim":6.0,', 1),
+         "embed_dim must be a positive integer"),
+    ], ids=["non_object_manifest", "negative_shape", "float_dimension"])
     def test_malformed_manifest_rejected(self, tmp_path, corrupt, message):
         _, path, _ = self.trained(tmp_path)
         path.write_bytes(corrupt(path.read_bytes()))
         with pytest.raises(CheckpointError, match=message):
+            training.load_checkpoint(path)
+
+    def test_huge_claimed_vocabulary_rejected_before_allocating(self, tmp_path):
+        run, path, _ = self.trained(tmp_path)
+        size = run.config.vocab_size
+        raw = path.read_bytes().replace(b'"vocab_size":%d' % size,
+                                        b'"vocab_size":10000000000000', 1)
+        path.write_bytes(raw)
+        with pytest.raises(CheckpointError, match="'embedding' has shape"):
             training.load_checkpoint(path)
 
     def test_write_failing_midway_keeps_previous_file(self, tmp_path, monkeypatch):
