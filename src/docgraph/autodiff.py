@@ -616,6 +616,12 @@ def backward(tape: Tape, loss: Tensor) -> None:
     The tape is walked once in reverse execution order; entries whose
     output received no gradient are skipped. Gradients add into existing
     ``grad`` buffers; callers zero parameters between optimizer steps.
+
+    A tensor's first gradient is the array its rule returned when that
+    array owns its memory (``gather_rows``' dense embedding gradient, for
+    one), and a copy when it is a view or the output's own gradient. A rule
+    returns each array it allocates for one input only, so every ``grad``
+    owns its memory and may be scaled in place.
     """
     if loss.size != 1:
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -624,14 +630,15 @@ def backward(tape: Tape, loss: Tensor) -> None:
     else:
         loss.grad = loss.grad + np.ones_like(loss.values)
     for entry in reversed(tape.entries):
-        if entry.output.grad is None:
+        out_grad = entry.output.grad
+        if out_grad is None:
             continue
         grads = BACKWARD_RULES[entry.op](entry)
         for t, g in zip(entry.inputs, grads):
             if g is None:
                 continue
             if t.grad is None:
-                t.grad = np.array(g)
+                t.grad = g if g.base is None and g is not out_grad else np.array(g)
             else:
                 t.grad = t.grad + g
 
@@ -643,6 +650,11 @@ def zero_grads(params: dict[str, Tensor]) -> None:
 
 # ---------------------------------------------------------------------------
 # Adam
+
+# Floats per chunk of the in-place Adam update (256 KB): one chunk each of
+# p, m, v and g plus the two scratch rows, 1.5 MB, stay in L2 across the
+# chunk's fourteen ufuncs.
+ADAM_CHUNK = 32768
 
 @dataclass
 class AdamState:
@@ -665,6 +677,11 @@ class AdamState:
         return state
 
 
+def _updatable(a: np.ndarray) -> bool:
+    """Whether ``a`` can be updated in place through a flat view."""
+    return a.flags.c_contiguous and a.flags.writeable
+
+
 def adam_step(
     params: dict[str, Tensor],
     grads: dict[str, np.ndarray],
@@ -672,8 +689,19 @@ def adam_step(
 ) -> None:
     """One Adam update with bias correction over every named parameter.
 
-    Aborts before touching any parameter if a gradient is non-finite or
-    mis-shaped, so a failed step leaves the model unchanged.
+    ``p.values``, ``state.m[name]`` and ``state.v[name]`` are updated in
+    place, so training changes the arrays handed to ``model.bind_params``.
+    An array that is not C-contiguous and writable (Fortran-ordered, a
+    transposed view, read-only) is first replaced by a copy that is. The
+    update runs ``ADAM_CHUNK`` floats at a time through two scratch rows,
+    with the operations of ``m = b1*m + (1-b1)*g``, ``v = b2*v +
+    (1-b2)*(g*g)`` and ``p = p - lr*(m/bc1) / (sqrt(v/bc2) + eps)`` in
+    that order, so no array of a parameter's size is allocated and every
+    value is the one the unchunked formula gives.
+
+    Aborts before touching any parameter or moment if a gradient is
+    missing, non-finite or mis-shaped, or the moments do not match a
+    parameter, so a failed step leaves the model and the optimizer unchanged.
     """
     for name, p in params.items():
         g = grads.get(name)
@@ -682,15 +710,44 @@ def adam_step(
         if g.shape != p.values.shape:
             raise ShapeError(f"gradient shape {g.shape} != parameter shape "
                              f"{p.values.shape} for '{name}'")
+        for moments in (state.m, state.v):
+            if name not in moments or moments[name].shape != p.values.shape:
+                raise ShapeError(f"Adam moments do not match parameter '{name}'")
         if not np.all(np.isfinite(g)):
             raise NumericError(f"non-finite gradient for parameter '{name}'")
     state.t += 1
-    bc1 = 1.0 - state.beta1 ** state.t
-    bc2 = 1.0 - state.beta2 ** state.t
+    b1, b2, lr, eps = state.beta1, state.beta2, state.lr, state.eps
+    bc1 = 1.0 - b1 ** state.t
+    bc2 = 1.0 - b2 ** state.t
+    scratch = np.empty((2, ADAM_CHUNK))
     for name, p in params.items():
-        g = grads[name]
-        state.m[name] = state.beta1 * state.m[name] + (1.0 - state.beta1) * g
-        state.v[name] = state.beta2 * state.v[name] + (1.0 - state.beta2) * (g * g)
-        m_hat = state.m[name] / bc1
-        v_hat = state.v[name] / bc2
-        p.values = p.values - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        if not _updatable(p.values):
+            p.values = p.values.copy()
+        for moments in (state.m, state.v):
+            if not _updatable(moments[name]):
+                moments[name] = moments[name].copy()
+        p_flat = p.values.reshape(-1)
+        m_flat = state.m[name].reshape(-1)
+        v_flat = state.v[name].reshape(-1)
+        g_flat = grads[name].reshape(-1)
+        for lo in range(0, p_flat.size, ADAM_CHUNK):
+            pc = p_flat[lo : lo + ADAM_CHUNK]
+            mc = m_flat[lo : lo + ADAM_CHUNK]
+            vc = v_flat[lo : lo + ADAM_CHUNK]
+            gc = g_flat[lo : lo + ADAM_CHUNK]
+            s = scratch[0, : pc.size]
+            u = scratch[1, : pc.size]
+            np.multiply(mc, b1, out=mc)
+            np.multiply(gc, 1.0 - b1, out=s)
+            np.add(mc, s, out=mc)
+            np.multiply(vc, b2, out=vc)
+            np.multiply(gc, gc, out=s)
+            np.multiply(s, 1.0 - b2, out=s)
+            np.add(vc, s, out=vc)
+            np.divide(mc, bc1, out=s)
+            np.divide(vc, bc2, out=u)
+            np.sqrt(u, out=u)
+            np.add(u, eps, out=u)
+            np.multiply(s, lr, out=s)
+            np.divide(s, u, out=s)
+            np.subtract(pc, s, out=pc)

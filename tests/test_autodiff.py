@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from docgraph import autodiff as ad
 from docgraph.errors import NumericError, ShapeError
@@ -345,6 +347,21 @@ class TestBackward:
             ad.backward(tape, loss)
         assert np.array_equal(w.grad, [2.0, 2.0])
 
+    def test_first_gradients_own_their_memory(self):
+        # add hands its output's gradient to both inputs; reshape returns a view
+        a = ad.Tensor(np.ones((2, 3)), requires_grad=True)
+        b = ad.Tensor(np.ones((2, 3)), requires_grad=True)
+        with ad.Tape() as tape:
+            total = ad.add(a, b)
+            flat = ad.reshape(total, (6,))
+            loss = ad.sum_all(flat)
+        ad.backward(tape, loss)
+        grads = [t.grad for t in (a, b, total, flat, loss)]
+        for i, g in enumerate(grads):
+            for h in grads[i + 1:]:
+                assert not np.shares_memory(g, h)
+        assert np.array_equal(a.grad, np.ones((2, 3)))
+
     def test_tape_determinism_bitwise(self):
         def run():
             rng = np.random.default_rng(11)
@@ -390,7 +407,94 @@ class TestAdam:
         p = {"w": ad.Tensor([1.0], requires_grad=True), "b": ad.Tensor([0.0], requires_grad=True)}
         state = ad.AdamState.for_params(p)
         before = p["w"].values.copy()
+        moments = {n: (state.m[n].copy(), state.v[n].copy()) for n in p}
         with pytest.raises(NumericError, match="'b'"):
             ad.adam_step(p, {"w": np.array([1.0]), "b": np.array([np.nan])}, state)
         assert np.array_equal(p["w"].values, before)
         assert state.t == 0
+        for n in p:
+            assert np.array_equal(state.m[n], moments[n][0])
+            assert np.array_equal(state.v[n], moments[n][1])
+
+    def test_misshaped_last_gradient_aborts_before_any_update(self):
+        rng = np.random.default_rng(5)
+        p = {"w": ad.Tensor(rng.normal(size=(3, 2)), requires_grad=True),
+             "b": ad.Tensor(rng.normal(size=4), requires_grad=True)}
+        state = ad.AdamState.for_params(p)
+        ad.adam_step(p, {"w": rng.normal(size=(3, 2)), "b": rng.normal(size=4)}, state)
+        snapshot = {n: (p[n].values.tobytes(), state.m[n].tobytes(), state.v[n].tobytes())
+                    for n in p}
+        with pytest.raises(ShapeError, match="'b'"):
+            ad.adam_step(p, {"w": rng.normal(size=(3, 2)), "b": rng.normal(size=5)}, state)
+        assert state.t == 1
+        assert {n: (p[n].values.tobytes(), state.m[n].tobytes(), state.v[n].tobytes())
+                for n in p} == snapshot
+
+    @pytest.mark.parametrize("layout", ["fortran", "transposed", "read_only"])
+    def test_non_contiguous_or_read_only_parameter_is_updated(self, layout):
+        rng = np.random.default_rng(6)
+        base = rng.normal(size=(5, 3))
+        if layout == "fortran":
+            values = np.asfortranarray(base)
+        elif layout == "transposed":
+            values = base.T.copy().T  # a transposed view of a C array
+        else:
+            values = base.copy()
+            values.flags.writeable = False
+        p = {"w": ad.Tensor(values, requires_grad=True)}
+        state = ad.AdamState.for_params(p, lr=0.01)
+        expected = (base.copy(), np.zeros_like(base), np.zeros_like(base))
+        for t in range(1, 4):
+            g = rng.normal(size=(5, 3))
+            ad.adam_step(p, {"w": g}, state)
+            expected = adam_oracle(*expected, g, t, lr=0.01)
+        assert p["w"].values.tobytes() == expected[0].tobytes()
+        assert state.m["w"].tobytes() == expected[1].tobytes()
+        assert state.v["w"].tobytes() == expected[2].tobytes()
+
+    def test_mismatched_moments_abort_before_any_update(self):
+        p = {"w": ad.Tensor([1.0, 2.0], requires_grad=True),
+             "b": ad.Tensor([3.0], requires_grad=True)}
+        state = ad.AdamState.for_params(p)
+        state.v["b"] = np.zeros(2)
+        with pytest.raises(ShapeError, match="'b'"):
+            ad.adam_step(p, {"w": np.ones(2), "b": np.ones(1)}, state)
+        assert state.t == 0
+        assert np.array_equal(p["w"].values, [1.0, 2.0])
+        assert not state.m["w"].any()
+
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.integers(1, 40), rows=st.integers(1, 9), cols=st.integers(1, 9),
+           steps=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+           lr=st.sampled_from([0.001, 0.01, 0.3]))
+    def test_chunked_update_is_bit_identical_to_the_formula(self, n, rows, cols, steps,
+                                                             seed, lr):
+        rng = np.random.default_rng(seed)
+        # the last one spans three chunks and an uneven tail
+        shapes = {"flat": (n,), "row": (1, n), "matrix": (rows, cols),
+                  "big": (3 * ad.ADAM_CHUNK // 64 + 1, 64)}
+        values = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+        params = {name: ad.Tensor(v.copy(), requires_grad=True) for name, v in values.items()}
+        state = ad.AdamState.for_params(params, lr=lr)
+        expected = {name: (v, np.zeros_like(v), np.zeros_like(v))
+                    for name, v in values.items()}
+        for t in range(1, steps + 1):
+            grads = {name: rng.normal(size=shape) * rng.choice([1e-6, 1.0, 1e3])
+                     for name, shape in shapes.items()}
+            ad.adam_step(params, grads, state)
+            expected = {name: adam_oracle(*expected[name], grads[name], t, lr=lr)
+                        for name in shapes}
+        assert state.t == steps
+        for name, (p, m, v) in expected.items():
+            assert params[name].values.tobytes() == p.tobytes()
+            assert state.m[name].tobytes() == m.tobytes()
+            assert state.v[name].tobytes() == v.tobytes()
+
+
+def adam_oracle(p, m, v, g, t, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8):
+    """The allocate-everything Adam update: new (p, m, v) after step ``t``."""
+    m = beta1 * m + (1.0 - beta1) * g
+    v = beta2 * v + (1.0 - beta2) * (g * g)
+    m_hat = m / (1.0 - beta1 ** t)
+    v_hat = v / (1.0 - beta2 ** t)
+    return p - lr * m_hat / (np.sqrt(v_hat) + eps), m, v

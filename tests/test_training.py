@@ -1,14 +1,17 @@
 """Training-loop and checkpoint tests."""
 
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from docgraph import autodiff as ad
 from docgraph import model, training
-from docgraph.corpus import Vocabulary
+from docgraph.corpus import Document, Vocabulary
 from docgraph.errors import CheckpointError, NumericError, TrainingError
 from docgraph.graph import EdgeWeightSet
 
@@ -130,6 +133,79 @@ class TestGradientClipping:
         run1 = training.train(docs, docs, config, vocab)
         run2 = training.train(docs, docs, config, vocab)
         assert run1.log_dict() == run2.log_dict()
+
+
+class TestGradientAdoption:
+    """``backward`` hands rules' fresh arrays to ``.grad`` without copying;
+    clipping then scales them in place, so no two may share memory."""
+
+    @pytest.mark.parametrize("variant", model.VARIANTS)
+    def test_parameter_gradients_share_no_memory(self, variant):
+        vocab, class_set, docs = setup_corpus()
+        config = tiny_config(variant, vocab, class_set)
+        weights = edge_weights_for(docs) if config.needs_edge_weights else None
+        params = model.init_params(config)
+        with ad.Tape() as tape:
+            logits, _ = model.forward(docs[0], params, config, weights)
+            step_loss = model.loss(logits, docs[0].label)
+        ad.backward(tape, step_loss)
+        arrays = [t.grad for t in params.tensors.values() if t.grad is not None]
+        arrays += [t.values for t in params.tensors.values()]
+        assert len(arrays) > len(params.tensors)
+        for a, b in itertools.combinations(arrays, 2):
+            assert not np.shares_memory(a, b)
+
+    @pytest.mark.parametrize("variant", model.VARIANTS)
+    def test_clipped_step_matches_a_run_on_copied_gradients(self, variant, monkeypatch):
+        vocab, class_set, docs = setup_corpus()
+        config = tiny_config(variant, vocab, class_set, clip_norm=1.0, lr=0.1)
+        weights = edge_weights_for(docs) if config.needs_edge_weights else None
+        adopted = training.train(docs, docs, config, vocab, weights)
+
+        backward = ad.backward
+        norms = []
+
+        def copying_backward(tape, loss):
+            backward(tape, loss)
+            grads = {id(t): t for e in tape.entries for t in e.inputs if t.grad is not None}
+            for t in grads.values():
+                t.grad = t.grad.copy()
+            norms.append(math.sqrt(sum(float(np.sum(t.grad * t.grad))
+                                       for t in grads.values() if t.requires_grad)))
+
+        monkeypatch.setattr(ad, "backward", copying_backward)
+        copied = training.train(docs, docs, config, vocab, weights)
+        assert max(norms) > config.clip_norm  # clipping ran
+        assert adopted.log_dict() == copied.log_dict()
+        for name, values in adopted.checkpoint.values.items():
+            assert values.tobytes() == copied.checkpoint.values[name].tobytes()
+
+
+class TestStepAllocations:
+    def test_no_embedding_sized_temporaries_in_backward_or_adam(self):
+        config = model.ModelConfig(variant="gcn_attn", vocab_size=20000,
+                                   class_names=("a", "b", "c", "d"), seed=3)
+        params = model.init_params(config)
+        doc = Document("d", 1, ((5, 17, 300, 19999), (2, 3, 4), (7, 7, 19000, 11, 12)))
+        state = ad.AdamState.for_params(params.tensors)
+        with ad.Tape() as tape:
+            logits, _ = model.forward(doc, params, config)
+            step_loss = model.loss(logits, doc.label)
+        embedding_bytes = params.embedding.values.nbytes
+        tracemalloc.start()
+        try:
+            ad.backward(tape, step_loss)
+            backward_peak = tracemalloc.get_traced_memory()[1]
+            grads = {n: t.grad for n, t in params.tensors.items()}
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            ad.adam_step(params.tensors, grads, state)
+            adam_peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        # the embedding gradient itself is the one embedding-sized array
+        assert embedding_bytes <= backward_peak < 1.5 * embedding_bytes
+        assert adam_peak < 4 * 2**20
 
 
 class TestCheckpointPersistence:
