@@ -231,13 +231,11 @@ def _mul_bwd(e: TapeEntry):
 # elementwise unary ops
 
 def _sigmoid(v: np.ndarray) -> np.ndarray:
-    # piecewise so that exp never overflows
-    out = np.empty_like(v)
-    pos = v >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ev = np.exp(v[~pos])
-    out[~pos] = ev / (1.0 + ev)
-    return out
+    # exp(-|v|) is exactly exp(-v) for v >= 0 and exp(v) below, so this is
+    # 1/(1+exp(-v)) | exp(v)/(1+exp(v)) to the byte, and exp never overflows
+    e = np.exp(-np.abs(v))
+    d = 1.0 + e
+    return np.where(v >= 0, 1.0 / d, e / d)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -279,6 +277,12 @@ def _leaky_relu_bwd(e: TapeEntry):
 # ---------------------------------------------------------------------------
 # LSTM over a batch of sequences, keeping each sequence's last hidden state
 
+def _gate_views(a: np.ndarray, hidden: int) -> tuple[np.ndarray, ...]:
+    """The i, f, g and o column blocks of ``a`` as views (no copies)."""
+    return (a[:, :hidden], a[:, hidden : 2 * hidden], a[:, 2 * hidden : 3 * hidden],
+            a[:, 3 * hidden :])
+
+
 def lstm_last(xw: Tensor, w_h: Tensor, lengths: Sequence[int]) -> Tensor:
     """Last hidden state of an LSTM run over each of several sequences.
 
@@ -289,7 +293,9 @@ def lstm_last(xw: Tensor, w_h: Tensor, lengths: Sequence[int]) -> Tensor:
     depends on that sequence's rows alone.
 
     The sequences run as one batch, longest first (packed-sequence
-    layout), so step t updates exactly the sequences longer than t.
+    layout), so step t updates exactly the sequences longer than t. The
+    per-step activations that backpropagation needs are kept only while a
+    tape is recording, so a tape-free call holds one step's arrays at a time.
     """
     if w_h.values.ndim != 2 or w_h.shape[1] != 4 * w_h.shape[0]:
         raise ShapeError(f"lstm_last recurrent weight must be (H, 4H), got {w_h.shape}")
@@ -305,24 +311,26 @@ def lstm_last(xw: Tensor, w_h: Tensor, lengths: Sequence[int]) -> Tensor:
     starts = (np.cumsum(lens) - lens)[order]
     batch = [int(np.count_nonzero(sorted_lens > t)) for t in range(int(sorted_lens[0]))]
     packed_rows = np.concatenate([starts[:n] + t for t, n in enumerate(batch)])
-    packed = xw.values[packed_rows]
     w = w_h.values
     h = np.zeros((lens.size, hidden))
     c = np.zeros((lens.size, hidden))
     last = np.empty((lens.size, hidden))
-    steps = []
+    steps = [] if _ACTIVE_TAPE.get() is not None else None
     offset = 0
     for n in batch:
-        pre = packed[offset : offset + n] + h[:n] @ w
+        gates = xw.values[packed_rows[offset : offset + n]]  # a copy of step t's rows
         offset += n
-        gates = _sigmoid(pre)
-        gates[:, 2 * hidden : 3 * hidden] = np.tanh(pre[:, 2 * hidden : 3 * hidden])
-        i, f, g, o = np.split(gates, 4, axis=1)
+        gates += h[:n] @ w
+        i, f, g, o = _gate_views(gates, hidden)
+        gates[:, : 2 * hidden] = _sigmoid(gates[:, : 2 * hidden])  # i and f
+        g[...] = np.tanh(g)
+        o[...] = _sigmoid(o)
         c_prev, h_prev = c[:n], h[:n]
         c = f * c_prev + i * g
         tanh_c = np.tanh(c)
         h = o * tanh_c
-        steps.append((gates, c_prev, tanh_c, h_prev))
+        if steps is not None:
+            steps.append((gates, c_prev, tanh_c, h_prev))
         last[:n] = h  # rows from n on have ended and keep their final h
     out_v = np.empty_like(last)
     out_v[order] = last
@@ -336,6 +344,7 @@ def _lstm_last_bwd(e: TapeEntry):
     # Backpropagation through time over the packed steps, newest first.
     xw, w_h = e.inputs
     w = w_h.values
+    hidden = w.shape[0]
     order = e.ctx["order"]
     dh = e.output.grad[order]
     dc = np.zeros_like(dh)
@@ -345,11 +354,11 @@ def _lstm_last_bwd(e: TapeEntry):
     for gates, c_prev, tanh_c, h_prev in reversed(e.ctx["steps"]):
         n = gates.shape[0]
         offset -= n
-        i, f, g, o = np.split(gates, 4, axis=1)
+        i, f, g, o = _gate_views(gates, hidden)
         dh_n = dh[:n]
         dc_n = dc[:n] + dh_n * o * (1.0 - tanh_c * tanh_c)
         dpre = dpacked[offset : offset + n]
-        di, df, dg, do = np.split(dpre, 4, axis=1)
+        di, df, dg, do = _gate_views(dpre, hidden)
         di[...] = dc_n * g * i * (1.0 - i)
         df[...] = dc_n * c_prev * f * (1.0 - f)
         dg[...] = dc_n * i * (1.0 - g * g)

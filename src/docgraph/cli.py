@@ -137,10 +137,12 @@ def cmd_train(args) -> int:
     _info(f"training {args.model} on {len(train_docs)} documents "
           f"({len(dev_docs)} dev), up to {config.max_epochs} epoch(s)")
     run = training.train(train_docs, dev_docs, config, vocab, weights)
-    training.save_checkpoint(run.checkpoint, args.out)
     log_path = Path(args.out + ".runlog.json")
-    training.write_file_atomic(
-        log_path, (json.dumps(run.log_dict(), sort_keys=True) + "\n").encode("utf-8"))
+    # both files are written before either replaces its predecessor
+    training.write_files_atomic({
+        args.out: training.checkpoint_bytes(run.checkpoint),
+        log_path: (json.dumps(run.log_dict(), sort_keys=True) + "\n").encode("utf-8"),
+    })
 
     summary = dict(run.log_dict())
     summary["checkpoint"] = args.out

@@ -176,17 +176,24 @@ def train(
     return run
 
 
-def write_file_atomic(path: str | Path, data: bytes) -> None:
-    """Replace ``path`` with ``data`` through a temporary file in the same
-    directory, so an interrupted write leaves the previous file intact."""
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+def write_files_atomic(files: dict[str | Path, bytes]) -> None:
+    """Replace each path with its bytes through a temporary file in the same
+    directory. Every temporary file is written before the first rename, so a
+    failed or interrupted write leaves all the previous files intact; only an
+    interruption between the back-to-back renames can replace some of them."""
+    pending: list[tuple[Path, Path]] = []
     try:
-        with open(tmp, "wb") as f:
-            f.write(data)
-        os.replace(tmp, path)
+        for path, data in files.items():
+            path = Path(path)
+            tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+            pending.append((tmp, path))
+            with open(tmp, "wb") as f:
+                f.write(data)
+        for tmp, path in pending:
+            os.replace(tmp, path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        for tmp, _ in pending:
+            tmp.unlink(missing_ok=True)
         raise
 
 
@@ -197,7 +204,8 @@ def write_file_atomic(path: str | Path, data: bytes) -> None:
 # values as little-endian float64 in manifest directory order. The layout
 # round-trips byte-exactly.
 
-def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
+def checkpoint_bytes(ckpt: Checkpoint) -> bytes:
+    """The checkpoint file's contents."""
     manifest = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "config": ckpt.config.to_dict(),
@@ -213,7 +221,11 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     }
     header = json.dumps(manifest, sort_keys=True, separators=(",", ":"))
     blob = b"".join(v.astype("<f8").tobytes() for v in ckpt.values.values())
-    write_file_atomic(path, header.encode("utf-8") + b"\n" + blob)
+    return header.encode("utf-8") + b"\n" + blob
+
+
+def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
+    write_files_atomic({path: checkpoint_bytes(ckpt)})
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:

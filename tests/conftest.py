@@ -43,3 +43,20 @@ def encode_planted(raw_docs, class_names):
     vocab = build_vocab(raw_docs, min_frequency=2)
     encoded = encode_corpus(raw_docs, vocab, class_set)
     return vocab, class_set, encoded
+
+
+class HalfWriter:
+    """A file stand-in that writes half of its data, then fails like a full disk."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def write(self, data):
+        self.f.write(data[: len(data) // 2])
+        raise OSError("disk full")

@@ -1,6 +1,7 @@
 """Tensor/tape/op contracts, checked against hand values and finite differences."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -86,6 +87,21 @@ class TestMatmul:
         assert max_rel_err(b.grad, fb) < 1e-6
 
 
+# Inputs that stress the stable sigmoid: signed zeros, exp overflow and
+# underflow thresholds, and the largest finite magnitudes.
+SIGMOID_FIXED_VALUES = (0.0, -0.0, 710.0, -710.0, -745.0, 1e308, -1e308)
+
+
+def piecewise_sigmoid(v):
+    """The boolean-mask form of the stable sigmoid, as an oracle."""
+    out = np.empty_like(v)
+    pos = v >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
+    ev = np.exp(v[~pos])
+    out[~pos] = ev / (1.0 + ev)
+    return out
+
+
 class TestElementwise:
     def test_leaky_relu_values(self):
         out = ad.leaky_relu(ad.Tensor([-1.0, 0.0, 2.0]), 0.2)
@@ -106,6 +122,31 @@ class TestElementwise:
         assert np.all(np.isfinite(out))
         assert out[0] == pytest.approx(1.0)
         assert out[1] == pytest.approx(0.0, abs=1e-300)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([1.0, 10.0, 800.0]),
+           shape=st.sampled_from(["1-D", "2-D", "column slice"]),
+           fixed=st.lists(st.sampled_from(SIGMOID_FIXED_VALUES), max_size=8))
+    def test_sigmoid_is_byte_identical_to_the_piecewise_form(self, seed, scale, shape,
+                                                             fixed):
+        rng = np.random.default_rng(seed)
+        v = scale * rng.normal(size=(int(rng.integers(1, 7)), int(rng.integers(1, 13))))
+        flat = v.reshape(-1)
+        flat[rng.choice(flat.size, size=min(len(fixed), flat.size), replace=False)] = \
+            fixed[: flat.size]
+        if shape == "1-D":
+            v = flat
+        elif shape == "column slice":
+            v = v[:, int(rng.integers(0, v.shape[1])) :: int(rng.integers(1, 3))]
+        expected = piecewise_sigmoid(v)
+        with warnings.catch_warnings(), np.errstate(over="raise", divide="raise",
+                                                    invalid="raise"):
+            warnings.simplefilter("error")
+            out = ad._sigmoid(v)
+            op_out = ad.sigmoid(ad.Tensor(v)).values
+        for got in (out, op_out):
+            assert got.shape == v.shape and got.dtype == np.float64
+            assert got.tobytes() == expected.tobytes()
 
     def test_tanh_gradient(self):
         rng = np.random.default_rng(1)

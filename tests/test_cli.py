@@ -12,7 +12,7 @@ from docgraph import autodiff as ad
 from docgraph import cli, evaluation, model, training
 from docgraph.corpus import encode_document
 
-from conftest import planted_corpus
+from conftest import HalfWriter, planted_corpus
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -116,6 +116,27 @@ class TestTrainCommand:
         with pytest.raises(KeyboardInterrupt):
             train_checkpoint(capsys, corpus_files, "cnn", epochs="2")
         assert log_path.read_bytes() == before
+        assert not list(corpus_files["tmp"].glob("*.tmp"))
+
+    @pytest.mark.parametrize("failing", ["checkpoint", "run log"])
+    def test_failed_temp_write_keeps_previous_checkpoint_and_log(self, capsys, corpus_files,
+                                                                 monkeypatch, failing):
+        train_checkpoint(capsys, corpus_files, "cnn", epochs="1")
+        paths = [corpus_files["tmp"] / "cnn.ckpt", corpus_files["tmp"] / "cnn.ckpt.runlog.json"]
+        before = [p.read_bytes() for p in paths]
+
+        def failing_open(path, mode):
+            f = open(path, mode)
+            return HalfWriter(f) if ("runlog" in path.name) == (failing == "run log") else f
+
+        monkeypatch.setattr(training, "open", failing_open, raising=False)
+        code, stdout, err = run_cli(capsys, [
+            "train", "--protocol", "two_way",
+            "--train", corpus_files["train"], "--dev", corpus_files["dev"],
+            "--model", "cnn", "--seed", "42", "--epochs", "2", "--out", str(paths[0]),
+        ])
+        assert code == 1 and stdout == "" and "disk full" in err
+        assert [p.read_bytes() for p in paths] == before
         assert not list(corpus_files["tmp"].glob("*.tmp"))
 
     def test_missing_output_directory_fails_before_training(self, capsys, corpus_files,

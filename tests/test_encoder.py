@@ -1,6 +1,7 @@
 """Sentence-encoder tests: lookups, LSTM recurrence, shared parameters."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from docgraph.autodiff import Tensor
 from docgraph.corpus import Document
 from docgraph.errors import ShapeError
 
-from test_autodiff import fd_grad, max_rel_err
+from test_autodiff import fd_grad, max_rel_err, piecewise_sigmoid
 
 
 VOCAB = 30
@@ -38,6 +39,63 @@ def reference_encode(doc, params):
             h = sig(pre["o"]) * np.tanh(c)
         rows.append(h)
     return np.array(rows)
+
+
+def oracle_lstm_last(xw, w, lengths, grad):
+    """``lstm_last`` and its BPTT rule in their first fused form (``np.split``
+    gates, the sigmoid over all four blocks, every step kept), as an oracle:
+    the forward value and, for an upstream gradient ``grad``, (dxw, dw)."""
+    hidden = w.shape[0]
+    lens = np.asarray(lengths, dtype=np.intp)
+    order = np.argsort(-lens, kind="stable")
+    sorted_lens = lens[order]
+    starts = (np.cumsum(lens) - lens)[order]
+    batch = [int(np.count_nonzero(sorted_lens > t)) for t in range(int(sorted_lens[0]))]
+    packed_rows = np.concatenate([starts[:n] + t for t, n in enumerate(batch)])
+    packed = xw[packed_rows]
+    h = np.zeros((lens.size, hidden))
+    c = np.zeros((lens.size, hidden))
+    last = np.empty((lens.size, hidden))
+    steps = []
+    offset = 0
+    for n in batch:
+        pre = packed[offset : offset + n] + h[:n] @ w
+        offset += n
+        gates = piecewise_sigmoid(pre)
+        gates[:, 2 * hidden : 3 * hidden] = np.tanh(pre[:, 2 * hidden : 3 * hidden])
+        i, f, g, o = np.split(gates, 4, axis=1)
+        c_prev, h_prev = c[:n], h[:n]
+        c = f * c_prev + i * g
+        tanh_c = np.tanh(c)
+        h = o * tanh_c
+        steps.append((gates, c_prev, tanh_c, h_prev))
+        last[:n] = h
+    out = np.empty_like(last)
+    out[order] = last
+
+    dh = grad[order]
+    dc = np.zeros_like(dh)
+    dw = np.zeros_like(w)
+    dpacked = np.empty_like(xw)
+    offset = xw.shape[0]
+    for gates, c_prev, tanh_c, h_prev in reversed(steps):
+        n = gates.shape[0]
+        offset -= n
+        i, f, g, o = np.split(gates, 4, axis=1)
+        dh_n = dh[:n]
+        dc_n = dc[:n] + dh_n * o * (1.0 - tanh_c * tanh_c)
+        dpre = dpacked[offset : offset + n]
+        di, df, dg, do = np.split(dpre, 4, axis=1)
+        di[...] = dc_n * g * i * (1.0 - i)
+        df[...] = dc_n * c_prev * f * (1.0 - f)
+        dg[...] = dc_n * i * (1.0 - g * g)
+        do[...] = dh_n * tanh_c * o * (1.0 - o)
+        dw += h_prev.T @ dpre
+        dh[:n] = dpre @ w.T
+        dc[:n] = dc_n * f
+    dxw = np.empty_like(dpacked)
+    dxw[packed_rows] = dpacked
+    return out, dxw, dw
 
 
 sentences_strategy = st.lists(
@@ -222,6 +280,53 @@ class TestBatchedEncoderProperties:
         h = ad.lstm_last(Tensor(x @ w_x + b), Tensor(w_h), [steps])
         expected = encoder.lstm_last_hidden(Tensor(x), params)
         assert np.array_equal(h.values[0], expected.values)
+
+
+class TestLstmLastKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), hidden=st.integers(1, 8),
+           lengths=st.lists(st.integers(1, 9), min_size=1, max_size=7),
+           scale=st.sampled_from([0.5, 3.0, 40.0]), taped=st.booleans())
+    def test_byte_identical_to_the_first_fused_kernel(self, seed, hidden, lengths, scale,
+                                                      taped):
+        rng = np.random.default_rng(seed)
+        xw = scale * rng.normal(size=(sum(lengths), 4 * hidden))
+        w = rng.normal(size=(hidden, 4 * hidden))
+        grad = rng.normal(size=(len(lengths), hidden))
+        expected, expected_dxw, expected_dw = oracle_lstm_last(xw, w, lengths, grad)
+        xw_t, w_t = Tensor(xw), Tensor(w)
+        if not taped:
+            out = ad.lstm_last(xw_t, w_t, lengths)
+            assert out.values.tobytes() == expected.tobytes()
+            return
+        with ad.Tape() as tape:
+            out = ad.lstm_last(xw_t, w_t, lengths)
+        assert out.values.tobytes() == expected.tobytes()
+        out.grad = grad
+        dxw, dw = ad.BACKWARD_RULES["lstm_last"](tape.entries[-1])
+        assert dxw.tobytes() == expected_dxw.tobytes()
+        assert dw.tobytes() == expected_dw.tobytes()
+
+    def test_tape_free_call_keeps_no_per_step_activations(self):
+        # a 30-sentence document of 20-token sentences
+        rng = np.random.default_rng(11)
+        hidden, lengths = 16, [20] * 30
+        xw = Tensor(rng.normal(size=(sum(lengths), 4 * hidden)))
+        w_h = Tensor(0.1 * rng.normal(size=(hidden, 4 * hidden)))
+
+        def peak(taped):
+            tracemalloc.start()
+            try:
+                if taped:
+                    with ad.Tape():
+                        ad.lstm_last(xw, w_h, lengths)
+                else:
+                    ad.lstm_last(xw, w_h, lengths)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(taped=False) < 0.5 * peak(taped=True)
 
 
 def test_tape_size_does_not_grow_with_sentence_length(params):

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from docgraph import autodiff as ad
 from docgraph import model
@@ -131,6 +133,25 @@ class TestPermutationBehaviour:
                 self.permuted(doc, perm), params, config,
                 EdgeWeightSet({"d": p @ m @ p.T}))
             assert np.max(np.abs(base.values - shuffled.values)) < 1e-9
+
+    @pytest.mark.parametrize("variant", model.GRAPH_VARIANTS)
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 9), data=st.data())
+    def test_random_graphs_invariant_with_stochastic_attention(self, variant, seed, n, data):
+        # 1..9 sentences, so the single-sentence bypass is covered too
+        rng = np.random.default_rng(seed)
+        config = tiny_config(variant)
+        params = model.init_params(config, rng)
+        doc = make_doc(rng, n)
+        perm = data.draw(st.permutations(range(n)))
+        m = symmetric_weights(rng, n)
+        base, attentions = model.forward(doc, params, config, EdgeWeightSet({"d": m}))
+        shuffled, shuffled_attentions = model.forward(
+            self.permuted(doc, perm), params, config,
+            EdgeWeightSet({"d": m[np.ix_(perm, perm)]}))
+        assert np.max(np.abs(base.values - shuffled.values)) < 1e-12
+        for attention in (attentions or []) + (shuffled_attentions or []):
+            assert np.max(np.abs(attention.values.sum(axis=1) - 1.0)) < 1e-12
 
     @pytest.mark.parametrize("variant", ["cnn", "lstm"])
     def test_baselines_are_order_sensitive(self, variant):

@@ -15,7 +15,7 @@ from docgraph.corpus import Document, Vocabulary
 from docgraph.errors import CheckpointError, NumericError, TrainingError
 from docgraph.graph import EdgeWeightSet
 
-from conftest import encode_planted, planted_corpus
+from conftest import HalfWriter, encode_planted, planted_corpus
 
 
 def setup_corpus(seed=0, n_docs=16):
@@ -295,21 +295,6 @@ class TestCheckpointPersistence:
         run, path, _ = self.trained(tmp_path)
         before = path.read_bytes()
         run.checkpoint.metadata["best_epoch"] = 7
-
-        class HalfWriter:
-            def __init__(self, f):
-                self.f = f
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                self.f.close()
-
-            def write(self, data):
-                self.f.write(data[: len(data) // 2])
-                raise OSError("disk full")
-
         monkeypatch.setattr(training, "open", lambda p, mode: HalfWriter(open(p, mode)),
                             raising=False)
         with pytest.raises(OSError, match="disk full"):
