@@ -65,21 +65,20 @@ __all__ = [
 class Tensor:
     """A 1-D or 2-D array of 64-bit floats, optionally carrying a gradient.
 
-    ``requires_grad`` marks leaf parameters; intermediate results receive
-    transient ``grad`` buffers during :func:`backward` regardless of the
-    flag. Values supplied from outside must be finite.
+    :func:`backward` fills ``grad`` on every tensor it reaches from the
+    loss, parameters and intermediate results alike. Values supplied from
+    outside must be finite.
     """
 
-    __slots__ = ("values", "requires_grad", "grad")
+    __slots__ = ("values", "grad")
 
-    def __init__(self, values, requires_grad: bool = False):
+    def __init__(self, values):
         arr = np.asarray(values, dtype=np.float64)
         if arr.ndim not in (1, 2):
             raise ShapeError(f"tensors are 1-D or 2-D, got ndim={arr.ndim}")
         if not np.all(np.isfinite(arr)):
             raise NumericError("tensor values must be finite")
         self.values = arr
-        self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
 
     @classmethod
@@ -87,7 +86,6 @@ class Tensor:
         # Fast path for op outputs: skips the finite check on the hot loop.
         t = cls.__new__(cls)
         t.values = arr
-        t.requires_grad = False
         t.grad = None
         return t
 
@@ -103,8 +101,7 @@ class Tensor:
         self.grad = None
 
     def __repr__(self) -> str:
-        flag = ", requires_grad=True" if self.requires_grad else ""
-        return f"Tensor(shape={self.shape}{flag})"
+        return f"Tensor(shape={self.shape})"
 
 
 @dataclass
@@ -309,8 +306,10 @@ def lstm_last(xw: Tensor, w_h: Tensor, lengths: Sequence[int]) -> Tensor:
     order = np.argsort(-lens, kind="stable")
     sorted_lens = lens[order]
     starts = (np.cumsum(lens) - lens)[order]
-    batch = [int(np.count_nonzero(sorted_lens > t)) for t in range(int(sorted_lens[0]))]
-    packed_rows = np.concatenate([starts[:n] + t for t, n in enumerate(batch)])
+    step_ids = np.arange(sorted_lens[0])[:, None]
+    live = sorted_lens > step_ids  # (T, S): sequence s is still running at step t
+    batch = live.sum(axis=1).tolist()
+    packed_rows = (starts + step_ids)[live]
     w = w_h.values
     h = np.zeros((lens.size, hidden))
     c = np.zeros((lens.size, hidden))
@@ -678,8 +677,9 @@ class AdamState:
     v: dict[str, np.ndarray] = field(default_factory=dict)
 
     @classmethod
-    def for_params(cls, params: dict[str, Tensor], lr: float = 0.001) -> "AdamState":
-        state = cls(lr=lr)
+    def for_params(cls, params: dict[str, Tensor], lr: float | None = None) -> "AdamState":
+        """Zero moments for every parameter; ``lr`` defaults to the field's."""
+        state = cls() if lr is None else cls(lr=lr)
         for name, p in params.items():
             state.m[name] = np.zeros_like(p.values)
             state.v[name] = np.zeros_like(p.values)

@@ -17,8 +17,6 @@ from pathlib import Path
 
 from . import evaluation, gradcheck, training
 from .corpus import (
-    DEFAULT_MAX_SENTENCES,
-    DEFAULT_MAX_TOKENS,
     DEFAULT_MIN_FREQUENCY,
     ClassSet,
     RawDocument,
@@ -297,11 +295,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(p)
     p.add_argument("--model", choices=VARIANTS, required=True)
     _add_edge_weights(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--lr", type=float, default=0.001)
-    p.add_argument("--epochs", type=int, default=10)
-    p.add_argument("--max-sentences", type=int, default=DEFAULT_MAX_SENTENCES)
-    p.add_argument("--max-tokens", type=int, default=DEFAULT_MAX_TOKENS)
+    p.add_argument("--seed", type=int, default=ModelConfig.seed)
+    p.add_argument("--lr", type=float, default=ModelConfig.lr)
+    p.add_argument("--epochs", type=int, default=ModelConfig.max_epochs)
+    p.add_argument("--max-sentences", type=int, default=ModelConfig.max_sentences)
+    p.add_argument("--max-tokens", type=int, default=ModelConfig.max_tokens)
     p.add_argument("--out", required=True, help="checkpoint output path")
     p.set_defaults(handler=cmd_train)
 

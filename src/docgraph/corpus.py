@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import logging
-import re
 import string
 from collections import Counter
 from dataclasses import dataclass, field

@@ -95,15 +95,15 @@ def _op_fixtures(rng: np.random.Generator) -> dict[str, tuple[dict[str, Tensor],
     def register(name, tensors, fn):
         fixtures[name] = (tensors, fn)
 
-    a = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
-    b = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+    a = Tensor(rng.normal(size=(4, 5)))
+    b = Tensor(rng.normal(size=(5, 3)))
     w_ab = rng.normal(size=(4, 3))
     register("matmul", {"a": a, "b": b}, lambda: _weighted(ad.matmul(a, b), w_ab))
 
     for name, op in (("add", ad.add), ("mul", ad.mul)):
-        x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-        y = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-        bias = Tensor(rng.normal(size=4), requires_grad=True)
+        x = Tensor(rng.normal(size=(3, 4)))
+        y = Tensor(rng.normal(size=(3, 4)))
+        bias = Tensor(rng.normal(size=4))
         w = rng.normal(size=(3, 4))
         register(
             name,
@@ -113,25 +113,24 @@ def _op_fixtures(rng: np.random.Generator) -> dict[str, tuple[dict[str, Tensor],
         )
 
     for name, fn in (("sigmoid", ad.sigmoid), ("tanh", ad.tanh)):
-        x = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+        x = Tensor(rng.normal(size=(3, 3)))
         w = rng.normal(size=(3, 3))
         register(name, {"x": x}, lambda fn=fn, x=x, w=w: _weighted(fn(x), w))
 
     # unsorted, uneven lengths: the op batches sequences longest first
     lengths = [3, 1, 2]
-    xw = Tensor(rng.normal(size=(sum(lengths), 8)), requires_grad=True)
-    w_h = Tensor(rng.normal(size=(2, 8)), requires_grad=True)
+    xw = Tensor(rng.normal(size=(sum(lengths), 8)))
+    w_h = Tensor(rng.normal(size=(2, 8)))
     w_lstm = rng.normal(size=(3, 2))
     register("lstm_last", {"xw": xw, "w_h": w_h},
              lambda: _weighted(ad.lstm_last(xw, w_h, lengths), w_lstm))
 
-    x_lr = Tensor(rng.normal(size=(3, 3)) + np.sign(rng.normal(size=(3, 3))) * 0.05,
-                  requires_grad=True)
+    x_lr = Tensor(rng.normal(size=(3, 3)) + np.sign(rng.normal(size=(3, 3))) * 0.05)
     w_lr = rng.normal(size=(3, 3))
     register("leaky_relu", {"x": x_lr},
              lambda: _weighted(ad.leaky_relu(x_lr, 0.2), w_lr))
 
-    x_sm = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    x_sm = Tensor(rng.normal(size=(3, 4)))
     mask = np.ones((3, 4), dtype=bool)
     mask[0, 1] = mask[2, 3] = False
     w_sm = rng.normal(size=(3, 4))
@@ -141,54 +140,54 @@ def _op_fixtures(rng: np.random.Generator) -> dict[str, tuple[dict[str, Tensor],
                        _weighted(ad.softmax_rows(x_sm, mask=mask), w_sm)),
     )
 
-    x_max = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+    x_max = Tensor(rng.normal(size=(5, 3)))
     w_max = rng.normal(size=3)
     register("max_over_rows", {"x": x_max},
              lambda: _weighted(ad.max_over_rows(x_max), w_max))
 
-    c1 = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
-    c2 = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+    c1 = Tensor(rng.normal(size=(3, 2)))
+    c2 = Tensor(rng.normal(size=(3, 3)))
     w_cc = rng.normal(size=(3, 5))
     register("concat_cols", {"a": c1, "b": c2},
              lambda: _weighted(ad.concat_cols([c1, c2]), w_cc))
 
-    r1 = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
-    r2 = Tensor(rng.normal(size=(1, 3)), requires_grad=True)
+    r1 = Tensor(rng.normal(size=(2, 3)))
+    r2 = Tensor(rng.normal(size=(1, 3)))
     w_cr = rng.normal(size=(3, 3))
     register("concat_rows", {"a": r1, "b": r2},
              lambda: _weighted(ad.concat_rows([r1, r2]), w_cr))
 
-    logits = Tensor(rng.normal(size=5), requires_grad=True)
+    logits = Tensor(rng.normal(size=5))
     register("cross_entropy_logits", {"logits": logits},
              lambda: ad.cross_entropy_logits(logits, 2))
 
-    m_g = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
+    m_g = Tensor(rng.normal(size=(6, 3)))
     w_g = rng.normal(size=(4, 3))
     register("gather_rows", {"m": m_g},
              lambda: _weighted(ad.gather_rows(m_g, [0, 2, 2, 5]), w_g))
 
-    x_t = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    x_t = Tensor(rng.normal(size=(3, 4)))
     w_t = rng.normal(size=(4, 3))
     register("transpose", {"x": x_t}, lambda: _weighted(ad.transpose(x_t), w_t))
 
-    x_r = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    x_r = Tensor(rng.normal(size=(3, 4)))
     w_r = rng.normal(size=(2, 6))
     register("reshape", {"x": x_r}, lambda: _weighted(ad.reshape(x_r, (2, 6)), w_r))
 
-    x_s = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+    x_s = Tensor(rng.normal(size=(5, 3)))
     w_s = rng.normal(size=(3, 3))
     register("slice_rows", {"x": x_s},
              lambda: _weighted(ad.slice_rows(x_s, 1, 4), w_s))
 
-    x_p = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    x_p = Tensor(rng.normal(size=(2, 3)))
     w_p = rng.normal(size=(5, 3))
     register("pad_rows", {"x": x_p}, lambda: _weighted(ad.pad_rows(x_p, 1, 2), w_p))
 
-    x_sc = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+    x_sc = Tensor(rng.normal(size=(3, 3)))
     w_sc = rng.normal(size=(3, 3))
     register("scale", {"x": x_sc}, lambda: _weighted(ad.scale(x_sc, 0.7), w_sc))
 
-    x_sum = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+    x_sum = Tensor(rng.normal(size=(4, 2)))
     register("sum_all", {"x": x_sum}, lambda: ad.sum_all(x_sum))
 
     return fixtures

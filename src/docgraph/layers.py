@@ -2,9 +2,10 @@
 graph attention with multi-head concatenation.
 
 The convolution is the literal unnormalized form sigma(E Z W) with a
-leaky-ReLU activation; no self-loops are added (the adjacency diagonal
-is zero) and no degree normalization is applied unless explicitly
-requested. The graph attention layer treats the adjacency purely as a
+leaky-ReLU activation. Every layer takes the activation's slope from its
+caller (the model passes ``ModelConfig.leaky_slope``). No self-loops are
+added (the adjacency diagonal is zero) and no degree normalization is
+applied unless explicitly requested. The graph attention layer treats the adjacency purely as a
 0/1 connectivity mask and learns the edge weights; attention matrices
 are returned so callers can export them.
 """
@@ -17,18 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .encoder import xavier_uniform
 from .errors import GraphError
-
-LEAKY_SLOPE = 0.2
-
-
-@dataclass
-class GcnParams:
-    """One convolution layer's weight matrix and activation slope."""
-
-    weight: Tensor
-    slope: float = LEAKY_SLOPE
 
 
 @dataclass
@@ -46,14 +36,6 @@ class GatHeadParams:
 
     weight: Tensor
     attn: Tensor  # scores the concatenated pair [Wh_i || Wh_j]
-    slope: float = LEAKY_SLOPE
-
-    @classmethod
-    def init(cls, rng: np.random.Generator, in_dim: int, out_dim: int,
-             slope: float = LEAKY_SLOPE) -> "GatHeadParams":
-        weight = Tensor(xavier_uniform(rng, in_dim, out_dim), requires_grad=True)
-        attn = Tensor(xavier_uniform(rng, 2 * out_dim, 1).ravel(), requires_grad=True)
-        return cls(weight, attn, slope)
 
 
 def row_normalize(adjacency: Tensor) -> Tensor:
@@ -64,13 +46,14 @@ def row_normalize(adjacency: Tensor) -> Tensor:
     return Tensor(scaled)
 
 
-def gcn_layer(adjacency: Tensor, nodes: Tensor, params: GcnParams) -> Tensor:
-    """sigma(E Z W): propagate node features over the adjacency, project, activate."""
+def gcn_layer(adjacency: Tensor, nodes: Tensor, weight: Tensor, slope: float) -> Tensor:
+    """sigma(E Z W): propagate node features over the adjacency, project, and
+    apply a leaky ReLU with negative-side ``slope``."""
     if adjacency.shape != (nodes.shape[0], nodes.shape[0]):
         raise GraphError(
             f"adjacency {adjacency.shape} does not match {nodes.shape[0]} nodes")
-    pre = ad.matmul(ad.matmul(adjacency, nodes), params.weight)
-    return ad.leaky_relu(pre, params.slope)
+    pre = ad.matmul(ad.matmul(adjacency, nodes), weight)
+    return ad.leaky_relu(pre, slope)
 
 
 def self_attention(nodes: Tensor, params: SelfAttnParams) -> tuple[Tensor, Tensor]:
@@ -90,12 +73,13 @@ def self_attention(nodes: Tensor, params: SelfAttnParams) -> tuple[Tensor, Tenso
 def gat_layer(
     adjacency: Tensor,
     nodes: Tensor,
-    params: GatHeadParams,
+    head: GatHeadParams,
+    slope: float,
 ) -> tuple[Tensor, Tensor]:
     """One graph-attention head over the adjacency's nonzero entries.
 
     Pair (i, j) with adjacency[i, j] > 0 is scored by
-    leaky_relu(a . [Wh_i || Wh_j]); scores softmax-normalize over each
+    leaky_relu(a . [Wh_i || Wh_j], slope); scores softmax-normalize over each
     node's neighbors, and outputs are the activated attention-weighted
     sums of projected neighbors. Returns (output, attention).
     """
@@ -108,19 +92,19 @@ def gat_layer(
     if not mask.any(axis=1).all():
         raise GraphError("isolated node: every node needs at least one neighbor")
 
-    out_dim = params.weight.shape[1]
-    projected = ad.matmul(nodes, params.weight)  # (n, d)
+    out_dim = head.weight.shape[1]
+    projected = ad.matmul(nodes, head.weight)  # (n, d)
     # a . [Wh_i || Wh_j] splits into source and destination halves
-    a_src = ad.reshape(ad.slice_rows(params.attn, 0, out_dim), (out_dim, 1))
-    a_dst = ad.reshape(ad.slice_rows(params.attn, out_dim, 2 * out_dim), (out_dim, 1))
+    a_src = ad.reshape(ad.slice_rows(head.attn, 0, out_dim), (out_dim, 1))
+    a_dst = ad.reshape(ad.slice_rows(head.attn, out_dim, 2 * out_dim), (out_dim, 1))
     src = ad.matmul(projected, a_src)  # (n, 1)
     dst = ad.matmul(projected, a_dst)  # (n, 1)
     ones_row = Tensor(np.ones((1, n)))
     ones_col = Tensor(np.ones((n, 1)))
     pair_scores = ad.add(ad.matmul(src, ones_row), ad.matmul(ones_col, ad.transpose(dst)))
-    scores = ad.leaky_relu(pair_scores, params.slope)
+    scores = ad.leaky_relu(pair_scores, slope)
     attention = ad.softmax_rows(scores, mask=mask)
-    out = ad.leaky_relu(ad.matmul(attention, projected), params.slope)
+    out = ad.leaky_relu(ad.matmul(attention, projected), slope)
     return out, attention
 
 
@@ -128,6 +112,7 @@ def multi_head(
     adjacency: Tensor,
     nodes: Tensor,
     heads: list[GatHeadParams],
+    slope: float,
 ) -> tuple[Tensor, list[Tensor]]:
     """Concatenate per-head outputs column-wise, in head order."""
     if not heads:
@@ -135,7 +120,7 @@ def multi_head(
     outputs = []
     attentions = []
     for head in heads:
-        out, attention = gat_layer(adjacency, nodes, head)
+        out, attention = gat_layer(adjacency, nodes, head, slope)
         outputs.append(out)
         attentions.append(attention)
     if len(outputs) == 1:

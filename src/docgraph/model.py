@@ -23,8 +23,8 @@ from typing import Optional
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
-from .corpus import ClassSet, Document
+from .autodiff import AdamState, Tensor
+from .corpus import DEFAULT_MAX_SENTENCES, DEFAULT_MAX_TOKENS, ClassSet, Document
 from .encoder import (
     GATES,
     EncoderParams,
@@ -38,7 +38,6 @@ from .errors import ModelError
 from .graph import EdgeWeightSet, build_graph
 from .layers import (
     GatHeadParams,
-    GcnParams,
     SelfAttnParams,
     gcn_layer,
     multi_head,
@@ -96,10 +95,10 @@ class ModelConfig:
     leaky_slope: float = 0.2
     gcn_layers: int = 1
     seed: int = 0
-    lr: float = 0.001
+    lr: float = AdamState.lr
     max_epochs: int = 10
-    max_sentences: int = 64
-    max_tokens: int = 64
+    max_sentences: int = DEFAULT_MAX_SENTENCES
+    max_tokens: int = DEFAULT_MAX_TOKENS
     clip_norm: Optional[float] = None
     normalize_adjacency: bool = False
 
@@ -184,7 +183,7 @@ class ModelParams:
     proj_b: Tensor
     encoder: EncoderParams | None = None
     cnn: CnnParams | None = None
-    gcn: list[GcnParams] = field(default_factory=list)
+    gcn: list[Tensor] = field(default_factory=list)  # one weight per layer
     self_attn: SelfAttnParams | None = None
     gat_heads: list[GatHeadParams] = field(default_factory=list)
 
@@ -265,9 +264,8 @@ def bind_params(config: ModelConfig, values: dict[str, np.ndarray]) -> ModelPara
     used, not copied) as trainable tensors and build the per-layer views
     over them."""
     check_layout(config, [(name, np.shape(v)) for name, v in values.items()])
-    t = {name: Tensor(v, requires_grad=True) for name, v in values.items()}
+    t = {name: Tensor(v) for name, v in values.items()}
     spec = config.spec
-    slope = config.leaky_slope
     params = ModelParams(tensors=t, embedding=t["embedding"], proj_w=t["proj.w"],
                          proj_b=t["proj.b"])
     if spec.kind == "cnn":
@@ -277,12 +275,11 @@ def bind_params(config: ModelConfig, values: dict[str, np.ndarray]) -> ModelPara
             gate: (t[f"lstm.{gate}.w_x"], t[f"lstm.{gate}.w_h"], t[f"lstm.{gate}.b"])
             for gate in GATES})
     if spec.kind == "gcn":
-        params.gcn = [GcnParams(t[f"gcn.{layer}.w"], slope)
-                      for layer in range(config.gcn_layers)]
+        params.gcn = [t[f"gcn.{layer}.w"] for layer in range(config.gcn_layers)]
     if spec.self_attn:
         params.self_attn = SelfAttnParams(t["attn.q"], t["attn.k"], t["attn.v"])
     if spec.kind == "gat":
-        params.gat_heads = [GatHeadParams(t[f"gat.{h}.w"], t[f"gat.{h}.a"], slope)
+        params.gat_heads = [GatHeadParams(t[f"gat.{h}.w"], t[f"gat.{h}.a"])
                             for h in range(spec.heads)]
     return params
 
@@ -327,6 +324,7 @@ def _graph_forward(
     adjacency = build_graph(doc, features, use_weights)
     attentions: list[Tensor] | None = None
     spec = config.spec
+    slope = config.leaky_slope
     # no neighbors to propagate over: project the node through the layer weights
     single = doc.n_sentences == 1
 
@@ -335,13 +333,13 @@ def _graph_forward(
             parts = [ad.matmul(features, head.weight) for head in params.gat_heads]
             z = parts[0] if len(parts) == 1 else ad.concat_cols(parts)
         else:
-            z, attentions = multi_head(adjacency, features, params.gat_heads)
+            z, attentions = multi_head(adjacency, features, params.gat_heads, slope)
     else:
         if config.normalize_adjacency and not single:
             adjacency = row_normalize(adjacency)
         z = features
-        for layer in params.gcn:
-            z = ad.matmul(z, layer.weight) if single else gcn_layer(adjacency, z, layer)
+        for weight in params.gcn:
+            z = ad.matmul(z, weight) if single else gcn_layer(adjacency, z, weight, slope)
         if spec.self_attn:
             z, attention = self_attention(z, params.self_attn)
             attentions = [attention]

@@ -66,7 +66,6 @@ class TrainRun:
     """Per-epoch log plus the best checkpoint of one training run."""
 
     config: ModelConfig
-    seed: int
     epochs: list[EpochStats] = field(default_factory=list)
     best_epoch: int = 0
     checkpoint: Checkpoint | None = None
@@ -84,18 +83,9 @@ class TrainRun:
                  "dev_macro_f1": e.dev_macro_f1}
                 for e in self.epochs
             ],
-            "seed": self.seed,
+            "seed": self.config.seed,
             "variant": self.config.variant,
         }
-
-
-def select_best_epoch(dev_scores: list[float]) -> int:
-    """1-based index of the highest dev score; earliest epoch wins ties."""
-    best = 0
-    for i, score in enumerate(dev_scores[1:], start=1):
-        if score > dev_scores[best]:
-            best = i
-    return best + 1
 
 
 def _clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> None:
@@ -125,10 +115,9 @@ def train(
     rng = np.random.default_rng(config.seed)
     params = init_params(config, rng)
     optimizer = AdamState.for_params(params.tensors, lr=config.lr)
-    run = TrainRun(config=config, seed=config.seed)
+    run = TrainRun(config=config)
 
     best_values: dict[str, np.ndarray] | None = None
-    best_score = -1.0
     for epoch in range(1, config.max_epochs + 1):
         order = rng.permutation(len(train_docs))
         total_loss = 0.0
@@ -158,11 +147,11 @@ def train(
             dev_macro_f1=dev_metrics.macro_f1,
         )
         run.epochs.append(stats)
-        if stats.dev_macro_f1 > best_score:
-            best_score = stats.dev_macro_f1
+        # strictly better only: ties keep the earliest epoch
+        if best_values is None or stats.dev_macro_f1 > run.best_dev_macro_f1:
+            run.best_epoch = epoch
             best_values = {n: t.values.copy() for n, t in params.tensors.items()}
 
-    run.best_epoch = select_best_epoch([e.dev_macro_f1 for e in run.epochs])
     run.checkpoint = Checkpoint(
         config=config,
         vocab=vocab,

@@ -25,10 +25,10 @@ from docgraph.corpus import (
     split_train_dev,
 )
 from docgraph.graph import EdgeWeightSet
-from docgraph.layers import GatHeadParams, GcnParams, gat_layer, gcn_layer
+from docgraph.layers import gat_layer, gcn_layer
 
 from conftest import encode_planted, planted_corpus
-from test_layers import gat_brute_force, gcn_brute_force
+from test_layers import gat_brute_force, gat_head, gcn_brute_force
 
 GRAPH_VARIANTS = ("gcn", "gcn_ss", "gcn_attn", "gcn_attn_ss", "gat", "gat2")
 
@@ -91,7 +91,7 @@ def test_criterion_2_layer_brute_force_oracle():
             e = symmetric_matrix(rng, n)
             z = rng.normal(size=(n, d_in))
             w = rng.normal(size=(d_in, d_out))
-            out = gcn_layer(ad.Tensor(e), ad.Tensor(z), GcnParams(ad.Tensor(w)))
+            out = gcn_layer(ad.Tensor(e), ad.Tensor(z), ad.Tensor(w), 0.2)
             assert np.max(np.abs(out.values - gcn_brute_force(e, z, w, 0.2))) < 1e-12
 
         for _ in range(20):
@@ -99,19 +99,19 @@ def test_criterion_2_layer_brute_force_oracle():
             d_in, d_out = int(rng.integers(2, 6)), int(rng.integers(2, 6))
             e = np.ones((n, n)) - np.eye(n)
             h = rng.normal(size=(n, d_in))
-            params = GatHeadParams.init(rng, d_in, d_out)
-            out, attention = gat_layer(ad.Tensor(e), ad.Tensor(h), params)
+            params = gat_head(rng, d_in, d_out)
+            out, attention = gat_layer(ad.Tensor(e), ad.Tensor(h), params, 0.2)
             expected_out, expected_alpha = gat_brute_force(
-                e, h, params.weight.values, params.attn.values, params.slope)
+                e, h, params.weight.values, params.attn.values, 0.2)
             assert np.max(np.abs(out.values - expected_out)) < 1e-12
             assert np.max(np.abs(attention.values - expected_alpha)) < 1e-12
 
         # slope 1 removes the activation, exposing the unnormalized E Z W form
         e = symmetric_matrix(rng, 5)
         z = rng.normal(size=(5, 3))
-        params = GcnParams(ad.Tensor(rng.normal(size=(3, 4))), slope=1.0)
-        once = gcn_layer(ad.Tensor(e), ad.Tensor(z), params).values
-        twice = gcn_layer(ad.Tensor(2.0 * e), ad.Tensor(z), params).values
+        w = ad.Tensor(rng.normal(size=(3, 4)))
+        once = gcn_layer(ad.Tensor(e), ad.Tensor(z), w, 1.0).values
+        twice = gcn_layer(ad.Tensor(2.0 * e), ad.Tensor(z), w, 1.0).values
         assert np.max(np.abs(twice - 2.0 * once)) < 1e-12
 
 

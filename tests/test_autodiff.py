@@ -36,7 +36,7 @@ def max_rel_err(a, f):
 
 def analytic_grad(op, x, *, weights):
     """Gradient of sum(weights * op(x)) via the tape."""
-    t = ad.Tensor(x, requires_grad=True)
+    t = ad.Tensor(x)
     with ad.Tape() as tape:
         out = op(t)
         loss = ad.sum_all(ad.mul(out, ad.Tensor(weights)))
@@ -75,8 +75,8 @@ class TestMatmul:
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(3)
-        a = ad.Tensor(rng.normal(size=(4, 5)), requires_grad=True)
-        b = ad.Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+        a = ad.Tensor(rng.normal(size=(4, 5)))
+        b = ad.Tensor(rng.normal(size=(5, 3)))
         w = rng.normal(size=(4, 3))
         with ad.Tape() as tape:
             loss = ad.sum_all(ad.mul(ad.matmul(a, b), ad.Tensor(w)))
@@ -108,7 +108,7 @@ class TestElementwise:
         assert np.allclose(out.values, [-0.2, 0.0, 2.0], atol=0, rtol=0)
 
     def test_leaky_relu_derivative_at_zero_is_slope(self):
-        t = ad.Tensor([0.0], requires_grad=True)
+        t = ad.Tensor([0.0])
         with ad.Tape() as tape:
             loss = ad.sum_all(ad.leaky_relu(t, 0.2))
         ad.backward(tape, loss)
@@ -163,8 +163,8 @@ class TestElementwise:
         b = rng.normal(size=(3, 4))
         bias = rng.normal(size=4)
         for op in (ad.add, ad.mul):
-            ta = ad.Tensor(a, requires_grad=True)
-            tb = ad.Tensor(b, requires_grad=True)
+            ta = ad.Tensor(a)
+            tb = ad.Tensor(b)
             w = rng.normal(size=(3, 4))
             with ad.Tape() as tape:
                 loss = ad.sum_all(ad.mul(op(ta, tb), ad.Tensor(w)))
@@ -175,8 +175,8 @@ class TestElementwise:
             assert max_rel_err(ta.grad, fa) < 1e-6
             assert max_rel_err(tb.grad, fb) < 1e-6
             # row-broadcast bias form
-            ta = ad.Tensor(a, requires_grad=True)
-            tbias = ad.Tensor(bias, requires_grad=True)
+            ta = ad.Tensor(a)
+            tbias = ad.Tensor(bias)
             with ad.Tape() as tape:
                 loss = ad.sum_all(op(ta, tbias))
             ad.backward(tape, loss)
@@ -238,7 +238,7 @@ class TestMaxOverRows:
         assert np.array_equal(out.values, [7.0, -2.0])
 
     def test_tie_routes_gradient_to_first_row(self):
-        t = ad.Tensor([[2.0], [2.0]], requires_grad=True)
+        t = ad.Tensor([[2.0], [2.0]])
         with ad.Tape() as tape:
             loss = ad.sum_all(ad.max_over_rows(t))
         ad.backward(tape, loss)
@@ -267,8 +267,8 @@ class TestConcat:
         assert np.array_equal(ad.concat_cols([x]).values, x.values)
 
     def test_gradient_splits(self):
-        a = ad.Tensor([[1.0], [2.0]], requires_grad=True)
-        b = ad.Tensor([[3.0], [4.0]], requires_grad=True)
+        a = ad.Tensor([[1.0], [2.0]])
+        b = ad.Tensor([[3.0], [4.0]])
         with ad.Tape() as tape:
             loss = ad.sum_all(ad.concat_cols([a, b]))
         ad.backward(tape, loss)
@@ -286,7 +286,7 @@ class TestConcat:
 
 class TestStructuralOps:
     def test_gather_rows_and_gradient_accumulation(self):
-        m = ad.Tensor([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]], requires_grad=True)
+        m = ad.Tensor([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
         with ad.Tape() as tape:
             out = ad.gather_rows(m, [1, 1])
             loss = ad.sum_all(out)
@@ -346,7 +346,7 @@ class TestCrossEntropy:
     def test_gradient_is_softmax_minus_onehot(self):
         rng = np.random.default_rng(10)
         v = rng.normal(size=4)
-        t = ad.Tensor(v, requires_grad=True)
+        t = ad.Tensor(v)
         with ad.Tape() as tape:
             loss = ad.cross_entropy_logits(t, 2)
         ad.backward(tape, loss)
@@ -357,14 +357,14 @@ class TestCrossEntropy:
 
 class TestBackward:
     def test_sum_gives_ones(self):
-        w = ad.Tensor([[1.0, 2.0], [3.0, 4.0]], requires_grad=True)
+        w = ad.Tensor([[1.0, 2.0], [3.0, 4.0]])
         with ad.Tape() as tape:
             loss = ad.sum_all(w)
         ad.backward(tape, loss)
         assert np.array_equal(w.grad, np.ones((2, 2)))
 
     def test_reuse_accumulates(self):
-        w = ad.Tensor([[1.0, 2.0], [3.0, 4.0]], requires_grad=True)
+        w = ad.Tensor([[1.0, 2.0], [3.0, 4.0]])
         x = ad.Tensor([[1.0], [1.0]])
         with ad.Tape() as tape:
             branch1 = ad.matmul(w, x)
@@ -374,14 +374,14 @@ class TestBackward:
         assert np.array_equal(w.grad, 2.0 * np.ones((2, 2)))
 
     def test_non_scalar_loss_rejected(self):
-        t = ad.Tensor([[1.0, 2.0]], requires_grad=True)
+        t = ad.Tensor([[1.0, 2.0]])
         with ad.Tape() as tape:
             out = ad.scale(t, 2.0)
         with pytest.raises(ShapeError):
             ad.backward(tape, out)
 
     def test_grads_accumulate_across_backward_calls(self):
-        w = ad.Tensor([1.0, 2.0], requires_grad=True)
+        w = ad.Tensor([1.0, 2.0])
         for _ in range(2):
             with ad.Tape() as tape:
                 loss = ad.sum_all(w)
@@ -390,8 +390,8 @@ class TestBackward:
 
     def test_first_gradients_own_their_memory(self):
         # add hands its output's gradient to both inputs; reshape returns a view
-        a = ad.Tensor(np.ones((2, 3)), requires_grad=True)
-        b = ad.Tensor(np.ones((2, 3)), requires_grad=True)
+        a = ad.Tensor(np.ones((2, 3)))
+        b = ad.Tensor(np.ones((2, 3)))
         with ad.Tape() as tape:
             total = ad.add(a, b)
             flat = ad.reshape(total, (6,))
@@ -406,8 +406,8 @@ class TestBackward:
     def test_tape_determinism_bitwise(self):
         def run():
             rng = np.random.default_rng(11)
-            a = ad.Tensor(rng.normal(size=(3, 3)), requires_grad=True)
-            b = ad.Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+            a = ad.Tensor(rng.normal(size=(3, 3)))
+            b = ad.Tensor(rng.normal(size=(3, 3)))
             with ad.Tape() as tape:
                 out = ad.tanh(ad.matmul(a, b))
                 loss = ad.sum_all(out)
@@ -420,14 +420,14 @@ class TestBackward:
 class TestAdam:
     def test_first_step_hand_computed(self):
         # m_hat/sqrt(v_hat) = 1 on the first step, so theta moves by lr/(1+eps)
-        p = {"w": ad.Tensor([5.0], requires_grad=True)}
+        p = {"w": ad.Tensor([5.0])}
         state = ad.AdamState.for_params(p, lr=0.001)
         ad.adam_step(p, {"w": np.array([1.0])}, state)
         expected = 5.0 - 0.001 * 1.0 / (1.0 + 1e-8)
         assert p["w"].values[0] == pytest.approx(expected, abs=1e-15)
 
     def test_zero_gradient_leaves_parameters_unchanged(self):
-        p = {"w": ad.Tensor([[1.0, -2.0]], requires_grad=True)}
+        p = {"w": ad.Tensor([[1.0, -2.0]])}
         state = ad.AdamState.for_params(p)
         before = p["w"].values.copy()
         ad.adam_step(p, {"w": np.zeros((1, 2))}, state)
@@ -436,7 +436,7 @@ class TestAdam:
     def test_determinism_bitwise(self):
         def run():
             rng = np.random.default_rng(12)
-            p = {"w": ad.Tensor(rng.normal(size=(2, 2)), requires_grad=True)}
+            p = {"w": ad.Tensor(rng.normal(size=(2, 2)))}
             state = ad.AdamState.for_params(p, lr=0.01)
             for _ in range(5):
                 ad.adam_step(p, {"w": rng.normal(size=(2, 2))}, state)
@@ -445,7 +445,7 @@ class TestAdam:
         assert run() == run()
 
     def test_non_finite_gradient_aborts_with_name(self):
-        p = {"w": ad.Tensor([1.0], requires_grad=True), "b": ad.Tensor([0.0], requires_grad=True)}
+        p = {"w": ad.Tensor([1.0]), "b": ad.Tensor([0.0])}
         state = ad.AdamState.for_params(p)
         before = p["w"].values.copy()
         moments = {n: (state.m[n].copy(), state.v[n].copy()) for n in p}
@@ -459,8 +459,8 @@ class TestAdam:
 
     def test_misshaped_last_gradient_aborts_before_any_update(self):
         rng = np.random.default_rng(5)
-        p = {"w": ad.Tensor(rng.normal(size=(3, 2)), requires_grad=True),
-             "b": ad.Tensor(rng.normal(size=4), requires_grad=True)}
+        p = {"w": ad.Tensor(rng.normal(size=(3, 2))),
+             "b": ad.Tensor(rng.normal(size=4))}
         state = ad.AdamState.for_params(p)
         ad.adam_step(p, {"w": rng.normal(size=(3, 2)), "b": rng.normal(size=4)}, state)
         snapshot = {n: (p[n].values.tobytes(), state.m[n].tobytes(), state.v[n].tobytes())
@@ -482,7 +482,7 @@ class TestAdam:
         else:
             values = base.copy()
             values.flags.writeable = False
-        p = {"w": ad.Tensor(values, requires_grad=True)}
+        p = {"w": ad.Tensor(values)}
         state = ad.AdamState.for_params(p, lr=0.01)
         expected = (base.copy(), np.zeros_like(base), np.zeros_like(base))
         for t in range(1, 4):
@@ -494,8 +494,8 @@ class TestAdam:
         assert state.v["w"].tobytes() == expected[2].tobytes()
 
     def test_mismatched_moments_abort_before_any_update(self):
-        p = {"w": ad.Tensor([1.0, 2.0], requires_grad=True),
-             "b": ad.Tensor([3.0], requires_grad=True)}
+        p = {"w": ad.Tensor([1.0, 2.0]),
+             "b": ad.Tensor([3.0])}
         state = ad.AdamState.for_params(p)
         state.v["b"] = np.zeros(2)
         with pytest.raises(ShapeError, match="'b'"):
@@ -515,7 +515,7 @@ class TestAdam:
         shapes = {"flat": (n,), "row": (1, n), "matrix": (rows, cols),
                   "big": (3 * ad.ADAM_CHUNK // 64 + 1, 64)}
         values = {name: rng.normal(size=shape) for name, shape in shapes.items()}
-        params = {name: ad.Tensor(v.copy(), requires_grad=True) for name, v in values.items()}
+        params = {name: ad.Tensor(v.copy()) for name, v in values.items()}
         state = ad.AdamState.for_params(params, lr=lr)
         expected = {name: (v, np.zeros_like(v), np.zeros_like(v))
                     for name, v in values.items()}

@@ -1,6 +1,8 @@
 """Corpus pipeline tests: loading, segmentation, vocab, encoding, splits."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from docgraph import corpus
 from docgraph.corpus import ClassSet, RawDocument
@@ -61,7 +63,28 @@ class TestLoadCorpus:
             corpus.load_corpus(p, "tsv")
 
 
+# Arbitrary unicode, salted with the fragments the segmenter reacts to:
+# terminators, capitals and digits after a space, abbreviations and
+# non-ASCII whitespace.
+FRAGMENTS = [". ", "! ", "? ", ".", "A", "É", "7", "Dr.", "e.g.", "U.S.", '"', " ", "\t",
+             "\n", "\u00a0", "\u2029", "\u3000"]
+unicode_text = st.lists(st.text(max_size=6) | st.sampled_from(FRAGMENTS), max_size=12).map("".join)
+
+
 class TestSplitSentences:
+    @settings(max_examples=300, deadline=None)
+    @given(text=unicode_text)
+    def test_total_on_unicode_and_keeps_normalized_text(self, text):
+        blank = not text.split()
+        try:
+            segments = corpus.split_sentences(text)
+        except CorpusError:
+            assert blank
+            return
+        assert not blank
+        assert all(segments)
+        assert " ".join(segments) == " ".join(text.split())
+
     def test_two_terminators(self):
         assert corpus.split_sentences("He left. She stayed!") == ["He left.", "She stayed!"]
 
@@ -91,6 +114,19 @@ class TestSplitSentences:
 
 
 class TestTokenize:
+    @settings(max_examples=300, deadline=None)
+    @given(text=unicode_text)
+    def test_total_on_unicode_and_keeps_every_character(self, text):
+        blank = not text.split()
+        try:
+            tokens = corpus.tokenize(text)
+        except CorpusError:
+            assert blank
+            return
+        assert not blank
+        assert all(token.split() == [token] for token in tokens)  # non-empty, no whitespace
+        assert "".join(tokens) == "".join(text.lower().split())
+
     def test_simple(self):
         assert corpus.tokenize("He left.") == ["he", "left", "."]
 

@@ -150,10 +150,10 @@ class TestEmbed:
 
 class TestLstm:
     def test_zero_weights_give_zero_hidden(self):
-        zero = lambda r, c: Tensor(np.zeros((r, c)), requires_grad=True)
+        zero = lambda r, c: Tensor(np.zeros((r, c)))
         params = encoder.EncoderParams(
             embedding=zero(5, 3),
-            gates={g: (zero(3, 2), zero(2, 2), Tensor(np.zeros(2), requires_grad=True))
+            gates={g: (zero(3, 2), zero(2, 2), Tensor(np.zeros(2)))
                    for g in encoder.GATES},
         )
         out = encoder.lstm_last_hidden(Tensor(np.ones((4, 3))), params)

@@ -7,7 +7,16 @@ import pytest
 
 from docgraph import layers
 from docgraph.autodiff import Tensor
+from docgraph.encoder import xavier_uniform
 from docgraph.errors import GraphError
+
+SLOPE = 0.2  # the model's default leaky-ReLU slope
+
+
+def gat_head(rng, d_in, d_out):
+    """A GAT head drawn like the model draws one: projection, then scoring vector."""
+    return layers.GatHeadParams(Tensor(xavier_uniform(rng, d_in, d_out)),
+                                Tensor(xavier_uniform(rng, 2 * d_out, 1).ravel()))
 
 
 def gcn_brute_force(adjacency, nodes, weight, slope):
@@ -54,14 +63,13 @@ def gat_brute_force(adjacency, nodes, weight, attn, slope):
 
 class TestGcnLayer:
     def test_single_node_yields_zeros(self):
-        params = layers.GcnParams(Tensor(np.ones((3, 2))))
-        out = layers.gcn_layer(Tensor([[0.0]]), Tensor([[1.0, 2.0, 3.0]]), params)
+        out = layers.gcn_layer(Tensor([[0.0]]), Tensor([[1.0, 2.0, 3.0]]),
+                               Tensor(np.ones((3, 2))), SLOPE)
         assert np.array_equal(out.values, [[0.0, 0.0]])
 
     def test_two_node_swap(self):
-        params = layers.GcnParams(Tensor(np.eye(2)))
         out = layers.gcn_layer(Tensor([[0.0, 1.0], [1.0, 0.0]]),
-                               Tensor([[1.0, 0.0], [0.0, 1.0]]), params)
+                               Tensor([[1.0, 0.0], [0.0, 1.0]]), Tensor(np.eye(2)), SLOPE)
         assert np.array_equal(out.values, [[0.0, 1.0], [1.0, 0.0]])
 
     def test_matches_brute_force(self):
@@ -74,9 +82,8 @@ class TestGcnLayer:
             np.fill_diagonal(e, 0.0)
             z = rng.normal(size=(n, d_in))
             w = rng.normal(size=(d_in, d_out))
-            params = layers.GcnParams(Tensor(w))
-            out = layers.gcn_layer(Tensor(e), Tensor(z), params)
-            expected = gcn_brute_force(e, z, w, params.slope)
+            out = layers.gcn_layer(Tensor(e), Tensor(z), Tensor(w), SLOPE)
+            expected = gcn_brute_force(e, z, w, SLOPE)
             assert np.max(np.abs(out.values - expected)) < 1e-12
 
     def test_linear_in_adjacency_without_activation(self):
@@ -85,9 +92,9 @@ class TestGcnLayer:
         e = rng.uniform(size=(4, 4))
         np.fill_diagonal(e, 0.0)
         z = rng.normal(size=(4, 3))
-        params = layers.GcnParams(Tensor(rng.normal(size=(3, 2))), slope=1.0)
-        once = layers.gcn_layer(Tensor(e), Tensor(z), params).values
-        twice = layers.gcn_layer(Tensor(2.0 * e), Tensor(z), params).values
+        w = Tensor(rng.normal(size=(3, 2)))
+        once = layers.gcn_layer(Tensor(e), Tensor(z), w, 1.0).values
+        twice = layers.gcn_layer(Tensor(2.0 * e), Tensor(z), w, 1.0).values
         assert np.max(np.abs(twice - 2.0 * once)) < 1e-12
 
     def test_permutation_equivariance(self):
@@ -97,17 +104,17 @@ class TestGcnLayer:
         e = (e + e.T) / 2
         np.fill_diagonal(e, 0.0)
         z = rng.normal(size=(n, 3))
-        params = layers.GcnParams(Tensor(rng.normal(size=(3, 4))))
+        w = Tensor(rng.normal(size=(3, 4)))
         perm = rng.permutation(n)
         p = np.eye(n)[perm]
-        base = layers.gcn_layer(Tensor(e), Tensor(z), params).values
-        permuted = layers.gcn_layer(Tensor(p @ e @ p.T), Tensor(z[perm]), params).values
+        base = layers.gcn_layer(Tensor(e), Tensor(z), w, SLOPE).values
+        permuted = layers.gcn_layer(Tensor(p @ e @ p.T), Tensor(z[perm]), w, SLOPE).values
         assert np.max(np.abs(permuted - base[perm])) < 1e-12
 
     def test_shape_mismatch(self):
-        params = layers.GcnParams(Tensor(np.eye(2)))
         with pytest.raises(GraphError):
-            layers.gcn_layer(Tensor(np.zeros((3, 3))), Tensor(np.zeros((2, 2))), params)
+            layers.gcn_layer(Tensor(np.zeros((3, 3))), Tensor(np.zeros((2, 2))),
+                             Tensor(np.eye(2)), SLOPE)
 
     def test_row_normalize(self):
         e = layers.row_normalize(Tensor([[0.0, 2.0], [4.0, 0.0]]))
@@ -145,20 +152,19 @@ class TestGatLayer:
     def make(self, rng, n, d_in=3, d_out=4):
         e = np.ones((n, n)) - np.eye(n)
         h = rng.normal(size=(n, d_in))
-        params = layers.GatHeadParams.init(rng, d_in, d_out)
-        return e, h, params
+        return e, h, gat_head(rng, d_in, d_out)
 
     def test_two_nodes_attend_only_to_each_other(self):
         rng = np.random.default_rng(27)
         e, h, params = self.make(rng, 2)
-        _, attention = layers.gat_layer(Tensor(e), Tensor(h), params)
+        _, attention = layers.gat_layer(Tensor(e), Tensor(h), params, SLOPE)
         assert np.array_equal(attention.values, [[0.0, 1.0], [1.0, 0.0]])
 
     def test_zero_scoring_vector_gives_uniform_attention(self):
         rng = np.random.default_rng(28)
         e, h, params = self.make(rng, 4)
         params.attn.values[:] = 0.0
-        _, attention = layers.gat_layer(Tensor(e), Tensor(h), params)
+        _, attention = layers.gat_layer(Tensor(e), Tensor(h), params, SLOPE)
         expected = (np.ones((4, 4)) - np.eye(4)) / 3.0
         assert np.allclose(attention.values, expected, atol=1e-15)
 
@@ -169,9 +175,9 @@ class TestGatLayer:
             e, h, params = self.make(rng, n,
                                      d_in=int(rng.integers(2, 5)),
                                      d_out=int(rng.integers(2, 5)))
-            out, attention = layers.gat_layer(Tensor(e), Tensor(h), params)
+            out, attention = layers.gat_layer(Tensor(e), Tensor(h), params, SLOPE)
             exp_out, exp_alpha = gat_brute_force(
-                e, h, params.weight.values, params.attn.values, params.slope)
+                e, h, params.weight.values, params.attn.values, SLOPE)
             assert np.max(np.abs(out.values - exp_out)) < 1e-12
             assert np.max(np.abs(attention.values - exp_alpha)) < 1e-12
             sums = attention.values.sum(axis=1)
@@ -183,18 +189,18 @@ class TestGatLayer:
         e, h, params = self.make(rng, 5)
         perm = rng.permutation(5)
         p = np.eye(5)[perm]
-        out, attention = layers.gat_layer(Tensor(e), Tensor(h), params)
+        out, attention = layers.gat_layer(Tensor(e), Tensor(h), params, SLOPE)
         out_p, attention_p = layers.gat_layer(
-            Tensor(p @ e @ p.T), Tensor(h[perm]), params)
+            Tensor(p @ e @ p.T), Tensor(h[perm]), params, SLOPE)
         assert np.max(np.abs(out_p.values - out.values[perm])) < 1e-12
         assert np.max(np.abs(attention_p.values - p @ attention.values @ p.T)) < 1e-12
 
     def test_isolated_node_rejected(self):
         rng = np.random.default_rng(31)
         e = np.zeros((2, 2))
-        params = layers.GatHeadParams.init(rng, 3, 2)
+        params = gat_head(rng, 3, 2)
         with pytest.raises(GraphError, match="isolated"):
-            layers.gat_layer(Tensor(e), Tensor(rng.normal(size=(2, 3))), params)
+            layers.gat_layer(Tensor(e), Tensor(rng.normal(size=(2, 3))), params, SLOPE)
 
 
 class TestMultiHead:
@@ -202,9 +208,9 @@ class TestMultiHead:
         rng = np.random.default_rng(32)
         e = np.ones((3, 3)) - np.eye(3)
         h = rng.normal(size=(3, 4))
-        head = layers.GatHeadParams.init(rng, 4, 5)
-        single, _ = layers.gat_layer(Tensor(e), Tensor(h), head)
-        multi, attentions = layers.multi_head(Tensor(e), Tensor(h), [head])
+        head = gat_head(rng, 4, 5)
+        single, _ = layers.gat_layer(Tensor(e), Tensor(h), head, SLOPE)
+        multi, attentions = layers.multi_head(Tensor(e), Tensor(h), [head], SLOPE)
         assert np.array_equal(multi.values, single.values)
         assert len(attentions) == 1
 
@@ -212,15 +218,15 @@ class TestMultiHead:
         rng = np.random.default_rng(33)
         e = np.ones((3, 3)) - np.eye(3)
         h = rng.normal(size=(3, 4))
-        head = layers.GatHeadParams.init(rng, 4, 5)
-        out, _ = layers.multi_head(Tensor(e), Tensor(h), [head, head])
+        head = gat_head(rng, 4, 5)
+        out, _ = layers.multi_head(Tensor(e), Tensor(h), [head, head], SLOPE)
         assert np.array_equal(out.values[:, :5], out.values[:, 5:])
 
     def test_two_heads_width_64(self):
         rng = np.random.default_rng(34)
         e = np.ones((3, 3)) - np.eye(3)
         h = rng.normal(size=(3, 100))
-        heads = [layers.GatHeadParams.init(rng, 100, 32) for _ in range(2)]
-        out, attentions = layers.multi_head(Tensor(e), Tensor(h), heads)
+        heads = [gat_head(rng, 100, 32) for _ in range(2)]
+        out, attentions = layers.multi_head(Tensor(e), Tensor(h), heads, SLOPE)
         assert out.shape == (3, 64)
         assert len(attentions) == 2

@@ -93,7 +93,7 @@ class TestDegenerateSingleSentence:
         logits, _ = model.forward(doc, params, config)
         from docgraph.encoder import encode_document
         s = encode_document(doc, params.encoder).values
-        z = s @ params.gcn[0].weight.values
+        z = s @ params.gcn[0].values
         expected = z @ params.proj_w.values + params.proj_b.values
         assert np.allclose(logits.values, expected.ravel(), atol=1e-12)
 

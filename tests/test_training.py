@@ -3,6 +3,7 @@
 import itertools
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -88,10 +89,25 @@ class TestDeterminism:
 
 
 class TestModelSelection:
-    def test_tie_goes_to_earliest_epoch(self):
-        assert training.select_best_epoch([0.5, 0.7, 0.7]) == 2
-        assert training.select_best_epoch([0.9]) == 1
-        assert training.select_best_epoch([0.2, 0.2]) == 1
+    def test_tie_goes_to_earliest_epoch(self, monkeypatch):
+        vocab, class_set, docs = setup_corpus()
+        config = tiny_config("gcn", vocab, class_set, max_epochs=3)
+        scores = iter([0.5, 0.7, 0.7])
+        snapshots = []
+
+        def scripted_evaluate(params, config, docs, weights=None):
+            snapshots.append({n: t.values.copy() for n, t in params.tensors.items()})
+            return SimpleNamespace(macro_f1=next(scores))
+
+        monkeypatch.setattr(training, "evaluate_documents", scripted_evaluate)
+        run = training.train(docs, docs, config, vocab)
+        assert run.best_epoch == 2
+        assert run.best_dev_macro_f1 == 0.7
+        assert run.checkpoint.metadata["best_epoch"] == 2
+        for name, values in run.checkpoint.values.items():
+            assert values.tobytes() == snapshots[1][name].tobytes()
+        assert any(values.tobytes() != snapshots[2][name].tobytes()
+                   for name, values in run.checkpoint.values.items())
 
     def test_best_epoch_is_argmax_of_log(self):
         vocab, class_set, docs = setup_corpus()
@@ -162,8 +178,13 @@ class TestGradientAdoption:
         weights = edge_weights_for(docs) if config.needs_edge_weights else None
         adopted = training.train(docs, docs, config, vocab, weights)
 
-        backward = ad.backward
+        backward, init_params = ad.backward, training.init_params
+        models = []
         norms = []
+
+        def capturing_init_params(config, rng=None):
+            models.append(init_params(config, rng))
+            return models[-1]
 
         def copying_backward(tape, loss):
             backward(tape, loss)
@@ -171,8 +192,10 @@ class TestGradientAdoption:
             for t in grads.values():
                 t.grad = t.grad.copy()
             norms.append(math.sqrt(sum(float(np.sum(t.grad * t.grad))
-                                       for t in grads.values() if t.requires_grad)))
+                                       for t in models[-1].tensors.values()
+                                       if t.grad is not None)))
 
+        monkeypatch.setattr(training, "init_params", capturing_init_params)
         monkeypatch.setattr(ad, "backward", copying_backward)
         copied = training.train(docs, docs, config, vocab, weights)
         assert max(norms) > config.clip_norm  # clipping ran
@@ -331,3 +354,58 @@ def test_any_single_byte_manifest_change_loads_or_raises_checkpoint_error(
         training.load_checkpoint(path)
     except CheckpointError:
         pass
+
+
+@settings(max_examples=100, deadline=None)
+@given(variant=st.sampled_from(model.VARIANTS), seed=st.integers(0, 2**32 - 1),
+       clip_norm=st.none() | st.floats(0.1, 10.0))
+def test_checkpoint_save_load_save_round_trips(tmp_path_factory, variant, seed, clip_norm):
+    vocab = Vocabulary(["<pad>", "<unk>", "zebra", "quokka"], min_frequency=2)
+    config = model.ModelConfig(variant=variant, vocab_size=len(vocab),
+                               class_names=("satire", "trusted"), embed_dim=3,
+                               hidden_dim=3, node_dim=2, seed=seed, clip_norm=clip_norm)
+    values = {name: t.values for name, t in model.init_params(config).tensors.items()}
+    ckpt = training.Checkpoint(config, vocab, values, metadata={"best_epoch": 1, "seed": seed})
+    path = tmp_path_factory.getbasetemp() / "round-trip.ckpt"
+    training.save_checkpoint(ckpt, path)
+    loaded = training.load_checkpoint(path)
+    assert loaded.config == config and loaded.metadata == ckpt.metadata
+    assert training.checkpoint_bytes(loaded) == path.read_bytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_parameter_byte_changes_load_exactly_or_raise_checkpoint_error(
+        tiny_checkpoint_bytes, tmp_path_factory, data):
+    raw = bytearray(tiny_checkpoint_bytes)
+    manifest_len = raw.index(b"\n") + 1
+    # whole values, NaN and infinities included, then single bytes
+    slots = st.integers(0, (len(raw) - manifest_len) // 8 - 1)
+    for slot, value in data.draw(st.lists(st.tuples(slots, st.floats()), max_size=3),
+                                 label="values"):
+        start = manifest_len + 8 * slot
+        raw[start:start + 8] = np.array(value, dtype="<f8").tobytes()
+    for pos, byte in data.draw(st.lists(st.tuples(st.integers(manifest_len, len(raw) - 1),
+                                                  st.integers(0, 255)), max_size=8),
+                               label="bytes"):
+        raw[pos] = byte
+    path = tmp_path_factory.getbasetemp() / "mutated-params.ckpt"
+    path.write_bytes(bytes(raw))
+    try:
+        loaded = training.load_checkpoint(path)
+    except CheckpointError as err:
+        assert "non-finite" in str(err)
+    else:
+        assert all(np.isfinite(v).all() for v in loaded.values.values())
+        assert training.checkpoint_bytes(loaded) == bytes(raw)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_any_truncation_raises_checkpoint_error(tiny_checkpoint_bytes, tmp_path_factory, data):
+    raw = tiny_checkpoint_bytes
+    cut = data.draw(st.integers(0, len(raw) - 1), label="length")
+    path = tmp_path_factory.getbasetemp() / "truncated.ckpt"
+    path.write_bytes(raw[:cut])
+    with pytest.raises(CheckpointError):
+        training.load_checkpoint(path)
