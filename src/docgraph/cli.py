@@ -201,7 +201,7 @@ def cmd_predict(args) -> int:
 def cmd_export_attention(args) -> int:
     ckpt = training.load_checkpoint(args.ckpt)
     config = ckpt.config
-    if not config.produces_attention:
+    if not config.spec.produces_attention:
         with_attention = ", ".join(v for v, s in SPECS.items() if s.produces_attention)
         raise DocGraphError(
             f"variant '{config.variant}' does not produce attention; "

@@ -3,7 +3,8 @@
 A document's node feature matrix has one row per sentence: the last
 hidden state of an LSTM run over that sentence's word embeddings. The
 same parameters are shared by every sentence, so gradients from all
-rows accumulate into one parameter set.
+rows accumulate into one parameter set. The LSTM's ``gates`` are the
+per-gate ``(w_x, w_h, b)`` triples, listed in ``GATES`` order.
 
 A document is one batched recurrence: one embedding lookup and one
 input projection for all of its tokens, then one ``lstm_last`` op over
@@ -13,10 +14,7 @@ cross-sentence interaction before the graph layer).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
@@ -24,23 +22,7 @@ from .corpus import Document
 
 GATES = ("i", "f", "g", "o")
 
-
-def xavier_uniform(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    """Uniform(-a, a) with a = sqrt(6 / (fan_in + fan_out))."""
-    a = np.sqrt(6.0 / (rows + cols))
-    return rng.uniform(-a, a, size=(rows, cols))
-
-
-@dataclass
-class EncoderParams:
-    """Embedding matrix plus per-gate LSTM weights (input, hidden, bias)."""
-
-    embedding: Tensor
-    gates: dict[str, tuple[Tensor, Tensor, Tensor]]
-
-    @property
-    def hidden_dim(self) -> int:
-        return self.gates["i"][0].shape[1]
+Gates = Sequence[tuple[Tensor, Tensor, Tensor]]
 
 
 def embed(token_ids: Sequence[int], embedding: Tensor) -> Tensor:
@@ -48,21 +30,21 @@ def embed(token_ids: Sequence[int], embedding: Tensor) -> Tensor:
     return ad.gather_rows(embedding, token_ids)
 
 
-def _lstm(x: Tensor, params: EncoderParams, lengths: Sequence[int]) -> Tensor:
+def _lstm(x: Tensor, gates: Gates, lengths: Sequence[int]) -> Tensor:
     """Last hidden states, shape (len(lengths), hidden), of the LSTM over
     consecutive runs of x's rows; the gates are joined in i|f|g|o order."""
-    hidden = params.hidden_dim
-    w_x = ad.concat_cols([params.gates[gate][0] for gate in GATES])
-    w_h = ad.concat_cols([params.gates[gate][1] for gate in GATES])
-    bias = ad.concat_cols([ad.reshape(params.gates[gate][2], (1, hidden)) for gate in GATES])
+    hidden = gates[0][0].shape[1]
+    w_x = ad.concat_cols([w_x for w_x, _, _ in gates])
+    w_h = ad.concat_cols([w_h for _, w_h, _ in gates])
+    bias = ad.concat_cols([ad.reshape(b, (1, hidden)) for _, _, b in gates])
     xw = ad.add(ad.matmul(x, w_x), bias)
     return ad.lstm_last(xw, w_h, lengths)
 
 
-def lstm_last_hidden(x: Tensor, params: EncoderParams) -> Tensor:
+def lstm_last_hidden(x: Tensor, gates: Gates) -> Tensor:
     """Last hidden state of the LSTM over x's rows, as a flat vector."""
-    h = _lstm(x, params, [x.shape[0]])
-    return ad.reshape(h, (params.hidden_dim,))
+    h = _lstm(x, gates, [x.shape[0]])
+    return ad.reshape(h, (h.shape[1],))
 
 
 def flat_tokens(doc: Document) -> list[int]:
@@ -70,7 +52,7 @@ def flat_tokens(doc: Document) -> list[int]:
     return [token for sentence in doc.sentences for token in sentence]
 
 
-def encode_document(doc: Document, params: EncoderParams) -> Tensor:
+def encode_document(doc: Document, embedding: Tensor, gates: Gates) -> Tensor:
     """Node feature matrix: row i is the LSTM encoding of sentence i."""
-    x = embed(flat_tokens(doc), params.embedding)
-    return _lstm(x, params, [len(sentence) for sentence in doc.sentences])
+    x = embed(flat_tokens(doc), embedding)
+    return _lstm(x, gates, [len(sentence) for sentence in doc.sentences])

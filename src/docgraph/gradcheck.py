@@ -226,7 +226,7 @@ def _tiny_setup(variant: str, seed: int):
     m = rng.uniform(0.1, 1.0, size=(n, n))
     m = (m + m.T) / 2
     np.fill_diagonal(m, 0.0)
-    weights = EdgeWeightSet({"tiny": m}) if config.needs_edge_weights else None
+    weights = EdgeWeightSet({"tiny": m}) if config.spec.edge_weights else None
     return config, params, doc, weights
 
 

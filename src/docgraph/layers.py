@@ -1,41 +1,23 @@
 """Graph layers: graph convolution, post-convolution self-attention, and
 graph attention with multi-head concatenation.
 
-The convolution is the literal unnormalized form sigma(E Z W) with a
-leaky-ReLU activation. Every layer takes the activation's slope from its
-caller (the model passes ``ModelConfig.leaky_slope``). No self-loops are
-added (the adjacency diagonal is zero) and no degree normalization is
-applied unless explicitly requested. The graph attention layer treats the adjacency purely as a
+Every layer takes its weights as bare tensors and the activation's slope
+from its caller (the model passes ``ModelConfig.leaky_slope``). The
+convolution is the literal unnormalized form sigma(E Z W) with a
+leaky-ReLU activation. No self-loops are added (the adjacency diagonal
+is zero) and no degree normalization is applied unless explicitly
+requested. The graph attention layer treats the adjacency purely as a
 0/1 connectivity mask and learns the edge weights; attention matrices
 are returned so callers can export them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import GraphError
-
-
-@dataclass
-class SelfAttnParams:
-    """Square query/key/value projections over node-embedding space."""
-
-    query: Tensor
-    key: Tensor
-    value: Tensor
-
-
-@dataclass
-class GatHeadParams:
-    """One attention head: node projection plus the pair-scoring vector."""
-
-    weight: Tensor
-    attn: Tensor  # scores the concatenated pair [Wh_i || Wh_j]
 
 
 def row_normalize(adjacency: Tensor) -> Tensor:
@@ -56,15 +38,16 @@ def gcn_layer(adjacency: Tensor, nodes: Tensor, weight: Tensor, slope: float) ->
     return ad.leaky_relu(pre, slope)
 
 
-def self_attention(nodes: Tensor, params: SelfAttnParams) -> tuple[Tensor, Tensor]:
+def self_attention(nodes: Tensor, query: Tensor, key: Tensor,
+                   value: Tensor) -> tuple[Tensor, Tensor]:
     """Scaled dot-product self-attention over node embeddings.
 
     Returns (output, attention); attention rows sum to 1 and include self.
     """
     dim = nodes.shape[1]
-    q = ad.matmul(nodes, params.query)
-    k = ad.matmul(nodes, params.key)
-    v = ad.matmul(nodes, params.value)
+    q = ad.matmul(nodes, query)
+    k = ad.matmul(nodes, key)
+    v = ad.matmul(nodes, value)
     scores = ad.scale(ad.matmul(q, ad.transpose(k)), 1.0 / np.sqrt(dim))
     attention = ad.softmax_rows(scores)
     return ad.matmul(attention, v), attention
@@ -73,15 +56,17 @@ def self_attention(nodes: Tensor, params: SelfAttnParams) -> tuple[Tensor, Tenso
 def gat_layer(
     adjacency: Tensor,
     nodes: Tensor,
-    head: GatHeadParams,
+    weight: Tensor,
+    attn: Tensor,
     slope: float,
 ) -> tuple[Tensor, Tensor]:
     """One graph-attention head over the adjacency's nonzero entries.
 
     Pair (i, j) with adjacency[i, j] > 0 is scored by
-    leaky_relu(a . [Wh_i || Wh_j], slope); scores softmax-normalize over each
-    node's neighbors, and outputs are the activated attention-weighted
-    sums of projected neighbors. Returns (output, attention).
+    leaky_relu(a . [Wh_i || Wh_j], slope) with W = ``weight`` and
+    a = ``attn``; scores softmax-normalize over each node's neighbors,
+    and outputs are the activated attention-weighted sums of projected
+    neighbors. Returns (output, attention).
     """
     n = nodes.shape[0]
     if adjacency.shape != (n, n):
@@ -92,11 +77,11 @@ def gat_layer(
     if not mask.any(axis=1).all():
         raise GraphError("isolated node: every node needs at least one neighbor")
 
-    out_dim = head.weight.shape[1]
-    projected = ad.matmul(nodes, head.weight)  # (n, d)
+    out_dim = weight.shape[1]
+    projected = ad.matmul(nodes, weight)  # (n, d)
     # a . [Wh_i || Wh_j] splits into source and destination halves
-    a_src = ad.reshape(ad.slice_rows(head.attn, 0, out_dim), (out_dim, 1))
-    a_dst = ad.reshape(ad.slice_rows(head.attn, out_dim, 2 * out_dim), (out_dim, 1))
+    a_src = ad.reshape(ad.slice_rows(attn, 0, out_dim), (out_dim, 1))
+    a_dst = ad.reshape(ad.slice_rows(attn, out_dim, 2 * out_dim), (out_dim, 1))
     src = ad.matmul(projected, a_src)  # (n, 1)
     dst = ad.matmul(projected, a_dst)  # (n, 1)
     ones_row = Tensor(np.ones((1, n)))
@@ -111,16 +96,17 @@ def gat_layer(
 def multi_head(
     adjacency: Tensor,
     nodes: Tensor,
-    heads: list[GatHeadParams],
+    heads: list[tuple[Tensor, Tensor]],
     slope: float,
 ) -> tuple[Tensor, list[Tensor]]:
-    """Concatenate per-head outputs column-wise, in head order."""
+    """Run one ``gat_layer`` per (weight, attn) head and concatenate the
+    outputs column-wise, in head order."""
     if not heads:
         raise GraphError("multi_head needs at least one head")
     outputs = []
     attentions = []
-    for head in heads:
-        out, attention = gat_layer(adjacency, nodes, head, slope)
+    for weight, attn in heads:
+        out, attention = gat_layer(adjacency, nodes, weight, attn, slope)
         outputs.append(out)
         attentions.append(attention)
     if len(outputs) == 1:

@@ -6,8 +6,9 @@ pipeline encoder -> document graph -> graph layer(s) -> pool -> project;
 the baselines flatten the document to one token sequence. ``SPECS``
 holds every per-variant fact; the code below branches on its fields,
 never on variant names. ``param_layout`` lists the tensors a variant
-owns; initialization, checkpoint validation and the per-layer parameter
-views all follow it.
+owns; initialization, checkpoint validation and the forward pass all
+follow it, and its names appear nowhere else: the encoder and the layers
+take bare tensors.
 
 Single-sentence documents have no neighbors, so graph variants bypass
 the propagation step and project the lone node feature through the
@@ -17,7 +18,7 @@ layer weights directly.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -25,25 +26,10 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import AdamState, Tensor
 from .corpus import DEFAULT_MAX_SENTENCES, DEFAULT_MAX_TOKENS, ClassSet, Document
-from .encoder import (
-    GATES,
-    EncoderParams,
-    embed,
-    encode_document,
-    flat_tokens,
-    lstm_last_hidden,
-    xavier_uniform,
-)
+from .encoder import GATES, embed, encode_document, flat_tokens, lstm_last_hidden
 from .errors import ModelError
 from .graph import EdgeWeightSet, build_graph
-from .layers import (
-    GatHeadParams,
-    SelfAttnParams,
-    gcn_layer,
-    multi_head,
-    row_normalize,
-    self_attention,
-)
+from .layers import gcn_layer, multi_head, row_normalize, self_attention
 
 CNN_WIDTH = 3
 
@@ -124,22 +110,10 @@ class ModelConfig:
         return SPECS[self.variant]
 
     @property
-    def heads(self) -> int:
-        return self.spec.heads
-
-    @property
-    def needs_edge_weights(self) -> bool:
-        return self.spec.edge_weights
-
-    @property
-    def produces_attention(self) -> bool:
-        return self.spec.produces_attention
-
-    @property
     def pool_dim(self) -> int:
         if not self.spec.is_graph:
             return self.hidden_dim
-        return self.node_dim * self.heads
+        return self.node_dim * self.spec.heads
 
     @property
     def class_set(self) -> ClassSet:
@@ -164,28 +138,10 @@ class ModelConfig:
 
 
 @dataclass
-class CnnParams:
-    """Width-3 convolution filters over word embeddings, plus bias."""
-
-    w0: Tensor
-    w1: Tensor
-    w2: Tensor
-    bias: Tensor
-
-
-@dataclass
 class ModelParams:
-    """All learned tensors for one variant, each with a unique name."""
+    """All learned tensors for one variant, keyed by their ``param_layout`` name."""
 
     tensors: dict[str, Tensor]
-    embedding: Tensor
-    proj_w: Tensor
-    proj_b: Tensor
-    encoder: EncoderParams | None = None
-    cnn: CnnParams | None = None
-    gcn: list[Tensor] = field(default_factory=list)  # one weight per layer
-    self_attn: SelfAttnParams | None = None
-    gat_heads: list[GatHeadParams] = field(default_factory=list)
 
     def total_parameters(self) -> int:
         return sum(t.size for t in self.tensors.values())
@@ -242,6 +198,12 @@ def check_layout(config: ModelConfig, shapes: list[tuple[str, tuple[int, ...]]])
                              f"expected {expected}")
 
 
+def xavier_uniform(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
+    """Uniform(-a, a) with a = sqrt(6 / (fan_in + fan_out))."""
+    a = np.sqrt(6.0 / (rows + cols))
+    return rng.uniform(-a, a, size=(rows, cols))
+
+
 def _draw(rng: np.random.Generator, shape: tuple[int, ...], init: str) -> np.ndarray:
     if init == "zeros":
         return np.zeros(shape)
@@ -261,55 +223,42 @@ def init_params(config: ModelConfig, rng: np.random.Generator | None = None) -> 
 
 def bind_params(config: ModelConfig, values: dict[str, np.ndarray]) -> ModelParams:
     """Wrap ``values`` (checked against ``param_layout``; the arrays are
-    used, not copied) as trainable tensors and build the per-layer views
-    over them."""
+    used, not copied) as trainable tensors."""
     check_layout(config, [(name, np.shape(v)) for name, v in values.items()])
-    t = {name: Tensor(v) for name, v in values.items()}
-    spec = config.spec
-    params = ModelParams(tensors=t, embedding=t["embedding"], proj_w=t["proj.w"],
-                         proj_b=t["proj.b"])
-    if spec.kind == "cnn":
-        params.cnn = CnnParams(t["cnn.w0"], t["cnn.w1"], t["cnn.w2"], t["cnn.b"])
-    else:
-        params.encoder = EncoderParams(t["embedding"], {
-            gate: (t[f"lstm.{gate}.w_x"], t[f"lstm.{gate}.w_h"], t[f"lstm.{gate}.b"])
-            for gate in GATES})
-    if spec.kind == "gcn":
-        params.gcn = [t[f"gcn.{layer}.w"] for layer in range(config.gcn_layers)]
-    if spec.self_attn:
-        params.self_attn = SelfAttnParams(t["attn.q"], t["attn.k"], t["attn.v"])
-    if spec.kind == "gat":
-        params.gat_heads = [GatHeadParams(t[f"gat.{h}.w"], t[f"gat.{h}.a"])
-                            for h in range(spec.heads)]
-    return params
+    return ModelParams({name: Tensor(v) for name, v in values.items()})
+
+
+def lstm_gates(params: ModelParams) -> list[tuple[Tensor, Tensor, Tensor]]:
+    """The encoder LSTM's (w_x, w_h, b) per gate, in ``GATES`` order."""
+    t = params.tensors
+    return [(t[f"lstm.{g}.w_x"], t[f"lstm.{g}.w_h"], t[f"lstm.{g}.b"]) for g in GATES]
 
 
 def _project(pooled: Tensor, params: ModelParams, n_classes: int) -> Tensor:
     row = ad.reshape(pooled, (1, pooled.shape[0]))
-    logits = ad.add(ad.matmul(row, params.proj_w), params.proj_b)
+    logits = ad.add(ad.matmul(row, params.tensors["proj.w"]), params.tensors["proj.b"])
     return ad.reshape(logits, (n_classes,))
 
 
 def cnn_forward(doc: Document, params: ModelParams, config: ModelConfig) -> Tensor:
     """Width-3 convolution over the flattened document, max-pooled over time."""
+    t = params.tensors
     tokens = flat_tokens(doc)
-    x = embed(tokens, params.embedding)
+    x = embed(tokens, t["embedding"])
     padded = ad.pad_rows(x, 1, 1)  # 'same' padding keeps one output per token
-    t = len(tokens)
-    conv = ad.add(
-        ad.add(ad.matmul(ad.slice_rows(padded, 0, t), params.cnn.w0),
-               ad.matmul(ad.slice_rows(padded, 1, t + 1), params.cnn.w1)),
-        ad.matmul(ad.slice_rows(padded, 2, t + 2), params.cnn.w2),
-    )
-    conv = ad.add(conv, params.cnn.bias)
+    n = len(tokens)
+    conv = ad.matmul(ad.slice_rows(padded, 0, n), t["cnn.w0"])
+    for k in range(1, CNN_WIDTH):
+        conv = ad.add(conv, ad.matmul(ad.slice_rows(padded, k, n + k), t[f"cnn.w{k}"]))
+    conv = ad.add(conv, t["cnn.b"])
     activated = ad.leaky_relu(conv, config.leaky_slope)
     return _project(ad.max_over_rows(activated), params, config.n_classes)
 
 
 def lstm_forward(doc: Document, params: ModelParams, config: ModelConfig) -> Tensor:
     """Document-level LSTM over the flattened token sequence."""
-    x = embed(flat_tokens(doc), params.embedding)
-    hidden = lstm_last_hidden(x, params.encoder)
+    x = embed(flat_tokens(doc), params.tensors["embedding"])
+    hidden = lstm_last_hidden(x, lstm_gates(params))
     return _project(hidden, params, config.n_classes)
 
 
@@ -319,29 +268,31 @@ def _graph_forward(
     config: ModelConfig,
     weights: EdgeWeightSet | None,
 ) -> tuple[Tensor, list[Tensor] | None]:
-    features = encode_document(doc, params.encoder)
-    use_weights = weights if config.needs_edge_weights else None
-    adjacency = build_graph(doc, features, use_weights)
-    attentions: list[Tensor] | None = None
+    t = params.tensors
+    features = encode_document(doc, t["embedding"], lstm_gates(params))
     spec = config.spec
+    adjacency = build_graph(doc, features, weights if spec.edge_weights else None)
+    attentions: list[Tensor] | None = None
     slope = config.leaky_slope
     # no neighbors to propagate over: project the node through the layer weights
     single = doc.n_sentences == 1
 
     if spec.kind == "gat":
+        heads = [(t[f"gat.{h}.w"], t[f"gat.{h}.a"]) for h in range(spec.heads)]
         if single:
-            parts = [ad.matmul(features, head.weight) for head in params.gat_heads]
+            parts = [ad.matmul(features, weight) for weight, _ in heads]
             z = parts[0] if len(parts) == 1 else ad.concat_cols(parts)
         else:
-            z, attentions = multi_head(adjacency, features, params.gat_heads, slope)
+            z, attentions = multi_head(adjacency, features, heads, slope)
     else:
         if config.normalize_adjacency and not single:
             adjacency = row_normalize(adjacency)
         z = features
-        for weight in params.gcn:
+        for layer in range(config.gcn_layers):
+            weight = t[f"gcn.{layer}.w"]
             z = ad.matmul(z, weight) if single else gcn_layer(adjacency, z, weight, slope)
         if spec.self_attn:
-            z, attention = self_attention(z, params.self_attn)
+            z, attention = self_attention(z, t["attn.q"], t["attn.k"], t["attn.v"])
             attentions = [attention]
 
     logits = _project(ad.max_over_rows(z), params, config.n_classes)
@@ -357,7 +308,7 @@ def forward(
     """Class logits for one document, plus attention matrices when the
     variant produces them (one per head for gat2)."""
     check_layout(config, [(name, t.shape) for name, t in params.tensors.items()])
-    if config.needs_edge_weights and weights is None:
+    if config.spec.edge_weights and weights is None:
         raise ModelError(f"variant '{config.variant}' requires an edge-weight set")
     if config.spec.kind == "cnn":
         return cnn_forward(doc, params, config), None

@@ -217,6 +217,14 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     write_files_atomic({path: checkpoint_bytes(ckpt)})
 
 
+def _json_int(value) -> int:
+    """``value`` itself if it is a JSON integer: converting 2.9 or "2" would
+    load a checkpoint that saves back to different bytes."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
+
+
 def load_checkpoint(path: str | Path) -> Checkpoint:
     try:
         raw = Path(path).read_bytes()
@@ -243,11 +251,12 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     malformed = (KeyError, TypeError, ValueError, ModelError, CorpusError)
     try:
         config = ModelConfig.from_dict(manifest["config"])
-        vocab = Vocabulary(
-            id_to_token=list(manifest["vocabulary"]["id_to_token"]),
-            min_frequency=int(manifest["vocabulary"]["min_frequency"]),
-        )
-        directory = [(str(p["name"]), tuple(int(s) for s in p["shape"]))
+        tokens = manifest["vocabulary"]["id_to_token"]
+        if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+            raise ValueError("vocabulary tokens must be strings")
+        vocab = Vocabulary(id_to_token=tokens,
+                           min_frequency=_json_int(manifest["vocabulary"]["min_frequency"]))
+        directory = [(str(p["name"]), tuple(_json_int(s) for s in p["shape"]))
                      for p in manifest["parameters"]]
         metadata = manifest["metadata"]
         for name, shape in directory:
@@ -255,6 +264,9 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
                 raise CheckpointError(f"{path}: negative shape {shape} for '{name}'")
         # before any allocation: a manifest may claim arbitrarily large shapes
         check_layout(config, directory)
+        if len(vocab) != config.vocab_size:
+            raise ValueError(f"vocabulary has {len(vocab)} tokens, "
+                             f"config.vocab_size is {config.vocab_size}")
     except malformed as err:
         raise CheckpointError(f"{path}: malformed manifest: {err}") from err
 

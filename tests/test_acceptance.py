@@ -99,10 +99,10 @@ def test_criterion_2_layer_brute_force_oracle():
             d_in, d_out = int(rng.integers(2, 6)), int(rng.integers(2, 6))
             e = np.ones((n, n)) - np.eye(n)
             h = rng.normal(size=(n, d_in))
-            params = gat_head(rng, d_in, d_out)
-            out, attention = gat_layer(ad.Tensor(e), ad.Tensor(h), params, 0.2)
+            weight, attn = gat_head(rng, d_in, d_out)
+            out, attention = gat_layer(ad.Tensor(e), ad.Tensor(h), weight, attn, 0.2)
             expected_out, expected_alpha = gat_brute_force(
-                e, h, params.weight.values, params.attn.values, 0.2)
+                e, h, weight.values, attn.values, 0.2)
             assert np.max(np.abs(out.values - expected_out)) < 1e-12
             assert np.max(np.abs(attention.values - expected_alpha)) < 1e-12
 

@@ -20,11 +20,11 @@ from test_autodiff import fd_grad, max_rel_err, piecewise_sigmoid
 VOCAB = 30
 
 
-def reference_encode(doc, params):
+def reference_encode(doc, embedding, gate_list):
     """Straight-line numpy LSTM, one sentence and one token at a time."""
-    hidden = params.hidden_dim
-    emb = params.embedding.values
-    gates = {g: tuple(t.values for t in params.gates[g]) for g in encoder.GATES}
+    hidden = gate_list[0][0].shape[1]
+    emb = embedding.values
+    gates = {g: tuple(t.values for t in gate) for g, gate in zip(encoder.GATES, gate_list)}
 
     def sig(v):
         return 1.0 / (1.0 + np.exp(-v))
@@ -105,7 +105,7 @@ sentences_strategy = st.lists(
 
 
 def lstm_params(rng, vocab_size, embed_dim, hidden_dim):
-    """An lstm model's parameters; ``.encoder`` is the sentence-encoder view."""
+    """An lstm model's parameters; ``model.lstm_gates`` gives the encoder's gates."""
     config = model.ModelConfig(variant="lstm", vocab_size=vocab_size,
                                class_names=("a", "b"), embed_dim=embed_dim,
                                hidden_dim=hidden_dim)
@@ -118,45 +118,45 @@ def model_params():
 
 
 @pytest.fixture
-def params(model_params):
-    return model_params.encoder
+def embedding(model_params):
+    return model_params.tensors["embedding"]
+
+
+@pytest.fixture
+def gates(model_params):
+    return model.lstm_gates(model_params)
 
 
 class TestEmbed:
-    def test_single_lookup(self, params):
-        out = encoder.embed([5], params.embedding)
-        assert np.array_equal(out.values, params.embedding.values[[5]])
+    def test_single_lookup(self, embedding):
+        out = encoder.embed([5], embedding)
+        assert np.array_equal(out.values, embedding.values[[5]])
 
-    def test_tied_lookup_gradients_sum(self, params):
+    def test_tied_lookup_gradients_sum(self, embedding):
         with ad.Tape() as tape:
-            out = encoder.embed([5, 5], params.embedding)
+            out = encoder.embed([5, 5], embedding)
             loss = ad.sum_all(out)
         assert np.array_equal(out.values[0], out.values[1])
         ad.backward(tape, loss)
-        assert np.array_equal(params.embedding.grad[5], 2.0 * np.ones(4))
+        assert np.array_equal(embedding.grad[5], 2.0 * np.ones(4))
 
-    def test_out_of_range(self, params):
+    def test_out_of_range(self, embedding):
         with pytest.raises(ShapeError):
-            encoder.embed([12], params.embedding)
+            encoder.embed([12], embedding)
 
-    def test_gradient_matches_finite_differences(self, params):
-        emb = params.embedding
+    def test_gradient_matches_finite_differences(self, embedding):
         with ad.Tape() as tape:
-            loss = ad.sum_all(encoder.embed([2, 7], emb))
+            loss = ad.sum_all(encoder.embed([2, 7], embedding))
         ad.backward(tape, loss)
-        f = fd_grad(lambda v: float(v[[2, 7]].sum()), emb.values.copy())
-        assert max_rel_err(emb.grad, f) < 1e-6
+        f = fd_grad(lambda v: float(v[[2, 7]].sum()), embedding.values.copy())
+        assert max_rel_err(embedding.grad, f) < 1e-6
 
 
 class TestLstm:
     def test_zero_weights_give_zero_hidden(self):
         zero = lambda r, c: Tensor(np.zeros((r, c)))
-        params = encoder.EncoderParams(
-            embedding=zero(5, 3),
-            gates={g: (zero(3, 2), zero(2, 2), Tensor(np.zeros(2)))
-                   for g in encoder.GATES},
-        )
-        out = encoder.lstm_last_hidden(Tensor(np.ones((4, 3))), params)
+        gates = [(zero(3, 2), zero(2, 2), Tensor(np.zeros(2))) for _ in encoder.GATES]
+        out = encoder.lstm_last_hidden(Tensor(np.ones((4, 3))), gates)
         assert np.array_equal(out.values, np.zeros(2))
 
     def test_single_step_matches_hand_computation(self):
@@ -168,15 +168,10 @@ class TestLstm:
             "o": [[-0.1, 0.25], [0.2, 0.1]],
         }
         bias = {"i": [0.05, -0.05], "f": [1.0, 1.0], "g": [0.0, 0.0], "o": [0.1, -0.1]}
-        params = encoder.EncoderParams(
-            embedding=Tensor(np.zeros((2, 2))),
-            gates={
-                g: (Tensor(wx[g]), Tensor([[0.7, -0.3], [0.2, 0.9]]), Tensor(bias[g]))
-                for g in encoder.GATES
-            },
-        )
+        gates = [(Tensor(wx[g]), Tensor([[0.7, -0.3], [0.2, 0.9]]), Tensor(bias[g]))
+                 for g in encoder.GATES]
         x = [1.0, -1.0]
-        out = encoder.lstm_last_hidden(Tensor([x]), params)
+        out = encoder.lstm_last_hidden(Tensor([x]), gates)
 
         def sig(v):
             return 1.0 / (1.0 + math.exp(-v))
@@ -192,13 +187,13 @@ class TestLstm:
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(3)
         model_params = lstm_params(rng, vocab_size=4, embed_dim=3, hidden_dim=2)
-        params = model_params.encoder
+        gates = model.lstm_gates(model_params)
         x_vals = rng.normal(size=(3, 3))
         w = rng.normal(size=2)
 
         def loss_value():
             with ad.Tape() as tape:
-                out = encoder.lstm_last_hidden(Tensor(x_vals), params)
+                out = encoder.lstm_last_hidden(Tensor(x_vals), gates)
                 loss = ad.sum_all(ad.mul(out, Tensor(w)))
             return tape, loss
 
@@ -212,7 +207,7 @@ class TestLstm:
             def f(v, tensor=tensor):
                 saved = tensor.values
                 tensor.values = v
-                out = encoder.lstm_last_hidden(Tensor(x_vals), params)
+                out = encoder.lstm_last_hidden(Tensor(x_vals), gates)
                 tensor.values = saved
                 return float(np.sum(w * out.values))
 
@@ -221,36 +216,36 @@ class TestLstm:
 
 
 class TestEncodeDocument:
-    def test_identical_sentences_identical_rows(self, params):
+    def test_identical_sentences_identical_rows(self, embedding, gates):
         doc = Document("d", 0, ((1, 2, 3), (1, 2, 3)))
-        out = encoder.encode_document(doc, params)
+        out = encoder.encode_document(doc, embedding, gates)
         assert out.shape == (2, 4)
         assert np.array_equal(out.values[0], out.values[1])
 
-    def test_single_sentence_shape(self, params):
-        out = encoder.encode_document(Document("d", 0, ((4, 5),)), params)
+    def test_single_sentence_shape(self, embedding, gates):
+        out = encoder.encode_document(Document("d", 0, ((4, 5),)), embedding, gates)
         assert out.shape == (1, 4)
 
-    def test_permutation_permutes_rows_exactly(self, params):
+    def test_permutation_permutes_rows_exactly(self, embedding, gates):
         sentences = ((1, 2), (3, 4, 5), (6,), (7, 8))
         perm = (2, 0, 3, 1)
-        s = encoder.encode_document(Document("d", 0, sentences), params)
+        s = encoder.encode_document(Document("d", 0, sentences), embedding, gates)
         s_perm = encoder.encode_document(
-            Document("d", 0, tuple(sentences[i] for i in perm)), params)
+            Document("d", 0, tuple(sentences[i] for i in perm)), embedding, gates)
         assert np.array_equal(s_perm.values, s.values[list(perm)])
 
-    def test_shared_parameter_gradients_accumulate(self, model_params, params):
+    def test_shared_parameter_gradients_accumulate(self, model_params, embedding, gates):
         doc = Document("d", 0, ((1, 2), (1, 2)))
         single = Document("d", 0, ((1, 2),))
         with ad.Tape() as tape:
-            loss = ad.sum_all(encoder.encode_document(doc, params))
+            loss = ad.sum_all(encoder.encode_document(doc, embedding, gates))
         ad.backward(tape, loss)
-        double_grad = params.embedding.grad.copy()
+        double_grad = embedding.grad.copy()
         ad.zero_grads(model_params.tensors)
         with ad.Tape() as tape:
-            loss = ad.sum_all(encoder.encode_document(single, params))
+            loss = ad.sum_all(encoder.encode_document(single, embedding, gates))
         ad.backward(tape, loss)
-        assert np.allclose(double_grad, 2.0 * params.embedding.grad, atol=1e-12)
+        assert np.allclose(double_grad, 2.0 * embedding.grad, atol=1e-12)
 
 
 class TestBatchedEncoderProperties:
@@ -258,27 +253,28 @@ class TestBatchedEncoderProperties:
     @given(seed=st.integers(0, 2**32 - 1), sentences=sentences_strategy, data=st.data())
     def test_matches_reference_and_permutes_exactly(self, seed, sentences, data):
         params = lstm_params(np.random.default_rng(seed), vocab_size=VOCAB,
-                             embed_dim=5, hidden_dim=4).encoder
+                             embed_dim=5, hidden_dim=4)
+        embedding, gates = params.tensors["embedding"], model.lstm_gates(params)
         doc = Document("d", 0, sentences)
-        out = encoder.encode_document(doc, params).values
+        out = encoder.encode_document(doc, embedding, gates).values
         assert out.shape == (len(sentences), 4)
-        assert np.max(np.abs(out - reference_encode(doc, params))) < 1e-12
+        assert np.max(np.abs(out - reference_encode(doc, embedding, gates))) < 1e-12
 
         perm = data.draw(st.permutations(range(len(sentences))))
         permuted = encoder.encode_document(
-            Document("d", 0, tuple(sentences[i] for i in perm)), params).values
+            Document("d", 0, tuple(sentences[i] for i in perm)), embedding, gates).values
         assert np.array_equal(permuted, out[list(perm)])
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), steps=st.integers(1, 12))
     def test_single_sequence_lstm_last_is_lstm_last_hidden(self, seed, steps):
         rng = np.random.default_rng(seed)
-        params = lstm_params(rng, vocab_size=VOCAB, embed_dim=5, hidden_dim=4).encoder
+        gates = model.lstm_gates(lstm_params(rng, vocab_size=VOCAB, embed_dim=5, hidden_dim=4))
         x = rng.normal(size=(steps, 5))
-        w_x, w_h, b = (np.concatenate([np.atleast_2d(params.gates[g][k].values)
-                                       for g in encoder.GATES], axis=1) for k in range(3))
+        w_x, w_h, b = (np.concatenate([np.atleast_2d(gate[k].values) for gate in gates],
+                                      axis=1) for k in range(3))
         h = ad.lstm_last(Tensor(x @ w_x + b), Tensor(w_h), [steps])
-        expected = encoder.lstm_last_hidden(Tensor(x), params)
+        expected = encoder.lstm_last_hidden(Tensor(x), gates)
         assert np.array_equal(h.values[0], expected.values)
 
 
@@ -329,7 +325,7 @@ class TestLstmLastKernel:
         assert peak(taped=False) < 0.5 * peak(taped=True)
 
 
-def test_tape_size_does_not_grow_with_sentence_length(params):
+def test_tape_size_does_not_grow_with_sentence_length(embedding, gates):
     # one batched recurrence per document, never a per-token loop on the tape
     rng = np.random.default_rng(5)
     sizes = set()
@@ -338,7 +334,7 @@ def test_tape_size_does_not_grow_with_sentence_length(params):
             tuple(int(t) for t in rng.integers(0, 12, size=rng.integers(1, max_len + 1)))
             for _ in range(10)))
         with ad.Tape() as tape:
-            encoder.encode_document(doc, params)
+            encoder.encode_document(doc, embedding, gates)
         sizes.add(len(tape))
     assert len(sizes) == 1
     assert sizes.pop() <= 16

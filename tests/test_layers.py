@@ -7,16 +7,17 @@ import pytest
 
 from docgraph import layers
 from docgraph.autodiff import Tensor
-from docgraph.encoder import xavier_uniform
+from docgraph.model import xavier_uniform
 from docgraph.errors import GraphError
 
 SLOPE = 0.2  # the model's default leaky-ReLU slope
 
 
 def gat_head(rng, d_in, d_out):
-    """A GAT head drawn like the model draws one: projection, then scoring vector."""
-    return layers.GatHeadParams(Tensor(xavier_uniform(rng, d_in, d_out)),
-                                Tensor(xavier_uniform(rng, 2 * d_out, 1).ravel()))
+    """A GAT head's (weight, attn), drawn like the model draws them: projection,
+    then scoring vector."""
+    return (Tensor(xavier_uniform(rng, d_in, d_out)),
+            Tensor(xavier_uniform(rng, 2 * d_out, 1).ravel()))
 
 
 def gcn_brute_force(adjacency, nodes, weight, slope):
@@ -124,27 +125,26 @@ class TestGcnLayer:
 class TestSelfAttention:
     def test_single_node_returns_value_projection(self):
         rng = np.random.default_rng(24)
-        params = layers.SelfAttnParams(*(Tensor(rng.normal(size=(3, 3))) for _ in range(3)))
+        query, key, value = (Tensor(rng.normal(size=(3, 3))) for _ in range(3))
         z = Tensor(rng.normal(size=(1, 3)))
-        out, attention = layers.self_attention(z, params)
+        out, attention = layers.self_attention(z, query, key, value)
         assert np.array_equal(attention.values, [[1.0]])
-        assert np.allclose(out.values, z.values @ params.value.values, atol=1e-12)
+        assert np.allclose(out.values, z.values @ value.values, atol=1e-12)
 
     def test_zero_query_key_gives_uniform_attention(self):
         rng = np.random.default_rng(25)
         zero = Tensor(np.zeros((3, 3)))
-        params = layers.SelfAttnParams(query=zero, key=zero,
-                                       value=Tensor(rng.normal(size=(3, 3))))
+        value = Tensor(rng.normal(size=(3, 3)))
         z = Tensor(rng.normal(size=(4, 3)))
-        out, attention = layers.self_attention(z, params)
+        out, attention = layers.self_attention(z, zero, zero, value)
         assert np.allclose(attention.values, 0.25, atol=1e-15)
-        zv = z.values @ params.value.values
+        zv = z.values @ value.values
         assert np.allclose(out.values, np.tile(zv.mean(axis=0), (4, 1)), atol=1e-12)
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(26)
-        params = layers.SelfAttnParams(*(Tensor(rng.normal(size=(4, 4))) for _ in range(3)))
-        _, attention = layers.self_attention(Tensor(rng.normal(size=(5, 4))), params)
+        query, key, value = (Tensor(rng.normal(size=(4, 4))) for _ in range(3))
+        _, attention = layers.self_attention(Tensor(rng.normal(size=(5, 4))), query, key, value)
         assert np.max(np.abs(attention.values.sum(axis=1) - 1.0)) < 1e-12
 
 
@@ -156,15 +156,15 @@ class TestGatLayer:
 
     def test_two_nodes_attend_only_to_each_other(self):
         rng = np.random.default_rng(27)
-        e, h, params = self.make(rng, 2)
-        _, attention = layers.gat_layer(Tensor(e), Tensor(h), params, SLOPE)
+        e, h, (weight, attn) = self.make(rng, 2)
+        _, attention = layers.gat_layer(Tensor(e), Tensor(h), weight, attn, SLOPE)
         assert np.array_equal(attention.values, [[0.0, 1.0], [1.0, 0.0]])
 
     def test_zero_scoring_vector_gives_uniform_attention(self):
         rng = np.random.default_rng(28)
-        e, h, params = self.make(rng, 4)
-        params.attn.values[:] = 0.0
-        _, attention = layers.gat_layer(Tensor(e), Tensor(h), params, SLOPE)
+        e, h, (weight, attn) = self.make(rng, 4)
+        attn.values[:] = 0.0
+        _, attention = layers.gat_layer(Tensor(e), Tensor(h), weight, attn, SLOPE)
         expected = (np.ones((4, 4)) - np.eye(4)) / 3.0
         assert np.allclose(attention.values, expected, atol=1e-15)
 
@@ -172,12 +172,12 @@ class TestGatLayer:
         rng = np.random.default_rng(29)
         for trial in range(20):
             n = int(rng.integers(2, 6))
-            e, h, params = self.make(rng, n,
-                                     d_in=int(rng.integers(2, 5)),
-                                     d_out=int(rng.integers(2, 5)))
-            out, attention = layers.gat_layer(Tensor(e), Tensor(h), params, SLOPE)
+            e, h, (weight, attn) = self.make(rng, n,
+                                             d_in=int(rng.integers(2, 5)),
+                                             d_out=int(rng.integers(2, 5)))
+            out, attention = layers.gat_layer(Tensor(e), Tensor(h), weight, attn, SLOPE)
             exp_out, exp_alpha = gat_brute_force(
-                e, h, params.weight.values, params.attn.values, SLOPE)
+                e, h, weight.values, attn.values, SLOPE)
             assert np.max(np.abs(out.values - exp_out)) < 1e-12
             assert np.max(np.abs(attention.values - exp_alpha)) < 1e-12
             sums = attention.values.sum(axis=1)
@@ -186,21 +186,21 @@ class TestGatLayer:
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(30)
-        e, h, params = self.make(rng, 5)
+        e, h, (weight, attn) = self.make(rng, 5)
         perm = rng.permutation(5)
         p = np.eye(5)[perm]
-        out, attention = layers.gat_layer(Tensor(e), Tensor(h), params, SLOPE)
+        out, attention = layers.gat_layer(Tensor(e), Tensor(h), weight, attn, SLOPE)
         out_p, attention_p = layers.gat_layer(
-            Tensor(p @ e @ p.T), Tensor(h[perm]), params, SLOPE)
+            Tensor(p @ e @ p.T), Tensor(h[perm]), weight, attn, SLOPE)
         assert np.max(np.abs(out_p.values - out.values[perm])) < 1e-12
         assert np.max(np.abs(attention_p.values - p @ attention.values @ p.T)) < 1e-12
 
     def test_isolated_node_rejected(self):
         rng = np.random.default_rng(31)
         e = np.zeros((2, 2))
-        params = gat_head(rng, 3, 2)
+        weight, attn = gat_head(rng, 3, 2)
         with pytest.raises(GraphError, match="isolated"):
-            layers.gat_layer(Tensor(e), Tensor(rng.normal(size=(2, 3))), params, SLOPE)
+            layers.gat_layer(Tensor(e), Tensor(rng.normal(size=(2, 3))), weight, attn, SLOPE)
 
 
 class TestMultiHead:
@@ -209,7 +209,7 @@ class TestMultiHead:
         e = np.ones((3, 3)) - np.eye(3)
         h = rng.normal(size=(3, 4))
         head = gat_head(rng, 4, 5)
-        single, _ = layers.gat_layer(Tensor(e), Tensor(h), head, SLOPE)
+        single, _ = layers.gat_layer(Tensor(e), Tensor(h), *head, SLOPE)
         multi, attentions = layers.multi_head(Tensor(e), Tensor(h), [head], SLOPE)
         assert np.array_equal(multi.values, single.values)
         assert len(attentions) == 1

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from docgraph import autodiff as ad
 from docgraph import model
 from docgraph.autodiff import Tensor
-from docgraph.corpus import Document
+from docgraph.corpus import Document, RawDocument, build_vocab, encode_document
 from docgraph.errors import ModelError
-from docgraph.graph import EdgeWeightSet
+from docgraph.graph import EdgeWeightSet, build_graph
 
 from test_autodiff import fd_grad, max_rel_err
 
@@ -54,9 +54,9 @@ class TestForwardContracts:
         logits2, _ = model.forward(doc, params, config, weights)
         assert logits1.shape == (2,)
         assert np.array_equal(logits1.values, logits2.values)
-        if config.produces_attention:
+        if config.spec.produces_attention:
             assert att1 is not None
-            assert len(att1) == config.heads if variant.startswith("gat") else 1
+            assert len(att1) == config.spec.heads if variant.startswith("gat") else 1
             for a in att1:
                 assert a.shape == (3, 3)
                 assert np.max(np.abs(a.values.sum(axis=1) - 1.0)) < 1e-12
@@ -92,9 +92,10 @@ class TestDegenerateSingleSentence:
         doc = make_doc(rng, 1)
         logits, _ = model.forward(doc, params, config)
         from docgraph.encoder import encode_document
-        s = encode_document(doc, params.encoder).values
-        z = s @ params.gcn[0].values
-        expected = z @ params.proj_w.values + params.proj_b.values
+        t = params.tensors
+        s = encode_document(doc, t["embedding"], model.lstm_gates(params)).values
+        z = s @ t["gcn.0.w"].values
+        expected = z @ t["proj.w"].values + t["proj.b"].values
         assert np.allclose(logits.values, expected.ravel(), atol=1e-12)
 
     def test_gat_single_node_has_no_attention(self):
@@ -170,6 +171,29 @@ class TestPermutationBehaviour:
         assert found_witness
 
 
+class TestEdgeWeightTruncation:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 9), data=st.data())
+    def test_capped_document_uses_the_leading_submatrix(self, seed, n, data):
+        k = data.draw(st.integers(1, n), label="max_sentences")
+        rng = np.random.default_rng(seed)
+        raw = RawDocument("d", CLASSES[0], "src",
+                          " ".join(f"Sentence number {i} here." for i in range(n)))
+        vocab = build_vocab([raw], min_frequency=1)
+        config = tiny_config("gcn_ss", vocab_size=len(vocab), max_sentences=k)
+        doc = encode_document(raw, vocab, config.class_set, config.max_sentences,
+                              config.max_tokens)
+        assert doc.n_sentences == k
+        m = symmetric_weights(rng, n)
+        adjacency = build_graph(doc, Tensor(np.zeros((k, 1))), EdgeWeightSet({"d": m}))
+        assert np.array_equal(adjacency.values, m[:k, :k])
+        params = model.init_params(config, rng)
+        full, _ = model.forward(doc, params, config, EdgeWeightSet({"d": m}))
+        leading, _ = model.forward(doc, params, config,
+                                   EdgeWeightSet({"d": m[:k, :k].copy()}))
+        assert np.array_equal(full.values, leading.values)
+
+
 class TestBaselines:
     def test_cnn_single_token_document(self):
         config = tiny_config("cnn")
@@ -183,7 +207,7 @@ class TestBaselines:
         params = model.init_params(config)
         for name in ("cnn.w0", "cnn.w1", "cnn.w2", "cnn.b"):
             params.tensors[name].values[:] = 0.0
-        params.proj_b.values[:] = [0.3, -0.7]
+        params.tensors["proj.b"].values[:] = [0.3, -0.7]
         logits, _ = model.forward(make_doc(rng, 2), params, config)
         assert np.allclose(logits.values, [0.3, -0.7], atol=1e-15)
 
@@ -194,7 +218,7 @@ class TestBaselines:
         for name, tensor in params.tensors.items():
             if name.startswith("lstm.") or name == "embedding":
                 tensor.values[:] = 0.0
-        params.proj_b.values[:] = [1.5, -0.5]
+        params.tensors["proj.b"].values[:] = [1.5, -0.5]
         logits, _ = model.forward(make_doc(rng, 3), params, config)
         assert np.allclose(logits.values, [1.5, -0.5], atol=1e-15)
 
@@ -225,7 +249,7 @@ class TestConfigOptions:
         plain = tiny_config("gcn", leaky_slope=1.0)
         normalized = tiny_config("gcn", leaky_slope=1.0, normalize_adjacency=True)
         params = model.init_params(plain)
-        params.proj_b.values[:] = 0.0
+        params.tensors["proj.b"].values[:] = 0.0
         a, _ = model.forward(doc, params, plain)
         b, _ = model.forward(doc, params, normalized)
         assert np.allclose(b.values, a.values / 3.0, atol=1e-12)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import tracemalloc
 from types import SimpleNamespace
 
@@ -124,7 +125,7 @@ class TestLearningSignal:
     def test_loss_after_first_epoch_below_uniform(self, variant):
         vocab, class_set, docs = setup_corpus()
         config = tiny_config(variant, vocab, class_set, max_epochs=2)
-        weights = edge_weights_for(docs) if config.needs_edge_weights else None
+        weights = edge_weights_for(docs) if config.spec.edge_weights else None
         run = training.train(docs, docs, config, vocab, weights)
         # mean loss over the epoch following the first round of updates
         assert run.epochs[1].train_loss < math.log(len(class_set.names))
@@ -159,7 +160,7 @@ class TestGradientAdoption:
     def test_parameter_gradients_share_no_memory(self, variant):
         vocab, class_set, docs = setup_corpus()
         config = tiny_config(variant, vocab, class_set)
-        weights = edge_weights_for(docs) if config.needs_edge_weights else None
+        weights = edge_weights_for(docs) if config.spec.edge_weights else None
         params = model.init_params(config)
         with ad.Tape() as tape:
             logits, _ = model.forward(docs[0], params, config, weights)
@@ -175,7 +176,7 @@ class TestGradientAdoption:
     def test_clipped_step_matches_a_run_on_copied_gradients(self, variant, monkeypatch):
         vocab, class_set, docs = setup_corpus()
         config = tiny_config(variant, vocab, class_set, clip_norm=1.0, lr=0.1)
-        weights = edge_weights_for(docs) if config.needs_edge_weights else None
+        weights = edge_weights_for(docs) if config.spec.edge_weights else None
         adopted = training.train(docs, docs, config, vocab, weights)
 
         backward, init_params = ad.backward, training.init_params
@@ -214,7 +215,7 @@ class TestStepAllocations:
         with ad.Tape() as tape:
             logits, _ = model.forward(doc, params, config)
             step_loss = model.loss(logits, doc.label)
-        embedding_bytes = params.embedding.values.nbytes
+        embedding_bytes = params.tensors["embedding"].values.nbytes
         tracemalloc.start()
         try:
             ad.backward(tape, step_loss)
@@ -298,7 +299,21 @@ class TestCheckpointPersistence:
          "negative shape"),
         (lambda raw: raw.replace(b'"embed_dim":6,', b'"embed_dim":6.0,', 1),
          "embed_dim must be a positive integer"),
-    ], ids=["non_object_manifest", "negative_shape", "float_dimension"])
+        (lambda raw: raw.replace(b'"<unk>",', b'"<unk>","x1","x2",', 1),
+         "vocabulary has"),
+        (lambda raw: re.sub(rb'("<unk>",)"[^"]*"', rb"\g<1>7", raw, count=1),
+         "tokens must be strings"),
+        (lambda raw: re.sub(rb'("<unk>",)"[^"]*"', rb"\g<1>null", raw, count=1),
+         "tokens must be strings"),
+        (lambda raw: raw.replace(b'"proj.w","shape":[4,2]', b'"proj.w","shape":[4.7,2]', 1),
+         "expected an integer, got 4.7"),
+        (lambda raw: raw.replace(b'"proj.w","shape":[4,2]', b'"proj.w","shape":["4","2"]', 1),
+         "expected an integer, got '4'"),
+        (lambda raw: raw.replace(b'"min_frequency":2', b'"min_frequency":2.9', 1),
+         "expected an integer, got 2.9"),
+    ], ids=["non_object_manifest", "negative_shape", "float_dimension", "vocabulary_size",
+            "integer_token", "null_token", "float_shape", "string_shape",
+            "float_min_frequency"])
     def test_malformed_manifest_rejected(self, tmp_path, corrupt, message):
         _, path, _ = self.trained(tmp_path)
         path.write_bytes(corrupt(path.read_bytes()))
