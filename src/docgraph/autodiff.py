@@ -11,7 +11,8 @@ Design rules:
 * an op records onto the active tape (see :class:`Tape`) only when one
   is active, so evaluation-time forwards carry no graph overhead;
 * gradients accumulate into ``Tensor.grad``; zeroing between steps is
-  the caller's job;
+  the caller's job; ``gather_rows`` gives its input a :class:`RowSparseGrad`
+  holding the touched rows only;
 * no broadcasting beyond adding/multiplying a 1-by-n (or flat n) row
   against an m-by-n matrix, which keeps every backward rule explicit.
 
@@ -32,6 +33,7 @@ from .errors import NumericError, ShapeError
 
 __all__ = [
     "Tensor",
+    "RowSparseGrad",
     "Tape",
     "TapeEntry",
     "AdamState",
@@ -79,7 +81,7 @@ class Tensor:
         if not np.all(np.isfinite(arr)):
             raise NumericError("tensor values must be finite")
         self.values = arr
-        self.grad: np.ndarray | None = None
+        self.grad: np.ndarray | RowSparseGrad | None = None
 
     @classmethod
     def _wrap(cls, arr: np.ndarray) -> "Tensor":
@@ -102,6 +104,32 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape})"
+
+
+@dataclass(eq=False)
+class RowSparseGrad:
+    """The gradient of a 2-D tensor that is zero outside a few rows.
+
+    ``ids`` holds the sorted, unique indices of those rows and ``rows`` their
+    values, one row per id; ``shape`` is the full tensor's shape.
+    """
+
+    ids: np.ndarray
+    rows: np.ndarray
+    shape: tuple[int, int]
+
+    @property
+    def nbytes(self) -> int:
+        return self.ids.nbytes + self.rows.nbytes
+
+    def dense(self) -> np.ndarray:
+        out = np.zeros(self.shape)
+        out[self.ids] = self.rows
+        return out
+
+
+def _dense(g: np.ndarray | RowSparseGrad) -> np.ndarray:
+    return g.dense() if isinstance(g, RowSparseGrad) else g
 
 
 @dataclass
@@ -497,9 +525,12 @@ def gather_rows(matrix: Tensor, ids: Sequence[int]) -> Tensor:
 
 @_rule("gather_rows")
 def _gather_rows_bwd(e: TapeEntry):
-    dm = np.zeros_like(e.inputs[0].values)
-    np.add.at(dm, e.ctx["ids"], e.output.grad)
-    return (dm,)
+    # np.add.at walks the ids in order, so each row's terms are summed in the
+    # order a dense zero gradient would sum them, to the byte
+    ids, inverse = np.unique(e.ctx["ids"], return_inverse=True)
+    rows = np.zeros((ids.size, e.output.shape[1]))
+    np.add.at(rows, inverse, e.output.grad)
+    return (RowSparseGrad(ids, rows, e.inputs[0].shape),)
 
 
 def transpose(x: Tensor) -> Tensor:
@@ -626,10 +657,13 @@ def backward(tape: Tape, loss: Tensor) -> None:
     ``grad`` buffers; callers zero parameters between optimizer steps.
 
     A tensor's first gradient is the array its rule returned when that
-    array owns its memory (``gather_rows``' dense embedding gradient, for
-    one), and a copy when it is a view or the output's own gradient. A rule
-    returns each array it allocates for one input only, so every ``grad``
-    owns its memory and may be scaled in place.
+    array owns its memory, and a copy when it is a view or the output's own
+    gradient. A rule returns each array it allocates for one input only, so
+    every ``grad`` owns its memory and may be scaled in place. A
+    :class:`RowSparseGrad` (``gather_rows``' embedding gradient) is adopted
+    as it is; adding any later gradient to it, or it to a dense one, gives
+    the dense sum, so a tensor gathered twice ends with the same bytes as
+    when every gradient was dense.
     """
     if loss.size != 1:
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -646,9 +680,10 @@ def backward(tape: Tape, loss: Tensor) -> None:
             if g is None:
                 continue
             if t.grad is None:
-                t.grad = g if g.base is None and g is not out_grad else np.array(g)
+                adopt = isinstance(g, RowSparseGrad) or (g.base is None and g is not out_grad)
+                t.grad = g if adopt else np.array(g)
             else:
-                t.grad = t.grad + g
+                t.grad = _dense(t.grad) + _dense(g)
 
 
 def zero_grads(params: dict[str, Tensor]) -> None:
@@ -691,9 +726,63 @@ def _updatable(a: np.ndarray) -> bool:
     return a.flags.c_contiguous and a.flags.writeable
 
 
+def _check_row_grad(name: str, g: RowSparseGrad, shape: tuple[int, ...]) -> None:
+    ids, rows = g.ids, g.rows
+    if len(shape) != 2 or tuple(g.shape) != shape:
+        raise ShapeError(f"row-sparse gradient shape {g.shape} != parameter shape "
+                         f"{shape} for '{name}'")
+    if not isinstance(ids, np.ndarray) or ids.ndim != 1 or ids.dtype.kind not in "iu":
+        raise ShapeError(f"row-sparse gradient ids for '{name}' must be a 1-D integer array")
+    if ids.size and (ids[0] < 0 or ids[-1] >= shape[0] or np.any(ids[1:] <= ids[:-1])):
+        raise ShapeError(f"row-sparse gradient ids for '{name}' must be sorted, unique "
+                         f"and below {shape[0]}")
+    if not isinstance(rows, np.ndarray) or rows.shape != (ids.size, shape[1]):
+        raise ShapeError(f"row-sparse gradient rows for '{name}' must have shape "
+                         f"{(ids.size, shape[1])}")
+
+
+def _adam_pass(p: np.ndarray, m: np.ndarray, v: np.ndarray, g: np.ndarray | None,
+               state: AdamState, scratch: np.ndarray) -> None:
+    """Update the flat arrays ``p``, ``m`` and ``v`` in place, ``ADAM_CHUNK``
+    floats at a time, with the operations of ``m = b1*m + (1-b1)*g``,
+    ``v = b2*v + (1-b2)*(g*g)`` and ``p = p - lr*(m/bc1) / (sqrt(v/bc2) + eps)``
+    in that order. ``g = None`` stands for an all-(+0.0) gradient and runs
+    10 of the 14 ufuncs, to the same bytes."""
+    b1, b2, lr, eps = state.beta1, state.beta2, state.lr, state.eps
+    bc1 = 1.0 - b1 ** state.t
+    bc2 = 1.0 - b2 ** state.t
+    for lo in range(0, p.size, ADAM_CHUNK):
+        pc = p[lo : lo + ADAM_CHUNK]
+        mc = m[lo : lo + ADAM_CHUNK]
+        vc = v[lo : lo + ADAM_CHUNK]
+        s = scratch[0, : pc.size]
+        u = scratch[1, : pc.size]
+        np.multiply(mc, b1, out=mc)
+        np.multiply(vc, b2, out=vc)
+        if g is None:
+            # (1-b1)*g is +0.0, and m + 0.0 turns a -0.0 in m into +0.0 as the
+            # full formula does. v needs no + 0.0: it starts at +0.0 and only
+            # ever adds (1-b2)*(g*g) >= +0.0, so it never holds -0.0.
+            np.add(mc, 0.0, out=mc)
+        else:
+            gc = g[lo : lo + ADAM_CHUNK]
+            np.multiply(gc, 1.0 - b1, out=s)
+            np.add(mc, s, out=mc)
+            np.multiply(gc, gc, out=s)
+            np.multiply(s, 1.0 - b2, out=s)
+            np.add(vc, s, out=vc)
+        np.divide(mc, bc1, out=s)
+        np.divide(vc, bc2, out=u)
+        np.sqrt(u, out=u)
+        np.add(u, eps, out=u)
+        np.multiply(s, lr, out=s)
+        np.divide(s, u, out=s)
+        np.subtract(pc, s, out=pc)
+
+
 def adam_step(
     params: dict[str, Tensor],
-    grads: dict[str, np.ndarray],
+    grads: dict[str, np.ndarray | RowSparseGrad],
     state: AdamState,
 ) -> None:
     """One Adam update with bias correction over every named parameter.
@@ -702,32 +791,35 @@ def adam_step(
     place, so training changes the arrays handed to ``model.bind_params``.
     An array that is not C-contiguous and writable (Fortran-ordered, a
     transposed view, read-only) is first replaced by a copy that is. The
-    update runs ``ADAM_CHUNK`` floats at a time through two scratch rows,
-    with the operations of ``m = b1*m + (1-b1)*g``, ``v = b2*v +
-    (1-b2)*(g*g)`` and ``p = p - lr*(m/bc1) / (sqrt(v/bc2) + eps)`` in
-    that order, so no array of a parameter's size is allocated and every
-    value is the one the unchunked formula gives.
+    update runs ``ADAM_CHUNK`` floats at a time through two scratch rows
+    (see ``_adam_pass``), so no array of a parameter's size is allocated
+    and every value is the one the unchunked formula gives.
+
+    A :class:`RowSparseGrad` updates every row, as its dense form would:
+    the whole parameter takes the zero-gradient update (10 of the 14
+    ufuncs), then the touched rows are recomputed from their saved p, m
+    and v with the full formula. Both give the dense form's bytes.
 
     Aborts before touching any parameter or moment if a gradient is
-    missing, non-finite or mis-shaped, or the moments do not match a
-    parameter, so a failed step leaves the model and the optimizer unchanged.
+    missing, non-finite or mis-shaped, a row-sparse gradient's ids are not
+    sorted, unique and in range, or the moments do not match a parameter,
+    so a failed step leaves the model and the optimizer unchanged.
     """
     for name, p in params.items():
         g = grads.get(name)
         if g is None:
             raise NumericError(f"missing gradient for parameter '{name}'")
-        if g.shape != p.values.shape:
+        if isinstance(g, RowSparseGrad):
+            _check_row_grad(name, g, p.values.shape)
+        elif g.shape != p.values.shape:
             raise ShapeError(f"gradient shape {g.shape} != parameter shape "
                              f"{p.values.shape} for '{name}'")
         for moments in (state.m, state.v):
             if name not in moments or moments[name].shape != p.values.shape:
                 raise ShapeError(f"Adam moments do not match parameter '{name}'")
-        if not np.all(np.isfinite(g)):
+        if not np.all(np.isfinite(g.rows if isinstance(g, RowSparseGrad) else g)):
             raise NumericError(f"non-finite gradient for parameter '{name}'")
     state.t += 1
-    b1, b2, lr, eps = state.beta1, state.beta2, state.lr, state.eps
-    bc1 = 1.0 - b1 ** state.t
-    bc2 = 1.0 - b2 ** state.t
     scratch = np.empty((2, ADAM_CHUNK))
     for name, p in params.items():
         if not _updatable(p.values):
@@ -735,28 +827,13 @@ def adam_step(
         for moments in (state.m, state.v):
             if not _updatable(moments[name]):
                 moments[name] = moments[name].copy()
-        p_flat = p.values.reshape(-1)
-        m_flat = state.m[name].reshape(-1)
-        v_flat = state.v[name].reshape(-1)
-        g_flat = grads[name].reshape(-1)
-        for lo in range(0, p_flat.size, ADAM_CHUNK):
-            pc = p_flat[lo : lo + ADAM_CHUNK]
-            mc = m_flat[lo : lo + ADAM_CHUNK]
-            vc = v_flat[lo : lo + ADAM_CHUNK]
-            gc = g_flat[lo : lo + ADAM_CHUNK]
-            s = scratch[0, : pc.size]
-            u = scratch[1, : pc.size]
-            np.multiply(mc, b1, out=mc)
-            np.multiply(gc, 1.0 - b1, out=s)
-            np.add(mc, s, out=mc)
-            np.multiply(vc, b2, out=vc)
-            np.multiply(gc, gc, out=s)
-            np.multiply(s, 1.0 - b2, out=s)
-            np.add(vc, s, out=vc)
-            np.divide(mc, bc1, out=s)
-            np.divide(vc, bc2, out=u)
-            np.sqrt(u, out=u)
-            np.add(u, eps, out=u)
-            np.multiply(s, lr, out=s)
-            np.divide(s, u, out=s)
-            np.subtract(pc, s, out=pc)
+        arrays = (p.values, state.m[name], state.v[name])
+        g = grads[name]
+        if isinstance(g, RowSparseGrad):
+            touched = [a[g.ids] for a in arrays]  # copies, taken before the pass
+            _adam_pass(*(a.reshape(-1) for a in arrays), None, state, scratch)
+            _adam_pass(*(a.reshape(-1) for a in touched), g.rows.reshape(-1), state, scratch)
+            for a, rows in zip(arrays, touched):
+                a[g.ids] = rows
+        else:
+            _adam_pass(*(a.reshape(-1) for a in arrays), g.reshape(-1), state, scratch)

@@ -67,7 +67,12 @@ def _compare(tensors: dict[str, Tensor], forward_fn: Callable[[], Tensor]) -> fl
     ad.backward(tape, out)
     worst = 0.0
     for t in tensors.values():
-        analytic = t.grad if t.grad is not None else np.zeros_like(t.values)
+        if t.grad is None:
+            analytic = np.zeros_like(t.values)
+        elif isinstance(t.grad, ad.RowSparseGrad):
+            analytic = t.grad.dense()
+        else:
+            analytic = t.grad
         numeric = np.zeros_like(t.values)
         it = np.nditer(t.values, flags=["multi_index"])
         while not it.finished:

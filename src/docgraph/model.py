@@ -17,6 +17,7 @@ layer weights directly.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, fields
 from typing import Optional
@@ -68,6 +69,15 @@ VARIANTS = tuple(SPECS)
 GRAPH_VARIANTS = tuple(v for v, spec in SPECS.items() if spec.is_graph)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_finite_real(value) -> bool:
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     """Variant selector, dimensions, and training hyperparameters."""
@@ -93,12 +103,28 @@ class ModelConfig:
             raise ModelError(f"unknown variant '{self.variant}'; choose from {VARIANTS}")
         if len(self.class_names) < 2:
             raise ModelError("a model needs at least 2 classes")
+        if (not all(isinstance(c, str) and c for c in self.class_names)
+                or len(set(self.class_names)) != len(self.class_names)):
+            raise ModelError("class_names must be unique non-empty strings")
         for name in ("vocab_size", "embed_dim", "hidden_dim", "node_dim", "gcn_layers",
                      "max_sentences", "max_tokens"):
             value = getattr(self, name)
             # sizes become array shapes and loop bounds: 3.0 is not a size
-            if not isinstance(value, numbers.Integral) or value < 1:
+            if not _is_int(value) or value < 1:
                 raise ModelError(f"{name} must be a positive integer")
+        for name in ("seed", "max_epochs"):
+            value = getattr(self, name)
+            if not _is_int(value) or value < 0:
+                raise ModelError(f"{name} must be a non-negative integer")
+        if not _is_finite_real(self.leaky_slope):
+            raise ModelError("leaky_slope must be a finite number")
+        if not _is_finite_real(self.lr) or self.lr <= 0:
+            raise ModelError("lr must be a finite number above 0")
+        if self.clip_norm is not None and (not _is_finite_real(self.clip_norm)
+                                           or self.clip_norm <= 0):
+            raise ModelError("clip_norm must be None or a finite number above 0")
+        if not isinstance(self.normalize_adjacency, bool):
+            raise ModelError("normalize_adjacency must be true or false")
         object.__setattr__(self, "class_names", tuple(self.class_names))
 
     @property

@@ -88,12 +88,14 @@ class TrainRun:
         }
 
 
-def _clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> None:
-    total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+def _clip_gradients(grads: dict[str, np.ndarray | ad.RowSparseGrad], max_norm: float) -> None:
+    # a row-sparse gradient is zero outside its rows, so they carry its norm
+    arrays = [g.rows if isinstance(g, ad.RowSparseGrad) else g for g in grads.values()]
+    total = np.sqrt(sum(float(np.sum(a * a)) for a in arrays))
     if total > max_norm:
         factor = max_norm / total
-        for g in grads.values():
-            g *= factor
+        for a in arrays:
+            a *= factor
 
 
 def train(

@@ -41,7 +41,7 @@ def analytic_grad(op, x, *, weights):
         out = op(t)
         loss = ad.sum_all(ad.mul(out, ad.Tensor(weights)))
     ad.backward(tape, loss)
-    return t.grad
+    return t.grad.dense() if isinstance(t.grad, ad.RowSparseGrad) else t.grad
 
 
 def check_op_gradient(op, x, tol=1e-6, seed=0):
@@ -292,7 +292,7 @@ class TestStructuralOps:
             loss = ad.sum_all(out)
         assert np.array_equal(out.values, [[3.0, 4.0], [3.0, 4.0]])
         ad.backward(tape, loss)
-        assert np.array_equal(m.grad, [[0.0, 0.0], [2.0, 2.0], [0.0, 0.0]])
+        assert np.array_equal(m.grad.dense(), [[0.0, 0.0], [2.0, 2.0], [0.0, 0.0]])
 
     def test_gather_out_of_range(self):
         with pytest.raises(ShapeError):
@@ -530,6 +530,120 @@ class TestAdam:
             assert params[name].values.tobytes() == p.tobytes()
             assert state.m[name].tobytes() == m.tobytes()
             assert state.v[name].tobytes() == v.tobytes()
+
+
+def dense_gather_rows_bwd(e):
+    """The dense ``gather_rows`` rule the row-sparse one replaced: a zero
+    gradient of the input's size with each id's output rows added in order."""
+    dm = np.zeros_like(e.inputs[0].values)
+    np.add.at(dm, e.ctx["ids"], e.output.grad)
+    return (dm,)
+
+
+def gather_step(values, ids, out_grad):
+    """Backward through ``gather_rows`` with ``out_grad`` as the output's
+    gradient: the tensor's row-sparse gradient and the dense reference."""
+    matrix = ad.Tensor(values)
+    with ad.Tape() as tape:
+        loss = ad.sum_all(ad.mul(ad.gather_rows(matrix, ids), ad.Tensor(out_grad)))
+    ad.backward(tape, loss)
+    return matrix.grad, dense_gather_rows_bwd(tape.entries[0])[0]
+
+
+@st.composite
+def sparse_steps(draw):
+    """A (rows, cols) parameter, its starting moments and several steps of
+    (ids, output gradient). The ids repeat, hit both ends, or are single;
+    gradients and m hold -0.0; the largest parameter spans several chunks."""
+    cols = draw(st.integers(1, 4))
+    rows = draw(st.sampled_from([1, 2, 7, ad.ADAM_CHUNK // cols + 3]))
+    ids = st.one_of(
+        st.just([0, rows - 1, 0]),
+        st.integers(0, rows - 1).map(lambda i: [i]),
+        st.lists(st.integers(0, min(rows - 1, 9)), min_size=1, max_size=8),
+    )
+    value = st.sampled_from([-0.0, 0.0, 1e-300, -2.5, 0.75, 1e3])
+    steps = []
+    for _ in range(draw(st.integers(1, 4))):
+        step_ids = draw(ids)
+        grad = draw(st.lists(value, min_size=len(step_ids) * cols,
+                             max_size=len(step_ids) * cols))
+        steps.append((step_ids, np.array(grad).reshape(len(step_ids), cols)))
+    m0 = draw(st.sampled_from([0.0, -0.0, -1e-300, 0.5]))
+    v0 = draw(st.sampled_from([0.0, 1e-300, 0.25]))
+    return rows, cols, m0, v0, steps
+
+
+class TestRowSparseGradient:
+    """``gather_rows`` backward and Adam on its row-sparse gradient give the
+    bytes of the dense rule and a dense ``adam_step``."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=sparse_steps(), seed=st.integers(0, 2**32 - 1),
+           lr=st.sampled_from([0.001, 0.3]))
+    def test_steps_match_the_dense_rule_and_update(self, case, seed, lr):
+        rows, cols, m0, v0, steps = case
+        values = np.random.default_rng(seed).normal(size=(rows, cols))
+        sparse = {"e": ad.Tensor(values.copy())}
+        dense = {"e": ad.Tensor(values.copy())}
+        states = []
+        for params in (sparse, dense):
+            state = ad.AdamState.for_params(params, lr=lr)
+            state.m["e"][:] = m0
+            state.v["e"][:] = v0
+            states.append(state)
+        for ids, out_grad in steps:
+            grad, reference = gather_step(sparse["e"].values, ids, out_grad)
+            assert isinstance(grad, ad.RowSparseGrad)
+            assert grad.nbytes == grad.ids.nbytes + grad.rows.nbytes
+            assert grad.dense().tobytes() == reference.tobytes()
+            ad.adam_step(sparse, {"e": grad}, states[0])
+            ad.adam_step(dense, {"e": reference}, states[1])
+            assert sparse["e"].values.tobytes() == dense["e"].values.tobytes()
+            assert states[0].m["e"].tobytes() == states[1].m["e"].tobytes()
+            assert states[0].v["e"].tobytes() == states[1].v["e"].tobytes()
+
+    def test_gathering_twice_gives_the_dense_sum(self):
+        rng = np.random.default_rng(3)
+        matrix = ad.Tensor(rng.normal(size=(6, 3)))
+        w1, w2 = rng.normal(size=(4, 3)), rng.normal(size=(2, 3))
+        with ad.Tape() as tape:
+            first = ad.gather_rows(matrix, [5, 0, 5, 2])
+            second = ad.gather_rows(matrix, [2, 3])
+            loss = ad.add(ad.sum_all(ad.mul(first, ad.Tensor(w1))),
+                          ad.sum_all(ad.mul(second, ad.Tensor(w2))))
+        ad.backward(tape, loss)
+        # the later gather's gradient arrives first, as with the dense rule
+        expected = (dense_gather_rows_bwd(tape.entries[1])[0]
+                    + dense_gather_rows_bwd(tape.entries[0])[0])
+        assert isinstance(matrix.grad, np.ndarray)
+        assert matrix.grad.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("ids, rows, error", [
+        ([0, 4], np.ones((2, 2)), ShapeError),  # out of range
+        ([-1, 2], np.ones((2, 2)), ShapeError),  # out of range
+        ([2, 1], np.ones((2, 2)), ShapeError),  # unsorted
+        ([1, 1], np.ones((2, 2)), ShapeError),  # duplicate
+        ([[1, 2]], np.ones((2, 2)), ShapeError),  # not 1-D
+        ([1, 2], np.ones((2, 3)), ShapeError),  # wrong rows shape
+        ([1, 2], np.ones((3, 2)), ShapeError),  # wrong rows shape
+        ([1, 2], np.array([[1.0, np.inf], [0.0, 0.0]]), NumericError),
+        ([1, 2], np.array([[1.0, 0.0], [np.nan, 0.0]]), NumericError),
+    ], ids=["id_too_large", "negative_id", "unsorted", "duplicate", "ids_2d",
+            "wrong_cols", "wrong_row_count", "inf", "nan"])
+    def test_malformed_gradient_aborts_before_any_update(self, ids, rows, error):
+        rng = np.random.default_rng(8)
+        p = {"w": ad.Tensor(rng.normal(size=3)), "e": ad.Tensor(rng.normal(size=(4, 2)))}
+        state = ad.AdamState.for_params(p)
+        ad.adam_step(p, {"w": rng.normal(size=3), "e": rng.normal(size=(4, 2))}, state)
+        snapshot = {n: (p[n].values.tobytes(), state.m[n].tobytes(), state.v[n].tobytes())
+                    for n in p}
+        bad = ad.RowSparseGrad(np.array(ids, dtype=np.intp), rows, (4, 2))
+        with pytest.raises(error, match="'e'"):
+            ad.adam_step(p, {"w": rng.normal(size=3), "e": bad}, state)
+        assert state.t == 1
+        assert {n: (p[n].values.tobytes(), state.m[n].tobytes(), state.v[n].tobytes())
+                for n in p} == snapshot
 
 
 def adam_oracle(p, m, v, g, t, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8):

@@ -138,7 +138,7 @@ class TestEmbed:
             loss = ad.sum_all(out)
         assert np.array_equal(out.values[0], out.values[1])
         ad.backward(tape, loss)
-        assert np.array_equal(embedding.grad[5], 2.0 * np.ones(4))
+        assert np.array_equal(embedding.grad.dense()[5], 2.0 * np.ones(4))
 
     def test_out_of_range(self, embedding):
         with pytest.raises(ShapeError):
@@ -149,7 +149,7 @@ class TestEmbed:
             loss = ad.sum_all(encoder.embed([2, 7], embedding))
         ad.backward(tape, loss)
         f = fd_grad(lambda v: float(v[[2, 7]].sum()), embedding.values.copy())
-        assert max_rel_err(embedding.grad, f) < 1e-6
+        assert max_rel_err(embedding.grad.dense(), f) < 1e-6
 
 
 class TestLstm:
@@ -240,12 +240,12 @@ class TestEncodeDocument:
         with ad.Tape() as tape:
             loss = ad.sum_all(encoder.encode_document(doc, embedding, gates))
         ad.backward(tape, loss)
-        double_grad = embedding.grad.copy()
+        double_grad = embedding.grad.dense()
         ad.zero_grads(model_params.tensors)
         with ad.Tape() as tape:
             loss = ad.sum_all(encoder.encode_document(single, embedding, gates))
         ad.backward(tape, loss)
-        assert np.allclose(double_grad, 2.0 * embedding.grad, atol=1e-12)
+        assert np.allclose(double_grad, 2.0 * embedding.grad.dense(), atol=1e-12)
 
 
 class TestBatchedEncoderProperties:

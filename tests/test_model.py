@@ -360,6 +360,8 @@ class TestEndToEndGradients:
             analytic = tensor.grad
             if analytic is None:
                 analytic = np.zeros_like(tensor.values)
+            elif isinstance(analytic, ad.RowSparseGrad):
+                analytic = analytic.dense()
 
             def f(v, tensor=tensor):
                 saved = tensor.values
