@@ -24,6 +24,9 @@ rule as a negative control.
 from __future__ import annotations
 
 import contextvars
+import math
+import numbers
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -696,7 +699,7 @@ def zero_grads(params: dict[str, Tensor]) -> None:
 
 # Floats per chunk of the in-place Adam update (256 KB): one chunk each of
 # p, m, v and g plus the two scratch rows, 1.5 MB, stay in L2 across the
-# chunk's fourteen ufuncs.
+# chunk's twelve ufuncs.
 ADAM_CHUNK = 32768
 
 @dataclass
@@ -741,16 +744,40 @@ def _check_row_grad(name: str, g: RowSparseGrad, shape: tuple[int, ...]) -> None
                          f"{(ids.size, shape[1])}")
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _check_settings(state: AdamState) -> None:
+    """Raise ``NumericError`` naming the first out-of-domain optimizer field."""
+    for name in ("lr", "eps"):
+        value = getattr(state, name)
+        # a bound, not math.isfinite, so a huge int is rejected, not an OverflowError
+        if not (_is_real(value) and 0 < value <= sys.float_info.max):
+            raise NumericError(f"Adam {name} must be a finite number above 0, got {value!r}")
+    for name in ("beta1", "beta2"):
+        value = getattr(state, name)
+        # beta = 1 makes a bias correction 1 - beta**t zero
+        if not (_is_real(value) and 0 <= value < 1):
+            raise NumericError(f"Adam {name} must be in [0, 1), got {value!r}")
+    if not (isinstance(state.t, numbers.Integral) and not isinstance(state.t, bool)
+            and state.t >= 0):
+        raise NumericError(f"Adam t must be a non-negative integer, got {state.t!r}")
+
+
 def _adam_pass(p: np.ndarray, m: np.ndarray, v: np.ndarray, g: np.ndarray | None,
                state: AdamState, scratch: np.ndarray) -> None:
     """Update the flat arrays ``p``, ``m`` and ``v`` in place, ``ADAM_CHUNK``
     floats at a time, with the operations of ``m = b1*m + (1-b1)*g``,
-    ``v = b2*v + (1-b2)*(g*g)`` and ``p = p - lr*(m/bc1) / (sqrt(v/bc2) + eps)``
-    in that order. ``g = None`` stands for an all-(+0.0) gradient and runs
-    10 of the 14 ufuncs, to the same bytes."""
-    b1, b2, lr, eps = state.beta1, state.beta2, state.lr, state.eps
-    bc1 = 1.0 - b1 ** state.t
-    bc2 = 1.0 - b2 ** state.t
+    ``v = b2*v + (1-b2)*(g*g)`` and ``p = p - (m*step) / (sqrt(v) + eps_hat)``
+    in that order, where ``step = lr*sqrt(bc2)/bc1`` and
+    ``eps_hat = eps*sqrt(bc2)`` (Kingma & Ba's reordered form, algebraically
+    ``lr*(m/bc1) / (sqrt(v/bc2) + eps)``). ``g = None`` stands for an
+    all-(+0.0) gradient and runs 8 of the 12 ufuncs, to the same bytes."""
+    b1, b2 = state.beta1, state.beta2
+    root_bc2 = math.sqrt(1.0 - b2 ** state.t)
+    step = state.lr * root_bc2 / (1.0 - b1 ** state.t)
+    eps_hat = state.eps * root_bc2
     for lo in range(0, p.size, ADAM_CHUNK):
         pc = p[lo : lo + ADAM_CHUNK]
         mc = m[lo : lo + ADAM_CHUNK]
@@ -771,11 +798,9 @@ def _adam_pass(p: np.ndarray, m: np.ndarray, v: np.ndarray, g: np.ndarray | None
             np.multiply(gc, gc, out=s)
             np.multiply(s, 1.0 - b2, out=s)
             np.add(vc, s, out=vc)
-        np.divide(mc, bc1, out=s)
-        np.divide(vc, bc2, out=u)
-        np.sqrt(u, out=u)
-        np.add(u, eps, out=u)
-        np.multiply(s, lr, out=s)
+        np.sqrt(vc, out=u)
+        np.add(u, eps_hat, out=u)
+        np.multiply(mc, step, out=s)
         np.divide(s, u, out=s)
         np.subtract(pc, s, out=pc)
 
@@ -793,18 +818,24 @@ def adam_step(
     transposed view, read-only) is first replaced by a copy that is. The
     update runs ``ADAM_CHUNK`` floats at a time through two scratch rows
     (see ``_adam_pass``), so no array of a parameter's size is allocated
-    and every value is the one the unchunked formula gives.
+    and every value is the one the unchunked formula gives. That formula is
+    Kingma & Ba's reordered form: one divide per float instead of the
+    textbook ``lr*(m/bc1) / (sqrt(v/bc2) + eps)``'s three, the same ``m``
+    and ``v`` bytes, and ``p`` within a few ulp of the textbook's.
 
     A :class:`RowSparseGrad` updates every row, as its dense form would:
-    the whole parameter takes the zero-gradient update (10 of the 14
+    the whole parameter takes the zero-gradient update (8 of the 12
     ufuncs), then the touched rows are recomputed from their saved p, m
     and v with the full formula. Both give the dense form's bytes.
 
-    Aborts before touching any parameter or moment if a gradient is
-    missing, non-finite or mis-shaped, a row-sparse gradient's ids are not
-    sorted, unique and in range, or the moments do not match a parameter,
-    so a failed step leaves the model and the optimizer unchanged.
+    Aborts before touching any parameter or moment if ``lr`` or ``eps`` is
+    not finite and above 0, ``beta1`` or ``beta2`` is outside [0, 1), ``t``
+    is not a non-negative integer, a gradient is missing, non-finite or
+    mis-shaped, a row-sparse gradient's ids are not sorted, unique and in
+    range, or the moments do not match a parameter, so a failed step leaves
+    the model and the optimizer unchanged.
     """
+    _check_settings(state)
     for name, p in params.items():
         g = grads.get(name)
         if g is None:

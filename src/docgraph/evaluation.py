@@ -106,13 +106,19 @@ def compute_metrics(confusion: np.ndarray) -> Metrics:
     )
 
 
-def _thread_count(n_docs: int) -> int:
-    raw = os.environ.get("DOCGRAPH_THREADS", "1")
-    try:
-        limit = max(1, int(raw))
-    except ValueError:
-        limit = 1
-    return min(limit, max(1, n_docs))
+def thread_limit() -> int:
+    """The cap on scoring threads from DOCGRAPH_THREADS; 1 when it is unset.
+
+    Any value other than a decimal integer >= 1 raises, so a typo is not
+    silently read as one thread.
+    """
+    raw = os.environ.get("DOCGRAPH_THREADS")
+    if raw is None:
+        return 1
+    if not (raw.isascii() and raw.isdecimal() and int(raw) >= 1):
+        raise EvaluationError(f"DOCGRAPH_THREADS must be a decimal integer >= 1, "
+                              f"got {raw!r}")
+    return int(raw)
 
 
 def predict_label(
@@ -145,7 +151,7 @@ def evaluate_documents(
     """Score already-encoded documents against their gold labels."""
     if not docs:
         raise EvaluationError("no documents to evaluate")
-    threads = _thread_count(len(docs))
+    threads = min(thread_limit(), len(docs))
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             predicted = list(pool.map(

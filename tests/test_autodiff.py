@@ -531,6 +531,48 @@ class TestAdam:
             assert state.m[name].tobytes() == m.tobytes()
             assert state.v[name].tobytes() == v.tobytes()
 
+    @settings(max_examples=40, deadline=None)
+    @given(rows=st.integers(1, 9), cols=st.integers(1, 9), steps=st.integers(1, 6),
+           seed=st.integers(0, 2**32 - 1), lr=st.sampled_from([0.001, 0.01, 0.3]))
+    def test_update_is_within_ulps_of_the_textbook(self, rows, cols, steps, seed, lr):
+        rng = np.random.default_rng(seed)
+        values = rng.normal(size=(rows, cols))
+        p = {"w": ad.Tensor(values.copy())}
+        state = ad.AdamState.for_params(p, lr=lr)
+        expected = (values, np.zeros_like(values), np.zeros_like(values))
+        for t in range(1, steps + 1):
+            g = rng.normal(size=(rows, cols)) * rng.choice([0.0, 1e-6, 1.0, 1e3],
+                                                           size=(rows, cols))
+            ad.adam_step(p, {"w": g}, state)
+            expected = adam_textbook(*expected, g, t, lr=lr)
+        assert state.m["w"].tobytes() == expected[1].tobytes()
+        assert state.v["w"].tobytes() == expected[2].tobytes()
+        # the reordered form rounds differently; the worst of 300 random
+        # trials was 1.6 of these units
+        bound = 8 * steps * (np.spacing(np.abs(expected[0])) + np.spacing(lr))
+        assert np.all(np.abs(p["w"].values - expected[0]) <= bound)
+
+    @pytest.mark.parametrize("field, value", [
+        ("lr", 0.0), ("lr", -0.001), ("lr", math.inf), ("lr", math.nan), ("lr", "0.1"),
+        ("lr", 10**400),
+        ("eps", 0.0), ("eps", -1e-8), ("eps", math.inf), ("eps", math.nan),
+        ("beta1", 1.0), ("beta1", -0.1), ("beta1", 1.5), ("beta1", math.nan),
+        ("beta2", 1.0), ("beta2", -0.1), ("beta2", math.inf), ("beta2", math.nan),
+        ("t", -1), ("t", 1.0), ("t", True), ("t", None),
+    ])
+    def test_out_of_domain_setting_aborts_with_name(self, field, value):
+        rng = np.random.default_rng(9)
+        p = {"w": ad.Tensor(rng.normal(size=(2, 3)))}
+        state = ad.AdamState.for_params(p)
+        ad.adam_step(p, {"w": rng.normal(size=(2, 3))}, state)
+        snapshot = (p["w"].values.tobytes(), state.m["w"].tobytes(), state.v["w"].tobytes())
+        setattr(state, field, value)
+        with pytest.raises(NumericError, match=f"Adam {field} "):
+            ad.adam_step(p, {"w": rng.normal(size=(2, 3))}, state)
+        assert getattr(state, field) is value
+        assert (p["w"].values.tobytes(), state.m["w"].tobytes(),
+                state.v["w"].tobytes()) == snapshot
+
 
 def dense_gather_rows_bwd(e):
     """The dense ``gather_rows`` rule the row-sparse one replaced: a zero
@@ -647,7 +689,18 @@ class TestRowSparseGradient:
 
 
 def adam_oracle(p, m, v, g, t, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8):
-    """The allocate-everything Adam update: new (p, m, v) after step ``t``."""
+    """The allocate-everything Adam update in Kingma & Ba's reordered form:
+    new (p, m, v) after step ``t``."""
+    m = beta1 * m + (1.0 - beta1) * g
+    v = beta2 * v + (1.0 - beta2) * (g * g)
+    root_bc2 = math.sqrt(1.0 - beta2 ** t)
+    step = lr * root_bc2 / (1.0 - beta1 ** t)
+    return p - m * step / (np.sqrt(v) + eps * root_bc2), m, v
+
+
+def adam_textbook(p, m, v, g, t, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8):
+    """The textbook Adam update (Kingma & Ba, Algorithm 1): new (p, m, v)
+    after step ``t``."""
     m = beta1 * m + (1.0 - beta1) * g
     v = beta2 * v + (1.0 - beta2) * (g * g)
     m_hat = m / (1.0 - beta1 ** t)
