@@ -258,16 +258,22 @@ def _mul_bwd(e: TapeEntry):
 # ---------------------------------------------------------------------------
 # elementwise unary ops
 
-def _sigmoid(v: np.ndarray) -> np.ndarray:
-    # exp(-|v|) is exactly exp(-v) for v >= 0 and exp(v) below, so this is
-    # 1/(1+exp(-v)) | exp(v)/(1+exp(v)) to the byte, and exp never overflows
-    e = np.exp(-np.abs(v))
-    d = 1.0 + e
-    return np.where(v >= 0, 1.0 / d, e / d)
+def _sigmoid(v: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """1/(1+exp(-v)) written into ``out`` (which may be ``v``) and returned.
+
+    For v < -709.78 exp(-v) overflows to inf and the result is exactly 0;
+    the true value there is below the smallest normal float.
+    """
+    with np.errstate(over="ignore"):
+        np.negative(v, out=out)
+        np.exp(out, out=out)
+        np.add(out, 1.0, out=out)
+        np.divide(1.0, out, out=out)
+    return out
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    out = Tensor._wrap(_sigmoid(x.values))
+    out = Tensor._wrap(_sigmoid(x.values, np.empty(x.shape)))
     return _record("sigmoid", (x,), out)
 
 
@@ -306,7 +312,7 @@ def _leaky_relu_bwd(e: TapeEntry):
 # LSTM over a batch of sequences, keeping each sequence's last hidden state
 
 def _gate_views(a: np.ndarray, hidden: int) -> tuple[np.ndarray, ...]:
-    """The i, f, g and o column blocks of ``a`` as views (no copies)."""
+    """The i, f, o and g column blocks of ``a`` as views (no copies)."""
     return (a[:, :hidden], a[:, hidden : 2 * hidden], a[:, 2 * hidden : 3 * hidden],
             a[:, 3 * hidden :])
 
@@ -315,15 +321,18 @@ def lstm_last(xw: Tensor, w_h: Tensor, lengths: Sequence[int]) -> Tensor:
     """Last hidden state of an LSTM run over each of several sequences.
 
     ``xw`` stacks every sequence's input projection ``x @ W_x + b``, one
-    sequence after another, with gate columns in i|f|g|o order: it has
-    ``sum(lengths)`` rows and 4H columns. ``w_h`` is the (H, 4H) recurrent
-    weight. Row s of the (len(lengths), H) result is h_T of sequence s and
-    depends on that sequence's rows alone.
+    sequence after another, with gate columns in i|f|o|g order (the three
+    sigmoid gates first): it has ``sum(lengths)`` rows and 4H columns.
+    ``w_h`` is the (H, 4H) recurrent weight, columns in the same order.
+    Row s of the (len(lengths), H) result is h_T of sequence s and depends
+    on that sequence's rows alone.
 
     The sequences run as one batch, longest first (packed-sequence
     layout), so step t updates exactly the sequences longer than t. The
-    per-step activations that backpropagation needs are kept only while a
-    tape is recording, so a tape-free call holds one step's arrays at a time.
+    per-step activations that backpropagation needs, and every step's
+    h_{t-1} packed into one (sum(lengths), H) array, are kept only while a
+    tape is recording, so a tape-free call holds one step's arrays at a
+    time. Both calls compute the same bytes.
     """
     if w_h.values.ndim != 2 or w_h.shape[1] != 4 * w_h.shape[0]:
         raise ShapeError(f"lstm_last recurrent weight must be (H, 4H), got {w_h.shape}")
@@ -345,57 +354,61 @@ def lstm_last(xw: Tensor, w_h: Tensor, lengths: Sequence[int]) -> Tensor:
     h = np.zeros((lens.size, hidden))
     c = np.zeros((lens.size, hidden))
     last = np.empty((lens.size, hidden))
-    steps = [] if _ACTIVE_TAPE.get() is not None else None
+    taped = _ACTIVE_TAPE.get() is not None
+    steps = []
+    h_packed = np.empty((xw.shape[0], hidden)) if taped else None
     offset = 0
     for n in batch:
         gates = xw.values[packed_rows[offset : offset + n]]  # a copy of step t's rows
-        offset += n
-        gates += h[:n] @ w
-        i, f, g, o = _gate_views(gates, hidden)
-        gates[:, : 2 * hidden] = _sigmoid(gates[:, : 2 * hidden])  # i and f
-        g[...] = np.tanh(g)
-        o[...] = _sigmoid(o)
         c_prev, h_prev = c[:n], h[:n]
+        if taped:
+            h_packed[offset : offset + n] = h_prev
+        offset += n
+        gates += h_prev @ w
+        i, f, o, g = _gate_views(gates, hidden)
+        ifo = gates[:, : 3 * hidden]
+        _sigmoid(ifo, ifo)
+        np.tanh(g, out=g)
         c = f * c_prev + i * g
         tanh_c = np.tanh(c)
         h = o * tanh_c
-        if steps is not None:
-            steps.append((gates, c_prev, tanh_c, h_prev))
+        if taped:
+            steps.append((gates, c_prev, tanh_c))
         last[:n] = h  # rows from n on have ended and keep their final h
     out_v = np.empty_like(last)
     out_v[order] = last
     out = Tensor._wrap(out_v)
     return _record("lstm_last", (xw, w_h), out, order=order, packed_rows=packed_rows,
-                   steps=steps)
+                   steps=steps, h_packed=h_packed)
 
 
 @_rule("lstm_last")
 def _lstm_last_bwd(e: TapeEntry):
-    # Backpropagation through time over the packed steps, newest first.
+    # Backpropagation through time over the packed steps, newest first; the
+    # recurrent weight's gradient is one product over all steps at the end.
     xw, w_h = e.inputs
     w = w_h.values
     hidden = w.shape[0]
     order = e.ctx["order"]
     dh = e.output.grad[order]
     dc = np.zeros_like(dh)
-    dw = np.zeros_like(w)
     dpacked = np.empty_like(xw.values)
     offset = xw.shape[0]
-    for gates, c_prev, tanh_c, h_prev in reversed(e.ctx["steps"]):
+    for gates, c_prev, tanh_c in reversed(e.ctx["steps"]):
         n = gates.shape[0]
         offset -= n
-        i, f, g, o = _gate_views(gates, hidden)
+        i, f, o, g = _gate_views(gates, hidden)
         dh_n = dh[:n]
         dc_n = dc[:n] + dh_n * o * (1.0 - tanh_c * tanh_c)
         dpre = dpacked[offset : offset + n]
-        di, df, dg, do = _gate_views(dpre, hidden)
+        di, df, do, dg = _gate_views(dpre, hidden)
         di[...] = dc_n * g * i * (1.0 - i)
         df[...] = dc_n * c_prev * f * (1.0 - f)
-        dg[...] = dc_n * i * (1.0 - g * g)
         do[...] = dh_n * tanh_c * o * (1.0 - o)
-        dw += h_prev.T @ dpre
+        dg[...] = dc_n * i * (1.0 - g * g)
         dh[:n] = dpre @ w.T
         dc[:n] = dc_n * f
+    dw = e.ctx["h_packed"].T @ dpacked
     dxw = np.empty_like(dpacked)
     dxw[e.ctx["packed_rows"]] = dpacked
     return dxw, dw

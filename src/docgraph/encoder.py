@@ -4,7 +4,10 @@ A document's node feature matrix has one row per sentence: the last
 hidden state of an LSTM run over that sentence's word embeddings. The
 same parameters are shared by every sentence, so gradients from all
 rows accumulate into one parameter set. The LSTM's ``gates`` are the
-per-gate ``(w_x, w_h, b)`` triples, listed in ``GATES`` order.
+per-gate ``(w_x, w_h, b)`` triples, listed in ``GATES`` order (the order
+``param_layout`` draws them in). The encoder joins them into one
+4H-column block in ``GATE_COLUMNS`` order, i|f|o|g, so that the three
+sigmoid gates are contiguous for ``lstm_last``.
 
 A document is one batched recurrence: one embedding lookup and one
 input projection for all of its tokens, then one ``lstm_last`` op over
@@ -21,6 +24,7 @@ from .autodiff import Tensor
 from .corpus import Document
 
 GATES = ("i", "f", "g", "o")
+GATE_COLUMNS = ("i", "f", "o", "g")
 
 Gates = Sequence[tuple[Tensor, Tensor, Tensor]]
 
@@ -32,11 +36,14 @@ def embed(token_ids: Sequence[int], embedding: Tensor) -> Tensor:
 
 def _lstm(x: Tensor, gates: Gates, lengths: Sequence[int]) -> Tensor:
     """Last hidden states, shape (len(lengths), hidden), of the LSTM over
-    consecutive runs of x's rows; the gates are joined in i|f|g|o order."""
+    consecutive runs of x's rows. ``gates`` come in ``GATES`` order and are
+    joined in ``GATE_COLUMNS`` order, the column order of ``lstm_last``."""
     hidden = gates[0][0].shape[1]
-    w_x = ad.concat_cols([w_x for w_x, _, _ in gates])
-    w_h = ad.concat_cols([w_h for _, w_h, _ in gates])
-    bias = ad.concat_cols([ad.reshape(b, (1, hidden)) for _, _, b in gates])
+    by_name = dict(zip(GATES, gates))
+    columns = [by_name[name] for name in GATE_COLUMNS]
+    w_x = ad.concat_cols([w_x for w_x, _, _ in columns])
+    w_h = ad.concat_cols([w_h for _, w_h, _ in columns])
+    bias = ad.concat_cols([ad.reshape(b, (1, hidden)) for _, _, b in columns])
     xw = ad.add(ad.matmul(x, w_x), bias)
     return ad.lstm_last(xw, w_h, lengths)
 

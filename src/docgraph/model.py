@@ -17,8 +17,8 @@ layer weights directly.
 
 from __future__ import annotations
 
-import math
 import numbers
+import sys
 from dataclasses import dataclass, fields
 from typing import Optional
 
@@ -74,8 +74,9 @@ def _is_int(value) -> bool:
 
 
 def _is_finite_real(value) -> bool:
+    # a bound, not math.isfinite, so a huge int is rejected, not an OverflowError
     return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value))
+            and abs(value) <= sys.float_info.max)
 
 
 @dataclass(frozen=True)

@@ -43,8 +43,10 @@ def reference_encode(doc, embedding, gate_list):
 
 def oracle_lstm_last(xw, w, lengths, grad):
     """``lstm_last`` and its BPTT rule in their first fused form (``np.split``
-    gates, the sigmoid over all four blocks, every step kept), as an oracle:
-    the forward value and, for an upstream gradient ``grad``, (dxw, dw)."""
+    gates, the piecewise sigmoid over all four blocks, every step kept, one
+    ``dw`` product per step), with its columns permuted into i|f|o|g, as an
+    oracle: the forward value and, for an upstream gradient ``grad``,
+    (dxw, dw)."""
     hidden = w.shape[0]
     lens = np.asarray(lengths, dtype=np.intp)
     order = np.argsort(-lens, kind="stable")
@@ -62,8 +64,8 @@ def oracle_lstm_last(xw, w, lengths, grad):
         pre = packed[offset : offset + n] + h[:n] @ w
         offset += n
         gates = piecewise_sigmoid(pre)
-        gates[:, 2 * hidden : 3 * hidden] = np.tanh(pre[:, 2 * hidden : 3 * hidden])
-        i, f, g, o = np.split(gates, 4, axis=1)
+        gates[:, 3 * hidden :] = np.tanh(pre[:, 3 * hidden :])
+        i, f, o, g = np.split(gates, 4, axis=1)
         c_prev, h_prev = c[:n], h[:n]
         c = f * c_prev + i * g
         tanh_c = np.tanh(c)
@@ -81,11 +83,11 @@ def oracle_lstm_last(xw, w, lengths, grad):
     for gates, c_prev, tanh_c, h_prev in reversed(steps):
         n = gates.shape[0]
         offset -= n
-        i, f, g, o = np.split(gates, 4, axis=1)
+        i, f, o, g = np.split(gates, 4, axis=1)
         dh_n = dh[:n]
         dc_n = dc[:n] + dh_n * o * (1.0 - tanh_c * tanh_c)
         dpre = dpacked[offset : offset + n]
-        di, df, dg, do = np.split(dpre, 4, axis=1)
+        di, df, do, dg = np.split(dpre, 4, axis=1)
         di[...] = dc_n * g * i * (1.0 - i)
         df[...] = dc_n * c_prev * f * (1.0 - f)
         dg[...] = dc_n * i * (1.0 - g * g)
@@ -271,37 +273,61 @@ class TestBatchedEncoderProperties:
         rng = np.random.default_rng(seed)
         gates = model.lstm_gates(lstm_params(rng, vocab_size=VOCAB, embed_dim=5, hidden_dim=4))
         x = rng.normal(size=(steps, 5))
-        w_x, w_h, b = (np.concatenate([np.atleast_2d(gate[k].values) for gate in gates],
+        by_name = dict(zip(encoder.GATES, gates))
+        columns = [by_name[name] for name in encoder.GATE_COLUMNS]
+        w_x, w_h, b = (np.concatenate([np.atleast_2d(gate[k].values) for gate in columns],
                                       axis=1) for k in range(3))
         h = ad.lstm_last(Tensor(x @ w_x + b), Tensor(w_h), [steps])
         expected = encoder.lstm_last_hidden(Tensor(x), gates)
         assert np.array_equal(h.values[0], expected.values)
 
 
+# Largest difference from the oracle, relative to the largest magnitude of
+# the oracle's array but never to less than 1: every entry is built from
+# gates in [0, 1] and N(0, 1) draws, so rounding scales with those terms
+# even where a result cancels to near 0. Measured over 30,000 draws of the
+# strategy below: 8.1e-16 (out), 2.8e-15 (dxw), 1.5e-15 (dw).
+LSTM_MAX_ERR = {"out": 2e-15, "dxw": 5e-15, "dw": 5e-15}
+
+
+def err_to_largest(got, expected):
+    return float(np.max(np.abs(got - expected))) / max(1.0, float(np.max(np.abs(expected))))
+
+
 class TestLstmLastKernel:
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), hidden=st.integers(1, 8),
            lengths=st.lists(st.integers(1, 9), min_size=1, max_size=7),
-           scale=st.sampled_from([0.5, 3.0, 40.0]), taped=st.booleans())
-    def test_byte_identical_to_the_first_fused_kernel(self, seed, hidden, lengths, scale,
-                                                      taped):
+           scale=st.sampled_from([0.5, 3.0, 40.0]))
+    def test_within_bounds_of_the_first_fused_kernel(self, seed, hidden, lengths, scale):
         rng = np.random.default_rng(seed)
         xw = scale * rng.normal(size=(sum(lengths), 4 * hidden))
         w = rng.normal(size=(hidden, 4 * hidden))
         grad = rng.normal(size=(len(lengths), hidden))
-        expected, expected_dxw, expected_dw = oracle_lstm_last(xw, w, lengths, grad)
-        xw_t, w_t = Tensor(xw), Tensor(w)
-        if not taped:
-            out = ad.lstm_last(xw_t, w_t, lengths)
-            assert out.values.tobytes() == expected.tobytes()
-            return
+        expected = dict(zip(("out", "dxw", "dw"), oracle_lstm_last(xw, w, lengths, grad)))
         with ad.Tape() as tape:
-            out = ad.lstm_last(xw_t, w_t, lengths)
-        assert out.values.tobytes() == expected.tobytes()
+            out = ad.lstm_last(Tensor(xw), Tensor(w), lengths)
         out.grad = grad
         dxw, dw = ad.BACKWARD_RULES["lstm_last"](tape.entries[-1])
-        assert dxw.tobytes() == expected_dxw.tobytes()
-        assert dw.tobytes() == expected_dw.tobytes()
+        for name, got in (("out", out.values), ("dxw", dxw), ("dw", dw)):
+            assert got.shape == expected[name].shape
+            assert err_to_largest(got, expected[name]) <= LSTM_MAX_ERR[name], name
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), hidden=st.integers(1, 8),
+           lengths=st.lists(st.integers(1, 9), min_size=1, max_size=7),
+           scale=st.sampled_from([0.5, 3.0, 40.0, 800.0]))
+    def test_taped_and_tape_free_forwards_give_the_same_bytes(self, seed, hidden, lengths,
+                                                             scale):
+        # a training step's forward runs taped, dev scoring and predict run
+        # tape-free: one document must get the same bytes from both
+        rng = np.random.default_rng(seed)
+        xw = Tensor(scale * rng.normal(size=(sum(lengths), 4 * hidden)))
+        w_h = Tensor(rng.normal(size=(hidden, 4 * hidden)))
+        free = ad.lstm_last(xw, w_h, lengths)
+        with ad.Tape():
+            taped = ad.lstm_last(xw, w_h, lengths)
+        assert taped.values.tobytes() == free.values.tobytes()
 
     def test_tape_free_call_keeps_no_per_step_activations(self):
         # a 30-sentence document of 20-token sentences

@@ -254,6 +254,12 @@ class TestConfigOptions:
         b, _ = model.forward(doc, params, normalized)
         assert np.allclose(b.values, a.values / 3.0, atol=1e-12)
 
+    @pytest.mark.parametrize("field", ["lr", "leaky_slope", "clip_norm"])
+    def test_huge_integer_setting_rejected(self, field):
+        # 10**400 has no float: it must be a ModelError, not an OverflowError
+        with pytest.raises(ModelError, match=f"{field} must be"):
+            tiny_config("gcn", **{field: 10**400})
+
 
 class TestLoss:
     def test_uniform_four_way(self):

@@ -322,6 +322,8 @@ class TestCheckpointPersistence:
          "leaky_slope must be a finite number"),
         (lambda raw: raw.replace(b'"lr":0.01', b'"lr":-1', 1), "lr must be a finite number"),
         (lambda raw: raw.replace(b'"lr":0.01', b'"lr":NaN', 1), "lr must be a finite number"),
+        (lambda raw: raw.replace(b'"lr":0.01', b'"lr":' + b"9" * 400, 1),
+         "lr must be a finite number"),
         (lambda raw: raw.replace(b'"clip_norm":null', b'"clip_norm":-2.0', 1),
          "clip_norm must be None or a finite number"),
         (lambda raw: raw.replace(b'"class_names":["satire","trusted"]',
@@ -337,8 +339,8 @@ class TestCheckpointPersistence:
     ], ids=["non_object_manifest", "negative_shape", "float_dimension", "vocabulary_size",
             "integer_token", "null_token", "float_shape", "string_shape",
             "float_min_frequency", "string_slope", "bool_slope", "negative_lr", "nan_lr",
-            "negative_clip_norm", "non_string_class_names", "duplicate_class_names",
-            "string_seed", "string_normalize_adjacency"])
+            "huge_integer_lr", "negative_clip_norm", "non_string_class_names",
+            "duplicate_class_names", "string_seed", "string_normalize_adjacency"])
     def test_malformed_manifest_rejected(self, tmp_path, corrupt, message):
         _, path, _ = self.trained(tmp_path)
         path.write_bytes(corrupt(path.read_bytes()))
