@@ -7,7 +7,7 @@ LSTM baselines, evaluation protocols, and attention-map export round out
 the toolkit. See the ``docgraph`` CLI for the command surface.
 """
 
-from .autodiff import AdamState, Tape, Tensor, adam_step, backward
+from .autodiff import AdamState, Tape, Tensor, adam_step, adam_sync, backward
 from .corpus import (
     ClassSet,
     Document,
@@ -44,6 +44,7 @@ __all__ = [
     "TrainRun",
     "Vocabulary",
     "adam_step",
+    "adam_sync",
     "backward",
     "build_adjacency",
     "build_graph",

@@ -64,6 +64,7 @@ __all__ = [
     "backward",
     "zero_grads",
     "adam_step",
+    "adam_sync",
 ]
 
 
@@ -72,10 +73,13 @@ class Tensor:
 
     :func:`backward` fills ``grad`` on every tensor it reaches from the
     loss, parameters and intermediate results alike. Values supplied from
-    outside must be finite.
+    outside must be finite. ``pending`` links a parameter whose rows lag
+    behind its optimizer (see :func:`adam_step`) to that optimizer, so
+    :func:`gather_rows` can catch up the rows it reads; it is ``None``
+    otherwise.
     """
 
-    __slots__ = ("values", "grad")
+    __slots__ = ("values", "grad", "pending")
 
     def __init__(self, values):
         arr = np.asarray(values, dtype=np.float64)
@@ -85,6 +89,7 @@ class Tensor:
             raise NumericError("tensor values must be finite")
         self.values = arr
         self.grad: np.ndarray | RowSparseGrad | None = None
+        self.pending: tuple[AdamState, str] | None = None
 
     @classmethod
     def _wrap(cls, arr: np.ndarray) -> "Tensor":
@@ -92,6 +97,7 @@ class Tensor:
         t = cls.__new__(cls)
         t.values = arr
         t.grad = None
+        t.pending = None
         return t
 
     @property
@@ -525,7 +531,11 @@ def _concat_rows_bwd(e: TapeEntry):
 
 
 def gather_rows(matrix: Tensor, ids: Sequence[int]) -> Tensor:
-    """Select rows of a 2-D tensor by index; repeated ids sum gradients."""
+    """Select rows of a 2-D tensor by index; repeated ids sum gradients.
+
+    Rows of a parameter that lag behind its optimizer are caught up in place
+    first, so the result holds the dense Adam update's bytes; two threads
+    must not gather from one lagging parameter at once."""
     if matrix.values.ndim != 2:
         raise ShapeError("gather_rows requires a 2-D tensor")
     idx = np.asarray(list(ids), dtype=np.intp)
@@ -535,6 +545,10 @@ def gather_rows(matrix: Tensor, ids: Sequence[int]) -> Tensor:
         raise ShapeError(
             f"row index out of range: max id {int(idx.max())} for {matrix.shape[0]} rows"
         )
+    if matrix.pending is not None:
+        state, name = matrix.pending
+        _catch_up((matrix.values, state.m[name], state.v[name]), state.rows[name], idx,
+                  state.window)
     out = Tensor._wrap(matrix.values[idx])
     return _record("gather_rows", (matrix,), out, ids=idx)
 
@@ -715,9 +729,30 @@ def zero_grads(params: dict[str, Tensor]) -> None:
 # chunk's twelve ufuncs.
 ADAM_CHUNK = 32768
 
+# Steps the untouched rows of a row-sparse parameter may lag behind before
+# adam_step brings the whole table up to date. A catch-up replays up to this
+# many steps over the rows it reads, so the cap bounds its cost.
+ADAM_WINDOW = 32
+
+# (beta1, beta2, step, eps_hat): everything one Adam step's update of a float
+# depends on besides that float's p, m, v and gradient (see _adam_pass).
+Scalars = tuple[float, float, float, float]
+
+
 @dataclass
 class AdamState:
-    """Per-parameter Adam moments plus the shared step counter."""
+    """Per-parameter Adam moments, the shared step counter, and the steps
+    that rows of row-sparse parameters have yet to take.
+
+    ``rows[name]`` exists for a parameter that :func:`adam_step` updated with
+    a :class:`RowSparseGrad` since its last sync. It holds, for each row, how
+    many of the steps in ``window`` that row has taken. ``window`` holds the
+    scalars of each such step, oldest first, as they were when it ran, so a
+    later change to ``lr`` or the betas does not reach back. A row that has
+    taken every step in ``window`` holds the dense update's bytes in p, m
+    and v; :func:`gather_rows` and :func:`adam_sync` bring rows there. Both
+    are empty when no row lags.
+    """
 
     lr: float = 0.001
     beta1: float = 0.9
@@ -726,6 +761,8 @@ class AdamState:
     t: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
+    rows: dict[str, np.ndarray] = field(default_factory=dict)
+    window: list[Scalars] = field(default_factory=list)
 
     @classmethod
     def for_params(cls, params: dict[str, Tensor], lr: float | None = None) -> "AdamState":
@@ -757,6 +794,12 @@ def _check_row_grad(name: str, g: RowSparseGrad, shape: tuple[int, ...]) -> None
                          f"{(ids.size, shape[1])}")
 
 
+def _check_moments(name: str, p: Tensor, state: AdamState) -> None:
+    for moments in (state.m, state.v):
+        if name not in moments or moments[name].shape != p.values.shape:
+            raise ShapeError(f"Adam moments do not match parameter '{name}'")
+
+
 def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
@@ -778,44 +821,140 @@ def _check_settings(state: AdamState) -> None:
         raise NumericError(f"Adam t must be a non-negative integer, got {state.t!r}")
 
 
-def _adam_pass(p: np.ndarray, m: np.ndarray, v: np.ndarray, g: np.ndarray | None,
-               state: AdamState, scratch: np.ndarray) -> None:
-    """Update the flat arrays ``p``, ``m`` and ``v`` in place, ``ADAM_CHUNK``
-    floats at a time, with the operations of ``m = b1*m + (1-b1)*g``,
-    ``v = b2*v + (1-b2)*(g*g)`` and ``p = p - (m*step) / (sqrt(v) + eps_hat)``
-    in that order, where ``step = lr*sqrt(bc2)/bc1`` and
-    ``eps_hat = eps*sqrt(bc2)`` (Kingma & Ba's reordered form, algebraically
-    ``lr*(m/bc1) / (sqrt(v/bc2) + eps)``). ``g = None`` stands for an
-    all-(+0.0) gradient and runs 8 of the 12 ufuncs, to the same bytes."""
+def _scalars(state: AdamState) -> Scalars:
+    """The scalars of step ``state.t``."""
     b1, b2 = state.beta1, state.beta2
     root_bc2 = math.sqrt(1.0 - b2 ** state.t)
-    step = state.lr * root_bc2 / (1.0 - b1 ** state.t)
-    eps_hat = state.eps * root_bc2
+    return b1, b2, state.lr * root_bc2 / (1.0 - b1 ** state.t), state.eps * root_bc2
+
+
+def _adam_pass(p: np.ndarray, m: np.ndarray, v: np.ndarray, g: np.ndarray | None,
+               steps: Sequence[Scalars]) -> None:
+    """Run the Adam steps ``steps`` in order on the flat arrays ``p``, ``m``
+    and ``v`` in place, ``ADAM_CHUNK`` floats at a time: every step on one
+    chunk, then the next chunk. A step runs the operations of
+    ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*(g*g)`` and
+    ``p = p - (m*step) / (sqrt(v) + eps_hat)`` in that order, where
+    ``step = lr*sqrt(bc2)/bc1`` and ``eps_hat = eps*sqrt(bc2)`` (Kingma &
+    Ba's reordered form, algebraically ``lr*(m/bc1) / (sqrt(v/bc2) + eps)``).
+    ``g`` is every step's gradient; ``g = None`` stands for an all-(+0.0)
+    gradient and runs 8 of the 12 ufuncs, to the same bytes.
+
+    Each float goes through the same operations in the same order as in one
+    pass per step, so the bytes do not depend on the chunking; a chunk of p,
+    m and v stays in cache across the steps instead of leaving it after
+    each."""
+    scratch = np.empty((2, min(ADAM_CHUNK, p.size)))
     for lo in range(0, p.size, ADAM_CHUNK):
         pc = p[lo : lo + ADAM_CHUNK]
         mc = m[lo : lo + ADAM_CHUNK]
         vc = v[lo : lo + ADAM_CHUNK]
+        gc = None if g is None else g[lo : lo + ADAM_CHUNK]
         s = scratch[0, : pc.size]
         u = scratch[1, : pc.size]
-        np.multiply(mc, b1, out=mc)
-        np.multiply(vc, b2, out=vc)
-        if g is None:
-            # (1-b1)*g is +0.0, and m + 0.0 turns a -0.0 in m into +0.0 as the
-            # full formula does. v needs no + 0.0: it starts at +0.0 and only
-            # ever adds (1-b2)*(g*g) >= +0.0, so it never holds -0.0.
-            np.add(mc, 0.0, out=mc)
-        else:
-            gc = g[lo : lo + ADAM_CHUNK]
-            np.multiply(gc, 1.0 - b1, out=s)
-            np.add(mc, s, out=mc)
-            np.multiply(gc, gc, out=s)
-            np.multiply(s, 1.0 - b2, out=s)
-            np.add(vc, s, out=vc)
-        np.sqrt(vc, out=u)
-        np.add(u, eps_hat, out=u)
-        np.multiply(mc, step, out=s)
-        np.divide(s, u, out=s)
-        np.subtract(pc, s, out=pc)
+        for b1, b2, step, eps_hat in steps:
+            np.multiply(mc, b1, out=mc)
+            np.multiply(vc, b2, out=vc)
+            if gc is None:
+                # (1-b1)*g is +0.0, and m + 0.0 turns a -0.0 in m into +0.0 as
+                # the full formula does. v needs no + 0.0: it starts at +0.0 and
+                # only ever adds (1-b2)*(g*g) >= +0.0, so it never holds -0.0.
+                np.add(mc, 0.0, out=mc)
+            else:
+                np.multiply(gc, 1.0 - b1, out=s)
+                np.add(mc, s, out=mc)
+                np.multiply(gc, gc, out=s)
+                np.multiply(s, 1.0 - b2, out=s)
+                np.add(vc, s, out=vc)
+            np.sqrt(vc, out=u)
+            np.add(u, eps_hat, out=u)
+            np.multiply(mc, step, out=s)
+            np.divide(s, u, out=s)
+            np.subtract(pc, s, out=pc)
+
+
+def _replay_rows(arrays: Sequence[np.ndarray], taken: np.ndarray,
+                 window: list[Scalars]) -> None:
+    """Run the zero-gradient steps of ``window`` that each row has yet to
+    take on (rows, cols) copies of p, m and v, in place. Row i has taken
+    ``taken[i]`` of the steps, and ``taken`` is ascending, so the rows that
+    owe a step are a prefix: one slice per step."""
+    for k in range(int(taken.min(initial=len(window))), len(window)):
+        owing = int(np.searchsorted(taken, k, side="right"))
+        _adam_pass(*(a[:owing].reshape(-1) for a in arrays), None, (window[k],))
+
+
+def _catch_up(arrays: Sequence[np.ndarray], taken: np.ndarray, ids: np.ndarray,
+              window: list[Scalars]) -> None:
+    """Bring rows ``ids`` (which may repeat) of p, m and v through every step
+    of ``window``, and record that in ``taken``."""
+    behind = ids[taken[ids] < len(window)]
+    if behind.size == 0:
+        return
+    behind = behind[np.lexsort((behind, taken[behind]))]  # a repeated id is adjacent
+    behind = behind[np.concatenate(([True], behind[1:] != behind[:-1]))]
+    rows = [a[behind] for a in arrays]
+    _replay_rows(rows, taken[behind], window)
+    for a, r in zip(arrays, rows):
+        a[behind] = r
+    taken[behind] = len(window)
+
+
+def _sync_arrays(arrays: Sequence[np.ndarray], taken: np.ndarray,
+                 window: list[Scalars]) -> None:
+    """Bring every row of p, m and v through every step of ``window``: a
+    chunk-outer replay over the whole table of the steps that no row has
+    taken yet, with the rows that are further on saved before it, and caught
+    up from their own step and put back after it. The table is replayed in
+    row ranges whose saved rows hold at most ``ADAM_CHUNK`` floats of p, m
+    and v together, so the copies stay small however many rows a window
+    touched."""
+    first = int(taken.min(initial=len(window)))
+    ahead = np.flatnonzero(taken > first)
+    per_range = max(1, ADAM_CHUNK // max(1, 3 * arrays[0].shape[1]))
+    bounds = [0, *ahead[per_range::per_range].tolist(), len(taken)]
+    for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        part = [a[lo:hi] for a in arrays]
+        part_taken = taken[lo:hi]
+        rows = ahead[i * per_range : (i + 1) * per_range] - lo
+        rows = rows[np.argsort(part_taken[rows], kind="stable")]
+        saved = [a[rows] for a in part]
+        _adam_pass(*(a.reshape(-1) for a in part), None, window[first:])
+        _replay_rows(saved, part_taken[rows], window)
+        for a, r in zip(part, saved):
+            a[rows] = r
+
+
+def _own_arrays(name: str, p: Tensor, state: AdamState) -> tuple[np.ndarray, ...]:
+    """p, m and v of parameter ``name``, each first replaced by a copy if it
+    cannot be updated in place through a flat view."""
+    if not _updatable(p.values):
+        p.values = p.values.copy()
+    for moments in (state.m, state.v):
+        if not _updatable(moments[name]):
+            moments[name] = moments[name].copy()
+    return p.values, state.m[name], state.v[name]
+
+
+def adam_sync(params: dict[str, Tensor], state: AdamState) -> None:
+    """Bring every row of every parameter in ``params`` up to step ``state.t``.
+
+    Afterwards ``p.values``, ``state.m`` and ``state.v`` hold the bytes of
+    the dense per-step update, as if every step had updated every row, and
+    no parameter in ``params`` lags. Call it before reading a row-sparse
+    parameter's values or moments other than through :func:`gather_rows`.
+    Raises ``ShapeError`` before any update if the moments do not match a
+    lagging parameter.
+    """
+    lagging = [name for name in params if name in state.rows]
+    for name in lagging:
+        _check_moments(name, params[name], state)
+    for name in lagging:
+        p = params[name]
+        _sync_arrays(_own_arrays(name, p, state), state.rows.pop(name), state.window)
+        p.pending = None
+    if not state.rows:
+        state.window.clear()
 
 
 def adam_step(
@@ -829,24 +968,32 @@ def adam_step(
     place, so training changes the arrays handed to ``model.bind_params``.
     An array that is not C-contiguous and writable (Fortran-ordered, a
     transposed view, read-only) is first replaced by a copy that is. The
-    update runs ``ADAM_CHUNK`` floats at a time through two scratch rows
-    (see ``_adam_pass``), so no array of a parameter's size is allocated
-    and every value is the one the unchunked formula gives. That formula is
-    Kingma & Ba's reordered form: one divide per float instead of the
-    textbook ``lr*(m/bc1) / (sqrt(v/bc2) + eps)``'s three, the same ``m``
-    and ``v`` bytes, and ``p`` within a few ulp of the textbook's.
+    update runs ``ADAM_CHUNK`` floats at a time (see ``_adam_pass``), so no
+    array of a parameter's size is allocated and every value is the one the
+    unchunked formula gives. That formula is Kingma & Ba's reordered form:
+    one divide per float instead of the textbook
+    ``lr*(m/bc1) / (sqrt(v/bc2) + eps)``'s three, the same ``m`` and ``v``
+    bytes, and ``p`` within a few ulp of the textbook's.
 
-    A :class:`RowSparseGrad` updates every row, as its dense form would:
-    the whole parameter takes the zero-gradient update (8 of the 12
-    ufuncs), then the touched rows are recomputed from their saved p, m
-    and v with the full formula. Both give the dense form's bytes.
+    A :class:`RowSparseGrad` updates every row as its dense form would, but
+    the rows outside its ids are deferred: they take the zero-gradient
+    update later, in a replay of the steps they owe with each step's own
+    scalars, which gives the same bytes. The step first catches up the rows
+    in ``ids`` to the previous step, then gives them the full update, and
+    records both in ``state.rows`` and ``state.window``. The parameter's
+    ``Tensor.pending`` then links it to ``state``, so :func:`gather_rows`
+    catches up exactly the rows it reads and every forward sees the dense
+    update's bytes. :func:`adam_sync` brings the whole table up to date; the
+    step calls it once the window reaches ``ADAM_WINDOW`` steps, and before
+    a dense gradient updates a lagging parameter. Read ``p.values``,
+    ``state.m`` or ``state.v`` of a row-sparse parameter only after a sync.
 
     Aborts before touching any parameter or moment if ``lr`` or ``eps`` is
     not finite and above 0, ``beta1`` or ``beta2`` is outside [0, 1), ``t``
     is not a non-negative integer, a gradient is missing, non-finite or
     mis-shaped, a row-sparse gradient's ids are not sorted, unique and in
     range, or the moments do not match a parameter, so a failed step leaves
-    the model and the optimizer unchanged.
+    the model and the optimizer unchanged, lagging rows included.
     """
     _check_settings(state)
     for name, p in params.items():
@@ -858,26 +1005,34 @@ def adam_step(
         elif g.shape != p.values.shape:
             raise ShapeError(f"gradient shape {g.shape} != parameter shape "
                              f"{p.values.shape} for '{name}'")
-        for moments in (state.m, state.v):
-            if name not in moments or moments[name].shape != p.values.shape:
-                raise ShapeError(f"Adam moments do not match parameter '{name}'")
+        _check_moments(name, p, state)
         if not np.all(np.isfinite(g.rows if isinstance(g, RowSparseGrad) else g)):
             raise NumericError(f"non-finite gradient for parameter '{name}'")
     state.t += 1
-    scratch = np.empty((2, ADAM_CHUNK))
+    scalars = _scalars(state)
+    window = state.window
     for name, p in params.items():
-        if not _updatable(p.values):
-            p.values = p.values.copy()
-        for moments in (state.m, state.v):
-            if not _updatable(moments[name]):
-                moments[name] = moments[name].copy()
-        arrays = (p.values, state.m[name], state.v[name])
+        arrays = _own_arrays(name, p, state)
         g = grads[name]
+        taken = state.rows.get(name)
         if isinstance(g, RowSparseGrad):
-            touched = [a[g.ids] for a in arrays]  # copies, taken before the pass
-            _adam_pass(*(a.reshape(-1) for a in arrays), None, state, scratch)
-            _adam_pass(*(a.reshape(-1) for a in touched), g.rows.reshape(-1), state, scratch)
+            if taken is None:
+                taken = state.rows[name] = np.full(p.values.shape[0], len(window))
+                p.pending = (state, name)
+            _catch_up(arrays, taken, g.ids, window)
+            touched = [a[g.ids] for a in arrays]
+            _adam_pass(*(a.reshape(-1) for a in touched), g.rows.reshape(-1), (scalars,))
             for a, rows in zip(arrays, touched):
                 a[g.ids] = rows
+            taken[g.ids] = len(window) + 1  # this step is appended below
         else:
-            _adam_pass(*(a.reshape(-1) for a in arrays), g.reshape(-1), state, scratch)
+            if taken is not None:
+                _sync_arrays(arrays, state.rows.pop(name), window)
+                p.pending = None
+            _adam_pass(*(a.reshape(-1) for a in arrays), g.reshape(-1), (scalars,))
+    if state.rows:
+        window.append(scalars)
+    else:
+        window.clear()
+    if len(window) >= ADAM_WINDOW:
+        adam_sync(params, state)

@@ -343,7 +343,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        evaluation.thread_limit()  # fail now, not when train first scores dev
         return args.handler(args)
     except (DocGraphError, OSError) as err:
         _info(f"error: {err}")

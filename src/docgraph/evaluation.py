@@ -6,15 +6,11 @@ conservative convention and is recorded in the JSON output so reported
 macro averages are unambiguous.
 
 Out-of-domain corpora are re-encoded with the checkpoint's vocabulary;
-unknown tokens map to UNK. Per-document scoring can fan out over a
-thread pool capped by the DOCGRAPH_THREADS environment variable;
-results merge in input order, so parallelism never changes the metrics.
+unknown tokens map to UNK.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -106,21 +102,6 @@ def compute_metrics(confusion: np.ndarray) -> Metrics:
     )
 
 
-def thread_limit() -> int:
-    """The cap on scoring threads from DOCGRAPH_THREADS; 1 when it is unset.
-
-    Any value other than a decimal integer >= 1 raises, so a typo is not
-    silently read as one thread.
-    """
-    raw = os.environ.get("DOCGRAPH_THREADS")
-    if raw is None:
-        return 1
-    if not (raw.isascii() and raw.isdecimal() and int(raw) >= 1):
-        raise EvaluationError(f"DOCGRAPH_THREADS must be a decimal integer >= 1, "
-                              f"got {raw!r}")
-    return int(raw)
-
-
 def predict_label(
     doc: Document,
     params: ModelParams,
@@ -151,13 +132,7 @@ def evaluate_documents(
     """Score already-encoded documents against their gold labels."""
     if not docs:
         raise EvaluationError("no documents to evaluate")
-    threads = min(thread_limit(), len(docs))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            predicted = list(pool.map(
-                lambda d: predict_label(d, params, config, weights), docs))
-    else:
-        predicted = [predict_label(d, params, config, weights) for d in docs]
+    predicted = [predict_label(d, params, config, weights) for d in docs]
     c = config.n_classes
     confusion = np.zeros((c, c), dtype=np.int64)
     for doc, pred in zip(docs, predicted):

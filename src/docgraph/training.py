@@ -3,8 +3,12 @@
 Updates are per-document (batch size 1) with Adam; documents are
 reshuffled every epoch from a seeded stream, so a (data, config, seed)
 triple fully determines the run, including the checkpoint bytes.
-After each epoch the dev set is scored with macro-F1 and the best
-epoch's parameters are kept (ties go to the earliest epoch).
+Adam defers the zero-gradient update of the embedding rows a document did
+not touch (see ``autodiff.adam_step``); every forward still sees the dense
+update's bytes, and each epoch ends with ``autodiff.adam_sync``, which
+brings the whole table up to date. Then the dev set is scored with
+macro-F1 and the best epoch's parameters are kept (ties go to the earliest
+epoch).
 """
 
 from __future__ import annotations
@@ -142,6 +146,7 @@ def train(
             ad.adam_step(params.tensors, grads, optimizer)
             total_loss += value
 
+        ad.adam_sync(params.tensors, optimizer)
         dev_metrics = evaluate_documents(params, config, dev_docs, weights)
         stats = EpochStats(
             epoch=epoch,

@@ -3,6 +3,7 @@
 import contextlib
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -676,6 +677,7 @@ class TestRowSparseGradient:
             assert grad.dense().tobytes() == reference.tobytes()
             ad.adam_step(sparse, {"e": grad}, states[0])
             ad.adam_step(dense, {"e": reference}, states[1])
+            ad.adam_sync(sparse, states[0])
             assert sparse["e"].values.tobytes() == dense["e"].values.tobytes()
             assert states[0].m["e"].tobytes() == states[1].m["e"].tobytes()
             assert states[0].v["e"].tobytes() == states[1].v["e"].tobytes()
@@ -709,18 +711,191 @@ class TestRowSparseGradient:
     ], ids=["id_too_large", "negative_id", "unsorted", "duplicate", "ids_2d",
             "wrong_cols", "wrong_row_count", "inf", "nan"])
     def test_malformed_gradient_aborts_before_any_update(self, ids, rows, error):
-        rng = np.random.default_rng(8)
-        p = {"w": ad.Tensor(rng.normal(size=3)), "e": ad.Tensor(rng.normal(size=(4, 2)))}
-        state = ad.AdamState.for_params(p)
-        ad.adam_step(p, {"w": rng.normal(size=3), "e": rng.normal(size=(4, 2))}, state)
-        snapshot = {n: (p[n].values.tobytes(), state.m[n].tobytes(), state.v[n].tobytes())
-                    for n in p}
+        def deferred():
+            # a dense step, then a row-sparse one that leaves rows 0, 2, 3 lagging
+            rng = np.random.default_rng(8)
+            p = {"w": ad.Tensor(rng.normal(size=3)), "e": ad.Tensor(rng.normal(size=(4, 2)))}
+            state = ad.AdamState.for_params(p)
+            ad.adam_step(p, {"w": rng.normal(size=3), "e": rng.normal(size=(4, 2))}, state)
+            ad.adam_step(p, {"w": rng.normal(size=3), "e": ad.RowSparseGrad(
+                np.array([1]), rng.normal(size=(1, 2)), (4, 2))}, state)
+            return p, state
+
+        p, state = deferred()
+        assert p["e"].pending is not None
+        raw = snapshot(p, state)
         bad = ad.RowSparseGrad(np.array(ids, dtype=np.intp), rows, (4, 2))
         with pytest.raises(error, match="'e'"):
-            ad.adam_step(p, {"w": rng.normal(size=3), "e": bad}, state)
-        assert state.t == 1
-        assert {n: (p[n].values.tobytes(), state.m[n].tobytes(), state.v[n].tobytes())
-                for n in p} == snapshot
+            ad.adam_step(p, {"w": np.ones(3), "e": bad}, state)
+        assert state.t == 2
+        assert snapshot(p, state) == raw
+        ad.adam_sync(p, state)
+        twin, twin_state = deferred()
+        ad.adam_sync(twin, twin_state)
+        assert snapshot(p, state) == snapshot(twin, twin_state)
+
+    def test_out_of_range_gather_raises_before_any_catch_up(self):
+        p = {"e": ad.Tensor(np.random.default_rng(4).normal(size=(4, 2)))}
+        state = ad.AdamState.for_params(p)
+        state.m["e"][:] = 0.5  # so a replayed step changes every byte of a row
+        state.v["e"][:] = 0.25
+        ad.adam_step(p, {"e": ad.RowSparseGrad(np.array([0]), np.ones((1, 2)), (4, 2))},
+                     state)
+        raw = snapshot(p, state)
+        with pytest.raises(ShapeError, match="out of range"):
+            ad.gather_rows(p["e"], [1, 4])
+        assert snapshot(p, state) == raw
+        ad.gather_rows(p["e"], [1, 3])  # and an in-range gather does catch up
+        assert snapshot(p, state) != raw
+
+
+@st.composite
+def deferred_runs(draw):
+    """An embedding-like parameter "e" (possibly read-only or Fortran-ordered,
+    which ``adam_step`` replaces by a copy), its starting moments, and a run
+    of actions: steps that give "e" a row-sparse gradient (built directly or
+    by backward through ``gather_rows``) or a dense one while a dense "w"
+    always gets a dense one, gathers, syncs and changes of ``lr``. Runs are
+    long enough to cross ``ADAM_WINDOW``; gradients and m hold -0.0 and
+    +-1e-300. Small tables may run with a tiny ``ADAM_CHUNK``, so that a
+    sync splits the table into many row ranges."""
+    cols = draw(st.integers(1, 4))
+    rows = draw(st.sampled_from([1, 3, 40, ad.ADAM_CHUNK // cols + 3]))
+    chunk = draw(st.sampled_from([ad.ADAM_CHUNK, 3, 8])) if rows <= 40 else ad.ADAM_CHUNK
+    layout = draw(st.sampled_from(["c", "fortran", "read_only"]))
+    some_ids = st.one_of(
+        st.just([0, rows - 1, 0]),
+        st.integers(0, rows - 1).map(lambda i: [i]),
+        st.lists(st.integers(0, min(rows - 1, 12)), min_size=1, max_size=6),
+    )
+    value = st.sampled_from([-0.0, 0.0, 1e-300, -1e-300, -2.5, 0.75, 1e3])
+    kinds = ["sparse"] * 4 + ["taped"] * 3 + ["gather", "gather", "lr"]
+    if draw(st.booleans()):  # else the run ends as one window
+        kinds += ["dense", "sync"]
+    actions = []
+    for _ in range(draw(st.one_of(st.integers(1, 12),
+                                  st.integers(2 * ad.ADAM_WINDOW - 8, 2 * ad.ADAM_WINDOW)))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "lr":
+            actions.append((kind, draw(st.sampled_from([0.001, 0.05, 0.3]))))
+        elif kind in ("sync", "dense"):  # a dense gradient is drawn in the test
+            actions.append((kind, None))
+        else:
+            ids = draw(some_ids)
+            grad = draw(st.lists(value, min_size=len(ids) * cols, max_size=len(ids) * cols))
+            actions.append((kind, (ids, np.array(grad).reshape(len(ids), cols))))
+    m0 = draw(st.sampled_from([0.0, -0.0, -1e-300, 1e-300, 0.5]))
+    v0 = draw(st.sampled_from([0.0, 1e-300, 0.25]))
+    return rows, cols, chunk, layout, m0, v0, actions
+
+
+class TestDeferredAdam:
+    """Row-sparse steps defer the untouched rows, and every read through
+    ``gather_rows`` or after ``adam_sync`` sees the eager dense bytes."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=deferred_runs(), seed=st.integers(0, 2**32 - 1))
+    def test_reads_match_an_eager_dense_oracle(self, case, seed):
+        rows, cols, chunk, layout, m0, v0, actions = case
+        with mock.patch.object(ad, "ADAM_CHUNK", chunk):
+            self.check_run(rows, cols, layout, m0, v0, actions, seed)
+
+    def check_run(self, rows, cols, layout, m0, v0, actions, seed):
+        rng = np.random.default_rng(seed)
+        start = {"e": rng.normal(size=(rows, cols)), "w": rng.normal(size=3)}
+        e_values = start["e"].copy()
+        if layout == "fortran":
+            e_values = np.asfortranarray(e_values)
+        elif layout == "read_only":
+            e_values.flags.writeable = False
+        params = {"e": ad.Tensor(e_values), "w": ad.Tensor(start["w"].copy())}
+        state = ad.AdamState.for_params(params, lr=0.01)
+        oracle_state = ad.AdamState(lr=0.01)
+        oracle = {n: (v.copy(), np.zeros_like(v), np.zeros_like(v)) for n, v in start.items()}
+        for moments in (state.m["e"], oracle["e"][1]):
+            moments[:] = m0
+        for moments in (state.v["e"], oracle["e"][2]):
+            moments[:] = v0
+
+        def assert_synced():
+            for n in params:
+                assert params[n].values.tobytes() == oracle[n][0].tobytes()
+                assert state.m[n].tobytes() == oracle[n][1].tobytes()
+                assert state.v[n].tobytes() == oracle[n][2].tobytes()
+
+        def assert_rows(ids):
+            for array, expected in zip(
+                    (params["e"].values, state.m["e"], state.v["e"]), oracle["e"]):
+                assert array[ids].tobytes() == expected[ids].tobytes()
+
+        for kind, arg in actions:
+            if kind == "lr":
+                state.lr = oracle_state.lr = arg
+            elif kind == "sync":
+                ad.adam_sync(params, state)
+                assert not state.rows and not state.window
+                assert params["e"].pending is None
+                assert_synced()
+            elif kind == "gather":
+                ids = arg[0]
+                out = ad.gather_rows(params["e"], ids)
+                assert out.values.tobytes() == oracle["e"][0][ids].tobytes()
+                assert_rows(ids)
+            else:
+                w_grad = rng.normal(size=3)
+                if kind == "dense":
+                    e_grad = rng.choice([-0.0, 1e-300, 0.75, -2.5], size=(rows, cols))
+                elif kind == "sparse":
+                    ids, rows_grad = arg
+                    unique = np.unique(ids)
+                    e_grad = ad.RowSparseGrad(unique, rows_grad[: unique.size], (rows, cols))
+                else:
+                    ids, rows_grad = arg
+                    with ad.Tape() as tape:
+                        out = ad.gather_rows(params["e"], ids)
+                        loss = ad.sum_all(ad.mul(out, ad.Tensor(rows_grad)))
+                    assert out.values.tobytes() == oracle["e"][0][ids].tobytes()
+                    ad.backward(tape, loss)
+                    e_grad = params["e"].grad
+                    params["e"].zero_grad()
+                ad.adam_step(params, {"e": e_grad, "w": w_grad}, state)
+                oracle_state.t += 1
+                scalars = (ad._scalars(oracle_state),)
+                for n, g in (("e", e_grad), ("w", w_grad)):
+                    dense = g.dense() if isinstance(g, ad.RowSparseGrad) else g
+                    ad._adam_pass(*(a.reshape(-1) for a in oracle[n]), dense.reshape(-1),
+                                  scalars)
+                assert len(state.window) < ad.ADAM_WINDOW
+                assert params["w"].values.tobytes() == oracle["w"][0].tobytes()
+                if isinstance(e_grad, ad.RowSparseGrad):
+                    assert_rows(e_grad.ids)
+        ad.adam_sync(params, state)
+        assert state.t == oracle_state.t
+        assert_synced()
+
+    def test_the_step_that_fills_the_window_syncs(self):
+        p = {"e": ad.Tensor(np.random.default_rng(2).normal(size=(5, 3)))}
+        state = ad.AdamState.for_params(p)
+        expected = p["e"].values.copy()
+        m, v = np.zeros_like(expected), np.zeros_like(expected)
+        for t in range(1, ad.ADAM_WINDOW + 3):
+            g = ad.RowSparseGrad(np.array([t % 2]), np.full((1, 3), 0.5), (5, 3))
+            ad.adam_step(p, {"e": g}, state)
+            expected, m, v = adam_oracle(expected, m, v, g.dense(), t)
+            if t == ad.ADAM_WINDOW:
+                assert not state.rows and not state.window and p["e"].pending is None
+                assert p["e"].values.tobytes() == expected.tobytes()
+            else:
+                assert len(state.window) == t % ad.ADAM_WINDOW
+        ad.adam_sync(p, state)
+        assert (p["e"].values.tobytes(), state.m["e"].tobytes(), state.v["e"].tobytes()) \
+            == (expected.tobytes(), m.tobytes(), v.tobytes())
+
+
+def snapshot(params, state):
+    """The raw bytes of every parameter, its moments and its lagging rows."""
+    return {n: (params[n].values.tobytes(), state.m[n].tobytes(), state.v[n].tobytes(),
+                state.rows[n].tobytes() if n in state.rows else None) for n in params}
 
 
 def adam_oracle(p, m, v, g, t, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8):

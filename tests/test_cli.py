@@ -154,22 +154,6 @@ class TestTrainCommand:
         assert stdout == ""
         assert "missing" in err and "does not exist" in err
 
-    def test_bad_thread_count_fails_before_training(self, capsys, corpus_files,
-                                                    monkeypatch):
-        def never(*args, **kwargs):
-            raise AssertionError("training ran")
-
-        monkeypatch.setattr(training, "train", never)
-        monkeypatch.setenv("DOCGRAPH_THREADS", "four")
-        code, stdout, err = run_cli(capsys, [
-            "train", "--protocol", "two_way",
-            "--train", corpus_files["train"], "--dev", corpus_files["dev"],
-            "--model", "cnn", "--out", str(corpus_files["tmp"] / "x.ckpt"),
-        ])
-        assert code == 1
-        assert stdout == ""
-        assert "DOCGRAPH_THREADS" in err and "'four'" in err
-
     def test_determinism_byte_identical_outputs(self, capsys, corpus_files):
         out1, _ = train_checkpoint(capsys, corpus_files, "lstm")
         log1 = (corpus_files["tmp"] / "lstm.ckpt.runlog.json").read_bytes()

@@ -1,7 +1,5 @@
 """Metric arithmetic and evaluation-path tests."""
 
-import re
-
 import numpy as np
 import pytest
 
@@ -82,27 +80,9 @@ class TestEvaluateDocuments:
         for name, tensor in self.params.tensors.items():
             assert np.array_equal(tensor.values, before[name])
 
-    def test_thread_pool_matches_serial(self, monkeypatch):
-        serial = evaluation.evaluate_documents(self.params, self.config, self.docs)
-        monkeypatch.setenv("DOCGRAPH_THREADS", "4")
-        parallel = evaluation.evaluate_documents(self.params, self.config, self.docs)
-        assert np.array_equal(serial.confusion, parallel.confusion)
-
     def test_empty_set_rejected(self):
         with pytest.raises(EvaluationError, match="no documents"):
             evaluation.evaluate_documents(self.params, self.config, [])
-
-    @pytest.mark.parametrize("raw", ["four", "0", "-3", "1.5", "", " 2", "+2", "\u0663"])
-    def test_bad_thread_count_rejected(self, monkeypatch, raw):
-        monkeypatch.setenv("DOCGRAPH_THREADS", raw)
-        with pytest.raises(EvaluationError, match="DOCGRAPH_THREADS.*" + re.escape(repr(raw))):
-            evaluation.evaluate_documents(self.params, self.config, self.docs)
-
-    def test_thread_limit_defaults_to_one(self, monkeypatch):
-        monkeypatch.delenv("DOCGRAPH_THREADS", raising=False)
-        assert evaluation.thread_limit() == 1
-        monkeypatch.setenv("DOCGRAPH_THREADS", "03")
-        assert evaluation.thread_limit() == 3
 
     def test_confusion_totals_match_document_count(self):
         m = evaluation.evaluate_documents(self.params, self.config, self.docs)

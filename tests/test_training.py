@@ -236,6 +236,34 @@ class TestStepAllocations:
         assert backward_peak < 2 * 2**20
         assert adam_peak < 4 * 2**20
 
+    def test_no_embedding_sized_temporaries_in_sync(self):
+        config = model.ModelConfig(variant="gcn_attn", vocab_size=20000,
+                                   class_names=("a", "b", "c", "d"), seed=3)
+        params = model.init_params(config)
+        state = ad.AdamState.for_params(params.tensors)
+        docs = [Document("d", 1, ((5, 17, 300, 19999), (2, 3, 4))),
+                Document("e", 0, ((7, 7, 19000, 11, 12),)),
+                Document("f", 2, ((5, 40, 41), (19999, 8))),
+                Document("g", 3, ((900, 901, 902, 3),))]
+        for doc in docs:
+            with ad.Tape() as tape:
+                logits, _ = model.forward(doc, params, config)
+                step_loss = model.loss(logits, doc.label)
+            ad.zero_grads(params.tensors)
+            ad.backward(tape, step_loss)
+            ad.adam_step(params.tensors, {n: t.grad for n, t in params.tensors.items()}, state)
+        assert len(state.window) == len(docs)  # every step was deferred
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            ad.adam_sync(params.tensors, state)
+            sync_peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        # the replay runs in chunks and copies only the rows a step touched
+        assert not state.rows
+        assert sync_peak < 4 * 2**20
+
 
 class TestCheckpointPersistence:
     def trained(self, tmp_path, variant="gcn"):
