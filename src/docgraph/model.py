@@ -8,7 +8,7 @@ holds every per-variant fact; the code below branches on its fields,
 never on variant names. ``param_layout`` lists the tensors a variant
 owns; initialization, checkpoint validation and the forward pass all
 follow it, and its names appear nowhere else: the encoder and the layers
-take bare tensors.
+take bare tensors. The encoder LSTM is three fused tensors, gate columns i|f|o|g.
 
 Single-sentence documents have no neighbors, so graph variants bypass
 the propagation step and project the lone node feature through the
@@ -27,7 +27,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import AdamState, Tensor
 from .corpus import DEFAULT_MAX_SENTENCES, DEFAULT_MAX_TOKENS, ClassSet, Document
-from .encoder import GATES, embed, encode_document, flat_tokens, lstm_last_hidden
+from .encoder import embed, encode_document, flat_tokens, lstm_last_hidden
 from .errors import ModelError
 from .graph import EdgeWeightSet, build_graph
 from .layers import gcn_layer, multi_head, row_normalize, self_attention
@@ -177,7 +177,8 @@ class ModelParams:
 def param_layout(config: ModelConfig) -> dict[str, tuple[tuple[int, ...], str]]:
     """Every tensor a variant owns, in draw order: name -> (shape, init).
 
-    ``init`` is "xavier", "zeros" or "ones"; a 1-D xavier vector draws as
+    ``init`` is "xavier", "zeros", "ones" or "lstm" (the three fused LSTM
+    tensors, drawn together by ``_draw_lstm``); a 1-D xavier vector draws as
     a column (the GAT pair-scoring vector scores a 2*node concatenation).
     """
     spec = config.spec
@@ -188,11 +189,9 @@ def param_layout(config: ModelConfig) -> dict[str, tuple[tuple[int, ...], str]]:
             layout[f"cnn.w{k}"] = ((embed, hidden), "xavier")
         layout["cnn.b"] = ((hidden,), "zeros")
     else:
-        for gate in GATES:
-            layout[f"lstm.{gate}.w_x"] = ((embed, hidden), "xavier")
-            layout[f"lstm.{gate}.w_h"] = ((hidden, hidden), "xavier")
-            # forget-gate bias starts at 1 to keep early cell state open
-            layout[f"lstm.{gate}.b"] = ((hidden,), "ones" if gate == "f" else "zeros")
+        layout["lstm.w_x"] = ((embed, 4 * hidden), "lstm")
+        layout["lstm.w_h"] = ((hidden, 4 * hidden), "lstm")
+        layout["lstm.b"] = ((4 * hidden,), "lstm")
     if spec.kind == "gcn":
         for layer in range(config.gcn_layers):
             layout[f"gcn.{layer}.w"] = ((hidden if layer == 0 else node, node), "xavier")
@@ -240,12 +239,30 @@ def _draw(rng: np.random.Generator, shape: tuple[int, ...], init: str) -> np.nda
     return xavier_uniform(rng, rows, cols).reshape(shape)
 
 
+def _draw_lstm(rng: np.random.Generator, embed: int, hidden: int) -> dict[str, np.ndarray]:
+    """The fused encoder LSTM, gate columns i|f|o|g. Each gate's w_x block, then
+    its w_h block, is drawn with its own xavier bound, gate by gate in i, f, g, o
+    order as checkpoint format 1 drew them, so a seed gives the same values."""
+    w_x, w_h = np.empty((embed, 4 * hidden)), np.empty((hidden, 4 * hidden))
+    for column in (0, 1, 3, 2):  # gates i, f, g, o
+        block = slice(column * hidden, (column + 1) * hidden)
+        w_x[:, block] = xavier_uniform(rng, embed, hidden)
+        w_h[:, block] = xavier_uniform(rng, hidden, hidden)
+    b = np.repeat([0.0, 1.0, 0.0, 0.0], hidden)  # forget gate at 1 keeps early cell state open
+    return {"lstm.w_x": w_x, "lstm.w_h": w_h, "lstm.b": b}
+
+
 def init_params(config: ModelConfig, rng: np.random.Generator | None = None) -> ModelParams:
     """Draw every tensor of ``param_layout`` in order and bind them."""
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    return bind_params(config, {name: _draw(rng, shape, init)
-                                for name, (shape, init) in param_layout(config).items()})
+    values: dict[str, np.ndarray] = {}
+    for name, (shape, init) in param_layout(config).items():
+        if init != "lstm":
+            values[name] = _draw(rng, shape, init)
+        elif name not in values:  # the first of the three draws all three
+            values.update(_draw_lstm(rng, config.embed_dim, config.hidden_dim))
+    return bind_params(config, values)
 
 
 def bind_params(config: ModelConfig, values: dict[str, np.ndarray]) -> ModelParams:
@@ -253,12 +270,6 @@ def bind_params(config: ModelConfig, values: dict[str, np.ndarray]) -> ModelPara
     used, not copied) as trainable tensors."""
     check_layout(config, [(name, np.shape(v)) for name, v in values.items()])
     return ModelParams({name: Tensor(v) for name, v in values.items()})
-
-
-def lstm_gates(params: ModelParams) -> list[tuple[Tensor, Tensor, Tensor]]:
-    """The encoder LSTM's (w_x, w_h, b) per gate, in ``GATES`` order."""
-    t = params.tensors
-    return [(t[f"lstm.{g}.w_x"], t[f"lstm.{g}.w_h"], t[f"lstm.{g}.b"]) for g in GATES]
 
 
 def _project(pooled: Tensor, params: ModelParams, n_classes: int) -> Tensor:
@@ -284,8 +295,9 @@ def cnn_forward(doc: Document, params: ModelParams, config: ModelConfig) -> Tens
 
 def lstm_forward(doc: Document, params: ModelParams, config: ModelConfig) -> Tensor:
     """Document-level LSTM over the flattened token sequence."""
-    x = embed(flat_tokens(doc), params.tensors["embedding"])
-    hidden = lstm_last_hidden(x, lstm_gates(params))
+    t = params.tensors
+    x = embed(flat_tokens(doc), t["embedding"])
+    hidden = lstm_last_hidden(x, t["lstm.w_x"], t["lstm.w_h"], t["lstm.b"])
     return _project(hidden, params, config.n_classes)
 
 
@@ -296,7 +308,7 @@ def _graph_forward(
     weights: EdgeWeightSet | None,
 ) -> tuple[Tensor, list[Tensor] | None]:
     t = params.tensors
-    features = encode_document(doc, t["embedding"], lstm_gates(params))
+    features = encode_document(doc, t["embedding"], t["lstm.w_x"], t["lstm.w_h"], t["lstm.b"])
     spec = config.spec
     adjacency = build_graph(doc, features, weights if spec.edge_weights else None)
     attentions: list[Tensor] | None = None

@@ -20,11 +20,13 @@ from test_autodiff import fd_grad, max_rel_err, piecewise_sigmoid
 VOCAB = 30
 
 
-def reference_encode(doc, embedding, gate_list):
-    """Straight-line numpy LSTM, one sentence and one token at a time."""
-    hidden = gate_list[0][0].shape[1]
+def reference_encode(doc, embedding, w_x, w_h, b):
+    """Straight-line numpy LSTM, one sentence and one token at a time, over
+    each gate's column blocks of the fused tensors (columns i|f|o|g)."""
+    hidden = w_h.shape[0]
     emb = embedding.values
-    gates = {g: tuple(t.values for t in gate) for g, gate in zip(encoder.GATES, gate_list)}
+    gates = {g: tuple(t.values[..., k * hidden : (k + 1) * hidden] for t in (w_x, w_h, b))
+             for k, g in enumerate("ifog")}
 
     def sig(v):
         return 1.0 / (1.0 + np.exp(-v))
@@ -34,7 +36,7 @@ def reference_encode(doc, embedding, gate_list):
         h = np.zeros(hidden)
         c = np.zeros(hidden)
         for token in sentence:
-            pre = {g: emb[token] @ w_x + h @ w_h + b for g, (w_x, w_h, b) in gates.items()}
+            pre = {g: emb[token] @ wx + h @ wh + bias for g, (wx, wh, bias) in gates.items()}
             c = sig(pre["f"]) * c + sig(pre["i"]) * np.tanh(pre["g"])
             h = sig(pre["o"]) * np.tanh(c)
         rows.append(h)
@@ -107,7 +109,7 @@ sentences_strategy = st.lists(
 
 
 def lstm_params(rng, vocab_size, embed_dim, hidden_dim):
-    """An lstm model's parameters; ``model.lstm_gates`` gives the encoder's gates."""
+    """An lstm model's parameters; ``lstm_tensors`` gives the encoder's weights."""
     config = model.ModelConfig(variant="lstm", vocab_size=vocab_size,
                                class_names=("a", "b"), embed_dim=embed_dim,
                                hidden_dim=hidden_dim)
@@ -124,9 +126,14 @@ def embedding(model_params):
     return model_params.tensors["embedding"]
 
 
+def lstm_tensors(params):
+    """The fused (w_x, w_h, b) of the encoder LSTM."""
+    return tuple(params.tensors[f"lstm.{name}"] for name in ("w_x", "w_h", "b"))
+
+
 @pytest.fixture
-def gates(model_params):
-    return model.lstm_gates(model_params)
+def lstm(model_params):
+    return lstm_tensors(model_params)
 
 
 class TestEmbed:
@@ -156,9 +163,8 @@ class TestEmbed:
 
 class TestLstm:
     def test_zero_weights_give_zero_hidden(self):
-        zero = lambda r, c: Tensor(np.zeros((r, c)))
-        gates = [(zero(3, 2), zero(2, 2), Tensor(np.zeros(2))) for _ in encoder.GATES]
-        out = encoder.lstm_last_hidden(Tensor(np.ones((4, 3))), gates)
+        zero = lambda *shape: Tensor(np.zeros(shape))
+        out = encoder.lstm_last_hidden(Tensor(np.ones((4, 3))), zero(3, 8), zero(2, 8), zero(8))
         assert np.array_equal(out.values, np.zeros(2))
 
     def test_single_step_matches_hand_computation(self):
@@ -170,10 +176,12 @@ class TestLstm:
             "o": [[-0.1, 0.25], [0.2, 0.1]],
         }
         bias = {"i": [0.05, -0.05], "f": [1.0, 1.0], "g": [0.0, 0.0], "o": [0.1, -0.1]}
-        gates = [(Tensor(wx[g]), Tensor([[0.7, -0.3], [0.2, 0.9]]), Tensor(bias[g]))
-                 for g in encoder.GATES]
+        # the fused tensors hold the gates' columns in i|f|o|g order
+        w_x = Tensor(np.concatenate([wx[g] for g in "ifog"], axis=1))
+        w_h = Tensor(np.tile([[0.7, -0.3], [0.2, 0.9]], 4))
+        b = Tensor(np.concatenate([bias[g] for g in "ifog"]))
         x = [1.0, -1.0]
-        out = encoder.lstm_last_hidden(Tensor([x]), gates)
+        out = encoder.lstm_last_hidden(Tensor([x]), w_x, w_h, b)
 
         def sig(v):
             return 1.0 / (1.0 + math.exp(-v))
@@ -181,7 +189,7 @@ class TestLstm:
         expected = []
         for j in range(2):
             pre = {g: x[0] * wx[g][0][j] + x[1] * wx[g][1][j] + bias[g][j]
-                   for g in encoder.GATES}
+                   for g in "ifgo"}
             c1 = sig(pre["f"]) * 0.0 + sig(pre["i"]) * math.tanh(pre["g"])
             expected.append(sig(pre["o"]) * math.tanh(c1))
         assert np.allclose(out.values, expected, atol=1e-12)
@@ -189,13 +197,13 @@ class TestLstm:
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(3)
         model_params = lstm_params(rng, vocab_size=4, embed_dim=3, hidden_dim=2)
-        gates = model.lstm_gates(model_params)
+        lstm = lstm_tensors(model_params)
         x_vals = rng.normal(size=(3, 3))
         w = rng.normal(size=2)
 
         def loss_value():
             with ad.Tape() as tape:
-                out = encoder.lstm_last_hidden(Tensor(x_vals), gates)
+                out = encoder.lstm_last_hidden(Tensor(x_vals), *lstm)
                 loss = ad.sum_all(ad.mul(out, Tensor(w)))
             return tape, loss
 
@@ -209,7 +217,7 @@ class TestLstm:
             def f(v, tensor=tensor):
                 saved = tensor.values
                 tensor.values = v
-                out = encoder.lstm_last_hidden(Tensor(x_vals), gates)
+                out = encoder.lstm_last_hidden(Tensor(x_vals), *lstm)
                 tensor.values = saved
                 return float(np.sum(w * out.values))
 
@@ -218,34 +226,34 @@ class TestLstm:
 
 
 class TestEncodeDocument:
-    def test_identical_sentences_identical_rows(self, embedding, gates):
+    def test_identical_sentences_identical_rows(self, embedding, lstm):
         doc = Document("d", 0, ((1, 2, 3), (1, 2, 3)))
-        out = encoder.encode_document(doc, embedding, gates)
+        out = encoder.encode_document(doc, embedding, *lstm)
         assert out.shape == (2, 4)
         assert np.array_equal(out.values[0], out.values[1])
 
-    def test_single_sentence_shape(self, embedding, gates):
-        out = encoder.encode_document(Document("d", 0, ((4, 5),)), embedding, gates)
+    def test_single_sentence_shape(self, embedding, lstm):
+        out = encoder.encode_document(Document("d", 0, ((4, 5),)), embedding, *lstm)
         assert out.shape == (1, 4)
 
-    def test_permutation_permutes_rows_exactly(self, embedding, gates):
+    def test_permutation_permutes_rows_exactly(self, embedding, lstm):
         sentences = ((1, 2), (3, 4, 5), (6,), (7, 8))
         perm = (2, 0, 3, 1)
-        s = encoder.encode_document(Document("d", 0, sentences), embedding, gates)
+        s = encoder.encode_document(Document("d", 0, sentences), embedding, *lstm)
         s_perm = encoder.encode_document(
-            Document("d", 0, tuple(sentences[i] for i in perm)), embedding, gates)
+            Document("d", 0, tuple(sentences[i] for i in perm)), embedding, *lstm)
         assert np.array_equal(s_perm.values, s.values[list(perm)])
 
-    def test_shared_parameter_gradients_accumulate(self, model_params, embedding, gates):
+    def test_shared_parameter_gradients_accumulate(self, model_params, embedding, lstm):
         doc = Document("d", 0, ((1, 2), (1, 2)))
         single = Document("d", 0, ((1, 2),))
         with ad.Tape() as tape:
-            loss = ad.sum_all(encoder.encode_document(doc, embedding, gates))
+            loss = ad.sum_all(encoder.encode_document(doc, embedding, *lstm))
         ad.backward(tape, loss)
         double_grad = embedding.grad.dense()
         ad.zero_grads(model_params.tensors)
         with ad.Tape() as tape:
-            loss = ad.sum_all(encoder.encode_document(single, embedding, gates))
+            loss = ad.sum_all(encoder.encode_document(single, embedding, *lstm))
         ad.backward(tape, loss)
         assert np.allclose(double_grad, 2.0 * embedding.grad.dense(), atol=1e-12)
 
@@ -256,29 +264,26 @@ class TestBatchedEncoderProperties:
     def test_matches_reference_and_permutes_exactly(self, seed, sentences, data):
         params = lstm_params(np.random.default_rng(seed), vocab_size=VOCAB,
                              embed_dim=5, hidden_dim=4)
-        embedding, gates = params.tensors["embedding"], model.lstm_gates(params)
+        embedding, lstm = params.tensors["embedding"], lstm_tensors(params)
         doc = Document("d", 0, sentences)
-        out = encoder.encode_document(doc, embedding, gates).values
+        out = encoder.encode_document(doc, embedding, *lstm).values
         assert out.shape == (len(sentences), 4)
-        assert np.max(np.abs(out - reference_encode(doc, embedding, gates))) < 1e-12
+        assert np.max(np.abs(out - reference_encode(doc, embedding, *lstm))) < 1e-12
 
         perm = data.draw(st.permutations(range(len(sentences))))
         permuted = encoder.encode_document(
-            Document("d", 0, tuple(sentences[i] for i in perm)), embedding, gates).values
+            Document("d", 0, tuple(sentences[i] for i in perm)), embedding, *lstm).values
         assert np.array_equal(permuted, out[list(perm)])
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), steps=st.integers(1, 12))
     def test_single_sequence_lstm_last_is_lstm_last_hidden(self, seed, steps):
         rng = np.random.default_rng(seed)
-        gates = model.lstm_gates(lstm_params(rng, vocab_size=VOCAB, embed_dim=5, hidden_dim=4))
+        w_x, w_h, b = lstm_tensors(
+            lstm_params(rng, vocab_size=VOCAB, embed_dim=5, hidden_dim=4))
         x = rng.normal(size=(steps, 5))
-        by_name = dict(zip(encoder.GATES, gates))
-        columns = [by_name[name] for name in encoder.GATE_COLUMNS]
-        w_x, w_h, b = (np.concatenate([np.atleast_2d(gate[k].values) for gate in columns],
-                                      axis=1) for k in range(3))
-        h = ad.lstm_last(Tensor(x @ w_x + b), Tensor(w_h), [steps])
-        expected = encoder.lstm_last_hidden(Tensor(x), gates)
+        h = ad.lstm_last(Tensor(x @ w_x.values + b.values), w_h, [steps])
+        expected = encoder.lstm_last_hidden(Tensor(x), w_x, w_h, b)
         assert np.array_equal(h.values[0], expected.values)
 
 
@@ -351,7 +356,7 @@ class TestLstmLastKernel:
         assert peak(taped=False) < 0.5 * peak(taped=True)
 
 
-def test_tape_size_does_not_grow_with_sentence_length(embedding, gates):
+def test_tape_size_does_not_grow_with_sentence_length(embedding, lstm):
     # one batched recurrence per document, never a per-token loop on the tape
     rng = np.random.default_rng(5)
     sizes = set()
@@ -360,7 +365,8 @@ def test_tape_size_does_not_grow_with_sentence_length(embedding, gates):
             tuple(int(t) for t in rng.integers(0, 12, size=rng.integers(1, max_len + 1)))
             for _ in range(10)))
         with ad.Tape() as tape:
-            encoder.encode_document(doc, embedding, gates)
+            encoder.encode_document(doc, embedding, *lstm)
         sizes.add(len(tape))
     assert len(sizes) == 1
-    assert sizes.pop() <= 16
+    # gather_rows, matmul, add and lstm_last
+    assert sizes.pop() == 4

@@ -93,7 +93,7 @@ class TestDegenerateSingleSentence:
         logits, _ = model.forward(doc, params, config)
         from docgraph.encoder import encode_document
         t = params.tensors
-        s = encode_document(doc, t["embedding"], model.lstm_gates(params)).values
+        s = encode_document(doc, t["embedding"], t["lstm.w_x"], t["lstm.w_h"], t["lstm.b"]).values
         z = s @ t["gcn.0.w"].values
         expected = z @ t["proj.w"].values + t["proj.b"].values
         assert np.allclose(logits.values, expected.ravel(), atol=1e-12)
@@ -304,6 +304,8 @@ class TestParameterAccounting:
             for name, (shape, init) in layout.items():
                 values = params.tensors[name].values
                 assert values.shape == shape, name
+                if init == "lstm":
+                    continue  # TestInitDrawOrder checks the fused LSTM's blocks
                 if init == "xavier":
                     fans = sum(shape) if len(shape) == 2 else shape[0] + 1
                     assert np.all(np.abs(values) <= math.sqrt(6.0 / fans)), name
@@ -314,24 +316,25 @@ class TestParameterAccounting:
 # SHA-256 over each tensor's name and little-endian float64 bytes, in
 # order, of init_params at vocab 50, seed 3 and default dimensions, with
 # gcn_layers 1 and 2. Pins the draw order: checkpoints and every seeded
-# result depend on it.
+# result depend on it; test_init_is_the_per_gate_draws_reassembled pins
+# the LSTM's blocks to the per-gate draws of checkpoint format 1.
 INIT_DIGESTS = {
     "cnn": ("28408601501dd45fe1bcc01c70a955e50d9ccb96af455da8d2af5d7e4f5d0a7e",
             "28408601501dd45fe1bcc01c70a955e50d9ccb96af455da8d2af5d7e4f5d0a7e"),
-    "lstm": ("01632f6712309d9468f560a4e700220d8bfd6e203e82710da2354546acf310e0",
-             "01632f6712309d9468f560a4e700220d8bfd6e203e82710da2354546acf310e0"),
-    "gcn": ("88f46d6bcbbb4a3e762eeef6fb44c231547d6ca239bef9c7fe8ebbb93ff2f1e1",
-            "3aba83bdb21eb76953502858b59de74f5b740836eb4f6eaaaaccfa17a3ff4f37"),
-    "gcn_ss": ("88f46d6bcbbb4a3e762eeef6fb44c231547d6ca239bef9c7fe8ebbb93ff2f1e1",
-               "3aba83bdb21eb76953502858b59de74f5b740836eb4f6eaaaaccfa17a3ff4f37"),
-    "gcn_attn": ("64e31af4fac7e6692369797a3b3257ce387e52ec9106c011cb01643e8f022de8",
-                 "f1cb9b3f40dba9e7bb860d9c4d4db7cc2240683799e34191d50f545abd23dadf"),
-    "gcn_attn_ss": ("64e31af4fac7e6692369797a3b3257ce387e52ec9106c011cb01643e8f022de8",
-                    "f1cb9b3f40dba9e7bb860d9c4d4db7cc2240683799e34191d50f545abd23dadf"),
-    "gat": ("b44bde571d65bcd8598fc9f54030f38848f90b9aa6d3e3f8ed7b7826e5d4be24",
-            "b44bde571d65bcd8598fc9f54030f38848f90b9aa6d3e3f8ed7b7826e5d4be24"),
-    "gat2": ("5e79941494c99fa2a325e0039ef3ba3464859035bb73a56821e59e83b41febeb",
-             "5e79941494c99fa2a325e0039ef3ba3464859035bb73a56821e59e83b41febeb"),
+    "lstm": ("e2cc526541a408ddfc8e66c2743b9f7dfab70ec9e2a04afc2b3f6527582a6b67",
+             "e2cc526541a408ddfc8e66c2743b9f7dfab70ec9e2a04afc2b3f6527582a6b67"),
+    "gcn": ("568c8a4a6f127c636ea7b52fa25437cdd4fb2d88d196d587a35a65f0e883871d",
+            "1b1bc350ba5b1c33b28946a2b223a17e8d91d8a3b8298b020519c9cd28000610"),
+    "gcn_ss": ("568c8a4a6f127c636ea7b52fa25437cdd4fb2d88d196d587a35a65f0e883871d",
+               "1b1bc350ba5b1c33b28946a2b223a17e8d91d8a3b8298b020519c9cd28000610"),
+    "gcn_attn": ("2276a1e4623c6193810bfb9f7219b2244c519ff4a44289f8d16c08397d15d402",
+                 "40f2d9eb31d0c3fc5a397a0c7bf2413a870276a03ad2b57cf3756a61342f456e"),
+    "gcn_attn_ss": ("2276a1e4623c6193810bfb9f7219b2244c519ff4a44289f8d16c08397d15d402",
+                    "40f2d9eb31d0c3fc5a397a0c7bf2413a870276a03ad2b57cf3756a61342f456e"),
+    "gat": ("c1735cb4ff1c38ee37bb9c58ee2b2748f7acdc25e2be2c2c33aaca98b8746b6f",
+            "c1735cb4ff1c38ee37bb9c58ee2b2748f7acdc25e2be2c2c33aaca98b8746b6f"),
+    "gat2": ("678826d4d93ea5bca47037792f50df5275dc1402b1b5dee6804338b5a96d5fcd",
+             "678826d4d93ea5bca47037792f50df5275dc1402b1b5dee6804338b5a96d5fcd"),
 }
 
 
@@ -346,6 +349,32 @@ class TestInitDrawOrder:
                 digest.update(name.encode("utf-8"))
                 digest.update(tensor.values.astype("<f8").tobytes())
             assert digest.hexdigest() == expected, gcn_layers
+
+    @pytest.mark.parametrize("variant", ["lstm", "gat2"])
+    def test_init_is_the_per_gate_draws_reassembled(self, variant):
+        # checkpoint format 1 drew one (w_x, w_h, b) per gate in i, f, g, o
+        # order right after the embedding; the fused tensors hold the same
+        # draws with their columns in i|f|o|g order
+        config = model.ModelConfig(variant=variant, vocab_size=50, class_names=CLASSES,
+                                   seed=3, embed_dim=7, hidden_dim=5)
+        embed, hidden = config.embed_dim, config.hidden_dim
+        rng = np.random.default_rng(config.seed)
+        expected = {"embedding": model.xavier_uniform(rng, config.vocab_size, embed)}
+        gates = {}
+        for gate in "ifgo":
+            gates[gate] = (model.xavier_uniform(rng, embed, hidden),
+                           model.xavier_uniform(rng, hidden, hidden),
+                           np.full(hidden, 1.0 if gate == "f" else 0.0))
+        for k, name in enumerate(("lstm.w_x", "lstm.w_h", "lstm.b")):
+            expected[name] = np.concatenate([gates[g][k] for g in "ifog"], axis=-1)
+        for name, (shape, init) in model.param_layout(config).items():
+            if name not in expected:
+                expected[name] = model._draw(rng, shape, init)
+        params = model.init_params(config)
+        assert list(params.tensors) == list(expected)
+        for name, tensor in params.tensors.items():
+            assert tensor.values.shape == expected[name].shape, name
+            assert tensor.values.tobytes() == expected[name].tobytes(), name
 
 
 class TestEndToEndGradients:
