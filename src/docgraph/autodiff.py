@@ -161,8 +161,10 @@ class Tape:
 
     Use as a context manager around a forward pass; ops executed inside
     the ``with`` block are recorded. A tape and its tensors are owned by
-    one forward/backward pass; distinct tapes may run in parallel because
-    activation is tracked per execution context.
+    one forward/backward pass. Activation is tracked per execution context,
+    but passes on distinct tapes must not run in parallel over one model:
+    :func:`gather_rows` catches up the lagging rows of a parameter that
+    Adam updates row-sparsely in place (see ``Tensor.pending``).
     """
 
     def __init__(self):
@@ -734,9 +736,14 @@ ADAM_CHUNK = 32768
 # many steps over the rows it reads, so the cap bounds its cost.
 ADAM_WINDOW = 32
 
-# (beta1, beta2, step, eps_hat): everything one Adam step's update of a float
-# depends on besides that float's p, m, v and gradient (see _adam_pass).
-Scalars = tuple[float, float, float, float]
+# Kingma & Ba's default decay rates and epsilon.
+ADAM_B1 = 0.9
+ADAM_B2 = 0.999
+ADAM_EPS = 1e-8
+
+# (step, eps_hat): everything one Adam step's update of a float depends on
+# besides that float's p, m, v and gradient (see _adam_pass).
+Scalars = tuple[float, float]
 
 
 @dataclass
@@ -748,16 +755,14 @@ class AdamState:
     a :class:`RowSparseGrad` since its last sync. It holds, for each row, how
     many of the steps in ``window`` that row has taken. ``window`` holds the
     scalars of each such step, oldest first, as they were when it ran, so a
-    later change to ``lr`` or the betas does not reach back. A row that has
-    taken every step in ``window`` holds the dense update's bytes in p, m
-    and v; :func:`gather_rows` and :func:`adam_sync` bring rows there. Both
-    are empty when no row lags.
+    later change to ``lr`` does not reach back. A row that has taken every
+    step in ``window`` holds the dense update's bytes in p, m and v;
+    :func:`gather_rows` and :func:`adam_sync` bring rows there. Both are
+    empty when no row lags. ``lr`` is the one settable hyperparameter; the
+    decay rates and epsilon are ``ADAM_B1``, ``ADAM_B2`` and ``ADAM_EPS``.
     """
 
     lr: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     t: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
@@ -806,16 +811,9 @@ def _is_real(value) -> bool:
 
 def _check_settings(state: AdamState) -> None:
     """Raise ``NumericError`` naming the first out-of-domain optimizer field."""
-    for name in ("lr", "eps"):
-        value = getattr(state, name)
-        # a bound, not math.isfinite, so a huge int is rejected, not an OverflowError
-        if not (_is_real(value) and 0 < value <= sys.float_info.max):
-            raise NumericError(f"Adam {name} must be a finite number above 0, got {value!r}")
-    for name in ("beta1", "beta2"):
-        value = getattr(state, name)
-        # beta = 1 makes a bias correction 1 - beta**t zero
-        if not (_is_real(value) and 0 <= value < 1):
-            raise NumericError(f"Adam {name} must be in [0, 1), got {value!r}")
+    # a bound, not math.isfinite, so a huge int is rejected, not an OverflowError
+    if not (_is_real(state.lr) and 0 < state.lr <= sys.float_info.max):
+        raise NumericError(f"Adam lr must be a finite number above 0, got {state.lr!r}")
     if not (isinstance(state.t, numbers.Integral) and not isinstance(state.t, bool)
             and state.t >= 0):
         raise NumericError(f"Adam t must be a non-negative integer, got {state.t!r}")
@@ -823,9 +821,8 @@ def _check_settings(state: AdamState) -> None:
 
 def _scalars(state: AdamState) -> Scalars:
     """The scalars of step ``state.t``."""
-    b1, b2 = state.beta1, state.beta2
-    root_bc2 = math.sqrt(1.0 - b2 ** state.t)
-    return b1, b2, state.lr * root_bc2 / (1.0 - b1 ** state.t), state.eps * root_bc2
+    root_bc2 = math.sqrt(1.0 - ADAM_B2 ** state.t)
+    return state.lr * root_bc2 / (1.0 - ADAM_B1 ** state.t), ADAM_EPS * root_bc2
 
 
 def _adam_pass(p: np.ndarray, m: np.ndarray, v: np.ndarray, g: np.ndarray | None,
@@ -834,7 +831,8 @@ def _adam_pass(p: np.ndarray, m: np.ndarray, v: np.ndarray, g: np.ndarray | None
     and ``v`` in place, ``ADAM_CHUNK`` floats at a time: every step on one
     chunk, then the next chunk. A step runs the operations of
     ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*(g*g)`` and
-    ``p = p - (m*step) / (sqrt(v) + eps_hat)`` in that order, where
+    ``p = p - (m*step) / (sqrt(v) + eps_hat)`` in that order, where b1, b2
+    and eps are ``ADAM_B1``, ``ADAM_B2`` and ``ADAM_EPS``,
     ``step = lr*sqrt(bc2)/bc1`` and ``eps_hat = eps*sqrt(bc2)`` (Kingma &
     Ba's reordered form, algebraically ``lr*(m/bc1) / (sqrt(v/bc2) + eps)``).
     ``g`` is every step's gradient; ``g = None`` stands for an all-(+0.0)
@@ -852,19 +850,19 @@ def _adam_pass(p: np.ndarray, m: np.ndarray, v: np.ndarray, g: np.ndarray | None
         gc = None if g is None else g[lo : lo + ADAM_CHUNK]
         s = scratch[0, : pc.size]
         u = scratch[1, : pc.size]
-        for b1, b2, step, eps_hat in steps:
-            np.multiply(mc, b1, out=mc)
-            np.multiply(vc, b2, out=vc)
+        for step, eps_hat in steps:
+            np.multiply(mc, ADAM_B1, out=mc)
+            np.multiply(vc, ADAM_B2, out=vc)
             if gc is None:
                 # (1-b1)*g is +0.0, and m + 0.0 turns a -0.0 in m into +0.0 as
                 # the full formula does. v needs no + 0.0: it starts at +0.0 and
                 # only ever adds (1-b2)*(g*g) >= +0.0, so it never holds -0.0.
                 np.add(mc, 0.0, out=mc)
             else:
-                np.multiply(gc, 1.0 - b1, out=s)
+                np.multiply(gc, 1.0 - ADAM_B1, out=s)
                 np.add(mc, s, out=mc)
                 np.multiply(gc, gc, out=s)
-                np.multiply(s, 1.0 - b2, out=s)
+                np.multiply(s, 1.0 - ADAM_B2, out=s)
                 np.add(vc, s, out=vc)
             np.sqrt(vc, out=u)
             np.add(u, eps_hat, out=u)
@@ -988,12 +986,12 @@ def adam_step(
     a dense gradient updates a lagging parameter. Read ``p.values``,
     ``state.m`` or ``state.v`` of a row-sparse parameter only after a sync.
 
-    Aborts before touching any parameter or moment if ``lr`` or ``eps`` is
-    not finite and above 0, ``beta1`` or ``beta2`` is outside [0, 1), ``t``
-    is not a non-negative integer, a gradient is missing, non-finite or
-    mis-shaped, a row-sparse gradient's ids are not sorted, unique and in
-    range, or the moments do not match a parameter, so a failed step leaves
-    the model and the optimizer unchanged, lagging rows included.
+    Aborts before touching any parameter or moment if ``lr`` is not finite
+    and above 0, ``t`` is not a non-negative integer, a gradient is missing,
+    non-finite or mis-shaped, a row-sparse gradient's ids are not sorted,
+    unique and in range, or the moments do not match a parameter, so a
+    failed step leaves the model and the optimizer unchanged, lagging rows
+    included.
     """
     _check_settings(state)
     for name, p in params.items():

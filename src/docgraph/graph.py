@@ -63,7 +63,8 @@ def load_edge_weights(path: str | Path) -> EdgeWeightSet:
     """Parse and validate an edge-weight JSONL file.
 
     Each line holds {"id": str, "n": int, "weights": [[...], ...]} with a
-    symmetric, zero-diagonal n-by-n matrix of finite scores in [0, 1].
+    symmetric, zero-diagonal n-by-n matrix of finite scores in [0, 1], and
+    no id appears twice.
     """
     path = Path(path)
     try:
@@ -81,6 +82,8 @@ def load_edge_weights(path: str | Path) -> EdgeWeightSet:
         if not isinstance(rec, dict) or not {"id", "n", "weights"} <= rec.keys():
             raise GraphError(f"{path}:{lineno}: record needs 'id', 'n' and 'weights'")
         doc_id = str(rec["id"])
+        if doc_id in weights:
+            raise GraphError(f"{path}:{lineno}: duplicate id '{doc_id}'")
         n = rec["n"]
         if not isinstance(n, int) or isinstance(n, bool):
             raise GraphError(f"{path}:{lineno}: 'n' must be an integer, got {n!r}")

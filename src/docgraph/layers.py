@@ -2,13 +2,13 @@
 graph attention with multi-head concatenation.
 
 Every layer takes its weights as bare tensors and the activation's slope
-from its caller (the model passes ``ModelConfig.leaky_slope``). The
+from its caller (the model passes ``model.LEAKY_SLOPE``). The
 convolution is the literal unnormalized form sigma(E Z W) with a
-leaky-ReLU activation. No self-loops are added (the adjacency diagonal
-is zero) and no degree normalization is applied unless explicitly
-requested. The graph attention layer treats the adjacency purely as a
-0/1 connectivity mask and learns the edge weights; attention matrices
-are returned so callers can export them.
+leaky-ReLU activation: no self-loops are added (the adjacency diagonal
+is zero) and no degree normalization is applied. The graph attention
+layer treats the adjacency purely as a 0/1 connectivity mask and learns
+the edge weights; attention matrices are returned so callers can export
+them.
 """
 
 from __future__ import annotations
@@ -18,14 +18,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import GraphError
-
-
-def row_normalize(adjacency: Tensor) -> Tensor:
-    """Optional ablation: divide each adjacency row by its sum (zero rows stay)."""
-    sums = adjacency.values.sum(axis=1, keepdims=True)
-    scaled = np.divide(adjacency.values, sums, out=np.zeros_like(adjacency.values),
-                       where=sums > 0)
-    return Tensor(scaled)
 
 
 def gcn_layer(adjacency: Tensor, nodes: Tensor, weight: Tensor, slope: float) -> Tensor:

@@ -2,13 +2,15 @@
 
 Every variant ends the same way: max-pool over its representation rows,
 then a linear projection to class logits. Graph variants share the
-pipeline encoder -> document graph -> graph layer(s) -> pool -> project;
+pipeline encoder -> document graph -> graph layer -> pool -> project;
 the baselines flatten the document to one token sequence. ``SPECS``
 holds every per-variant fact; the code below branches on its fields,
 never on variant names. ``param_layout`` lists the tensors a variant
 owns; initialization, checkpoint validation and the forward pass all
 follow it, and its names appear nowhere else: the encoder and the layers
 take bare tensors. The encoder LSTM is three fused tensors, gate columns i|f|o|g.
+The graph part is the paper's single unnormalized convolution (or attention
+layer), and every leaky ReLU uses the fixed slope ``LEAKY_SLOPE``.
 
 Single-sentence documents have no neighbors, so graph variants bypass
 the propagation step and project the lone node feature through the
@@ -30,9 +32,10 @@ from .corpus import DEFAULT_MAX_SENTENCES, DEFAULT_MAX_TOKENS, ClassSet, Documen
 from .encoder import embed, encode_document, flat_tokens, lstm_last_hidden
 from .errors import ModelError
 from .graph import EdgeWeightSet, build_graph
-from .layers import gcn_layer, multi_head, row_normalize, self_attention
+from .layers import gcn_layer, multi_head, self_attention
 
 CNN_WIDTH = 3
+LEAKY_SLOPE = 0.2
 
 
 @dataclass(frozen=True)
@@ -89,15 +92,12 @@ class ModelConfig:
     embed_dim: int = 100
     hidden_dim: int = 100
     node_dim: int = 32
-    leaky_slope: float = 0.2
-    gcn_layers: int = 1
     seed: int = 0
     lr: float = AdamState.lr
     max_epochs: int = 10
     max_sentences: int = DEFAULT_MAX_SENTENCES
     max_tokens: int = DEFAULT_MAX_TOKENS
     clip_norm: Optional[float] = None
-    normalize_adjacency: bool = False
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -107,8 +107,8 @@ class ModelConfig:
         if (not all(isinstance(c, str) and c for c in self.class_names)
                 or len(set(self.class_names)) != len(self.class_names)):
             raise ModelError("class_names must be unique non-empty strings")
-        for name in ("vocab_size", "embed_dim", "hidden_dim", "node_dim", "gcn_layers",
-                     "max_sentences", "max_tokens"):
+        for name in ("vocab_size", "embed_dim", "hidden_dim", "node_dim", "max_sentences",
+                     "max_tokens"):
             value = getattr(self, name)
             # sizes become array shapes and loop bounds: 3.0 is not a size
             if not _is_int(value) or value < 1:
@@ -117,15 +117,11 @@ class ModelConfig:
             value = getattr(self, name)
             if not _is_int(value) or value < 0:
                 raise ModelError(f"{name} must be a non-negative integer")
-        if not _is_finite_real(self.leaky_slope):
-            raise ModelError("leaky_slope must be a finite number")
         if not _is_finite_real(self.lr) or self.lr <= 0:
             raise ModelError("lr must be a finite number above 0")
         if self.clip_norm is not None and (not _is_finite_real(self.clip_norm)
                                            or self.clip_norm <= 0):
             raise ModelError("clip_norm must be None or a finite number above 0")
-        if not isinstance(self.normalize_adjacency, bool):
-            raise ModelError("normalize_adjacency must be true or false")
         object.__setattr__(self, "class_names", tuple(self.class_names))
 
     @property
@@ -177,7 +173,7 @@ class ModelParams:
 def param_layout(config: ModelConfig) -> dict[str, tuple[tuple[int, ...], str]]:
     """Every tensor a variant owns, in draw order: name -> (shape, init).
 
-    ``init`` is "xavier", "zeros", "ones" or "lstm" (the three fused LSTM
+    ``init`` is "xavier", "zeros" or "lstm" (the three fused LSTM
     tensors, drawn together by ``_draw_lstm``); a 1-D xavier vector draws as
     a column (the GAT pair-scoring vector scores a 2*node concatenation).
     """
@@ -193,8 +189,7 @@ def param_layout(config: ModelConfig) -> dict[str, tuple[tuple[int, ...], str]]:
         layout["lstm.w_h"] = ((hidden, 4 * hidden), "lstm")
         layout["lstm.b"] = ((4 * hidden,), "lstm")
     if spec.kind == "gcn":
-        for layer in range(config.gcn_layers):
-            layout[f"gcn.{layer}.w"] = ((hidden if layer == 0 else node, node), "xavier")
+        layout["gcn.0.w"] = ((hidden, node), "xavier")
     if spec.self_attn:
         for name in ("q", "k", "v"):
             layout[f"attn.{name}"] = ((node, node), "xavier")
@@ -233,8 +228,6 @@ def xavier_uniform(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray
 def _draw(rng: np.random.Generator, shape: tuple[int, ...], init: str) -> np.ndarray:
     if init == "zeros":
         return np.zeros(shape)
-    if init == "ones":
-        return np.ones(shape)
     rows, cols = shape if len(shape) == 2 else (shape[0], 1)
     return xavier_uniform(rng, rows, cols).reshape(shape)
 
@@ -289,7 +282,7 @@ def cnn_forward(doc: Document, params: ModelParams, config: ModelConfig) -> Tens
     for k in range(1, CNN_WIDTH):
         conv = ad.add(conv, ad.matmul(ad.slice_rows(padded, k, n + k), t[f"cnn.w{k}"]))
     conv = ad.add(conv, t["cnn.b"])
-    activated = ad.leaky_relu(conv, config.leaky_slope)
+    activated = ad.leaky_relu(conv, LEAKY_SLOPE)
     return _project(ad.max_over_rows(activated), params, config.n_classes)
 
 
@@ -312,7 +305,6 @@ def _graph_forward(
     spec = config.spec
     adjacency = build_graph(doc, features, weights if spec.edge_weights else None)
     attentions: list[Tensor] | None = None
-    slope = config.leaky_slope
     # no neighbors to propagate over: project the node through the layer weights
     single = doc.n_sentences == 1
 
@@ -322,14 +314,11 @@ def _graph_forward(
             parts = [ad.matmul(features, weight) for weight, _ in heads]
             z = parts[0] if len(parts) == 1 else ad.concat_cols(parts)
         else:
-            z, attentions = multi_head(adjacency, features, heads, slope)
+            z, attentions = multi_head(adjacency, features, heads, LEAKY_SLOPE)
     else:
-        if config.normalize_adjacency and not single:
-            adjacency = row_normalize(adjacency)
-        z = features
-        for layer in range(config.gcn_layers):
-            weight = t[f"gcn.{layer}.w"]
-            z = ad.matmul(z, weight) if single else gcn_layer(adjacency, z, weight, slope)
+        weight = t["gcn.0.w"]
+        z = (ad.matmul(features, weight) if single
+             else gcn_layer(adjacency, features, weight, LEAKY_SLOPE))
         if spec.self_attn:
             z, attention = self_attention(z, t["attn.q"], t["attn.k"], t["attn.v"])
             attentions = [attention]

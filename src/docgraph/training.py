@@ -37,7 +37,7 @@ from .model import (
     loss,
 )
 
-CHECKPOINT_FORMAT_VERSION = 2
+CHECKPOINT_FORMAT_VERSION = 3
 
 
 @dataclass(frozen=True)

@@ -64,7 +64,9 @@ class TestLoadEdgeWeights:
         ({"id": "d2", "n": 2.0, "weights": [[0, 0.5], [0.5, 0]]}, "'n' must be an integer"),
         ({"id": "d2", "n": True, "weights": [[0]]}, "'n' must be an integer"),
         ({"id": "d2", "n": 2, "weights": [[0, 0.5], [0.5]]}, "not a numeric matrix"),
-    ], ids=["nan_weight", "float_n", "bool_n", "ragged_weights"])
+        # a valid record, but the first line's id: not a silent overwrite
+        ({"id": "d1", "n": 2, "weights": [[0, 0.5], [0.5, 0]]}, "duplicate id 'd1'"),
+    ], ids=["nan_weight", "float_n", "bool_n", "ragged_weights", "duplicate_id"])
     def test_bad_record_error_names_its_line(self, tmp_path, record, message):
         p = weights_file(tmp_path, [{"id": "d1", "n": 1, "weights": [[0]]}, record])
         with pytest.raises(GraphError, match=rf"weights\.jsonl:2: .*{message}"):

@@ -12,6 +12,7 @@ from docgraph import autodiff as ad
 from docgraph import model
 from docgraph.autodiff import Tensor
 from docgraph.corpus import Document, RawDocument, build_vocab, encode_document
+from docgraph.encoder import encode_document as encode_sentences
 from docgraph.errors import ModelError
 from docgraph.graph import EdgeWeightSet, build_graph
 
@@ -82,6 +83,23 @@ class TestForwardContracts:
         gat_config = tiny_config("gat")
         with pytest.raises(ModelError, match="gat"):
             model.forward(make_doc(np.random.default_rng(4), 2), gcn_params, gat_config)
+
+    def test_gcn_is_one_unnormalized_layer_with_the_papers_slope(self):
+        # an independent numpy reference: leaky_relu(E X W) with slope 0.2
+        # over the encoder's sentence features, max-pooled and projected
+        rng = np.random.default_rng(16)
+        config = tiny_config("gcn")
+        params = model.init_params(config)
+        t = params.tensors
+        doc = make_doc(rng, 4)
+        x = encode_sentences(doc, t["embedding"], t["lstm.w_x"], t["lstm.w_h"],
+                             t["lstm.b"]).values
+        pre = (np.ones((4, 4)) - np.eye(4)) @ x @ t["gcn.0.w"].values
+        assert (pre < 0).any() and (pre > 0).any()
+        pooled = np.where(pre > 0, pre, 0.2 * pre).max(axis=0)
+        expected = pooled @ t["proj.w"].values + t["proj.b"].values
+        logits, _ = model.forward(doc, params, config)
+        assert np.allclose(logits.values, expected, rtol=0, atol=1e-12)
 
 
 class TestDegenerateSingleSentence:
@@ -230,31 +248,7 @@ class TestBaselines:
 
 
 class TestConfigOptions:
-    def test_stacked_gcn_layers(self):
-        rng = np.random.default_rng(14)
-        config = tiny_config("gcn", gcn_layers=2)
-        params = model.init_params(config)
-        assert "gcn.1.w" in params.tensors
-        assert params.tensors["gcn.0.w"].shape == (4, 3)
-        assert params.tensors["gcn.1.w"].shape == (3, 3)
-        logits, _ = model.forward(make_doc(rng, 3), params, config)
-        assert logits.shape == (2,)
-
-    def test_normalized_adjacency_divides_by_degree(self):
-        # complete graph on 4 nodes: every row of E sums to 3, and with the
-        # activation removed (slope 1) and a zero projection bias the whole
-        # pipeline is 1/3-homogeneous in E
-        rng = np.random.default_rng(15)
-        doc = make_doc(rng, 4)
-        plain = tiny_config("gcn", leaky_slope=1.0)
-        normalized = tiny_config("gcn", leaky_slope=1.0, normalize_adjacency=True)
-        params = model.init_params(plain)
-        params.tensors["proj.b"].values[:] = 0.0
-        a, _ = model.forward(doc, params, plain)
-        b, _ = model.forward(doc, params, normalized)
-        assert np.allclose(b.values, a.values / 3.0, atol=1e-12)
-
-    @pytest.mark.parametrize("field", ["lr", "leaky_slope", "clip_norm"])
+    @pytest.mark.parametrize("field", ["lr", "clip_norm"])
     def test_huge_integer_setting_rejected(self, field):
         # 10**400 has no float: it must be a ModelError, not an OverflowError
         with pytest.raises(ModelError, match=f"{field} must be"):
@@ -294,61 +288,51 @@ class TestParameterAccounting:
 
     @pytest.mark.parametrize("variant", model.VARIANTS)
     def test_names_unique_and_ordered(self, variant):
-        for gcn_layers in (1, 2):
-            config = tiny_config(variant, gcn_layers=gcn_layers)
-            params = model.init_params(config)
-            layout = model.param_layout(config)
-            names = list(params.tensors)
-            assert names == list(layout)
-            assert len(set(names)) == len(names)
-            for name, (shape, init) in layout.items():
-                values = params.tensors[name].values
-                assert values.shape == shape, name
-                if init == "lstm":
-                    continue  # TestInitDrawOrder checks the fused LSTM's blocks
-                if init == "xavier":
-                    fans = sum(shape) if len(shape) == 2 else shape[0] + 1
-                    assert np.all(np.abs(values) <= math.sqrt(6.0 / fans)), name
-                else:
-                    assert np.all(values == (1.0 if init == "ones" else 0.0)), name
+        config = tiny_config(variant)
+        params = model.init_params(config)
+        layout = model.param_layout(config)
+        names = list(params.tensors)
+        assert names == list(layout)
+        assert len(set(names)) == len(names)
+        for name, (shape, init) in layout.items():
+            values = params.tensors[name].values
+            assert values.shape == shape, name
+            if init == "lstm":
+                continue  # TestInitDrawOrder checks the fused LSTM's blocks
+            if init == "xavier":
+                fans = sum(shape) if len(shape) == 2 else shape[0] + 1
+                assert np.all(np.abs(values) <= math.sqrt(6.0 / fans)), name
+            else:
+                assert np.all(values == 0.0), name
 
 
 # SHA-256 over each tensor's name and little-endian float64 bytes, in
-# order, of init_params at vocab 50, seed 3 and default dimensions, with
-# gcn_layers 1 and 2. Pins the draw order: checkpoints and every seeded
-# result depend on it; test_init_is_the_per_gate_draws_reassembled pins
-# the LSTM's blocks to the per-gate draws of checkpoint format 1.
+# order, of init_params at vocab 50, seed 3 and default dimensions. Pins
+# the draw order: checkpoints and every seeded result depend on it;
+# test_init_is_the_per_gate_draws_reassembled pins the LSTM's blocks to
+# the per-gate draws of checkpoint format 1.
 INIT_DIGESTS = {
-    "cnn": ("28408601501dd45fe1bcc01c70a955e50d9ccb96af455da8d2af5d7e4f5d0a7e",
-            "28408601501dd45fe1bcc01c70a955e50d9ccb96af455da8d2af5d7e4f5d0a7e"),
-    "lstm": ("e2cc526541a408ddfc8e66c2743b9f7dfab70ec9e2a04afc2b3f6527582a6b67",
-             "e2cc526541a408ddfc8e66c2743b9f7dfab70ec9e2a04afc2b3f6527582a6b67"),
-    "gcn": ("568c8a4a6f127c636ea7b52fa25437cdd4fb2d88d196d587a35a65f0e883871d",
-            "1b1bc350ba5b1c33b28946a2b223a17e8d91d8a3b8298b020519c9cd28000610"),
-    "gcn_ss": ("568c8a4a6f127c636ea7b52fa25437cdd4fb2d88d196d587a35a65f0e883871d",
-               "1b1bc350ba5b1c33b28946a2b223a17e8d91d8a3b8298b020519c9cd28000610"),
-    "gcn_attn": ("2276a1e4623c6193810bfb9f7219b2244c519ff4a44289f8d16c08397d15d402",
-                 "40f2d9eb31d0c3fc5a397a0c7bf2413a870276a03ad2b57cf3756a61342f456e"),
-    "gcn_attn_ss": ("2276a1e4623c6193810bfb9f7219b2244c519ff4a44289f8d16c08397d15d402",
-                    "40f2d9eb31d0c3fc5a397a0c7bf2413a870276a03ad2b57cf3756a61342f456e"),
-    "gat": ("c1735cb4ff1c38ee37bb9c58ee2b2748f7acdc25e2be2c2c33aaca98b8746b6f",
-            "c1735cb4ff1c38ee37bb9c58ee2b2748f7acdc25e2be2c2c33aaca98b8746b6f"),
-    "gat2": ("678826d4d93ea5bca47037792f50df5275dc1402b1b5dee6804338b5a96d5fcd",
-             "678826d4d93ea5bca47037792f50df5275dc1402b1b5dee6804338b5a96d5fcd"),
+    "cnn": "28408601501dd45fe1bcc01c70a955e50d9ccb96af455da8d2af5d7e4f5d0a7e",
+    "lstm": "e2cc526541a408ddfc8e66c2743b9f7dfab70ec9e2a04afc2b3f6527582a6b67",
+    "gcn": "568c8a4a6f127c636ea7b52fa25437cdd4fb2d88d196d587a35a65f0e883871d",
+    "gcn_ss": "568c8a4a6f127c636ea7b52fa25437cdd4fb2d88d196d587a35a65f0e883871d",
+    "gcn_attn": "2276a1e4623c6193810bfb9f7219b2244c519ff4a44289f8d16c08397d15d402",
+    "gcn_attn_ss": "2276a1e4623c6193810bfb9f7219b2244c519ff4a44289f8d16c08397d15d402",
+    "gat": "c1735cb4ff1c38ee37bb9c58ee2b2748f7acdc25e2be2c2c33aaca98b8746b6f",
+    "gat2": "678826d4d93ea5bca47037792f50df5275dc1402b1b5dee6804338b5a96d5fcd",
 }
 
 
 class TestInitDrawOrder:
     @pytest.mark.parametrize("variant", model.VARIANTS)
     def test_init_params_digest(self, variant):
-        for gcn_layers, expected in zip((1, 2), INIT_DIGESTS[variant]):
-            config = model.ModelConfig(variant=variant, vocab_size=50, class_names=CLASSES,
-                                       seed=3, gcn_layers=gcn_layers)
-            digest = hashlib.sha256()
-            for name, tensor in model.init_params(config).tensors.items():
-                digest.update(name.encode("utf-8"))
-                digest.update(tensor.values.astype("<f8").tobytes())
-            assert digest.hexdigest() == expected, gcn_layers
+        config = model.ModelConfig(variant=variant, vocab_size=50, class_names=CLASSES,
+                                   seed=3)
+        digest = hashlib.sha256()
+        for name, tensor in model.init_params(config).tensors.items():
+            digest.update(name.encode("utf-8"))
+            digest.update(tensor.values.astype("<f8").tobytes())
+        assert digest.hexdigest() == INIT_DIGESTS[variant]
 
     @pytest.mark.parametrize("variant", ["lstm", "gat2"])
     def test_init_is_the_per_gate_draws_reassembled(self, variant):

@@ -1,5 +1,6 @@
 """Training-loop and checkpoint tests."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -331,6 +332,35 @@ class TestCheckpointPersistence:
             training.load_checkpoint(path)
         assert re.search(r"version 1\b", str(err.value))
 
+    def test_version_2_file_with_removed_settings_rejected_by_version(self, tmp_path):
+        # format 2 stored three more config keys, whose values this tree can
+        # no longer vary; such a file is refused for its version
+        run, _, _ = self.trained(tmp_path)
+        header, blob = training.checkpoint_bytes(run.checkpoint).split(b"\n", 1)
+        manifest = json.loads(header)
+        manifest["format_version"] = 2
+        manifest["config"].update(leaky_slope=0.2, gcn_layers=1, normalize_adjacency=False)
+        path = tmp_path / "v2.ckpt"
+        path.write_bytes(json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
+                         + b"\n" + blob)
+        with pytest.raises(CheckpointError) as err:
+            training.load_checkpoint(path)
+        assert re.search(r"version 2\b", str(err.value))
+
+    def test_config_keys_pinned_to_format_version(self, tmp_path):
+        # the manifest's config is ModelConfig.to_dict(): a field added or
+        # removed changes what a file holds, so it needs a new format version
+        # and a new entry here
+        keys = {3: ["class_names", "clip_norm", "embed_dim", "hidden_dim", "lr",
+                    "max_epochs", "max_sentences", "max_tokens", "node_dim", "seed",
+                    "variant", "vocab_size"]}
+        _, path, _ = self.trained(tmp_path)
+        manifest = json.loads(path.read_bytes().split(b"\n", 1)[0])
+        expected = keys[training.CHECKPOINT_FORMAT_VERSION]
+        assert manifest["format_version"] == training.CHECKPOINT_FORMAT_VERSION
+        assert sorted(manifest["config"]) == expected
+        assert sorted(f.name for f in dataclasses.fields(model.ModelConfig)) == expected
+
     def test_missing_parameter_rejected(self, tmp_path):
         run, _, _ = self.trained(tmp_path)
         ckpt = run.checkpoint
@@ -370,10 +400,6 @@ class TestCheckpointPersistence:
          "expected an integer, got '4'"),
         (lambda raw: raw.replace(b'"min_frequency":2', b'"min_frequency":2.9', 1),
          "expected an integer, got 2.9"),
-        (lambda raw: raw.replace(b'"leaky_slope":0.2', b'"leaky_slope":"x"', 1),
-         "leaky_slope must be a finite number"),
-        (lambda raw: raw.replace(b'"leaky_slope":0.2', b'"leaky_slope":true', 1),
-         "leaky_slope must be a finite number"),
         (lambda raw: raw.replace(b'"lr":0.01', b'"lr":-1', 1), "lr must be a finite number"),
         (lambda raw: raw.replace(b'"lr":0.01', b'"lr":NaN', 1), "lr must be a finite number"),
         (lambda raw: raw.replace(b'"lr":0.01', b'"lr":' + b"9" * 400, 1),
@@ -388,13 +414,11 @@ class TestCheckpointPersistence:
          "class_names must be unique non-empty strings"),
         (lambda raw: raw.replace(b'"seed":13,', b'"seed":"s",', 1),
          "seed must be a non-negative integer"),
-        (lambda raw: raw.replace(b'"normalize_adjacency":false', b'"normalize_adjacency":"no"', 1),
-         "normalize_adjacency must be true or false"),
     ], ids=["non_object_manifest", "negative_shape", "float_dimension", "vocabulary_size",
             "integer_token", "null_token", "float_shape", "string_shape",
-            "float_min_frequency", "string_slope", "bool_slope", "negative_lr", "nan_lr",
-            "huge_integer_lr", "negative_clip_norm", "non_string_class_names",
-            "duplicate_class_names", "string_seed", "string_normalize_adjacency"])
+            "float_min_frequency", "negative_lr", "nan_lr", "huge_integer_lr",
+            "negative_clip_norm", "non_string_class_names", "duplicate_class_names",
+            "string_seed"])
     def test_malformed_manifest_rejected(self, tmp_path, corrupt, message):
         _, path, _ = self.trained(tmp_path)
         path.write_bytes(corrupt(path.read_bytes()))
