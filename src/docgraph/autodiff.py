@@ -757,9 +757,12 @@ class AdamState:
     scalars of each such step, oldest first, as they were when it ran, so a
     later change to ``lr`` does not reach back. A row that has taken every
     step in ``window`` holds the dense update's bytes in p, m and v;
-    :func:`gather_rows` and :func:`adam_sync` bring rows there. Both are
-    empty when no row lags. ``lr`` is the one settable hyperparameter; the
-    decay rates and epsilon are ``ADAM_B1``, ``ADAM_B2`` and ``ADAM_EPS``.
+    :func:`gather_rows` and :func:`adam_sync` bring rows there. A row whose
+    m and v are +0.0 in every bit is there already, whatever ``rows`` says:
+    the zero-gradient step leaves it as it is (a -0.0 in m does not count,
+    as the step turns it into +0.0). Both are empty when no row lags.
+    ``lr`` is the one settable hyperparameter; the decay rates and epsilon
+    are ``ADAM_B1``, ``ADAM_B2`` and ``ADAM_EPS``.
     """
 
     lr: float = 0.001
@@ -898,15 +901,15 @@ def _catch_up(arrays: Sequence[np.ndarray], taken: np.ndarray, ids: np.ndarray,
     taken[behind] = len(window)
 
 
-def _sync_arrays(arrays: Sequence[np.ndarray], taken: np.ndarray,
-                 window: list[Scalars]) -> None:
-    """Bring every row of p, m and v through every step of ``window``: a
-    chunk-outer replay over the whole table of the steps that no row has
-    taken yet, with the rows that are further on saved before it, and caught
-    up from their own step and put back after it. The table is replayed in
-    row ranges whose saved rows hold at most ``ADAM_CHUNK`` floats of p, m
-    and v together, so the copies stay small however many rows a window
-    touched."""
+def _sync_block(arrays: Sequence[np.ndarray], taken: np.ndarray,
+                window: list[Scalars]) -> None:
+    """Bring every row of the (rows, cols) p, m and v through every step of
+    ``window``: a chunk-outer replay over the whole block of the steps that
+    no row has taken yet, with the rows that are further on saved before it,
+    and caught up from their own step and put back after it. The block is
+    replayed in row ranges whose saved rows hold at most ``ADAM_CHUNK``
+    floats of p, m and v together, so the copies stay small however many
+    rows a window touched."""
     first = int(taken.min(initial=len(window)))
     ahead = np.flatnonzero(taken > first)
     per_range = max(1, ADAM_CHUNK // max(1, 3 * arrays[0].shape[1]))
@@ -921,6 +924,47 @@ def _sync_arrays(arrays: Sequence[np.ndarray], taken: np.ndarray,
         _replay_rows(saved, part_taken[rows], window)
         for a, r in zip(part, saved):
             a[rows] = r
+
+
+def _has_bits(a: np.ndarray) -> np.ndarray:
+    """Whether each row of the 2-D float64 ``a`` holds a float other than
+    +0.0. A -0.0 counts: its sign bit is set."""
+    return a.view(np.uint64).any(axis=1)
+
+
+def _sync_arrays(arrays: Sequence[np.ndarray], taken: np.ndarray,
+                 window: list[Scalars]) -> None:
+    """Bring every row of the (rows, cols) p, m and v through every step of
+    ``window``, replaying steps only where they can change a byte.
+
+    A row whose m and v hold +0.0 in every float is a fixed point of the
+    zero-gradient step: ``b1*m + 0.0`` and ``b2*v`` stay +0.0, and the
+    update ``(+0.0*step) / (sqrt(+0.0) + eps_hat)`` is +0.0, so ``p - 0.0``
+    gives p's bytes back, a -0.0 included. Such a row is caught up as it
+    stands. The test is on bits, not ``m != 0``: a -0.0 in m is no fixed
+    point, because ``-0.0 + 0.0`` is +0.0.
+
+    The table goes through :func:`_sync_block` in blocks of ``8 *
+    ADAM_CHUNK`` floats per array. A block in which at least half of the
+    rows owe a step and have live m is replayed whole, in place; replaying
+    a fixed-point row leaves its bytes as they were, so v is not read. In
+    any other block only the rows that owe a step and have live m or v are
+    replayed, on a copy that is then written back."""
+    _, m, v = arrays
+    owing = taken < len(window)
+    block = max(1, 8 * ADAM_CHUNK // max(1, m.shape[1]))
+    for lo in range(0, len(taken), block):
+        hi = lo + block
+        live = _has_bits(m[lo:hi]) & owing[lo:hi]
+        if 2 * np.count_nonzero(live) >= live.size:
+            _sync_block([a[lo:hi] for a in arrays], taken[lo:hi], window)
+            continue
+        ids = lo + np.flatnonzero(live | (_has_bits(v[lo:hi]) & owing[lo:hi]))
+        if ids.size:
+            rows = [a[ids] for a in arrays]
+            _sync_block(rows, taken[ids], window)
+            for a, r in zip(arrays, rows):
+                a[ids] = r
 
 
 def _own_arrays(name: str, p: Tensor, state: AdamState) -> tuple[np.ndarray, ...]:
@@ -943,6 +987,12 @@ def adam_sync(params: dict[str, Tensor], state: AdamState) -> None:
     parameter's values or moments other than through :func:`gather_rows`.
     Raises ``ShapeError`` before any update if the moments do not match a
     lagging parameter.
+
+    Only live rows, whose m or v holds any bits other than +0.0, need the
+    replay: for every other row the zero-gradient step is an exact fixed
+    point, so it is caught up as it stands, or replayed with its live
+    neighbours where most rows are live (see ``_sync_arrays``). A -0.0 in m
+    makes a row live, because the step turns it into +0.0.
     """
     lagging = [name for name in params if name in state.rows]
     for name in lagging:

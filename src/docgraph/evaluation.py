@@ -70,7 +70,8 @@ def compute_metrics(confusion: np.ndarray) -> Metrics:
     confusion = np.asarray(confusion)
     if confusion.ndim != 2 or confusion.shape[0] != confusion.shape[1]:
         raise EvaluationError(f"confusion matrix must be square, got {confusion.shape}")
-    if np.any(confusion < 0) or not np.issubdtype(confusion.dtype, np.integer):
+    # the dtype first: ``<`` on a str, object or complex matrix raises a numpy error
+    if not np.issubdtype(confusion.dtype, np.integer) or np.any(confusion < 0):
         raise EvaluationError("confusion matrix must hold non-negative integers")
     total = int(confusion.sum())
     if total == 0:

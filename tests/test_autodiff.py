@@ -749,13 +749,14 @@ class TestRowSparseGradient:
 @st.composite
 def deferred_runs(draw):
     """An embedding-like parameter "e" (possibly read-only or Fortran-ordered,
-    which ``adam_step`` replaces by a copy), its starting moments, and a run
-    of actions: steps that give "e" a row-sparse gradient (built directly or
-    by backward through ``gather_rows``) or a dense one while a dense "w"
-    always gets a dense one, gathers, syncs and changes of ``lr``. Runs are
-    long enough to cross ``ADAM_WINDOW``; gradients and m hold -0.0 and
-    +-1e-300. Small tables may run with a tiny ``ADAM_CHUNK``, so that a
-    sync splits the table into many row ranges."""
+    which ``adam_step`` replaces by a copy), a pattern of starting moments
+    that its rows repeat (see ``start_moments``), and a run of actions:
+    steps that give "e" a row-sparse gradient (built directly or by backward
+    through ``gather_rows``) or a dense one while a dense "w" always gets a
+    dense one, gathers, syncs and changes of ``lr``. Runs are long enough to
+    cross ``ADAM_WINDOW``; gradients hold -0.0 and +-1e-300. Small tables
+    may run with a tiny ``ADAM_CHUNK``, so that a sync splits the table into
+    many blocks, some replayed whole and some row by row."""
     cols = draw(st.integers(1, 4))
     rows = draw(st.sampled_from([1, 3, 40, ad.ADAM_CHUNK // cols + 3]))
     chunk = draw(st.sampled_from([ad.ADAM_CHUNK, 3, 8])) if rows <= 40 else ad.ADAM_CHUNK
@@ -781,9 +782,30 @@ def deferred_runs(draw):
             ids = draw(some_ids)
             grad = draw(st.lists(value, min_size=len(ids) * cols, max_size=len(ids) * cols))
             actions.append((kind, (ids, np.array(grad).reshape(len(ids), cols))))
-    m0 = draw(st.sampled_from([0.0, -0.0, -1e-300, 1e-300, 0.5]))
-    v0 = draw(st.sampled_from([0.0, 1e-300, 0.25]))
-    return rows, cols, chunk, layout, m0, v0, actions
+    starts = draw(st.lists(st.sampled_from(ROW_STARTS), min_size=1, max_size=8))
+    return rows, cols, chunk, layout, starts, actions
+
+
+# How a row's moments start. Only "zero" is a fixed point of the
+# zero-gradient step: a -0.0 in m turns into +0.0, and a nonzero v decays.
+ROW_STARTS = ("zero", "lone_negative_zero_in_m", "v_only", "tiny_m", "live")
+
+
+def start_moments(starts, rows, cols):
+    """(m, v) of a (rows, cols) table whose row i starts as
+    ``starts[i % len(starts)]``; a lone entry sits in column ``i % cols``."""
+    m, v = np.zeros((rows, cols)), np.zeros((rows, cols))
+    for i in range(rows):
+        kind, j = starts[i % len(starts)], i % cols
+        if kind == "lone_negative_zero_in_m":
+            m[i, j] = -0.0
+        elif kind == "v_only":
+            v[i, j] = 1e-300 if i % 2 else 0.25
+        elif kind == "tiny_m":
+            m[i, j] = 1e-300 if i % 2 else -1e-300
+        elif kind == "live":
+            m[i], v[i] = 0.5, 0.25
+    return m, v
 
 
 class TestDeferredAdam:
@@ -793,11 +815,11 @@ class TestDeferredAdam:
     @settings(max_examples=100, deadline=None)
     @given(case=deferred_runs(), seed=st.integers(0, 2**32 - 1))
     def test_reads_match_an_eager_dense_oracle(self, case, seed):
-        rows, cols, chunk, layout, m0, v0, actions = case
+        rows, cols, chunk, layout, starts, actions = case
         with mock.patch.object(ad, "ADAM_CHUNK", chunk):
-            self.check_run(rows, cols, layout, m0, v0, actions, seed)
+            self.check_run(rows, cols, layout, start_moments(starts, rows, cols), actions, seed)
 
-    def check_run(self, rows, cols, layout, m0, v0, actions, seed):
+    def check_run(self, rows, cols, layout, moments, actions, seed):
         rng = np.random.default_rng(seed)
         start = {"e": rng.normal(size=(rows, cols)), "w": rng.normal(size=3)}
         e_values = start["e"].copy()
@@ -809,10 +831,8 @@ class TestDeferredAdam:
         state = ad.AdamState.for_params(params, lr=0.01)
         oracle_state = ad.AdamState(lr=0.01)
         oracle = {n: (v.copy(), np.zeros_like(v), np.zeros_like(v)) for n, v in start.items()}
-        for moments in (state.m["e"], oracle["e"][1]):
-            moments[:] = m0
-        for moments in (state.v["e"], oracle["e"][2]):
-            moments[:] = v0
+        for m, v in ((state.m["e"], state.v["e"]), oracle["e"][1:]):
+            m[:], v[:] = moments
 
         def assert_synced():
             for n in params:
@@ -869,6 +889,46 @@ class TestDeferredAdam:
         ad.adam_sync(params, state)
         assert state.t == oracle_state.t
         assert_synced()
+
+    @pytest.mark.parametrize("start", ["zero", "live"])
+    def test_sync_replays_only_the_rows_a_step_can_change(self, start):
+        # an embedding-sized table and a handful of ids per step: a sync over
+        # zero moments replays the touched rows only, and one over a table
+        # whose every row has nonzero m replays them all; both give the
+        # eager dense bytes
+        rows, cols, steps = 20000, 100, 5
+        rng = np.random.default_rng(6)
+        values = rng.normal(size=(rows, cols))
+        m = rng.normal(size=(rows, cols)) * 1e-3 if start == "live" else np.zeros((rows, cols))
+        v = m * m
+        p = {"e": ad.Tensor(values.copy())}
+        state = ad.AdamState.for_params(p)
+        state.m["e"][:], state.v["e"][:] = m, v
+        touched = set()
+        for t in range(1, steps + 1):
+            ids = np.unique(rng.integers(0, rows, size=4))
+            touched.update(ids.tolist())
+            g = ad.RowSparseGrad(ids, rng.normal(size=(ids.size, cols)), (rows, cols))
+            ad.adam_step(p, {"e": g}, state)
+            values, m, v = adam_oracle(values, m, v, g.dense(), t)
+        assert len(state.window) == steps
+        floats = []
+        adam_pass = ad._adam_pass
+
+        def counting_pass(p, m, v, g, scalars):
+            floats.append(p.size * len(scalars))
+            adam_pass(p, m, v, g, scalars)
+
+        with mock.patch.object(ad, "_adam_pass", counting_pass):
+            ad.adam_sync(p, state)
+        assert (p["e"].values.tobytes(), state.m["e"].tobytes(), state.v["e"].tobytes()) \
+            == (values.tobytes(), m.tobytes(), v.tobytes())
+        if start == "zero":
+            # a touched row that owes a step is replayed at most twice: once
+            # with its block's oldest step onward, once from its own step
+            assert 0 < sum(floats) <= 2 * len(touched) * cols * steps
+        else:
+            assert sum(floats) >= rows * cols
 
     def test_the_step_that_fills_the_window_syncs(self):
         p = {"e": ad.Tensor(np.random.default_rng(2).normal(size=(5, 3)))}

@@ -45,6 +45,14 @@ class TestComputeMetrics:
         with pytest.raises(EvaluationError):
             evaluation.compute_metrics(np.zeros((2, 3), dtype=np.int64))
 
+    @pytest.mark.parametrize("confusion", [
+        [["a"]], [["1", "2"], ["3", "4"]], [[None]], np.array([[1, 2], [3, 4]], dtype=object),
+        np.array([[1 + 0j, 0j], [0j, 1 + 0j]]), np.array([[1.0, 0.0], [0.0, 1.0]]),
+    ], ids=["str", "numeric_str", "none", "object_ints", "complex", "float"])
+    def test_non_integer_matrix_rejected_at_the_boundary(self, confusion):
+        with pytest.raises(EvaluationError, match="non-negative integers"):
+            evaluation.compute_metrics(confusion)
+
     def test_relabeling_leaves_macro_values_unchanged(self):
         rng = np.random.default_rng(0)
         confusion = rng.integers(0, 9, size=(4, 4))
