@@ -138,8 +138,8 @@ def cmd_train(args) -> int:
     log_path = Path(args.out + ".runlog.json")
     # both files are written before either replaces its predecessor
     training.write_files_atomic({
-        args.out: training.checkpoint_bytes(run.checkpoint),
-        log_path: (json.dumps(run.log_dict(), sort_keys=True) + "\n").encode("utf-8"),
+        args.out: training.checkpoint_buffers(run.checkpoint),
+        log_path: [(json.dumps(run.log_dict(), sort_keys=True) + "\n").encode("utf-8")],
     })
 
     summary = dict(run.log_dict())

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import logging
+import re
 import string
 from collections import Counter
 from dataclasses import dataclass, field
@@ -35,6 +36,8 @@ ABBREVIATIONS = frozenset(
 )
 
 _PUNCT = set(string.punctuation)
+# a sentence-terminator candidate: '.', '!' or '?' and then a space
+_CANDIDATE = re.compile(r"[.!?] ")
 
 
 @dataclass(frozen=True)
@@ -129,6 +132,9 @@ def load_corpus(
         lines = path.read_text(encoding="utf-8").splitlines()
     except OSError as err:
         raise CorpusError(f"cannot read corpus file {path}: {err}") from err
+    except UnicodeDecodeError as err:
+        raise CorpusError(
+            f"{path}: not UTF-8 at byte offset {err.start}: {err.reason}") from err
 
     docs: list[RawDocument] = []
     for lineno, line in enumerate(lines, start=1):
@@ -142,11 +148,14 @@ def load_corpus(
                 raise CorpusError(f"{path}:{lineno}: invalid JSON: {err}") from err
             if not isinstance(rec, dict) or "label" not in rec or "text" not in rec:
                 raise CorpusError(f"{path}:{lineno}: record needs 'label' and 'text' fields")
+            if not isinstance(rec["text"], str):
+                raise CorpusError(f"{path}:{lineno}: 'text' must be a string, "
+                                  f"got {type(rec['text']).__name__}")
             doc = RawDocument(
                 id=str(rec.get("id", f"row-{k}")),
                 label=str(rec["label"]),
                 source=str(rec.get("source", "")),
-                text=str(rec["text"]),
+                text=rec["text"],
             )
         else:
             parts = line.split("\t", 1)
@@ -196,30 +205,28 @@ def split_sentences(text: str) -> list[str]:
     """Rule-based segmentation of whitespace-normalized text.
 
     Splits after '.', '!' or '?' when followed by whitespace and an
-    uppercase letter or digit, unless the period closes a known
-    abbreviation. Text without a terminator comes back as one segment.
+    uppercase letter or digit (``str.isupper``/``str.isdigit``), unless the
+    period closes a known abbreviation. Text without a terminator comes back
+    as one segment.
     """
     normalized = " ".join(text.split())
     if not normalized:
         raise CorpusError("cannot split empty text")
     segments: list[str] = []
     start = 0
-    i = 0
-    n = len(normalized)
-    while i < n:
-        ch = normalized[i]
-        if ch in ".!?":
-            nxt = i + 1
-            if nxt < n and normalized[nxt] == " ":
-                follow = nxt + 1
-                if follow < n and (normalized[follow].isupper() or normalized[follow].isdigit()):
-                    word = _word_before(normalized, i)
-                    if not (ch == "." and word.lower().rstrip(".") in ABBREVIATIONS):
-                        segments.append(normalized[start : i + 1])
-                        start = follow
-                        i = follow
-                        continue
-        i += 1
+    # normalized never ends in a space, so a candidate is always followed by
+    # a character; candidates cannot overlap, as one ends in the space that
+    # the next would need to be a terminator
+    for match in _CANDIDATE.finditer(normalized):
+        i = match.start()
+        follow = normalized[i + 2]
+        if not (follow.isupper() or follow.isdigit()):
+            continue
+        if normalized[i] == "." and (
+                _word_before(normalized, i).lower().rstrip(".") in ABBREVIATIONS):
+            continue
+        segments.append(normalized[start : i + 1])
+        start = i + 2
     tail = normalized[start:].strip()
     if tail:
         segments.append(tail)
@@ -235,17 +242,18 @@ def tokenize(sentence: str) -> list[str]:
     if not sentence.strip():
         raise CorpusError("cannot tokenize empty sentence")
     tokens: list[str] = []
+    append = tokens.append
     for chunk in sentence.lower().split():
-        left = 0
-        right = len(chunk)
-        while left < right and chunk[left] in _PUNCT:
-            left += 1
-        while right > left and chunk[right - 1] in _PUNCT:
-            right -= 1
+        if chunk[0] not in _PUNCT and chunk[-1] not in _PUNCT:
+            append(chunk)
+            continue
+        rest = chunk.lstrip(string.punctuation)
+        core = rest.rstrip(string.punctuation)
+        left = len(chunk) - len(rest)
         tokens.extend(chunk[:left])
-        if right > left:
-            tokens.append(chunk[left:right])
-        tokens.extend(chunk[right:])
+        if core:
+            append(core)
+        tokens.extend(rest[len(core):])
     return tokens
 
 
@@ -287,8 +295,9 @@ def encode_document(
     except CorpusError:
         return None
     encoded = []
+    lookup = vocab.token_to_id.get
     for sentence in sentences[:max_sentences]:
-        ids = tuple(vocab.encode_token(t) for t in tokenize(sentence)[:max_tokens])
+        ids = tuple([lookup(t, UNK_ID) for t in tokenize(sentence)[:max_tokens]])
         if ids:
             encoded.append(ids)
     if not encoded:

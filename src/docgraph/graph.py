@@ -71,6 +71,9 @@ def load_edge_weights(path: str | Path) -> EdgeWeightSet:
         lines = path.read_text(encoding="utf-8").splitlines()
     except OSError as err:
         raise GraphError(f"cannot read edge-weight file {path}: {err}") from err
+    except UnicodeDecodeError as err:
+        raise GraphError(
+            f"{path}: not UTF-8 at byte offset {err.start}: {err.reason}") from err
     weights: dict[str, np.ndarray] = {}
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():

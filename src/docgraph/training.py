@@ -172,19 +172,21 @@ def train(
     return run
 
 
-def write_files_atomic(files: dict[str | Path, bytes]) -> None:
-    """Replace each path with its bytes through a temporary file in the same
-    directory. Every temporary file is written before the first rename, so a
-    failed or interrupted write leaves all the previous files intact; only an
-    interruption between the back-to-back renames can replace some of them."""
+def write_files_atomic(files: dict[str | Path, list]) -> None:
+    """Replace each path with its contents, a list of buffers written in
+    order, through a temporary file in the same directory. Every temporary
+    file is written before the first rename, so a failed or interrupted write
+    leaves all the previous files intact; only an interruption between the
+    back-to-back renames can replace some of them."""
     pending: list[tuple[Path, Path]] = []
     try:
-        for path, data in files.items():
+        for path, buffers in files.items():
             path = Path(path)
             tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
             pending.append((tmp, path))
             with open(tmp, "wb") as f:
-                f.write(data)
+                for buffer in buffers:
+                    f.write(buffer)
         for tmp, path in pending:
             os.replace(tmp, path)
     except BaseException:
@@ -200,8 +202,10 @@ def write_files_atomic(files: dict[str | Path, bytes]) -> None:
 # values as little-endian float64 in manifest directory order. The layout
 # round-trips byte-exactly.
 
-def checkpoint_bytes(ckpt: Checkpoint) -> bytes:
-    """The checkpoint file's contents."""
+def checkpoint_buffers(ckpt: Checkpoint) -> list:
+    """The checkpoint file's contents in order: the manifest line, then each
+    value as a C-ordered little-endian float64 array (the value itself, not a
+    copy, when it already is one)."""
     manifest = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "config": ckpt.config.to_dict(),
@@ -216,12 +220,17 @@ def checkpoint_bytes(ckpt: Checkpoint) -> bytes:
         "metadata": ckpt.metadata,
     }
     header = json.dumps(manifest, sort_keys=True, separators=(",", ":"))
-    blob = b"".join(v.astype("<f8").tobytes() for v in ckpt.values.values())
-    return header.encode("utf-8") + b"\n" + blob
+    return [header.encode("utf-8") + b"\n",
+            *(np.ascontiguousarray(v, dtype="<f8") for v in ckpt.values.values())]
+
+
+def checkpoint_bytes(ckpt: Checkpoint) -> bytes:
+    """The checkpoint file's contents."""
+    return b"".join(checkpoint_buffers(ckpt))
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
-    write_files_atomic({path: checkpoint_bytes(ckpt)})
+    write_files_atomic({path: checkpoint_buffers(ckpt)})
 
 
 def _json_int(value) -> int:
@@ -277,7 +286,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     except malformed as err:
         raise CheckpointError(f"{path}: malformed manifest: {err}") from err
 
-    blob = raw[newline + 1:]
+    blob = memoryview(raw)[newline + 1:]
     values: dict[str, np.ndarray] = {}
     offset = 0
     for name, shape in directory:

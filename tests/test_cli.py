@@ -4,6 +4,7 @@ import argparse
 import json
 import os
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -157,9 +158,9 @@ class TestTrainCommand:
     def test_determinism_byte_identical_outputs(self, capsys, corpus_files):
         out1, _ = train_checkpoint(capsys, corpus_files, "lstm")
         log1 = (corpus_files["tmp"] / "lstm.ckpt.runlog.json").read_bytes()
-        ckpt1 = open(out1, "rb").read()
+        ckpt1 = Path(out1).read_bytes()
         out2, _ = train_checkpoint(capsys, corpus_files, "lstm")
-        assert open(out2, "rb").read() == ckpt1
+        assert Path(out2).read_bytes() == ckpt1
         assert (corpus_files["tmp"] / "lstm.ckpt.runlog.json").read_bytes() == log1
 
     def test_four_way_protocol_runs(self, capsys, tmp_path):

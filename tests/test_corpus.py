@@ -1,5 +1,7 @@
 """Corpus pipeline tests: loading, segmentation, vocab, encoding, splits."""
 
+import string
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -61,6 +63,24 @@ class TestLoadCorpus:
         p = write(tmp_path, "c.tsv", "a\t   \n")
         with pytest.raises(CorpusError, match="empty text"):
             corpus.load_corpus(p, "tsv")
+
+    def test_non_utf8_bytes_rejected_with_offset(self, tmp_path):
+        p = tmp_path / "c.tsv"
+        p.write_bytes(b"a\tOne.\nb\t\xff\xfe two.\n")
+        with pytest.raises(CorpusError, match=r"c\.tsv: not UTF-8 at byte offset 9"):
+            corpus.load_corpus(p, "tsv")
+
+    @pytest.mark.parametrize("text, kind", [("null", "NoneType"), ('["a", "b"]', "list"),
+                                            ("7", "int"), ('{"t": "x"}', "dict")])
+    def test_non_string_jsonl_text_rejected(self, tmp_path, text, kind):
+        p = write(tmp_path, "c.jsonl", '{"label":"trusted","text":"Fine."}\n'
+                  f'{{"label":"trusted","text":{text}}}\n')
+        with pytest.raises(CorpusError, match=rf"c\.jsonl:2: 'text' must be a string, got {kind}"):
+            corpus.load_corpus(p, "jsonl")
+
+    def test_numeric_jsonl_label_kept_as_string(self, tmp_path):
+        p = write(tmp_path, "c.jsonl", '{"label":1,"text":"Fine."}\n')
+        assert corpus.load_corpus(p, "jsonl")[0].label == "1"
 
 
 # Arbitrary unicode, salted with the fragments the segmenter reacts to:
@@ -141,6 +161,139 @@ class TestTokenize:
 
     def test_all_punctuation_chunk(self):
         assert corpus.tokenize("wait ...") == ["wait", ".", ".", "."]
+
+
+# The segmenter and tokenizer as they were written first, one character at a
+# time: the reference the str-method versions must match on every input.
+
+def reference_word_before(text: str, idx: int) -> str:
+    j = idx
+    while j > 0 and (text[j - 1].isalnum() or text[j - 1] == "."):
+        j -= 1
+    return text[j:idx]
+
+
+def reference_split_sentences(text: str) -> list[str]:
+    normalized = " ".join(text.split())
+    if not normalized:
+        raise CorpusError("cannot split empty text")
+    segments: list[str] = []
+    start = 0
+    i = 0
+    n = len(normalized)
+    while i < n:
+        ch = normalized[i]
+        if ch in ".!?":
+            nxt = i + 1
+            if nxt < n and normalized[nxt] == " ":
+                follow = nxt + 1
+                if follow < n and (normalized[follow].isupper() or normalized[follow].isdigit()):
+                    word = reference_word_before(normalized, i)
+                    if not (ch == "." and word.lower().rstrip(".") in corpus.ABBREVIATIONS):
+                        segments.append(normalized[start : i + 1])
+                        start = follow
+                        i = follow
+                        continue
+        i += 1
+    tail = normalized[start:].strip()
+    if tail:
+        segments.append(tail)
+    return segments
+
+
+def reference_tokenize(sentence: str) -> list[str]:
+    if not sentence.strip():
+        raise CorpusError("cannot tokenize empty sentence")
+    punct = set(string.punctuation)
+    tokens: list[str] = []
+    for chunk in sentence.lower().split():
+        left = 0
+        right = len(chunk)
+        while left < right and chunk[left] in punct:
+            left += 1
+        while right > left and chunk[right - 1] in punct:
+            right -= 1
+        tokens.extend(chunk[:left])
+        if right > left:
+            tokens.append(chunk[left:right])
+        tokens.extend(chunk[right:])
+    return tokens
+
+
+def outcome(fn, text):
+    try:
+        return fn(text)
+    except CorpusError as err:
+        return str(err)
+
+
+# Where str methods and regex classes part ways: titlecase (isupper is
+# False), a capital whose lowercase is two characters, an Arabic-Indic digit
+# (isdigit and \d), a superscript digit (isdigit, not \d) and a Roman numeral
+# (isupper, not [A-Z]), also right after a terminator; abbreviations in every
+# case; terminator runs; chunks of punctuation only.
+ORACLE_FRAGMENTS = [
+    ". ", "! ", "? ", "?! ", "!? ", "...", "... ", ". . ", ".", "!", "?",
+    " ", "  ", "\t", "\u00a0", "\u2029",
+    "ǅ", "Ǆ", "ǆ", "İ", "ı", "١", "²", "Ⅷ",
+    ". ǅ", ". İ", ". ١", "? ²", ". Ⅷ",
+    "A", "a", "Z", "7", "É", "ß", "word", "x1.", "2.",
+    "Mr.", "mr.", "MRS.", "Dr.", "e.g.", "E.G.", "i.e.", "U.S.", "u.s..", "etc.", "Inc.",
+    "Jr.", "vs.", '"', "'", "(", ")", "--", "-", "—", "…", '"Hi!"', "(e.g.)", "?!?",
+]
+oracle_text = st.lists(
+    st.sampled_from(ORACLE_FRAGMENTS) | st.text(max_size=4), max_size=16).map("".join)
+
+
+class TestStrMethodOracle:
+    """``split_sentences`` and ``tokenize`` equal the character-loop reference."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(text=oracle_text)
+    def test_split_sentences_matches_reference(self, text):
+        assert outcome(corpus.split_sentences, text) == outcome(reference_split_sentences, text)
+
+    @settings(max_examples=600, deadline=None)
+    @given(text=oracle_text)
+    def test_tokenize_matches_reference(self, text):
+        assert outcome(corpus.tokenize, text) == outcome(reference_tokenize, text)
+
+    @pytest.mark.parametrize("text, segments", [
+        ("It rose. \u01c5ivko came.", ["It rose. \u01c5ivko came."]),  # titlecase: no split
+        ("It rose. \u0130stanbul wins.", ["It rose.", "\u0130stanbul wins."]),
+        ("It rose. \u0661 won.", ["It rose.", "\u0661 won."]),
+        ("It rose. \u00b2 won.", ["It rose.", "\u00b2 won."]),  # isdigit, though not \d
+        ("Why?! No. E.G. Yes.", ["Why?!", "No.", "E.G. Yes."]),
+        ("Wait... Then go.", ["Wait...", "Then go."]),
+        ("We met MR. Li. U.S. 2 rose.", ["We met MR. Li.", "U.S. 2 rose."]),
+    ])
+    def test_character_classes_are_str_methods(self, text, segments):
+        assert corpus.split_sentences(text) == segments
+        assert reference_split_sentences(text) == segments
+
+    @settings(max_examples=200, deadline=None)
+    @given(texts=st.lists(oracle_text, min_size=1, max_size=6))
+    def test_encoding_matches_reference(self, texts):
+        docs = [RawDocument(f"d{k}", "satire", "", t) for k, t in enumerate(texts)]
+        docs = [d for d in docs if d.text.split()]
+        if not docs:
+            return
+        vocab = corpus.build_vocab(docs, min_frequency=1)
+        counts = {}
+        for d in docs:
+            for sentence in reference_split_sentences(d.text):
+                for tok in reference_tokenize(sentence):
+                    counts[tok] = counts.get(tok, 0) + 1
+        assert vocab.id_to_token[2:] == sorted(counts, key=lambda t: (-counts[t], t))
+        two_way = ClassSet(("satire", "trusted"))
+        for d in docs:
+            doc = corpus.encode_document(d, vocab, two_way, max_sentences=3, max_tokens=4)
+            expected = tuple(
+                ids for ids in (
+                    tuple(vocab.encode_token(t) for t in reference_tokenize(s)[:4])
+                    for s in reference_split_sentences(d.text)[:3])
+                if ids)
+            assert (doc.sentences if doc else ()) == expected
 
 
 class TestBuildVocab:

@@ -72,6 +72,12 @@ class TestLoadEdgeWeights:
         with pytest.raises(GraphError, match=rf"weights\.jsonl:2: .*{message}"):
             graph.load_edge_weights(p)
 
+    def test_non_utf8_bytes_rejected_with_offset(self, tmp_path):
+        p = tmp_path / "weights.jsonl"
+        p.write_bytes(b'{"id": "d1", "n": 1, "weights": [[0]]}\n{"id": "\xff\xfe"}\n')
+        with pytest.raises(GraphError, match=r"weights\.jsonl: not UTF-8 at byte offset 47"):
+            graph.load_edge_weights(p)
+
     def test_declared_size_mismatch(self, tmp_path):
         p = weights_file(tmp_path, [{"id": "d1", "n": 3, "weights": [[0, 0.3], [0.3, 0]]}])
         with pytest.raises(GraphError, match="n=3"):

@@ -445,6 +445,73 @@ class TestCheckpointPersistence:
         assert path.read_bytes() == before
         assert list(tmp_path.iterdir()) == [path]
 
+    def test_write_failing_after_any_buffer_keeps_previous_checkpoint_and_log(
+            self, tmp_path, monkeypatch):
+        # the checkpoint goes out as its manifest line and then one buffer per
+        # value, the run log after it; a failure at any write keeps both files
+        run, path, _ = self.trained(tmp_path)
+        log_path = tmp_path / "model.ckpt.runlog.json"
+        log_path.write_bytes(b'{"previous": true}\n')
+        before = [path.read_bytes(), log_path.read_bytes()]
+        run.checkpoint.metadata["best_epoch"] = 7
+        files = {path: training.checkpoint_buffers(run.checkpoint),
+                 log_path: [b'{"next": true}\n']}
+        n_writes = sum(len(buffers) for buffers in files.values())
+        assert n_writes == len(run.checkpoint.values) + 2
+        for fail_at in range(n_writes):
+            writes = itertools.count()
+
+            class FailingFile:
+                def __init__(self, f):
+                    self.f = f
+
+                def __enter__(self):
+                    return self
+
+                def __exit__(self, *exc):
+                    self.f.close()
+
+                def write(self, data):
+                    if next(writes) == fail_at:
+                        raise OSError("disk full")
+                    return self.f.write(data)
+
+            monkeypatch.setattr(training, "open", lambda p, mode: FailingFile(open(p, mode)),
+                                raising=False)
+            with pytest.raises(OSError, match="disk full"):
+                training.write_files_atomic(files)
+            assert [path.read_bytes(), log_path.read_bytes()] == before
+            assert sorted(tmp_path.iterdir()) == sorted([path, log_path])
+
+    def test_saved_file_is_checkpoint_bytes_for_any_array_layout(self, tmp_path):
+        # values as training hands them over are native float64, but a caller
+        # may pass any layout: every one is written as C-ordered <f8
+        run, path, _ = self.trained(tmp_path)
+        native = run.checkpoint.values
+        reference = training.checkpoint_bytes(run.checkpoint)
+
+        def strided(v):
+            wide = np.zeros((2 * v.shape[0],) + v.shape[1:])
+            wide[::2] = v
+            return wide[::2]
+
+        layouts = {"float32": lambda v: v.astype(np.float32),
+                   "fortran": np.asfortranarray,
+                   "strided": strided,
+                   "big_endian": lambda v: v.astype(">f8")}
+        for name, layout in layouts.items():
+            ckpt = dataclasses.replace(
+                run.checkpoint, values={n: layout(v) for n, v in native.items()})
+            saved = tmp_path / f"{name}.ckpt"
+            training.save_checkpoint(ckpt, saved)
+            header = reference.split(b"\n", 1)[0]  # the same shapes
+            blob = b"".join(v.astype("<f8").tobytes() for v in ckpt.values.values())
+            assert saved.read_bytes() == training.checkpoint_bytes(ckpt) == header + b"\n" + blob
+            if name != "float32":
+                assert saved.read_bytes() == reference
+            loaded = training.load_checkpoint(saved)
+            assert all(np.array_equal(loaded.values[n], v) for n, v in ckpt.values.items())
+
 
 @pytest.fixture(scope="module")
 def tiny_checkpoint_bytes(tmp_path_factory):
