@@ -60,7 +60,6 @@ __all__ = [
     "slice_rows",
     "pad_rows",
     "scale",
-    "sum_all",
     "backward",
     "zero_grads",
     "adam_step",
@@ -636,17 +635,6 @@ def _scale_bwd(e: TapeEntry):
     return (e.output.grad * e.ctx["c"],)
 
 
-def sum_all(x: Tensor) -> Tensor:
-    """Sum of all entries, as a length-1 tensor."""
-    out = Tensor._wrap(np.array([x.values.sum()]))
-    return _record("sum_all", (x,), out)
-
-
-@_rule("sum_all")
-def _sum_all_bwd(e: TapeEntry):
-    return (np.full_like(e.inputs[0].values, e.output.grad[0]),)
-
-
 # ---------------------------------------------------------------------------
 # classification loss
 
@@ -685,17 +673,16 @@ def backward(tape: Tape, loss: Tensor) -> None:
     """Accumulate d(loss)/d(tensor) for every tensor reachable from ``loss``.
 
     The tape is walked once in reverse execution order; entries whose
-    output received no gradient are skipped. Gradients add into existing
-    ``grad`` buffers; callers zero parameters between optimizer steps.
+    output received no gradient are skipped. Gradients add to a tensor's
+    existing ``grad``; callers zero parameters between optimizer steps.
 
-    A tensor's first gradient is the array its rule returned when that
-    array owns its memory, and a copy when it is a view or the output's own
-    gradient. A rule returns each array it allocates for one input only, so
-    every ``grad`` owns its memory and may be scaled in place. A
-    :class:`RowSparseGrad` (``gather_rows``' embedding gradient) is adopted
-    as it is; adding any later gradient to it, or it to a dense one, gives
-    the dense sum, so a tensor gathered twice ends with the same bytes as
-    when every gradient was dense.
+    A tensor's first gradient is adopted as its rule returned it, which may
+    be a view of, or the same array as, another tensor's gradient; every
+    later gradient is added out of place, and nothing writes into a
+    gradient. A :class:`RowSparseGrad` (``gather_rows``' embedding gradient)
+    is adopted the same way; adding any later gradient to it, or it to a
+    dense one, gives the dense sum, so a tensor gathered twice ends with the
+    same bytes as when every gradient was dense.
     """
     if loss.size != 1:
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -704,16 +691,14 @@ def backward(tape: Tape, loss: Tensor) -> None:
     else:
         loss.grad = loss.grad + np.ones_like(loss.values)
     for entry in reversed(tape.entries):
-        out_grad = entry.output.grad
-        if out_grad is None:
+        if entry.output.grad is None:
             continue
         grads = BACKWARD_RULES[entry.op](entry)
         for t, g in zip(entry.inputs, grads):
             if g is None:
                 continue
             if t.grad is None:
-                adopt = isinstance(g, RowSparseGrad) or (g.base is None and g is not out_grad)
-                t.grad = g if adopt else np.array(g)
+                t.grad = g
             else:
                 t.grad = _dense(t.grad) + _dense(g)
 

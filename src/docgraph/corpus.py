@@ -104,15 +104,20 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.id_to_token)
 
-    def encode_token(self, token: str) -> int:
-        return self.token_to_id.get(token, UNK_ID)
-
-    def decode_id(self, token_id: int) -> str:
-        return self.id_to_token[token_id]
-
 
 # ---------------------------------------------------------------------------
 # loading
+
+def json_id(value) -> str | None:
+    """A JSONL record's ``id`` as the string documents are keyed by: a string
+    as it is, a non-bool integer as its ``str()`` (so numeric ids still match
+    between a corpus and its edge weights), ``None`` for any other type."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, int) and not isinstance(value, bool):
+        return str(value)
+    return None
+
 
 def load_corpus(
     path: str | Path,
@@ -121,9 +126,11 @@ def load_corpus(
 ) -> list[RawDocument]:
     """Read a JSONL or TSV corpus file, preserving record order.
 
-    Blank lines are skipped. When ``class_set`` is given, a record whose
-    label falls outside it is an error (use :func:`filter_by_labels` to
-    subset instead).
+    Blank lines are skipped. A JSONL ``id`` is a string or an integer (see
+    :func:`json_id`) and ``source`` a string; a record without an id, and
+    every TSV row, is ``row-{k}``. No id may appear twice. When
+    ``class_set`` is given, a record whose label falls outside it is an
+    error (use :func:`filter_by_labels` to subset instead).
     """
     path = Path(path)
     if fmt not in ("jsonl", "tsv"):
@@ -137,6 +144,7 @@ def load_corpus(
             f"{path}: not UTF-8 at byte offset {err.start}: {err.reason}") from err
 
     docs: list[RawDocument] = []
+    first_line: dict[str, int] = {}
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
@@ -144,24 +152,32 @@ def load_corpus(
         if fmt == "jsonl":
             try:
                 rec = json.loads(line)
-            except json.JSONDecodeError as err:
+            except ValueError as err:  # JSONDecodeError, or an int of over 4300 digits
                 raise CorpusError(f"{path}:{lineno}: invalid JSON: {err}") from err
             if not isinstance(rec, dict) or "label" not in rec or "text" not in rec:
                 raise CorpusError(f"{path}:{lineno}: record needs 'label' and 'text' fields")
             if not isinstance(rec["text"], str):
                 raise CorpusError(f"{path}:{lineno}: 'text' must be a string, "
                                   f"got {type(rec['text']).__name__}")
-            doc = RawDocument(
-                id=str(rec.get("id", f"row-{k}")),
-                label=str(rec["label"]),
-                source=str(rec.get("source", "")),
-                text=rec["text"],
-            )
+            doc_id = json_id(rec["id"]) if "id" in rec else f"row-{k}"
+            if doc_id is None:
+                raise CorpusError(f"{path}:{lineno}: 'id' must be a string or an integer, "
+                                  f"got {type(rec['id']).__name__}")
+            source = rec.get("source", "")
+            if not isinstance(source, str):
+                raise CorpusError(f"{path}:{lineno}: 'source' must be a string, "
+                                  f"got {type(source).__name__}")
+            doc = RawDocument(id=doc_id, label=str(rec["label"]), source=source,
+                              text=rec["text"])
         else:
             parts = line.split("\t", 1)
             if len(parts) != 2:
                 raise CorpusError(f"{path}:{lineno}: expected label<TAB>text")
             doc = RawDocument(id=f"row-{k}", label=parts[0], source="", text=parts[1])
+        if doc.id in first_line:
+            raise CorpusError(f"{path}:{lineno}: duplicate id '{doc.id}' "
+                              f"(first on line {first_line[doc.id]})")
+        first_line[doc.id] = lineno
         if not doc.text.strip():
             raise CorpusError(f"{path}:{lineno}: empty text for document '{doc.id}'")
         if class_set is not None and doc.label not in class_set.names:

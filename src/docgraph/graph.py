@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Tensor
-from .corpus import Document
+from .corpus import Document, json_id
 from .errors import GraphError
 
 SYMMETRY_TOL = 1e-9
@@ -64,7 +64,8 @@ def load_edge_weights(path: str | Path) -> EdgeWeightSet:
 
     Each line holds {"id": str, "n": int, "weights": [[...], ...]} with a
     symmetric, zero-diagonal n-by-n matrix of finite scores in [0, 1], and
-    no id appears twice.
+    no id appears twice. An integer id is kept as its ``str()``, as the
+    corpus loader keeps it.
     """
     path = Path(path)
     try:
@@ -80,11 +81,14 @@ def load_edge_weights(path: str | Path) -> EdgeWeightSet:
             continue
         try:
             rec = json.loads(line)
-        except json.JSONDecodeError as err:
+        except ValueError as err:  # JSONDecodeError, or an int of over 4300 digits
             raise GraphError(f"{path}:{lineno}: invalid JSON: {err}") from err
         if not isinstance(rec, dict) or not {"id", "n", "weights"} <= rec.keys():
             raise GraphError(f"{path}:{lineno}: record needs 'id', 'n' and 'weights'")
-        doc_id = str(rec["id"])
+        doc_id = json_id(rec["id"])
+        if doc_id is None:
+            raise GraphError(f"{path}:{lineno}: 'id' must be a string or an integer, "
+                             f"got {type(rec['id']).__name__}")
         if doc_id in weights:
             raise GraphError(f"{path}:{lineno}: duplicate id '{doc_id}'")
         n = rec["n"]

@@ -22,7 +22,6 @@ from __future__ import annotations
 import numbers
 import sys
 from dataclasses import dataclass, fields
-from typing import Optional
 
 import numpy as np
 
@@ -97,7 +96,6 @@ class ModelConfig:
     max_epochs: int = 10
     max_sentences: int = DEFAULT_MAX_SENTENCES
     max_tokens: int = DEFAULT_MAX_TOKENS
-    clip_norm: Optional[float] = None
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -119,9 +117,6 @@ class ModelConfig:
                 raise ModelError(f"{name} must be a non-negative integer")
         if not _is_finite_real(self.lr) or self.lr <= 0:
             raise ModelError("lr must be a finite number above 0")
-        if self.clip_norm is not None and (not _is_finite_real(self.clip_norm)
-                                           or self.clip_norm <= 0):
-            raise ModelError("clip_norm must be None or a finite number above 0")
         object.__setattr__(self, "class_names", tuple(self.class_names))
 
     @property
@@ -165,9 +160,6 @@ class ModelParams:
     """All learned tensors for one variant, keyed by their ``param_layout`` name."""
 
     tensors: dict[str, Tensor]
-
-    def total_parameters(self) -> int:
-        return sum(t.size for t in self.tensors.values())
 
 
 def param_layout(config: ModelConfig) -> dict[str, tuple[tuple[int, ...], str]]:

@@ -37,7 +37,7 @@ from .model import (
     loss,
 )
 
-CHECKPOINT_FORMAT_VERSION = 3
+CHECKPOINT_FORMAT_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -92,16 +92,6 @@ class TrainRun:
         }
 
 
-def _clip_gradients(grads: dict[str, np.ndarray | ad.RowSparseGrad], max_norm: float) -> None:
-    # a row-sparse gradient is zero outside its rows, so they carry its norm
-    arrays = [g.rows if isinstance(g, ad.RowSparseGrad) else g for g in grads.values()]
-    total = np.sqrt(sum(float(np.sum(a * a)) for a in arrays))
-    if total > max_norm:
-        factor = max_norm / total
-        for a in arrays:
-            a *= factor
-
-
 def train(
     train_docs: list[Document],
     dev_docs: list[Document],
@@ -141,8 +131,6 @@ def train(
                 name: t.grad if t.grad is not None else np.zeros_like(t.values)
                 for name, t in params.tensors.items()
             }
-            if config.clip_norm is not None:
-                _clip_gradients(grads, config.clip_norm)
             ad.adam_step(params.tensors, grads, optimizer)
             total_loss += value
 

@@ -82,6 +82,44 @@ class TestLoadCorpus:
         p = write(tmp_path, "c.jsonl", '{"label":1,"text":"Fine."}\n')
         assert corpus.load_corpus(p, "jsonl")[0].label == "1"
 
+    @pytest.mark.parametrize("doc_id, kind", [("null", "NoneType"), ("7.0", "float"),
+                                              ("true", "bool"), ('["a"]', "list"),
+                                              ('{"a": 1}', "dict")])
+    def test_jsonl_id_of_another_type_rejected(self, tmp_path, doc_id, kind):
+        p = write(tmp_path, "c.jsonl", '{"label":"trusted","text":"Fine."}\n'
+                  f'{{"id":{doc_id},"label":"trusted","text":"Fine."}}\n')
+        with pytest.raises(CorpusError,
+                           match=rf"c\.jsonl:2: 'id' must be a string or an integer, got {kind}"):
+            corpus.load_corpus(p, "jsonl")
+
+    def test_integer_jsonl_id_kept_as_string(self, tmp_path):
+        p = write(tmp_path, "c.jsonl", '{"id":7,"label":"trusted","text":"Fine."}\n')
+        assert corpus.load_corpus(p, "jsonl")[0].id == "7"
+
+    def test_integer_too_long_for_a_string_rejected(self, tmp_path):
+        # json.loads raises a bare ValueError past 4300 digits
+        p = write(tmp_path, "c.jsonl", f'{{"id":{"7" * 5000},"label":"a","text":"Fine."}}\n')
+        with pytest.raises(CorpusError, match=r"c\.jsonl:1: invalid JSON"):
+            corpus.load_corpus(p, "jsonl")
+
+    @pytest.mark.parametrize("source, kind", [("null", "NoneType"), ('["s"]', "list"),
+                                              ("3", "int")])
+    def test_non_string_jsonl_source_rejected(self, tmp_path, source, kind):
+        p = write(tmp_path, "c.jsonl",
+                  f'{{"label":"trusted","source":{source},"text":"Fine."}}\n')
+        with pytest.raises(CorpusError,
+                           match=rf"c\.jsonl:1: 'source' must be a string, got {kind}"):
+            corpus.load_corpus(p, "jsonl")
+
+    def test_repeated_id_names_both_lines(self, tmp_path):
+        # a record without an id is row-{k}, so an explicit "row-1" repeats it
+        p = write(tmp_path, "c.jsonl", '{"id":"a","label":"x","text":"One."}\n'
+                  '{"label":"x","text":"Two."}\n\n'
+                  '{"id":"row-1","label":"x","text":"Three."}\n')
+        with pytest.raises(CorpusError, match=r"c\.jsonl:4: duplicate id 'row-1' "
+                                              r"\(first on line 2\)"):
+            corpus.load_corpus(p, "jsonl")
+
 
 # Arbitrary unicode, salted with the fragments the segmenter reacts to:
 # terminators, capitals and digits after a space, abbreviations and
@@ -288,9 +326,10 @@ class TestStrMethodOracle:
         two_way = ClassSet(("satire", "trusted"))
         for d in docs:
             doc = corpus.encode_document(d, vocab, two_way, max_sentences=3, max_tokens=4)
+            lookup = vocab.token_to_id.get
             expected = tuple(
                 ids for ids in (
-                    tuple(vocab.encode_token(t) for t in reference_tokenize(s)[:4])
+                    tuple(lookup(t, corpus.UNK_ID) for t in reference_tokenize(s)[:4])
                     for s in reference_split_sentences(d.text)[:3])
                 if ids)
             assert (doc.sentences if doc else ()) == expected
@@ -304,7 +343,7 @@ class TestBuildVocab:
     def test_cutoff(self):
         vocab = corpus.build_vocab(self.docs(), min_frequency=2)
         assert vocab.id_to_token == ["<pad>", "<unk>", "a"]
-        assert vocab.encode_token("b") == corpus.UNK_ID
+        assert "b" not in vocab.token_to_id
 
     def test_determinism(self):
         v1 = corpus.build_vocab(self.docs(), min_frequency=2)
@@ -352,8 +391,8 @@ class TestEncodeCorpus:
         vocab = corpus.build_vocab([doc], min_frequency=1)
         [enc] = corpus.encode_corpus([doc], vocab, two_way)
         for sent in enc.sentences:
-            tokens = [vocab.decode_id(i) for i in sent]
-            assert tuple(vocab.encode_token(t) for t in tokens) == sent
+            tokens = [vocab.id_to_token[i] for i in sent]
+            assert tuple(vocab.token_to_id[t] for t in tokens) == sent
 
 
 class TestSplitTrainDev:

@@ -14,7 +14,7 @@ from docgraph.autodiff import Tensor
 from docgraph.corpus import Document
 from docgraph.errors import ShapeError
 
-from test_autodiff import fd_grad, max_rel_err, piecewise_sigmoid
+from test_autodiff import fd_grad, max_rel_err, piecewise_sigmoid, weighted_sum
 
 
 VOCAB = 30
@@ -144,7 +144,7 @@ class TestEmbed:
     def test_tied_lookup_gradients_sum(self, embedding):
         with ad.Tape() as tape:
             out = encoder.embed([5, 5], embedding)
-            loss = ad.sum_all(out)
+            loss = weighted_sum(out)
         assert np.array_equal(out.values[0], out.values[1])
         ad.backward(tape, loss)
         assert np.array_equal(embedding.grad.dense()[5], 2.0 * np.ones(4))
@@ -155,7 +155,7 @@ class TestEmbed:
 
     def test_gradient_matches_finite_differences(self, embedding):
         with ad.Tape() as tape:
-            loss = ad.sum_all(encoder.embed([2, 7], embedding))
+            loss = weighted_sum(encoder.embed([2, 7], embedding))
         ad.backward(tape, loss)
         f = fd_grad(lambda v: float(v[[2, 7]].sum()), embedding.values.copy())
         assert max_rel_err(embedding.grad.dense(), f) < 1e-6
@@ -204,7 +204,7 @@ class TestLstm:
         def loss_value():
             with ad.Tape() as tape:
                 out = encoder.lstm_last_hidden(Tensor(x_vals), *lstm)
-                loss = ad.sum_all(ad.mul(out, Tensor(w)))
+                loss = weighted_sum(out, w)
             return tape, loss
 
         tape, loss = loss_value()
@@ -248,12 +248,12 @@ class TestEncodeDocument:
         doc = Document("d", 0, ((1, 2), (1, 2)))
         single = Document("d", 0, ((1, 2),))
         with ad.Tape() as tape:
-            loss = ad.sum_all(encoder.encode_document(doc, embedding, *lstm))
+            loss = weighted_sum(encoder.encode_document(doc, embedding, *lstm))
         ad.backward(tape, loss)
         double_grad = embedding.grad.dense()
         ad.zero_grads(model_params.tensors)
         with ad.Tape() as tape:
-            loss = ad.sum_all(encoder.encode_document(single, embedding, *lstm))
+            loss = weighted_sum(encoder.encode_document(single, embedding, *lstm))
         ad.backward(tape, loss)
         assert np.allclose(double_grad, 2.0 * embedding.grad.dense(), atol=1e-12)
 

@@ -7,7 +7,7 @@ import pytest
 
 from docgraph import graph
 from docgraph.autodiff import Tensor
-from docgraph.corpus import Document
+from docgraph.corpus import Document, load_corpus
 from docgraph.errors import GraphError
 
 
@@ -66,11 +66,23 @@ class TestLoadEdgeWeights:
         ({"id": "d2", "n": 2, "weights": [[0, 0.5], [0.5]]}, "not a numeric matrix"),
         # a valid record, but the first line's id: not a silent overwrite
         ({"id": "d1", "n": 2, "weights": [[0, 0.5], [0.5, 0]]}, "duplicate id 'd1'"),
-    ], ids=["nan_weight", "float_n", "bool_n", "ragged_weights", "duplicate_id"])
+        *(({"id": bad, "n": 1, "weights": [[0]]},
+           f"'id' must be a string or an integer, got {type(bad).__name__}")
+          for bad in (None, 7.0, True, ["d2"], {"d": 2})),
+    ], ids=["nan_weight", "float_n", "bool_n", "ragged_weights", "duplicate_id", "null_id",
+            "float_id", "bool_id", "list_id", "dict_id"])
     def test_bad_record_error_names_its_line(self, tmp_path, record, message):
         p = weights_file(tmp_path, [{"id": "d1", "n": 1, "weights": [[0]]}, record])
         with pytest.raises(GraphError, match=rf"weights\.jsonl:2: .*{message}"):
             graph.load_edge_weights(p)
+
+    def test_integer_id_matches_the_corpus_id(self, tmp_path):
+        docs = tmp_path / "c.jsonl"
+        docs.write_text('{"id":7,"label":"x","text":"One."}\n', encoding="utf-8")
+        [doc] = load_corpus(docs, "jsonl")
+        ws = graph.load_edge_weights(weights_file(tmp_path, [{"id": 7, "n": 1,
+                                                              "weights": [[0]]}]))
+        assert doc.id in ws
 
     def test_non_utf8_bytes_rejected_with_offset(self, tmp_path):
         p = tmp_path / "weights.jsonl"

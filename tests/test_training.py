@@ -133,30 +133,11 @@ class TestLearningSignal:
         assert run.epochs[1].train_loss < math.log(len(class_set.names))
 
 
-class TestGradientClipping:
-    def test_clip_bounds_global_norm(self):
-        grads = {"a": np.array([3.0, 0.0]), "b": np.array([[0.0, 4.0]])}
-        training._clip_gradients(grads, 2.5)  # global norm was 5
-        total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
-        assert total == pytest.approx(2.5, abs=1e-12)
-        assert np.allclose(grads["a"], [1.5, 0.0])
-
-    def test_clip_leaves_small_gradients_alone(self):
-        grads = {"a": np.array([0.3, 0.4])}
-        training._clip_gradients(grads, 2.0)
-        assert np.allclose(grads["a"], [0.3, 0.4])
-
-    def test_training_with_clip_norm_is_deterministic(self):
-        vocab, class_set, docs = setup_corpus()
-        config = tiny_config("lstm", vocab, class_set, clip_norm=1.0, max_epochs=1)
-        run1 = training.train(docs, docs, config, vocab)
-        run2 = training.train(docs, docs, config, vocab)
-        assert run1.log_dict() == run2.log_dict()
-
-
 class TestGradientAdoption:
-    """``backward`` hands rules' fresh arrays to ``.grad`` without copying;
-    clipping then scales them in place, so no two may share memory."""
+    """``backward`` adopts the arrays rules return as ``.grad`` without
+    copying, and Adam updates parameters in place: a parameter's gradient
+    must share no memory with a parameter or another parameter's gradient,
+    and nothing may write into a gradient."""
 
     @pytest.mark.parametrize("variant", model.VARIANTS)
     def test_parameter_gradients_share_no_memory(self, variant):
@@ -176,38 +157,26 @@ class TestGradientAdoption:
             assert not np.shares_memory(a, b)
 
     @pytest.mark.parametrize("variant", model.VARIANTS)
-    def test_clipped_step_matches_a_run_on_copied_gradients(self, variant, monkeypatch):
+    def test_adam_step_leaves_every_gradient_unchanged(self, variant):
         vocab, class_set, docs = setup_corpus()
-        config = tiny_config(variant, vocab, class_set, clip_norm=1.0, lr=0.1)
+        config = tiny_config(variant, vocab, class_set)
         weights = edge_weights_for(docs) if config.spec.edge_weights else None
-        adopted = training.train(docs, docs, config, vocab, weights)
+        params = model.init_params(config)
+        with ad.Tape() as tape:
+            logits, _ = model.forward(docs[0], params, config, weights)
+            step_loss = model.loss(logits, docs[0].label)
+        ad.backward(tape, step_loss)
+        tensors = {id(t): t for e in tape.entries for t in (*e.inputs, e.output)}
+        grads = [t.grad for t in tensors.values() if t.grad is not None]
 
-        backward, init_params = ad.backward, training.init_params
-        models = []
-        norms = []
+        def snapshot():
+            return [(g.ids.tobytes(), g.rows.tobytes()) if isinstance(g, ad.RowSparseGrad)
+                    else g.tobytes() for g in grads]
 
-        def capturing_init_params(config, rng=None):
-            models.append(init_params(config, rng))
-            return models[-1]
-
-        def copying_backward(tape, loss):
-            backward(tape, loss)
-            grads = {id(t): t for e in tape.entries for t in e.inputs if t.grad is not None}
-            for t in grads.values():
-                g = t.grad
-                t.grad = (ad.RowSparseGrad(g.ids.copy(), g.rows.copy(), g.shape)
-                          if isinstance(g, ad.RowSparseGrad) else g.copy())
-            arrays = [t.grad.rows if isinstance(t.grad, ad.RowSparseGrad) else t.grad
-                      for t in models[-1].tensors.values() if t.grad is not None]
-            norms.append(math.sqrt(sum(float(np.sum(a * a)) for a in arrays)))
-
-        monkeypatch.setattr(training, "init_params", capturing_init_params)
-        monkeypatch.setattr(ad, "backward", copying_backward)
-        copied = training.train(docs, docs, config, vocab, weights)
-        assert max(norms) > config.clip_norm  # clipping ran
-        assert adopted.log_dict() == copied.log_dict()
-        for name, values in adopted.checkpoint.values.items():
-            assert values.tobytes() == copied.checkpoint.values[name].tobytes()
+        before = snapshot()
+        ad.adam_step(params.tensors, {n: t.grad for n, t in params.tensors.items()},
+                     ad.AdamState.for_params(params.tensors))
+        assert snapshot() == before
 
 
 class TestStepAllocations:
@@ -332,28 +301,34 @@ class TestCheckpointPersistence:
             training.load_checkpoint(path)
         assert re.search(r"version 1\b", str(err.value))
 
-    def test_version_2_file_with_removed_settings_rejected_by_version(self, tmp_path):
-        # format 2 stored three more config keys, whose values this tree can
-        # no longer vary; such a file is refused for its version
+    @pytest.mark.parametrize("version, removed", [
+        (2, {"leaky_slope": 0.2, "gcn_layers": 1, "normalize_adjacency": False,
+             "clip_norm": None}),
+        (3, {"clip_norm": None}),
+    ])
+    def test_version_2_file_with_removed_settings_rejected_by_version(self, tmp_path, version,
+                                                                       removed):
+        # formats 2 and 3 stored config keys whose values this tree can no
+        # longer vary; such a file is refused for its version
         run, _, _ = self.trained(tmp_path)
         header, blob = training.checkpoint_bytes(run.checkpoint).split(b"\n", 1)
         manifest = json.loads(header)
-        manifest["format_version"] = 2
-        manifest["config"].update(leaky_slope=0.2, gcn_layers=1, normalize_adjacency=False)
-        path = tmp_path / "v2.ckpt"
+        manifest["format_version"] = version
+        manifest["config"].update(removed)
+        path = tmp_path / f"v{version}.ckpt"
         path.write_bytes(json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
                          + b"\n" + blob)
         with pytest.raises(CheckpointError) as err:
             training.load_checkpoint(path)
-        assert re.search(r"version 2\b", str(err.value))
+        assert re.search(rf"version {version}\b", str(err.value))
 
     def test_config_keys_pinned_to_format_version(self, tmp_path):
         # the manifest's config is ModelConfig.to_dict(): a field added or
         # removed changes what a file holds, so it needs a new format version
         # and a new entry here
-        keys = {3: ["class_names", "clip_norm", "embed_dim", "hidden_dim", "lr",
-                    "max_epochs", "max_sentences", "max_tokens", "node_dim", "seed",
-                    "variant", "vocab_size"]}
+        keys = {4: ["class_names", "embed_dim", "hidden_dim", "lr", "max_epochs",
+                    "max_sentences", "max_tokens", "node_dim", "seed", "variant",
+                    "vocab_size"]}
         _, path, _ = self.trained(tmp_path)
         manifest = json.loads(path.read_bytes().split(b"\n", 1)[0])
         expected = keys[training.CHECKPOINT_FORMAT_VERSION]
@@ -404,8 +379,8 @@ class TestCheckpointPersistence:
         (lambda raw: raw.replace(b'"lr":0.01', b'"lr":NaN', 1), "lr must be a finite number"),
         (lambda raw: raw.replace(b'"lr":0.01', b'"lr":' + b"9" * 400, 1),
          "lr must be a finite number"),
-        (lambda raw: raw.replace(b'"clip_norm":null', b'"clip_norm":-2.0', 1),
-         "clip_norm must be None or a finite number"),
+        (lambda raw: raw.replace(b'"class_names":', b'"clip_norm":null,"class_names":', 1),
+         "unknown config fields"),
         (lambda raw: raw.replace(b'"class_names":["satire","trusted"]',
                                  b'"class_names":[7,null]', 1),
          "class_names must be unique non-empty strings"),
@@ -417,7 +392,7 @@ class TestCheckpointPersistence:
     ], ids=["non_object_manifest", "negative_shape", "float_dimension", "vocabulary_size",
             "integer_token", "null_token", "float_shape", "string_shape",
             "float_min_frequency", "negative_lr", "nan_lr", "huge_integer_lr",
-            "negative_clip_norm", "non_string_class_names", "duplicate_class_names",
+            "stale_clip_norm", "non_string_class_names", "duplicate_class_names",
             "string_seed"])
     def test_malformed_manifest_rejected(self, tmp_path, corrupt, message):
         _, path, _ = self.trained(tmp_path)
@@ -518,7 +493,7 @@ def tiny_checkpoint_bytes(tmp_path_factory):
     vocab = Vocabulary(["<pad>", "<unk>", "zebra", "quokka"], min_frequency=2)
     config = model.ModelConfig(variant="gat2", vocab_size=len(vocab),
                                class_names=("satire", "trusted"), embed_dim=3,
-                               hidden_dim=3, node_dim=2, clip_norm=1.5)
+                               hidden_dim=3, node_dim=2)
     params = model.init_params(config)
     values = {name: t.values for name, t in params.tensors.items()}
     ckpt = training.Checkpoint(config, vocab, values, metadata={"best_epoch": 1, "seed": 0})
@@ -544,13 +519,12 @@ def test_any_single_byte_manifest_change_loads_or_raises_checkpoint_error(
 
 
 @settings(max_examples=100, deadline=None)
-@given(variant=st.sampled_from(model.VARIANTS), seed=st.integers(0, 2**32 - 1),
-       clip_norm=st.none() | st.floats(0.1, 10.0))
-def test_checkpoint_save_load_save_round_trips(tmp_path_factory, variant, seed, clip_norm):
+@given(variant=st.sampled_from(model.VARIANTS), seed=st.integers(0, 2**32 - 1))
+def test_checkpoint_save_load_save_round_trips(tmp_path_factory, variant, seed):
     vocab = Vocabulary(["<pad>", "<unk>", "zebra", "quokka"], min_frequency=2)
     config = model.ModelConfig(variant=variant, vocab_size=len(vocab),
                                class_names=("satire", "trusted"), embed_dim=3,
-                               hidden_dim=3, node_dim=2, seed=seed, clip_norm=clip_norm)
+                               hidden_dim=3, node_dim=2, seed=seed)
     values = {name: t.values for name, t in model.init_params(config).tensors.items()}
     ckpt = training.Checkpoint(config, vocab, values, metadata={"best_epoch": 1, "seed": seed})
     path = tmp_path_factory.getbasetemp() / "round-trip.ckpt"
