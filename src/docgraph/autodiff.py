@@ -742,12 +742,16 @@ class AdamState:
     scalars of each such step, oldest first, as they were when it ran, so a
     later change to ``lr`` does not reach back. A row that has taken every
     step in ``window`` holds the dense update's bytes in p, m and v;
-    :func:`gather_rows` and :func:`adam_sync` bring rows there. A row whose
-    m and v are +0.0 in every bit is there already, whatever ``rows`` says:
-    the zero-gradient step leaves it as it is (a -0.0 in m does not count,
-    as the step turns it into +0.0). Both are empty when no row lags.
-    ``lr`` is the one settable hyperparameter; the decay rates and epsilon
-    are ``ADAM_B1``, ``ADAM_B2`` and ``ADAM_EPS``.
+    :func:`gather_rows` and :func:`adam_sync` bring rows there. Both are
+    empty when no row lags. ``live[name]`` marks every row of a row-sparse
+    parameter whose m or v may hold a bit other than +0.0; any other row is
+    there already (see ``_live_rows``). This derived mask is built by one
+    scan of m and v at the parameter's first row-sparse step, takes each
+    row-sparse step's ids, outlives syncs (rows never go dead again) and is
+    dropped by a dense gradient. So write ``m`` or ``v`` of a parameter
+    only before its first row-sparse step. ``lr`` is the one settable
+    hyperparameter; the decay rates and epsilon are ``ADAM_B1``,
+    ``ADAM_B2`` and ``ADAM_EPS``.
     """
 
     lr: float = 0.001
@@ -756,14 +760,15 @@ class AdamState:
     v: dict[str, np.ndarray] = field(default_factory=dict)
     rows: dict[str, np.ndarray] = field(default_factory=dict)
     window: list[Scalars] = field(default_factory=list)
+    live: dict[str, np.ndarray] = field(default_factory=dict)
 
     @classmethod
     def for_params(cls, params: dict[str, Tensor], lr: float | None = None) -> "AdamState":
-        """Zero moments for every parameter; ``lr`` defaults to the field's."""
+        """Zero C-ordered moments for every parameter; ``lr`` defaults to the field's."""
         state = cls() if lr is None else cls(lr=lr)
         for name, p in params.items():
-            state.m[name] = np.zeros_like(p.values)
-            state.v[name] = np.zeros_like(p.values)
+            state.m[name] = np.zeros(p.values.shape)
+            state.v[name] = np.zeros(p.values.shape)
         return state
 
 
@@ -782,15 +787,16 @@ def _check_row_grad(name: str, g: RowSparseGrad, shape: tuple[int, ...]) -> None
     if ids.size and (ids[0] < 0 or ids[-1] >= shape[0] or np.any(ids[1:] <= ids[:-1])):
         raise ShapeError(f"row-sparse gradient ids for '{name}' must be sorted, unique "
                          f"and below {shape[0]}")
-    if not isinstance(rows, np.ndarray) or rows.shape != (ids.size, shape[1]):
+    if rows.shape != (ids.size, shape[1]):
         raise ShapeError(f"row-sparse gradient rows for '{name}' must have shape "
                          f"{(ids.size, shape[1])}")
 
 
 def _check_moments(name: str, p: Tensor, state: AdamState) -> None:
-    for moments in (state.m, state.v):
-        if name not in moments or moments[name].shape != p.values.shape:
-            raise ShapeError(f"Adam moments do not match parameter '{name}'")
+    for a in (state.m.get(name), state.v.get(name)):
+        if not (isinstance(a, np.ndarray) and a.dtype == np.float64
+                and a.shape == p.values.shape):
+            raise ShapeError(f"Adam moments of '{name}' must be float64 arrays of its shape")
 
 
 def _is_real(value) -> bool:
@@ -873,16 +879,20 @@ def _replay_rows(arrays: Sequence[np.ndarray], taken: np.ndarray,
 def _catch_up(arrays: Sequence[np.ndarray], taken: np.ndarray, ids: np.ndarray,
               window: list[Scalars]) -> None:
     """Bring rows ``ids`` (which may repeat) of p, m and v through every step
-    of ``window``, and record that in ``taken``."""
+    of ``window``, and record that in ``taken``. The rows are replayed on
+    copies of ``ADAM_CHUNK`` floats per array at a time, which stay in
+    cache across the steps however many rows a sync catches up."""
     behind = ids[taken[ids] < len(window)]
     if behind.size == 0:
         return
     behind = behind[np.lexsort((behind, taken[behind]))]  # a repeated id is adjacent
     behind = behind[np.concatenate(([True], behind[1:] != behind[:-1]))]
-    rows = [a[behind] for a in arrays]
-    _replay_rows(rows, taken[behind], window)
-    for a, r in zip(arrays, rows):
-        a[behind] = r
+    per = max(1, ADAM_CHUNK // max(1, arrays[0].shape[1]))
+    for part in np.split(behind, range(per, behind.size, per)):
+        rows = [a[part] for a in arrays]
+        _replay_rows(rows, taken[part], window)
+        for a, r in zip(arrays, rows):
+            a[part] = r
     taken[behind] = len(window)
 
 
@@ -911,45 +921,13 @@ def _sync_block(arrays: Sequence[np.ndarray], taken: np.ndarray,
             a[rows] = r
 
 
-def _has_bits(a: np.ndarray) -> np.ndarray:
-    """Whether each row of the 2-D float64 ``a`` holds a float other than
-    +0.0. A -0.0 counts: its sign bit is set."""
-    return a.view(np.uint64).any(axis=1)
-
-
-def _sync_arrays(arrays: Sequence[np.ndarray], taken: np.ndarray,
-                 window: list[Scalars]) -> None:
-    """Bring every row of the (rows, cols) p, m and v through every step of
-    ``window``, replaying steps only where they can change a byte.
-
-    A row whose m and v hold +0.0 in every float is a fixed point of the
-    zero-gradient step: ``b1*m + 0.0`` and ``b2*v`` stay +0.0, and the
-    update ``(+0.0*step) / (sqrt(+0.0) + eps_hat)`` is +0.0, so ``p - 0.0``
-    gives p's bytes back, a -0.0 included. Such a row is caught up as it
-    stands. The test is on bits, not ``m != 0``: a -0.0 in m is no fixed
-    point, because ``-0.0 + 0.0`` is +0.0.
-
-    The table goes through :func:`_sync_block` in blocks of ``8 *
-    ADAM_CHUNK`` floats per array. A block in which at least half of the
-    rows owe a step and have live m is replayed whole, in place; replaying
-    a fixed-point row leaves its bytes as they were, so v is not read. In
-    any other block only the rows that owe a step and have live m or v are
-    replayed, on a copy that is then written back."""
-    _, m, v = arrays
-    owing = taken < len(window)
-    block = max(1, 8 * ADAM_CHUNK // max(1, m.shape[1]))
-    for lo in range(0, len(taken), block):
-        hi = lo + block
-        live = _has_bits(m[lo:hi]) & owing[lo:hi]
-        if 2 * np.count_nonzero(live) >= live.size:
-            _sync_block([a[lo:hi] for a in arrays], taken[lo:hi], window)
-            continue
-        ids = lo + np.flatnonzero(live | (_has_bits(v[lo:hi]) & owing[lo:hi]))
-        if ids.size:
-            rows = [a[ids] for a in arrays]
-            _sync_block(rows, taken[ids], window)
-            for a, r in zip(arrays, rows):
-                a[ids] = r
+def _live_rows(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Whether each row of the 2-D float64 ``m`` or ``v`` holds a bit other
+    than +0.0. A row that does not is a fixed point of the zero-gradient
+    step: m and v stay +0.0 and p moves by ``(+0.0*step) / (sqrt(+0.0) +
+    eps_hat)``, +0.0, so it keeps its bytes, a -0.0 included. A -0.0 in m
+    counts, as the step turns it into +0.0."""
+    return m.view(np.uint64).any(axis=1) | v.view(np.uint64).any(axis=1)
 
 
 def _own_arrays(name: str, p: Tensor, state: AdamState) -> tuple[np.ndarray, ...]:
@@ -963,6 +941,27 @@ def _own_arrays(name: str, p: Tensor, state: AdamState) -> tuple[np.ndarray, ...
     return p.values, state.m[name], state.v[name]
 
 
+def _sync_arrays(name: str, p: Tensor, state: AdamState) -> None:
+    """Bring every row of the lagging parameter ``name`` through every step
+    of ``state.window``, replaying steps only on the rows of
+    ``state.live[name]`` that owe one; every other row is a fixed point of
+    the zero-gradient step or has taken every step. A block of ``8 *
+    ADAM_CHUNK`` floats per array in which at least half of the rows need a
+    step is replayed whole, in place, through :func:`_sync_block`; the rows
+    that need one elsewhere are caught up in one :func:`_catch_up`."""
+    arrays = _own_arrays(name, p, state)
+    taken, window = state.rows.pop(name), state.window
+    need = state.live[name] & (taken < len(window))
+    block = max(1, 8 * ADAM_CHUNK // max(1, p.values.shape[1]))
+    for lo in range(0, len(taken), block):
+        part = need[lo : lo + block]
+        if 2 * np.count_nonzero(part) >= part.size:
+            _sync_block([a[lo : lo + block] for a in arrays], taken[lo : lo + block], window)
+            part[:] = False
+    _catch_up(arrays, taken, np.flatnonzero(need), window)
+    p.pending = None
+
+
 def adam_sync(params: dict[str, Tensor], state: AdamState) -> None:
     """Bring every row of every parameter in ``params`` up to step ``state.t``.
 
@@ -971,21 +970,14 @@ def adam_sync(params: dict[str, Tensor], state: AdamState) -> None:
     no parameter in ``params`` lags. Call it before reading a row-sparse
     parameter's values or moments other than through :func:`gather_rows`.
     Raises ``ShapeError`` before any update if the moments do not match a
-    lagging parameter.
-
-    Only live rows, whose m or v holds any bits other than +0.0, need the
-    replay: for every other row the zero-gradient step is an exact fixed
-    point, so it is caught up as it stands, or replayed with its live
-    neighbours where most rows are live (see ``_sync_arrays``). A -0.0 in m
-    makes a row live, because the step turns it into +0.0.
+    lagging parameter. Only rows in ``state.live`` are replayed (see
+    ``_sync_arrays``), and the mask stays for the syncs that follow.
     """
     lagging = [name for name in params if name in state.rows]
     for name in lagging:
         _check_moments(name, params[name], state)
     for name in lagging:
-        p = params[name]
-        _sync_arrays(_own_arrays(name, p, state), state.rows.pop(name), state.window)
-        p.pending = None
+        _sync_arrays(name, params[name], state)
     if not state.rows:
         state.window.clear()
 
@@ -1013,33 +1005,38 @@ def adam_step(
     update later, in a replay of the steps they owe with each step's own
     scalars, which gives the same bytes. The step first catches up the rows
     in ``ids`` to the previous step, then gives them the full update, and
-    records both in ``state.rows`` and ``state.window``. The parameter's
-    ``Tensor.pending`` then links it to ``state``, so :func:`gather_rows`
-    catches up exactly the rows it reads and every forward sees the dense
-    update's bytes. :func:`adam_sync` brings the whole table up to date; the
-    step calls it once the window reaches ``ADAM_WINDOW`` steps, and before
-    a dense gradient updates a lagging parameter. Read ``p.values``,
-    ``state.m`` or ``state.v`` of a row-sparse parameter only after a sync.
+    records both in ``state.rows``, ``state.window`` and ``state.live``.
+    The parameter's ``Tensor.pending`` then links it to ``state``, so
+    :func:`gather_rows` catches up exactly the rows it reads and every
+    forward sees the dense update's bytes. :func:`adam_sync` brings the
+    whole table up to date; the step calls it once the window reaches
+    ``ADAM_WINDOW`` steps, and before a dense gradient updates a lagging
+    parameter. Read ``p.values``, ``state.m`` or ``state.v`` of a
+    row-sparse parameter only after a sync.
 
     Aborts before touching any parameter or moment if ``lr`` is not finite
-    and above 0, ``t`` is not a non-negative integer, a gradient is missing,
+    and above 0, ``t`` is not a non-negative integer, a gradient (a
+    row-sparse one's rows) is missing, not an integer or float array,
     non-finite or mis-shaped, a row-sparse gradient's ids are not sorted,
-    unique and in range, or the moments do not match a parameter, so a
-    failed step leaves the model and the optimizer unchanged, lagging rows
-    included.
+    unique and in range, or the moments are not float64 arrays of the
+    parameter's shape, so a failed step leaves the model and the optimizer
+    unchanged, lagging rows included.
     """
     _check_settings(state)
     for name, p in params.items():
         g = grads.get(name)
         if g is None:
             raise NumericError(f"missing gradient for parameter '{name}'")
+        values = g.rows if isinstance(g, RowSparseGrad) else g
+        if not (isinstance(values, np.ndarray) and values.dtype.kind in "iuf"):
+            raise NumericError(f"gradient for '{name}' must be an integer or float array")
         if isinstance(g, RowSparseGrad):
             _check_row_grad(name, g, p.values.shape)
         elif g.shape != p.values.shape:
             raise ShapeError(f"gradient shape {g.shape} != parameter shape "
                              f"{p.values.shape} for '{name}'")
         _check_moments(name, p, state)
-        if not np.all(np.isfinite(g.rows if isinstance(g, RowSparseGrad) else g)):
+        if not np.all(np.isfinite(values)):
             raise NumericError(f"non-finite gradient for parameter '{name}'")
     state.t += 1
     scalars = _scalars(state)
@@ -1052,6 +1049,9 @@ def adam_step(
             if taken is None:
                 taken = state.rows[name] = np.full(p.values.shape[0], len(window))
                 p.pending = (state, name)
+            if name not in state.live:
+                state.live[name] = _live_rows(*arrays[1:])
+            state.live[name][g.ids] = True
             _catch_up(arrays, taken, g.ids, window)
             touched = [a[g.ids] for a in arrays]
             _adam_pass(*(a.reshape(-1) for a in touched), g.rows.reshape(-1), (scalars,))
@@ -1060,8 +1060,8 @@ def adam_step(
             taken[g.ids] = len(window) + 1  # this step is appended below
         else:
             if taken is not None:
-                _sync_arrays(arrays, state.rows.pop(name), window)
-                p.pending = None
+                _sync_arrays(name, p, state)
+            state.live.pop(name, None)
             _adam_pass(*(a.reshape(-1) for a in arrays), g.reshape(-1), (scalars,))
     if state.rows:
         window.append(scalars)

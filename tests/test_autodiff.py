@@ -521,6 +521,25 @@ class TestAdam:
         assert state.m["w"].tobytes() == expected[1].tobytes()
         assert state.v["w"].tobytes() == expected[2].tobytes()
 
+    @pytest.mark.parametrize("cols, make", [
+        (3, lambda a: a.astype(np.float32)),
+        (2, lambda a: a.astype(np.float32)),
+        (3, lambda a: a.astype(np.int64)),
+        (3, lambda a: a.tolist()),
+    ], ids=["float32_odd_cols", "float32_even_cols", "int64", "list"])
+    def test_moments_that_are_not_float64_arrays_abort_before_any_update(self, cols, make):
+        # float32 moments used to reach the sync's row scan, whose uint64
+        # view fails on an odd column count and misreads rows on an even one
+        p = {"w": ad.Tensor([1.0, 2.0]), "e": ad.Tensor(np.ones((4, cols)))}
+        state = ad.AdamState.for_params(p)
+        state.m["e"] = make(np.zeros((4, cols)))
+        g = ad.RowSparseGrad(np.array([1]), np.ones((1, cols)), (4, cols))
+        with pytest.raises(ShapeError, match="'e'"):
+            ad.adam_step(p, {"w": np.ones(2), "e": g}, state)
+        assert state.t == 0 and not state.rows and not state.live
+        assert np.array_equal(p["w"].values, [1.0, 2.0])
+        assert not state.m["w"].any() and p["e"].pending is None
+
     def test_mismatched_moments_abort_before_any_update(self):
         p = {"w": ad.Tensor([1.0, 2.0]),
              "b": ad.Tensor([3.0])}
@@ -699,17 +718,7 @@ class TestRowSparseGradient:
     ], ids=["id_too_large", "negative_id", "unsorted", "duplicate", "ids_2d",
             "wrong_cols", "wrong_row_count", "inf", "nan"])
     def test_malformed_gradient_aborts_before_any_update(self, ids, rows, error):
-        def deferred():
-            # a dense step, then a row-sparse one that leaves rows 0, 2, 3 lagging
-            rng = np.random.default_rng(8)
-            p = {"w": ad.Tensor(rng.normal(size=3)), "e": ad.Tensor(rng.normal(size=(4, 2)))}
-            state = ad.AdamState.for_params(p)
-            ad.adam_step(p, {"w": rng.normal(size=3), "e": rng.normal(size=(4, 2))}, state)
-            ad.adam_step(p, {"w": rng.normal(size=3), "e": ad.RowSparseGrad(
-                np.array([1]), rng.normal(size=(1, 2)), (4, 2))}, state)
-            return p, state
-
-        p, state = deferred()
+        p, state = lagging_model()
         assert p["e"].pending is not None
         raw = snapshot(p, state)
         bad = ad.RowSparseGrad(np.array(ids, dtype=np.intp), rows, (4, 2))
@@ -718,9 +727,28 @@ class TestRowSparseGradient:
         assert state.t == 2
         assert snapshot(p, state) == raw
         ad.adam_sync(p, state)
-        twin, twin_state = deferred()
+        twin, twin_state = lagging_model()
         ad.adam_sync(twin, twin_state)
         assert snapshot(p, state) == snapshot(twin, twin_state)
+
+    @pytest.mark.parametrize("kind", ["dense", "row_sparse"])
+    @pytest.mark.parametrize("make", [
+        lambda shape: np.ones(shape, dtype=complex),
+        lambda shape: np.ones(shape, dtype=object),
+        lambda shape: np.full(shape, "1.0"),
+        lambda shape: np.ones(shape).tolist(),
+    ], ids=["complex", "object", "str", "list"])
+    def test_gradient_that_is_not_a_real_array_aborts_before_any_update(self, kind, make):
+        # "w" comes first, so a step that failed only in "e"'s arithmetic
+        # would already have moved "w" and the step counter
+        p, state = lagging_model()
+        raw = snapshot(p, state)
+        bad = make((4, 2)) if kind == "dense" else ad.RowSparseGrad(
+            np.array([1, 3]), make((2, 2)), (4, 2))
+        with pytest.raises(NumericError, match="'e'"):
+            ad.adam_step(p, {"w": np.ones(3), "e": bad}, state)
+        assert state.t == 2
+        assert snapshot(p, state) == raw
 
     def test_out_of_range_gather_raises_before_any_catch_up(self):
         p = {"e": ad.Tensor(np.random.default_rng(4).normal(size=(4, 2)))}
@@ -735,6 +763,18 @@ class TestRowSparseGradient:
         assert snapshot(p, state) == raw
         ad.gather_rows(p["e"], [1, 3])  # and an in-range gather does catch up
         assert snapshot(p, state) != raw
+
+
+def lagging_model():
+    """A dense "w" and a (4, 2) "e" after a dense step and a row-sparse one
+    that leaves rows 0, 2 and 3 of "e" lagging."""
+    rng = np.random.default_rng(8)
+    p = {"w": ad.Tensor(rng.normal(size=3)), "e": ad.Tensor(rng.normal(size=(4, 2)))}
+    state = ad.AdamState.for_params(p)
+    ad.adam_step(p, {"w": rng.normal(size=3), "e": rng.normal(size=(4, 2))}, state)
+    ad.adam_step(p, {"w": rng.normal(size=3), "e": ad.RowSparseGrad(
+        np.array([1]), rng.normal(size=(1, 2)), (4, 2))}, state)
+    return p, state
 
 
 @st.composite
@@ -920,6 +960,67 @@ class TestDeferredAdam:
             assert 0 < sum(floats) <= 2 * len(touched) * cols * steps
         else:
             assert sum(floats) >= rows * cols
+
+    def test_each_row_sparse_parameter_is_scanned_once(self):
+        # the live-row mask outlives syncs: a parameter's moments are scanned
+        # at its first row-sparse step, and again only at the first one
+        # after a dense gradient updated it
+        rng = np.random.default_rng(4)
+        shapes = {"e": (50, 3), "f": (9, 2)}
+        p = {name: ad.Tensor(rng.normal(size=shape)) for name, shape in shapes.items()}
+        p["w"] = ad.Tensor(rng.normal(size=3))
+        state = ad.AdamState.for_params(p)
+        scanned = []
+        live_rows = ad._live_rows
+
+        def counting_scan(m, v):
+            scanned.append(next(n for n in shapes if state.m[n] is m))
+            return live_rows(m, v)
+
+        def step(dense=()):
+            grads = {"w": rng.normal(size=3)}
+            for name, (rows, cols) in shapes.items():
+                ids = np.unique(rng.integers(0, rows, size=3))
+                grads[name] = rng.normal(size=(rows, cols)) if name in dense else \
+                    ad.RowSparseGrad(ids, rng.normal(size=(ids.size, cols)), (rows, cols))
+            ad.adam_step(p, grads, state)
+
+        with mock.patch.object(ad, "_live_rows", counting_scan):
+            for _ in range(3):
+                for _ in range(5):
+                    step()
+                ad.adam_sync(p, state)
+            for _ in range(ad.ADAM_WINDOW + 2):  # one sync inside a step
+                step()
+            assert sorted(scanned) == ["e", "f"]
+            step(dense=("e",))
+            for _ in range(4):
+                step()
+            ad.adam_sync(p, state)
+        assert sorted(scanned) == ["e", "e", "f"]
+
+    def test_rows_a_dense_gradient_made_live_are_synced(self):
+        # row-sparse steps, a dense gradient that makes every row live, then
+        # row-sparse steps on a few rows: at the sync every other row still
+        # owes the later steps, although no row-sparse step touched it
+        rng = np.random.default_rng(12)
+        rows, cols = 200, 3
+        values = rng.normal(size=(rows, cols))
+        p = {"e": ad.Tensor(values.copy())}
+        state = ad.AdamState.for_params(p, lr=0.01)
+        expected = (values, np.zeros_like(values), np.zeros_like(values))
+        for t, ids in enumerate([[1, 2], [3], None, [5], [1, 7], [7]], start=1):
+            if ids is None:
+                g = dense = rng.normal(size=(rows, cols))
+            else:
+                g = ad.RowSparseGrad(np.array(ids), rng.normal(size=(len(ids), cols)),
+                                     (rows, cols))
+                dense = g.dense()
+            ad.adam_step(p, {"e": g}, state)
+            expected = adam_oracle(*expected, dense, t, lr=0.01)
+        ad.adam_sync(p, state)
+        assert (p["e"].values.tobytes(), state.m["e"].tobytes(), state.v["e"].tobytes()) \
+            == tuple(a.tobytes() for a in expected)
 
     def test_the_step_that_fills_the_window_syncs(self):
         p = {"e": ad.Tensor(np.random.default_rng(2).normal(size=(5, 3)))}
