@@ -28,7 +28,6 @@ from .corpus import (
     load_corpus,
     split_sentences,
     split_train_dev,
-    tokenize,
 )
 from .errors import DocGraphError
 from .graph import load_edge_weights
@@ -131,6 +130,8 @@ def cmd_train(args) -> int:
                                config.max_sentences, config.max_tokens)
     dev_docs = encode_corpus(dev_raw, vocab, class_set,
                              config.max_sentences, config.max_tokens)
+    # the raw text and its token form are not needed through training
+    del train_raw, dev_raw
 
     _info(f"training {args.model} on {len(train_docs)} documents "
           f"({len(dev_docs)} dev), up to {config.max_epochs} epoch(s)")
@@ -252,10 +253,10 @@ def cmd_stats(args) -> int:
     sentence_counts: Counter[int] = Counter()
     token_counts: Counter[int] = Counter()
     for d in docs:
-        sentences = split_sentences(d.text)
+        sentences = d.tokens.split("\n")
         sentence_counts[len(sentences)] += 1
         for s in sentences:
-            token_counts[len(tokenize(s))] += 1
+            token_counts[len(s.split(" "))] += 1
     _emit({
         "by_class": dict(sorted(by_class.items())),
         "by_source": dict(sorted(by_source.items())),

@@ -13,6 +13,7 @@ import re
 import string
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +49,15 @@ class RawDocument:
     label: str
     source: str
     text: str
+
+    @cached_property
+    def tokens(self) -> str:
+        """The text segmented and tokenized: each sentence's tokens joined by
+        " ", the sentences joined by "\\n". Exact, as a token never holds
+        whitespace. Computed on first use and kept as long as the document,
+        so vocabulary building and every encoding share one pass; empty text
+        raises ``CorpusError`` on every use."""
+        return "\n".join([" ".join(tokenize(s)) for s in split_sentences(self.text)])
 
 
 @dataclass(frozen=True)
@@ -286,8 +296,7 @@ def build_vocab(docs: list[RawDocument], min_frequency: int = DEFAULT_MIN_FREQUE
         raise CorpusError("cannot build a vocabulary from an empty corpus")
     counts: Counter[str] = Counter()
     for doc in docs:
-        for sentence in split_sentences(doc.text):
-            counts.update(tokenize(sentence))
+        counts.update(doc.tokens.split())
     kept = sorted(
         (tok for tok, c in counts.items() if c >= min_frequency),
         key=lambda tok: (-counts[tok], tok),
@@ -302,23 +311,20 @@ def encode_document(
     max_sentences: int = DEFAULT_MAX_SENTENCES,
     max_tokens: int = DEFAULT_MAX_TOKENS,
 ) -> Document | None:
-    """Encode one document, or None when nothing survives encoding."""
+    """Encode one document's first ``max_sentences`` sentences, each cut to
+    its first ``max_tokens`` tokens, or None when its text is empty (every
+    sentence of a non-empty text holds a token)."""
     if max_sentences < 1 or max_tokens < 1:
         raise CorpusError("length caps must be at least 1")
     label = class_set.index(doc.label)
     try:
-        sentences = split_sentences(doc.text)
+        sentences = doc.tokens.split("\n", max_sentences)[:max_sentences]
     except CorpusError:
         return None
-    encoded = []
     lookup = vocab.token_to_id.get
-    for sentence in sentences[:max_sentences]:
-        ids = tuple([lookup(t, UNK_ID) for t in tokenize(sentence)[:max_tokens]])
-        if ids:
-            encoded.append(ids)
-    if not encoded:
-        return None
-    return Document(id=doc.id, label=label, sentences=tuple(encoded))
+    return Document(id=doc.id, label=label, sentences=tuple([
+        tuple([lookup(t, UNK_ID) for t in s.split(" ", max_tokens)[:max_tokens]])
+        for s in sentences]))
 
 
 def encode_corpus(

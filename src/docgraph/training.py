@@ -145,7 +145,12 @@ def train(
         # strictly better only: ties keep the earliest epoch
         if best_values is None or stats.dev_macro_f1 > run.best_dev_macro_f1:
             run.best_epoch = epoch
-            best_values = {n: t.values.copy() for n, t in params.tensors.items()}
+            # allocated once and overwritten, so at most one snapshot lives
+            # beside the parameters
+            if best_values is None:
+                best_values = {n: np.empty(t.values.shape) for n, t in params.tensors.items()}
+            for n, t in params.tensors.items():
+                np.copyto(best_values[n], t.values)
 
     run.checkpoint = Checkpoint(
         config=config,

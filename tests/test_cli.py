@@ -1,14 +1,19 @@
-"""End-to-end command-line tests, run in-process."""
+"""End-to-end command-line tests, run in-process (the BLAS thread count is
+fixed when numpy loads, so comparing thread counts takes a subprocess each)."""
 
 import argparse
 import json
 import os
+import subprocess
+import sys
+import weakref
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import docgraph
 from docgraph import autodiff as ad
 from docgraph import cli, evaluation, model, training
 from docgraph.corpus import encode_document
@@ -162,6 +167,49 @@ class TestTrainCommand:
         out2, _ = train_checkpoint(capsys, corpus_files, "lstm")
         assert Path(out2).read_bytes() == ckpt1
         assert (corpus_files["tmp"] / "lstm.ckpt.runlog.json").read_bytes() == log1
+
+    def test_raw_documents_are_released_before_training(self, capsys, corpus_files,
+                                                        monkeypatch):
+        refs = []
+        load_corpus, train = cli.load_corpus, training.train
+
+        def tracked_load(*args):
+            docs = load_corpus(*args)
+            refs.extend(weakref.ref(d) for d in docs)
+            return docs
+
+        def checked_train(*args):
+            assert refs and all(r() is None for r in refs)
+            return train(*args)
+
+        monkeypatch.setattr(cli, "load_corpus", tracked_load)
+        monkeypatch.setattr(training, "train", checked_train)
+        train_checkpoint(capsys, corpus_files, "gcn", epochs="1")
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP item 12: backward products whose "
+                       "inner dimension exceeds 100 change bytes with the BLAS thread count")
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2 if hasattr(os, "sched_getaffinity")
+                        else (os.cpu_count() or 1) < 2,
+                        reason="OpenBLAS runs at most one thread per available CPU")
+    def test_checkpoint_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # criterion 6's command, in a fresh process per thread count
+        train = write_tsv(tmp_path / "train.tsv", planted_corpus(seed=6, n_docs=12))
+        dev = write_tsv(tmp_path / "dev.tsv", planted_corpus(seed=7, n_docs=6))
+        src = str(Path(docgraph.__file__).parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}.ckpt"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            subprocess.run([
+                sys.executable, "-m", "docgraph.cli", "train", "--protocol", "two_way",
+                "--train", train, "--dev", dev, "--model", "gcn", "--seed", "5",
+                "--epochs", "2", "--out", str(out),
+            ], env=env, check=True, capture_output=True)
+            outputs.append((out.read_bytes(),
+                            (tmp_path / f"threads{threads}.ckpt.runlog.json").read_bytes()))
+        assert outputs[0] == outputs[1]
 
     def test_four_way_protocol_runs(self, capsys, tmp_path):
         docs = planted_corpus(seed=3, n_docs=24,

@@ -1,6 +1,7 @@
 """Corpus pipeline tests: loading, segmentation, vocab, encoding, splits."""
 
 import string
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -269,10 +270,14 @@ def outcome(fn, text):
 # False), a capital whose lowercase is two characters, an Arabic-Indic digit
 # (isdigit and \d), a superscript digit (isdigit, not \d) and a Roman numeral
 # (isupper, not [A-Z]), also right after a terminator; abbreviations in every
-# case; terminator runs; chunks of punctuation only.
+# case; terminator runs; chunks of punctuation only; whitespace that
+# str.split() splits on (the separators \x1c-\x1f, NEL, LINE SEPARATOR,
+# IDEOGRAPHIC SPACE); runs of more sentences than a sentence cap.
 ORACLE_FRAGMENTS = [
     ". ", "! ", "? ", "?! ", "!? ", "...", "... ", ". . ", ".", "!", "?",
     " ", "  ", "\t", "\u00a0", "\u2029",
+    "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\u2028", "\u3000",
+    "One. Two! Three? Four. Five.", "A b. C d. E f. G h.",
     "ǅ", "Ǆ", "ǆ", "İ", "ı", "١", "²", "Ⅷ",
     ". ǅ", ". İ", ". ١", "? ²", ". Ⅷ",
     "A", "a", "Z", "7", "É", "ß", "word", "x1.", "2.",
@@ -309,30 +314,33 @@ class TestStrMethodOracle:
         assert corpus.split_sentences(text) == segments
         assert reference_split_sentences(text) == segments
 
-    @settings(max_examples=200, deadline=None)
-    @given(texts=st.lists(oracle_text, min_size=1, max_size=6))
-    def test_encoding_matches_reference(self, texts):
+    @settings(max_examples=300, deadline=None)
+    @given(texts=st.lists(oracle_text, min_size=1, max_size=6),
+           max_sentences=st.integers(1, 4), max_tokens=st.integers(1, 5),
+           min_frequency=st.integers(1, 3))
+    def test_encoding_matches_reference(self, texts, max_sentences, max_tokens,
+                                        min_frequency):
+        """Vocabulary and encodings, read from ``RawDocument.tokens``, equal
+        the reference segmentation and tokenization under random caps."""
         docs = [RawDocument(f"d{k}", "satire", "", t) for k, t in enumerate(texts)]
-        docs = [d for d in docs if d.text.split()]
-        if not docs:
-            return
-        vocab = corpus.build_vocab(docs, min_frequency=1)
-        counts = {}
-        for d in docs:
-            for sentence in reference_split_sentences(d.text):
-                for tok in reference_tokenize(sentence):
-                    counts[tok] = counts.get(tok, 0) + 1
-        assert vocab.id_to_token[2:] == sorted(counts, key=lambda t: (-counts[t], t))
+        segmented = {d.id: [reference_tokenize(s) for s in reference_split_sentences(d.text)]
+                     for d in docs if d.text.split()}
+        counts = Counter(t for sentences in segmented.values() for s in sentences for t in s)
+        if segmented:
+            vocab = corpus.build_vocab([d for d in docs if d.id in segmented], min_frequency)
+        else:
+            vocab = corpus.Vocabulary([corpus.PAD, corpus.UNK], min_frequency)
+        assert vocab.id_to_token[2:] == sorted(
+            (t for t, c in counts.items() if c >= min_frequency),
+            key=lambda t: (-counts[t], t))
+        lookup = vocab.token_to_id.get
         two_way = ClassSet(("satire", "trusted"))
         for d in docs:
-            doc = corpus.encode_document(d, vocab, two_way, max_sentences=3, max_tokens=4)
-            lookup = vocab.token_to_id.get
-            expected = tuple(
-                ids for ids in (
-                    tuple(lookup(t, corpus.UNK_ID) for t in reference_tokenize(s)[:4])
-                    for s in reference_split_sentences(d.text)[:3])
-                if ids)
-            assert (doc.sentences if doc else ()) == expected
+            expected = None if d.id not in segmented else corpus.Document(
+                d.id, 0, tuple(tuple(lookup(t, corpus.UNK_ID) for t in s[:max_tokens])
+                               for s in segmented[d.id][:max_sentences]))
+            assert corpus.encode_document(d, vocab, two_way, max_sentences,
+                                          max_tokens) == expected
 
 
 class TestBuildVocab:
@@ -393,6 +401,47 @@ class TestEncodeCorpus:
         for sent in enc.sentences:
             tokens = [vocab.id_to_token[i] for i in sent]
             assert tuple(vocab.token_to_id[t] for t in tokens) == sent
+
+
+class TestTokenForm:
+    """``RawDocument.tokens`` is the one place a document is segmented and
+    tokenized; vocabulary building and encoding read it."""
+
+    def test_empty_text_raises_on_every_use(self):
+        doc = RawDocument("d", "satire", "", " \x1c\u3000")
+        for _ in range(2):
+            with pytest.raises(CorpusError):
+                doc.tokens
+        with pytest.raises(CorpusError):
+            corpus.build_vocab([doc])
+
+    def test_vocab_then_encoding_segments_each_document_once(self, two_way, monkeypatch):
+        calls = Counter()
+        split = corpus.split_sentences
+
+        def counting_split(text):
+            calls[text] += 1
+            return split(text)
+
+        monkeypatch.setattr(corpus, "split_sentences", counting_split)
+        docs = [RawDocument(f"d{k}", "satire", "", f"Doc {k} here. It ends {k}.")
+                for k in range(5)]
+        vocab = corpus.build_vocab(docs, min_frequency=1)
+        corpus.encode_corpus(docs, vocab, two_way)
+        assert calls == Counter(d.text for d in docs)
+
+    def test_encoding_under_two_vocabularies_tokenizes_once(self, two_way, monkeypatch):
+        calls = []
+        tokenize = corpus.tokenize
+        monkeypatch.setattr(corpus, "tokenize", lambda s: calls.append(s) or tokenize(s))
+        doc = RawDocument("d", "trusted", "", "The cat sat. A dog ran. Birds flew.")
+        big = corpus.Vocabulary([corpus.PAD, corpus.UNK, "the", "cat", "dog"], 1)
+        small = corpus.Vocabulary([corpus.PAD, corpus.UNK, "dog"], 1)
+        a = corpus.encode_document(doc, big, two_way)
+        b = corpus.encode_document(doc, small, two_way)
+        assert calls == ["The cat sat.", "A dog ran.", "Birds flew."]
+        assert a.sentences == ((2, 3, 1, 1), (1, 4, 1, 1), (1, 1, 1))
+        assert b.sentences == ((1, 1, 1, 1), (1, 2, 1, 1), (1, 1, 1))
 
 
 class TestSplitTrainDev:
