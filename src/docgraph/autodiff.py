@@ -269,18 +269,19 @@ def _sigmoid(v: np.ndarray, out: np.ndarray) -> np.ndarray:
     """1/(1+exp(-v)) written into ``out`` (which may be ``v``) and returned.
 
     For v < -709.78 exp(-v) overflows to inf and the result is exactly 0;
-    the true value there is below the smallest normal float.
+    the true value there is below the smallest normal float. The caller
+    runs it under ``np.errstate(over="ignore")``.
     """
-    with np.errstate(over="ignore"):
-        np.negative(v, out=out)
-        np.exp(out, out=out)
-        np.add(out, 1.0, out=out)
-        np.divide(1.0, out, out=out)
+    np.negative(v, out=out)
+    np.exp(out, out=out)
+    np.add(out, 1.0, out=out)
+    np.divide(1.0, out, out=out)
     return out
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    out = Tensor._wrap(_sigmoid(x.values, np.empty(x.shape)))
+    with np.errstate(over="ignore"):
+        out = Tensor._wrap(_sigmoid(x.values, np.empty(x.shape)))
     return _record("sigmoid", (x,), out)
 
 
@@ -318,12 +319,6 @@ def _leaky_relu_bwd(e: TapeEntry):
 # ---------------------------------------------------------------------------
 # LSTM over a batch of sequences, keeping each sequence's last hidden state
 
-def _gate_views(a: np.ndarray, hidden: int) -> tuple[np.ndarray, ...]:
-    """The i, f, o and g column blocks of ``a`` as views (no copies)."""
-    return (a[:, :hidden], a[:, hidden : 2 * hidden], a[:, 2 * hidden : 3 * hidden],
-            a[:, 3 * hidden :])
-
-
 def lstm_last(xw: Tensor, w_h: Tensor, lengths: Sequence[int]) -> Tensor:
     """Last hidden state of an LSTM run over each of several sequences.
 
@@ -339,7 +334,11 @@ def lstm_last(xw: Tensor, w_h: Tensor, lengths: Sequence[int]) -> Tensor:
     per-step activations that backpropagation needs, and every step's
     h_{t-1} packed into one (sum(lengths), H) array, are kept only while a
     tape is recording, so a tape-free call holds one step's arrays at a
-    time. Both calls compute the same bytes.
+    time. Both calls compute the same bytes. A step writes its sigmoid
+    gates into one contiguous (3, n, H) array and its tanh gate into
+    another. The loop runs under one ``np.errstate(over="ignore")`` for the
+    sigmoid's ``exp``. It also hides the overflow warning of an ``h @ w_h``
+    that overflows; that changes no value, only the warning is gone.
     """
     if w_h.values.ndim != 2 or w_h.shape[1] != 4 * w_h.shape[0]:
         raise ShapeError(f"lstm_last recurrent weight must be (H, 4H), got {w_h.shape}")
@@ -365,23 +364,23 @@ def lstm_last(xw: Tensor, w_h: Tensor, lengths: Sequence[int]) -> Tensor:
     steps = []
     h_packed = np.empty((xw.shape[0], hidden)) if taped else None
     offset = 0
-    for n in batch:
-        gates = xw.values[packed_rows[offset : offset + n]]  # a copy of step t's rows
-        c_prev, h_prev = c[:n], h[:n]
-        if taped:
-            h_packed[offset : offset + n] = h_prev
-        offset += n
-        gates += h_prev @ w
-        i, f, o, g = _gate_views(gates, hidden)
-        ifo = gates[:, : 3 * hidden]
-        _sigmoid(ifo, ifo)
-        np.tanh(g, out=g)
-        c = f * c_prev + i * g
-        tanh_c = np.tanh(c)
-        h = o * tanh_c
-        if taped:
-            steps.append((gates, c_prev, tanh_c))
-        last[:n] = h  # rows from n on have ended and keep their final h
+    with np.errstate(over="ignore"):
+        for n in batch:
+            pre = xw.values[packed_rows[offset : offset + n]]  # a copy of step t's rows
+            c_prev, h_prev = c[:n], h[:n]
+            if taped:
+                h_packed[offset : offset + n] = h_prev
+            offset += n
+            pre += h_prev @ w
+            i, f, o = _sigmoid(pre[:, : 3 * hidden].reshape(n, 3, hidden).transpose(1, 0, 2),
+                               np.empty((3, n, hidden)))
+            g = np.tanh(pre[:, 3 * hidden :])
+            c = f * c_prev + i * g
+            tanh_c = np.tanh(c)
+            h = o * tanh_c
+            if taped:
+                steps.append((i, f, o, g, c_prev, tanh_c))
+            last[:n] = h  # rows from n on have ended and keep their final h
     out_v = np.empty_like(last)
     out_v[order] = last
     out = Tensor._wrap(out_v)
@@ -401,14 +400,13 @@ def _lstm_last_bwd(e: TapeEntry):
     dc = np.zeros_like(dh)
     dpacked = np.empty_like(xw.values)
     offset = xw.shape[0]
-    for gates, c_prev, tanh_c in reversed(e.ctx["steps"]):
-        n = gates.shape[0]
+    for i, f, o, g, c_prev, tanh_c in reversed(e.ctx["steps"]):
+        n = g.shape[0]
         offset -= n
-        i, f, o, g = _gate_views(gates, hidden)
         dh_n = dh[:n]
         dc_n = dc[:n] + dh_n * o * (1.0 - tanh_c * tanh_c)
         dpre = dpacked[offset : offset + n]
-        di, df, do, dg = _gate_views(dpre, hidden)
+        di, df, do, dg = dpre.reshape(n, 4, hidden).transpose(1, 0, 2)
         di[...] = dc_n * g * i * (1.0 - i)
         df[...] = dc_n * c_prev * f * (1.0 - f)
         do[...] = dh_n * tanh_c * o * (1.0 - o)

@@ -214,7 +214,10 @@ def check_layout(config: ModelConfig, shapes: list[tuple[str, tuple[int, ...]]])
 def xavier_uniform(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     """Uniform(-a, a) with a = sqrt(6 / (fan_in + fan_out))."""
     a = np.sqrt(6.0 / (rows + cols))
-    return rng.uniform(-a, a, size=(rows, cols))
+    out = rng.random((rows, cols))  # rng.uniform(-a, a)'s bytes: low + (high - low) * u
+    out *= a - -a
+    out += -a
+    return out
 
 
 def _draw(rng: np.random.Generator, shape: tuple[int, ...], init: str) -> np.ndarray:

@@ -102,6 +102,78 @@ def oracle_lstm_last(xw, w, lengths, grad):
     return out, dxw, dw
 
 
+def strided_gate_lstm_last(xw, w, lengths, grad):
+    """``lstm_last`` and its BPTT rule in their strided-gate form (each step's
+    sigmoid in place over the (n, 3H) i|f|o column view of its (n, 4H)
+    pre-activations, tanh in place over the g view, both rules reading the
+    gates through column views), as a byte oracle: the forward value and,
+    for an upstream gradient ``grad``, (dxw, dw)."""
+
+    def gate_views(a):
+        return (a[:, :hidden], a[:, hidden : 2 * hidden], a[:, 2 * hidden : 3 * hidden],
+                a[:, 3 * hidden :])
+
+    hidden = w.shape[0]
+    lens = np.asarray(lengths, dtype=np.intp)
+    order = np.argsort(-lens, kind="stable")
+    sorted_lens = lens[order]
+    starts = (np.cumsum(lens) - lens)[order]
+    step_ids = np.arange(sorted_lens[0])[:, None]
+    live = sorted_lens > step_ids
+    batch = live.sum(axis=1).tolist()
+    packed_rows = (starts + step_ids)[live]
+    h = np.zeros((lens.size, hidden))
+    c = np.zeros((lens.size, hidden))
+    last = np.empty((lens.size, hidden))
+    steps = []
+    h_packed = np.empty((xw.shape[0], hidden))
+    offset = 0
+    for n in batch:
+        gates = xw[packed_rows[offset : offset + n]]
+        c_prev, h_prev = c[:n], h[:n]
+        h_packed[offset : offset + n] = h_prev
+        offset += n
+        gates += h_prev @ w
+        i, f, o, g = gate_views(gates)
+        ifo = gates[:, : 3 * hidden]
+        with np.errstate(over="ignore"):
+            np.negative(ifo, out=ifo)
+            np.exp(ifo, out=ifo)
+            np.add(ifo, 1.0, out=ifo)
+            np.divide(1.0, ifo, out=ifo)
+        np.tanh(g, out=g)
+        c = f * c_prev + i * g
+        tanh_c = np.tanh(c)
+        h = o * tanh_c
+        steps.append((gates, c_prev, tanh_c))
+        last[:n] = h
+    out = np.empty_like(last)
+    out[order] = last
+
+    dh = grad[order]
+    dc = np.zeros_like(dh)
+    dpacked = np.empty_like(xw)
+    offset = xw.shape[0]
+    for gates, c_prev, tanh_c in reversed(steps):
+        n = gates.shape[0]
+        offset -= n
+        i, f, o, g = gate_views(gates)
+        dh_n = dh[:n]
+        dc_n = dc[:n] + dh_n * o * (1.0 - tanh_c * tanh_c)
+        dpre = dpacked[offset : offset + n]
+        di, df, do, dg = gate_views(dpre)
+        di[...] = dc_n * g * i * (1.0 - i)
+        df[...] = dc_n * c_prev * f * (1.0 - f)
+        do[...] = dh_n * tanh_c * o * (1.0 - o)
+        dg[...] = dc_n * i * (1.0 - g * g)
+        dh[:n] = dpre @ w.T
+        dc[:n] = dc_n * f
+    dw = h_packed.T @ dpacked
+    dxw = np.empty_like(dpacked)
+    dxw[packed_rows] = dpacked
+    return out, dxw, dw
+
+
 sentences_strategy = st.lists(
     st.lists(st.integers(0, VOCAB - 1), min_size=1, max_size=12).map(tuple),
     min_size=1, max_size=8,
@@ -354,6 +426,63 @@ class TestLstmLastKernel:
                 tracemalloc.stop()
 
         assert peak(taped=False) < 0.5 * peak(taped=True)
+
+    @staticmethod
+    def assert_strided_gate_bytes(xw, w, lengths, grad):
+        expected = strided_gate_lstm_last(xw, w, lengths, grad)
+        free = ad.lstm_last(Tensor(xw), Tensor(w), lengths)
+        with ad.Tape() as tape:
+            taped = ad.lstm_last(Tensor(xw), Tensor(w), lengths)
+        taped.grad = grad
+        dxw, dw = ad.BACKWARD_RULES["lstm_last"](tape.entries[-1])
+        got = {"tape-free out": (free.values, expected[0]),
+               "taped out": (taped.values, expected[0]),
+               "dxw": (dxw, expected[1]), "dw": (dw, expected[2])}
+        for name, (value, oracle) in got.items():
+            assert value.shape == oracle.shape, name
+            assert value.tobytes() == oracle.tobytes(), name
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), hidden=st.integers(1, 8),
+           lengths=st.lists(st.integers(1, 9), min_size=1, max_size=7),
+           scale=st.sampled_from([0.5, 3.0, 40.0, 800.0]))
+    def test_same_bytes_as_the_strided_gate_kernel(self, seed, hidden, lengths, scale):
+        # at scale 800 the sigmoid's exp overflows, which must stay silent
+        rng = np.random.default_rng(seed)
+        self.assert_strided_gate_bytes(
+            scale * rng.normal(size=(sum(lengths), 4 * hidden)),
+            rng.normal(size=(hidden, 4 * hidden)),
+            lengths, rng.normal(size=(len(lengths), hidden)))
+
+    @pytest.mark.parametrize("lengths", [
+        [500],
+        # 27 lengths from 16 values: some repeat, so the stable sort's ties count
+        [int(n) for n in np.random.default_rng(27).integers(15, 31, size=27)],
+    ], ids=["one-500-step-sequence", "27-sequences-of-15-30"])
+    def test_same_bytes_as_the_strided_gate_kernel_at_model_size(self, lengths):
+        rng = np.random.default_rng(7)
+        hidden = 100
+        self.assert_strided_gate_bytes(
+            rng.normal(size=(sum(lengths), 4 * hidden)),
+            0.1 * rng.normal(size=(hidden, 4 * hidden)),
+            lengths, rng.normal(size=(len(lengths), hidden)))
+
+    def test_tape_free_peak_does_not_grow_with_sequence_length(self):
+        # a tape-free call holds one step's arrays, never a copy of every step
+        rng = np.random.default_rng(13)
+        hidden = 100
+        w_h = Tensor(0.1 * rng.normal(size=(hidden, 4 * hidden)))
+
+        def peak(steps):
+            xw = Tensor(rng.normal(size=(steps, 4 * hidden)))
+            tracemalloc.start()
+            try:
+                ad.lstm_last(xw, w_h, [steps])
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(500) <= 2 * peak(50)
 
 
 def test_tape_size_does_not_grow_with_sentence_length(embedding, lstm):
