@@ -181,8 +181,6 @@ def cmd_predict(args) -> int:
     for raw in docs:
         doc = encode_document(raw, ckpt.vocab, config.class_set,
                               config.max_sentences, config.max_tokens)
-        if doc is None:
-            raise DocGraphError(f"document '{raw.id}' is empty after encoding")
         scored.append((raw.id, evaluation.predict_probabilities(doc, params, config, weights)))
     for doc_id, probabilities in scored:
         _emit({
@@ -214,8 +212,6 @@ def cmd_export_attention(args) -> int:
     raw = matches[0]
     doc = encode_document(raw, ckpt.vocab, config.class_set,
                           config.max_sentences, config.max_tokens)
-    if doc is None:
-        raise DocGraphError(f"document '{raw.id}' is empty after encoding")
     _, attentions = forward(doc, ckpt.to_params(), config, _load_weights(args))
     if not attentions:
         raise DocGraphError(

@@ -8,7 +8,6 @@ train/dev split always produce identical results.
 from __future__ import annotations
 
 import json
-import logging
 import re
 import string
 from collections import Counter
@@ -19,8 +18,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CorpusError
-
-log = logging.getLogger(__name__)
 
 PAD = "<pad>"
 UNK = "<unk>"
@@ -310,17 +307,14 @@ def encode_document(
     class_set: ClassSet,
     max_sentences: int = DEFAULT_MAX_SENTENCES,
     max_tokens: int = DEFAULT_MAX_TOKENS,
-) -> Document | None:
+) -> Document:
     """Encode one document's first ``max_sentences`` sentences, each cut to
-    its first ``max_tokens`` tokens, or None when its text is empty (every
-    sentence of a non-empty text holds a token)."""
+    its first ``max_tokens`` tokens. Empty text raises ``CorpusError``; every
+    sentence of a non-empty text holds a token."""
     if max_sentences < 1 or max_tokens < 1:
         raise CorpusError("length caps must be at least 1")
     label = class_set.index(doc.label)
-    try:
-        sentences = doc.tokens.split("\n", max_sentences)[:max_sentences]
-    except CorpusError:
-        return None
+    sentences = doc.tokens.split("\n", max_sentences)[:max_sentences]
     lookup = vocab.token_to_id.get
     return Document(id=doc.id, label=label, sentences=tuple([
         tuple([lookup(t, UNK_ID) for t in s.split(" ", max_tokens)[:max_tokens]])
@@ -334,18 +328,8 @@ def encode_corpus(
     max_sentences: int = DEFAULT_MAX_SENTENCES,
     max_tokens: int = DEFAULT_MAX_TOKENS,
 ) -> list[Document]:
-    """Encode a corpus, dropping empty-after-encoding documents with a warning."""
-    out: list[Document] = []
-    dropped = 0
-    for doc in docs:
-        enc = encode_document(doc, vocab, class_set, max_sentences, max_tokens)
-        if enc is None:
-            dropped += 1
-        else:
-            out.append(enc)
-    if dropped:
-        log.warning("dropped %d empty-after-encoding document(s)", dropped)
-    return out
+    """Encode every document of a corpus (see :func:`encode_document`)."""
+    return [encode_document(doc, vocab, class_set, max_sentences, max_tokens) for doc in docs]
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,11 @@ epoch).
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
+import stat
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -57,10 +59,16 @@ class Checkpoint:
     metadata: dict
 
     def to_params(self) -> ModelParams:
-        """Parameter tensors over copies of the stored values, checked
-        against the config's parameter layout."""
+        """Parameter tensors over read-only views of the stored values,
+        checked against the config's parameter layout. Nothing is copied:
+        ``autodiff.adam_step`` copies a read-only array before its first
+        update, so training the tensors leaves the checkpoint's values as
+        they are."""
+        views = {n: v.view() for n, v in self.values.items()}
+        for view in views.values():
+            view.flags.writeable = False
         try:
-            return bind_params(self.config, {n: v.copy() for n, v in self.values.items()})
+            return bind_params(self.config, views)
         except ModelError as err:
             raise CheckpointError(f"checkpoint does not fit its config: {err}") from err
 
@@ -235,15 +243,23 @@ def _json_int(value) -> int:
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
+    """Read a checkpoint file. Each parameter is allocated once, as a
+    little-endian float64 array, and filled straight from the file; a pipe
+    or other non-regular file is read into memory first, as its length is
+    unknown until then."""
     try:
-        raw = Path(path).read_bytes()
+        with open(path, "rb") as f:
+            return _read_checkpoint(f, path)
     except OSError as err:
         raise CheckpointError(f"cannot read checkpoint {path}: {err}") from err
-    newline = raw.find(b"\n")
-    if newline < 0:
+
+
+def _read_checkpoint(f, path: str | Path) -> Checkpoint:
+    line = f.readline()
+    if not line.endswith(b"\n"):
         raise CheckpointError(f"{path}: missing manifest line")
     try:
-        manifest = json.loads(raw[:newline].decode("utf-8"))
+        manifest = json.loads(line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as err:
         raise CheckpointError(f"{path}: invalid manifest: {err}") from err
     if not isinstance(manifest, dict):
@@ -279,20 +295,25 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     except malformed as err:
         raise CheckpointError(f"{path}: malformed manifest: {err}") from err
 
-    blob = memoryview(raw)[newline + 1:]
+    st = os.fstat(f.fileno())
+    if stat.S_ISREG(st.st_mode):
+        size = st.st_size - f.tell()
+    else:
+        rest = f.read()
+        size, f = len(rest), io.BytesIO(rest)
     values: dict[str, np.ndarray] = {}
     offset = 0
     for name, shape in directory:
-        count = math.prod(shape)  # exact: a claimed shape may overflow int64
-        nbytes = count * 8
-        if offset + nbytes > len(blob):
+        nbytes = math.prod(shape) * 8  # exact: a claimed shape may overflow int64
+        # before allocating: the claim is bounded by the bytes present
+        if offset + nbytes > size:
             raise CheckpointError(f"{path}: truncated parameter data at '{name}'")
-        values[name] = np.frombuffer(
-            blob, dtype="<f8", count=count, offset=offset
-        ).reshape(shape).astype(np.float64)
-        if not np.all(np.isfinite(values[name])):
+        values[name] = value = np.empty(shape, dtype="<f8")  # native on little-endian hosts
+        if f.readinto(memoryview(value).cast("B")) != nbytes:
+            raise CheckpointError(f"{path}: truncated parameter data at '{name}'")
+        if not np.all(np.isfinite(value)):
             raise CheckpointError(f"{path}: parameter '{name}' has non-finite values")
         offset += nbytes
-    if offset != len(blob):
-        raise CheckpointError(f"{path}: {len(blob) - offset} trailing bytes")
+    if offset != size:
+        raise CheckpointError(f"{path}: {size - offset} trailing bytes")
     return Checkpoint(config=config, vocab=vocab, values=values, metadata=metadata)

@@ -336,7 +336,11 @@ class TestStrMethodOracle:
         lookup = vocab.token_to_id.get
         two_way = ClassSet(("satire", "trusted"))
         for d in docs:
-            expected = None if d.id not in segmented else corpus.Document(
+            if d.id not in segmented:
+                with pytest.raises(CorpusError):
+                    corpus.encode_document(d, vocab, two_way, max_sentences, max_tokens)
+                continue
+            expected = corpus.Document(
                 d.id, 0, tuple(tuple(lookup(t, corpus.UNK_ID) for t in s[:max_tokens])
                                for s in segmented[d.id][:max_sentences]))
             assert corpus.encode_document(d, vocab, two_way, max_sentences,
@@ -392,6 +396,14 @@ class TestEncodeCorpus:
         doc = RawDocument("d9", "hoax", "", "Some text.")
         vocab = corpus.build_vocab([doc], min_frequency=1)
         with pytest.raises(CorpusError, match="hoax"):
+            corpus.encode_corpus([doc], vocab, two_way)
+
+    def test_whitespace_only_document_raises(self, two_way):
+        doc = RawDocument("d", "satire", "", " \t\u3000")
+        vocab = corpus.Vocabulary([corpus.PAD, corpus.UNK], 1)
+        with pytest.raises(CorpusError, match="empty text"):
+            corpus.encode_document(doc, vocab, two_way)
+        with pytest.raises(CorpusError, match="empty text"):
             corpus.encode_corpus([doc], vocab, two_way)
 
     def test_round_trip_ids_to_tokens_to_ids(self, two_way):

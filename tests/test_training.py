@@ -4,7 +4,9 @@ import dataclasses
 import itertools
 import json
 import math
+import os
 import re
+import threading
 import tracemalloc
 from types import SimpleNamespace
 
@@ -486,6 +488,125 @@ class TestCheckpointPersistence:
                 assert saved.read_bytes() == reference
             loaded = training.load_checkpoint(saved)
             assert all(np.array_equal(loaded.values[n], v) for n, v in ckpt.values.items())
+
+
+def saved_checkpoint(path, vocab_size):
+    """An initialised (untrained) checkpoint over ``vocab_size`` tokens,
+    saved to ``path``; returns its config."""
+    vocab = Vocabulary(["<pad>", "<unk>"] + [f"w{k}" for k in range(vocab_size - 2)], 2)
+    config = model.ModelConfig(variant="gcn", vocab_size=vocab_size,
+                               class_names=("satire", "trusted"), seed=5)
+    values = {n: t.values for n, t in model.init_params(config).tensors.items()}
+    training.save_checkpoint(training.Checkpoint(config, vocab, values, {"seed": 5}), path)
+    return config
+
+
+def load_through_fifo(tmp_path, data):
+    """``load_checkpoint`` on a named pipe that a thread fills with ``data``."""
+    fifo = tmp_path / "ckpt.fifo"
+    os.mkfifo(fifo)
+
+    def write():
+        try:
+            with open(fifo, "wb") as f:
+                f.write(data)
+        except BrokenPipeError:
+            pass
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    try:
+        return training.load_checkpoint(fifo)
+    finally:
+        writer.join()
+
+
+class TestCheckpointLoading:
+    def test_load_allocates_each_parameter_once(self, tmp_path):
+        path = tmp_path / "big.ckpt"
+        saved_checkpoint(path, 20000)
+        tracemalloc.start()
+        try:
+            ckpt = training.load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the values themselves, plus the manifest's 20,000 tokens and the
+        # finite check's mask of one parameter; a whole-file read, or a
+        # second copy of each parameter, would take the peak past 2x
+        param_bytes = sum(v.nbytes for v in ckpt.values.values())
+        assert param_bytes > 15 * 2**20
+        assert peak < 1.5 * param_bytes
+
+    def test_bound_tensors_share_values_and_training_leaves_them(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        config = saved_checkpoint(path, 50)
+        ckpt = training.load_checkpoint(path)
+        before = {n: v.tobytes() for n, v in ckpt.values.items()}
+        params = ckpt.to_params()
+        for name, t in params.tensors.items():
+            assert np.shares_memory(t.values, ckpt.values[name])
+            assert not t.values.flags.writeable
+        state = ad.AdamState.for_params(params.tensors)
+        for doc in (Document("d", 0, ((5, 17, 3), (2, 3))), Document("e", 1, ((7, 8),))):
+            with ad.Tape() as tape:
+                logits, _ = model.forward(doc, params, config)
+                step_loss = model.loss(logits, doc.label)
+            ad.zero_grads(params.tensors)
+            ad.backward(tape, step_loss)
+            ad.adam_step(params.tensors, {n: t.grad for n, t in params.tensors.items()}, state)
+        ad.adam_sync(params.tensors, state)
+        assert all(t.values.tobytes() != before[n] for n, t in params.tensors.items())
+        assert {n: v.tobytes() for n, v in ckpt.values.items()} == before
+
+    def test_pipe_loads_the_values_of_the_file(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        saved_checkpoint(path, 2000)  # 1.6 MB: many pipe-buffer fills
+        regular = training.load_checkpoint(path)
+        piped = load_through_fifo(tmp_path, path.read_bytes())
+        assert piped.config == regular.config and piped.metadata == regular.metadata
+        assert list(piped.values) == list(regular.values)
+        assert all(np.array_equal(piped.values[n], v) for n, v in regular.values.items())
+        assert training.checkpoint_bytes(piped) == path.read_bytes()
+
+    def test_short_read_rejected(self, tmp_path, monkeypatch):
+        # a file cut after its size was taken reads short: that must not
+        # leave the rest of the array uninitialised
+        path = tmp_path / "model.ckpt"
+        saved_checkpoint(path, 50)
+
+        class ShortReads:
+            def __init__(self, f):
+                self.f = f
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def __getattr__(self, name):
+                return getattr(self.f, name)
+
+            def readinto(self, buffer):
+                return self.f.readinto(memoryview(buffer)[: len(buffer) // 2])
+
+        monkeypatch.setattr(training, "open", lambda p, mode: ShortReads(open(p, mode)),
+                            raising=False)
+        with pytest.raises(CheckpointError, match="truncated parameter data at 'embedding'"):
+            training.load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda raw: raw[: raw.index(b"\n") + 1 + 8 * 1000 + 3],
+         "truncated parameter data at 'embedding'"),
+        (lambda raw: raw[:-5], "truncated parameter data at 'proj.b'"),
+        (lambda raw: raw + b"\0" * 9, "9 trailing bytes"),
+    ], ids=["cut_in_embedding", "cut_in_last", "trailing"])
+    def test_pipe_cut_or_extended_rejected(self, tmp_path, edit, message):
+        path = tmp_path / "model.ckpt"
+        saved_checkpoint(path, 2000)
+        with pytest.raises(CheckpointError, match=message):
+            load_through_fifo(tmp_path, edit(path.read_bytes()))
 
 
 @pytest.fixture(scope="module")
