@@ -740,10 +740,11 @@ class AdamState:
     scalars of each such step, oldest first, as they were when it ran, so a
     later change to ``lr`` does not reach back. A row that has taken every
     step in ``window`` holds the dense update's bytes in p, m and v;
-    :func:`gather_rows` and :func:`adam_sync` bring rows there. Both are
-    empty when no row lags. ``live[name]`` marks every row of a row-sparse
-    parameter whose m or v may hold a bit other than +0.0; any other row is
-    there already (see ``_live_rows``). This derived mask is built by one
+    :func:`gather_rows`, :func:`adam_step` and :func:`adam_sync` bring rows
+    there through one replay of the owed steps (``_catch_up``). ``rows``
+    and ``window`` are empty when no row lags. ``live[name]`` marks every
+    row of a row-sparse parameter whose m or v may hold a bit other than
+    +0.0; any other row is there already (see ``_live_rows``). This derived mask is built by one
     scan of m and v at the parameter's first row-sparse step, takes each
     row-sparse step's ids, outlives syncs (rows never go dead again) and is
     dropped by a dense gradient. So write ``m`` or ``v`` of a parameter
@@ -863,23 +864,14 @@ def _adam_pass(p: np.ndarray, m: np.ndarray, v: np.ndarray, g: np.ndarray | None
             np.subtract(pc, s, out=pc)
 
 
-def _replay_rows(arrays: Sequence[np.ndarray], taken: np.ndarray,
-                 window: list[Scalars]) -> None:
-    """Run the zero-gradient steps of ``window`` that each row has yet to
-    take on (rows, cols) copies of p, m and v, in place. Row i has taken
-    ``taken[i]`` of the steps, and ``taken`` is ascending, so the rows that
-    owe a step are a prefix: one slice per step."""
-    for k in range(int(taken.min(initial=len(window))), len(window)):
-        owing = int(np.searchsorted(taken, k, side="right"))
-        _adam_pass(*(a[:owing].reshape(-1) for a in arrays), None, (window[k],))
-
-
 def _catch_up(arrays: Sequence[np.ndarray], taken: np.ndarray, ids: np.ndarray,
               window: list[Scalars]) -> None:
     """Bring rows ``ids`` (which may repeat) of p, m and v through every step
-    of ``window``, and record that in ``taken``. The rows are replayed on
-    copies of ``ADAM_CHUNK`` floats per array at a time, which stay in
-    cache across the steps however many rows a sync catches up."""
+    of ``window``, and record that in ``taken``. The rows that owe a step
+    are replayed on copies of ``ADAM_CHUNK`` floats per array at a time,
+    which stay in cache across the steps however many rows a sync catches
+    up. A copy's rows are in ascending order of the steps they have taken,
+    so the rows that owe step k are a prefix: one slice per step."""
     behind = ids[taken[ids] < len(window)]
     if behind.size == 0:
         return
@@ -888,35 +880,13 @@ def _catch_up(arrays: Sequence[np.ndarray], taken: np.ndarray, ids: np.ndarray,
     per = max(1, ADAM_CHUNK // max(1, arrays[0].shape[1]))
     for part in np.split(behind, range(per, behind.size, per)):
         rows = [a[part] for a in arrays]
-        _replay_rows(rows, taken[part], window)
+        part_taken = taken[part]
+        for k in range(int(part_taken[0]), len(window)):
+            owing = int(np.searchsorted(part_taken, k, side="right"))
+            _adam_pass(*(r[:owing].reshape(-1) for r in rows), None, (window[k],))
         for a, r in zip(arrays, rows):
             a[part] = r
     taken[behind] = len(window)
-
-
-def _sync_block(arrays: Sequence[np.ndarray], taken: np.ndarray,
-                window: list[Scalars]) -> None:
-    """Bring every row of the (rows, cols) p, m and v through every step of
-    ``window``: a chunk-outer replay over the whole block of the steps that
-    no row has taken yet, with the rows that are further on saved before it,
-    and caught up from their own step and put back after it. The block is
-    replayed in row ranges whose saved rows hold at most ``ADAM_CHUNK``
-    floats of p, m and v together, so the copies stay small however many
-    rows a window touched."""
-    first = int(taken.min(initial=len(window)))
-    ahead = np.flatnonzero(taken > first)
-    per_range = max(1, ADAM_CHUNK // max(1, 3 * arrays[0].shape[1]))
-    bounds = [0, *ahead[per_range::per_range].tolist(), len(taken)]
-    for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-        part = [a[lo:hi] for a in arrays]
-        part_taken = taken[lo:hi]
-        rows = ahead[i * per_range : (i + 1) * per_range] - lo
-        rows = rows[np.argsort(part_taken[rows], kind="stable")]
-        saved = [a[rows] for a in part]
-        _adam_pass(*(a.reshape(-1) for a in part), None, window[first:])
-        _replay_rows(saved, part_taken[rows], window)
-        for a, r in zip(part, saved):
-            a[rows] = r
 
 
 def _live_rows(m: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -941,22 +911,12 @@ def _own_arrays(name: str, p: Tensor, state: AdamState) -> tuple[np.ndarray, ...
 
 def _sync_arrays(name: str, p: Tensor, state: AdamState) -> None:
     """Bring every row of the lagging parameter ``name`` through every step
-    of ``state.window``, replaying steps only on the rows of
-    ``state.live[name]`` that owe one; every other row is a fixed point of
-    the zero-gradient step or has taken every step. A block of ``8 *
-    ADAM_CHUNK`` floats per array in which at least half of the rows need a
-    step is replayed whole, in place, through :func:`_sync_block`; the rows
-    that need one elsewhere are caught up in one :func:`_catch_up`."""
+    of ``state.window`` in one :func:`_catch_up` over the rows of
+    ``state.live[name]``; every other row is a fixed point of the
+    zero-gradient step, and the catch-up skips the rows that have taken
+    every step."""
     arrays = _own_arrays(name, p, state)
-    taken, window = state.rows.pop(name), state.window
-    need = state.live[name] & (taken < len(window))
-    block = max(1, 8 * ADAM_CHUNK // max(1, p.values.shape[1]))
-    for lo in range(0, len(taken), block):
-        part = need[lo : lo + block]
-        if 2 * np.count_nonzero(part) >= part.size:
-            _sync_block([a[lo : lo + block] for a in arrays], taken[lo : lo + block], window)
-            part[:] = False
-    _catch_up(arrays, taken, np.flatnonzero(need), window)
+    _catch_up(arrays, state.rows.pop(name), np.flatnonzero(state.live[name]), state.window)
     p.pending = None
 
 
@@ -968,7 +928,8 @@ def adam_sync(params: dict[str, Tensor], state: AdamState) -> None:
     no parameter in ``params`` lags. Call it before reading a row-sparse
     parameter's values or moments other than through :func:`gather_rows`.
     Raises ``ShapeError`` before any update if the moments do not match a
-    lagging parameter. Only rows in ``state.live`` are replayed (see
+    lagging parameter. Only the rows in ``state.live`` that owe a step are
+    replayed, through the same catch-up as :func:`gather_rows`' (see
     ``_sync_arrays``), and the mask stays for the syncs that follow.
     """
     lagging = [name for name in params if name in state.rows]

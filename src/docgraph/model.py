@@ -151,6 +151,9 @@ class ModelConfig:
         if unknown:
             raise ModelError(f"unknown config fields: {sorted(unknown)}")
         data = dict(data)
+        # a JSON string or object would iterate into other class names
+        if not isinstance(data["class_names"], list):
+            raise ModelError("class_names must be a list")
         data["class_names"] = tuple(data["class_names"])
         return cls(**data)
 

@@ -127,19 +127,23 @@ def train(
         total_loss = 0.0
         for idx in order:
             doc = train_docs[idx]
-            with Tape() as tape:
-                logits, _ = forward(doc, params, config, weights)
-                step_loss = loss(logits, doc.label)
-            value = float(step_loss.values[0])
-            if not np.isfinite(value):
-                raise NumericError(f"non-finite loss on document '{doc.id}'")
-            ad.zero_grads(params.tensors)
-            ad.backward(tape, step_loss)
-            grads = {
-                name: t.grad if t.grad is not None else np.zeros_like(t.values)
-                for name, t in params.tensors.items()
-            }
-            ad.adam_step(params.tensors, grads, optimizer)
+            # a diverging run overflows on its way to a non-finite loss or
+            # gradient, which the checks below and adam_step's turn into
+            # a NumericError; numpy's warnings would only precede it
+            with np.errstate(over="ignore", invalid="ignore"):
+                with Tape() as tape:
+                    logits, _ = forward(doc, params, config, weights)
+                    step_loss = loss(logits, doc.label)
+                value = float(step_loss.values[0])
+                if not np.isfinite(value):
+                    raise NumericError(f"non-finite loss on document '{doc.id}'")
+                ad.zero_grads(params.tensors)
+                ad.backward(tape, step_loss)
+                grads = {
+                    name: t.grad if t.grad is not None else np.zeros_like(t.values)
+                    for name, t in params.tensors.items()
+                }
+                ad.adam_step(params.tensors, grads, optimizer)
             total_loss += value
 
         ad.adam_sync(params.tensors, optimizer)

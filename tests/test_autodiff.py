@@ -787,8 +787,8 @@ def deferred_runs(draw):
     through ``gather_rows``) or a dense one while a dense "w" always gets a
     dense one, gathers, syncs and changes of ``lr``. Runs are long enough to
     cross ``ADAM_WINDOW``; gradients hold -0.0 and +-1e-300. Small tables
-    may run with a tiny ``ADAM_CHUNK``, so that a sync splits the table into
-    many blocks, some replayed whole and some row by row."""
+    may run with a tiny ``ADAM_CHUNK``, so that a catch-up replays its rows
+    in many copies of a few rows each."""
     cols = draw(st.integers(1, 4))
     rows = draw(st.sampled_from([1, 3, 40, ad.ADAM_CHUNK // cols + 3]))
     chunk = draw(st.sampled_from([ad.ADAM_CHUNK, 3, 8])) if rows <= 40 else ad.ADAM_CHUNK
@@ -956,11 +956,13 @@ class TestDeferredAdam:
         assert (p["e"].values.tobytes(), state.m["e"].tobytes(), state.v["e"].tobytes()) \
             == (values.tobytes(), m.tobytes(), v.tobytes())
         if start == "zero":
-            # a touched row that owes a step is replayed at most twice: once
-            # with its block's oldest step onward, once from its own step
+            # only the touched rows that owe a step are replayed, each from
+            # its own step onward (the bound leaves room for twice that)
             assert 0 < sum(floats) <= 2 * len(touched) * cols * steps
         else:
             assert sum(floats) >= rows * cols
+            # every row is replayed, and none of them twice
+            assert sum(floats) <= rows * cols * steps
 
     def test_each_row_sparse_parameter_is_scanned_once(self):
         # the live-row mask outlives syncs: a parameter's moments are scanned

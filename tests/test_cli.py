@@ -160,6 +160,19 @@ class TestTrainCommand:
         assert stdout == ""
         assert "missing" in err and "does not exist" in err
 
+    def test_diverging_run_ends_with_its_error_alone(self, capsys, corpus_files):
+        # the overflow on the way to a non-finite loss is not reported as
+        # numpy warnings (which tier-1 turns into errors) before the error
+        code, stdout, err = run_cli(capsys, [
+            "train", "--protocol", "two_way",
+            "--train", corpus_files["train"], "--dev", corpus_files["dev"],
+            "--model", "cnn", "--seed", "42", "--lr", "1e150",
+            "--out", str(corpus_files["tmp"] / "cnn.ckpt"),
+        ])
+        assert code == 1 and stdout == ""
+        assert err.splitlines()[-1].startswith("error: non-finite loss on document '")
+        assert "Warning" not in err
+
     def test_determinism_byte_identical_outputs(self, capsys, corpus_files):
         out1, _ = train_checkpoint(capsys, corpus_files, "lstm")
         log1 = (corpus_files["tmp"] / "lstm.ckpt.runlog.json").read_bytes()

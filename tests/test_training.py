@@ -209,11 +209,17 @@ class TestStepAllocations:
         assert backward_peak < 1 * 2**20
         assert adam_peak < 4 * 2**20
 
-    def test_no_embedding_sized_temporaries_in_sync(self):
+    @pytest.mark.parametrize("start", ["zero", "live"])
+    def test_no_embedding_sized_temporaries_in_sync(self, start):
         config = model.ModelConfig(variant="gcn_attn", vocab_size=20000,
                                    class_names=("a", "b", "c", "d"), seed=3)
         params = model.init_params(config)
         state = ad.AdamState.for_params(params.tensors)
+        if start == "live":
+            # nonzero moments in every embedding row: the sync replays them all
+            rng = np.random.default_rng(8)
+            state.m["embedding"][:] = rng.normal(size=state.m["embedding"].shape) * 1e-3
+            np.multiply(state.m["embedding"], state.m["embedding"], out=state.v["embedding"])
         docs = [Document("d", 1, ((5, 17, 300, 19999), (2, 3, 4))),
                 Document("e", 0, ((7, 7, 19000, 11, 12),)),
                 Document("f", 2, ((5, 40, 41), (19999, 8))),
@@ -233,7 +239,9 @@ class TestStepAllocations:
             sync_peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
-        # the replay runs in chunks and copies only the rows a step touched
+        # the replay copies the rows that owe a step a chunk at a time, so
+        # a sync that replays every row allocates no more than one that
+        # replays the touched rows only
         assert not state.rows
         assert sync_peak < 4 * 2**20
 
@@ -389,13 +397,20 @@ class TestCheckpointPersistence:
         (lambda raw: raw.replace(b'"class_names":["satire","trusted"]',
                                  b'"class_names":["a","a"]', 1),
          "class_names must be unique non-empty strings"),
+        # both would load as the classes ("a", "b") and save back differently
+        (lambda raw: raw.replace(b'"class_names":["satire","trusted"]',
+                                 b'"class_names":"ab"', 1),
+         "class_names must be a list"),
+        (lambda raw: raw.replace(b'"class_names":["satire","trusted"]',
+                                 b'"class_names":{"a":1,"b":2}', 1),
+         "class_names must be a list"),
         (lambda raw: raw.replace(b'"seed":13,', b'"seed":"s",', 1),
          "seed must be a non-negative integer"),
     ], ids=["non_object_manifest", "negative_shape", "float_dimension", "vocabulary_size",
             "integer_token", "null_token", "float_shape", "string_shape",
             "float_min_frequency", "negative_lr", "nan_lr", "huge_integer_lr",
             "stale_clip_norm", "non_string_class_names", "duplicate_class_names",
-            "string_seed"])
+            "string_class_names", "object_class_names", "string_seed"])
     def test_malformed_manifest_rejected(self, tmp_path, corrupt, message):
         _, path, _ = self.trained(tmp_path)
         path.write_bytes(corrupt(path.read_bytes()))
