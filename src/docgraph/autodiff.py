@@ -72,10 +72,10 @@ class Tensor:
 
     :func:`backward` fills ``grad`` on every tensor it reaches from the
     loss, parameters and intermediate results alike. Values supplied from
-    outside must be finite. ``pending`` links a parameter whose rows lag
-    behind its optimizer (see :func:`adam_step`) to that optimizer, so
-    :func:`gather_rows` can catch up the rows it reads; it is ``None``
-    otherwise.
+    outside must be finite. ``pending`` links a parameter that has taken a
+    row-sparse step since its last dense one (see :func:`adam_step`) to
+    that optimizer, so :func:`gather_rows` can catch up the rows it reads;
+    it is ``None`` otherwise.
     """
 
     __slots__ = ("values", "grad", "pending")
@@ -547,7 +547,7 @@ def gather_rows(matrix: Tensor, ids: Sequence[int]) -> Tensor:
     if matrix.pending is not None:
         state, name = matrix.pending
         _catch_up((matrix.values, state.m[name], state.v[name]), state.rows[name], idx,
-                  state.window)
+                  state.window, state.t)
     out = Tensor._wrap(matrix.values[idx])
     return _record("gather_rows", (matrix,), out, ids=idx)
 
@@ -724,6 +724,9 @@ ADAM_B1 = 0.9
 ADAM_B2 = 0.999
 ADAM_EPS = 1e-8
 
+# AdamState.rows' step for a row that no zero-gradient step changes.
+FIXED = np.iinfo(np.intp).max
+
 # (step, eps_hat): everything one Adam step's update of a float depends on
 # besides that float's p, m, v and gradient (see _adam_pass).
 Scalars = tuple[float, float]
@@ -734,21 +737,20 @@ class AdamState:
     """Per-parameter Adam moments, the shared step counter, and the steps
     that rows of row-sparse parameters have yet to take.
 
-    ``rows[name]`` exists for a parameter that :func:`adam_step` updated with
-    a :class:`RowSparseGrad` since its last sync. It holds, for each row, how
-    many of the steps in ``window`` that row has taken. ``window`` holds the
-    scalars of each such step, oldest first, as they were when it ran, so a
-    later change to ``lr`` does not reach back. A row that has taken every
-    step in ``window`` holds the dense update's bytes in p, m and v;
-    :func:`gather_rows`, :func:`adam_step` and :func:`adam_sync` bring rows
-    there through one replay of the owed steps (``_catch_up``). ``rows``
-    and ``window`` are empty when no row lags. ``live[name]`` marks every
-    row of a row-sparse parameter whose m or v may hold a bit other than
-    +0.0; any other row is there already (see ``_live_rows``). This derived mask is built by one
-    scan of m and v at the parameter's first row-sparse step, takes each
-    row-sparse step's ids, outlives syncs (rows never go dead again) and is
-    dropped by a dense gradient. So write ``m`` or ``v`` of a parameter
-    only before its first row-sparse step. ``lr`` is the one settable
+    ``rows[name]`` exists for a parameter from its first row-sparse step
+    in :func:`adam_step` until a dense gradient updates it. It holds, for
+    each row, the step its p, m and v are at, or ``FIXED`` for a row whose
+    m and v hold no bit other than +0.0: the zero-gradient step leaves such
+    a row as it is (see ``_live_rows``), so it is never behind. The array
+    is built by one scan of m and v at that first step; each row-sparse
+    step sets its ids to the step. So write ``m`` or ``v`` of a parameter
+    only before its first row-sparse step. A row at step ``t`` holds the
+    dense update's bytes in p, m and v; :func:`gather_rows`,
+    :func:`adam_step` and :func:`adam_sync` bring rows there through one
+    replay of the steps they owe (``_catch_up``). ``window`` holds the
+    scalars of the last ``len(window)`` steps, every step a row owes among
+    them, oldest first, as they were when each ran, so a later change to
+    ``lr`` does not reach back. ``lr`` is the one settable
     hyperparameter; the decay rates and epsilon are ``ADAM_B1``,
     ``ADAM_B2`` and ``ADAM_EPS``.
     """
@@ -759,7 +761,6 @@ class AdamState:
     v: dict[str, np.ndarray] = field(default_factory=dict)
     rows: dict[str, np.ndarray] = field(default_factory=dict)
     window: list[Scalars] = field(default_factory=list)
-    live: dict[str, np.ndarray] = field(default_factory=dict)
 
     @classmethod
     def for_params(cls, params: dict[str, Tensor], lr: float | None = None) -> "AdamState":
@@ -807,9 +808,11 @@ def _check_settings(state: AdamState) -> None:
     # a bound, not math.isfinite, so a huge int is rejected, not an OverflowError
     if not (_is_real(state.lr) and 0 < state.lr <= sys.float_info.max):
         raise NumericError(f"Adam lr must be a finite number above 0, got {state.lr!r}")
+    # below FIXED - 1, so the step's t + 1 fits AdamState.rows and is not FIXED
     if not (isinstance(state.t, numbers.Integral) and not isinstance(state.t, bool)
-            and state.t >= 0):
-        raise NumericError(f"Adam t must be a non-negative integer, got {state.t!r}")
+            and 0 <= state.t < FIXED - 1):
+        raise NumericError(f"Adam t must be a non-negative integer below {FIXED - 1}, "
+                           f"got {state.t!r}")
 
 
 def _scalars(state: AdamState) -> Scalars:
@@ -864,29 +867,31 @@ def _adam_pass(p: np.ndarray, m: np.ndarray, v: np.ndarray, g: np.ndarray | None
             np.subtract(pc, s, out=pc)
 
 
-def _catch_up(arrays: Sequence[np.ndarray], taken: np.ndarray, ids: np.ndarray,
-              window: list[Scalars]) -> None:
-    """Bring rows ``ids`` (which may repeat) of p, m and v through every step
-    of ``window``, and record that in ``taken``. The rows that owe a step
-    are replayed on copies of ``ADAM_CHUNK`` floats per array at a time,
-    which stay in cache across the steps however many rows a sync catches
-    up. A copy's rows are in ascending order of the steps they have taken,
-    so the rows that owe step k are a prefix: one slice per step."""
-    behind = ids[taken[ids] < len(window)]
+def _catch_up(arrays: Sequence[np.ndarray], at: np.ndarray, ids: np.ndarray,
+              window: list[Scalars], now: int) -> None:
+    """Bring rows ``ids`` (which may repeat) of p, m and v from the steps
+    ``at`` holds for them to step ``now``, and record that in ``at``;
+    ``window`` holds the scalars of steps ``now - len(window) + 1`` to
+    ``now``. The rows that owe a step are replayed on copies of
+    ``ADAM_CHUNK`` floats per array at a time, which stay in cache across
+    the steps however many rows a sync catches up. A copy's rows are in
+    ascending order of their steps, so the rows that owe step k are a
+    prefix: one slice per step."""
+    behind = ids[at[ids] < now]
     if behind.size == 0:
         return
-    behind = behind[np.lexsort((behind, taken[behind]))]  # a repeated id is adjacent
+    behind = behind[np.lexsort((behind, at[behind]))]  # a repeated id is adjacent
     behind = behind[np.concatenate(([True], behind[1:] != behind[:-1]))]
     per = max(1, ADAM_CHUNK // max(1, arrays[0].shape[1]))
     for part in np.split(behind, range(per, behind.size, per)):
         rows = [a[part] for a in arrays]
-        part_taken = taken[part]
-        for k in range(int(part_taken[0]), len(window)):
-            owing = int(np.searchsorted(part_taken, k, side="right"))
-            _adam_pass(*(r[:owing].reshape(-1) for r in rows), None, (window[k],))
+        part_at = at[part]
+        for k in range(int(part_at[0]) + 1, now + 1):
+            owing = int(np.searchsorted(part_at, k))
+            _adam_pass(*(r[:owing].reshape(-1) for r in rows), None, (window[k - now - 1],))
         for a, r in zip(arrays, rows):
             a[part] = r
-    taken[behind] = len(window)
+    at[behind] = now
 
 
 def _live_rows(m: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -909,17 +914,6 @@ def _own_arrays(name: str, p: Tensor, state: AdamState) -> tuple[np.ndarray, ...
     return p.values, state.m[name], state.v[name]
 
 
-def _sync_arrays(name: str, p: Tensor, state: AdamState) -> None:
-    """Bring every row of the lagging parameter ``name`` through every step
-    of ``state.window`` in one :func:`_catch_up` over the rows of
-    ``state.live[name]``; every other row is a fixed point of the
-    zero-gradient step, and the catch-up skips the rows that have taken
-    every step."""
-    arrays = _own_arrays(name, p, state)
-    _catch_up(arrays, state.rows.pop(name), np.flatnonzero(state.live[name]), state.window)
-    p.pending = None
-
-
 def adam_sync(params: dict[str, Tensor], state: AdamState) -> None:
     """Bring every row of every parameter in ``params`` up to step ``state.t``.
 
@@ -928,16 +922,20 @@ def adam_sync(params: dict[str, Tensor], state: AdamState) -> None:
     no parameter in ``params`` lags. Call it before reading a row-sparse
     parameter's values or moments other than through :func:`gather_rows`.
     Raises ``ShapeError`` before any update if the moments do not match a
-    lagging parameter. Only the rows in ``state.live`` that owe a step are
-    replayed, through the same catch-up as :func:`gather_rows`' (see
-    ``_sync_arrays``), and the mask stays for the syncs that follow.
+    row-sparse parameter. Only the rows that ``state.rows`` has behind
+    ``state.t`` are replayed, through the same catch-up as
+    :func:`gather_rows`'; the step arrays stay for the syncs that follow.
+    ``state.window`` is cleared only if ``params`` holds every parameter in
+    ``state.rows``, as only then does no row owe a step.
     """
-    lagging = [name for name in params if name in state.rows]
-    for name in lagging:
+    names = [name for name in params if name in state.rows]
+    for name in names:
         _check_moments(name, params[name], state)
-    for name in lagging:
-        _sync_arrays(name, params[name], state)
-    if not state.rows:
+    for name in names:
+        at = state.rows[name]
+        _catch_up(_own_arrays(name, params[name], state), at, np.flatnonzero(at < state.t),
+                  state.window, state.t)
+    if all(name in params for name in state.rows):
         state.window.clear()
 
 
@@ -962,24 +960,26 @@ def adam_step(
     A :class:`RowSparseGrad` updates every row as its dense form would, but
     the rows outside its ids are deferred: they take the zero-gradient
     update later, in a replay of the steps they owe with each step's own
-    scalars, which gives the same bytes. The step first catches up the rows
-    in ``ids`` to the previous step, then gives them the full update, and
-    records both in ``state.rows``, ``state.window`` and ``state.live``.
-    The parameter's ``Tensor.pending`` then links it to ``state``, so
-    :func:`gather_rows` catches up exactly the rows it reads and every
-    forward sees the dense update's bytes. :func:`adam_sync` brings the
-    whole table up to date; the step calls it once the window reaches
-    ``ADAM_WINDOW`` steps, and before a dense gradient updates a lagging
-    parameter. Read ``p.values``, ``state.m`` or ``state.v`` of a
+    scalars, which gives the same bytes. The parameter's first row-sparse
+    step builds its ``state.rows`` array (see :class:`AdamState`) and links
+    its ``Tensor.pending`` to ``state``, so :func:`gather_rows` catches up
+    exactly the rows it reads and every forward sees the dense update's
+    bytes. Each row-sparse step catches up the rows in ``ids`` to the
+    previous step, gives them the full update and sets their entries to
+    ``state.t``; the step's scalars join ``state.window``. :func:`adam_sync`
+    brings the whole table up to date; the step calls it once the window
+    reaches ``ADAM_WINDOW`` steps. A dense gradient first catches up every
+    row of its parameter to the previous step and drops the parameter's
+    array and link. Read ``p.values``, ``state.m`` or ``state.v`` of a
     row-sparse parameter only after a sync.
 
     Aborts before touching any parameter or moment if ``lr`` is not finite
-    and above 0, ``t`` is not a non-negative integer, a gradient (a
-    row-sparse one's rows) is missing, not an integer or float array,
-    non-finite or mis-shaped, a row-sparse gradient's ids are not sorted,
-    unique and in range, or the moments are not float64 arrays of the
-    parameter's shape, so a failed step leaves the model and the optimizer
-    unchanged, lagging rows included.
+    and above 0, ``t`` is not a non-negative integer below ``FIXED - 1``, a
+    gradient (a row-sparse one's rows) is missing, not an integer or float
+    array, non-finite or mis-shaped, a row-sparse gradient's ids are not
+    sorted, unique and in range, or the moments are not float64 arrays of
+    the parameter's shape, so a failed step leaves the model and the
+    optimizer unchanged, lagging rows included.
     """
     _check_settings(state)
     for name, p in params.items():
@@ -1003,24 +1003,23 @@ def adam_step(
     for name, p in params.items():
         arrays = _own_arrays(name, p, state)
         g = grads[name]
-        taken = state.rows.get(name)
+        at = state.rows.get(name)
+        # the catch-ups run before this step's scalars join the window
         if isinstance(g, RowSparseGrad):
-            if taken is None:
-                taken = state.rows[name] = np.full(p.values.shape[0], len(window))
+            if at is None:
+                at = state.rows[name] = np.where(_live_rows(*arrays[1:]), state.t - 1, FIXED)
                 p.pending = (state, name)
-            if name not in state.live:
-                state.live[name] = _live_rows(*arrays[1:])
-            state.live[name][g.ids] = True
-            _catch_up(arrays, taken, g.ids, window)
+            _catch_up(arrays, at, g.ids, window, state.t - 1)
             touched = [a[g.ids] for a in arrays]
             _adam_pass(*(a.reshape(-1) for a in touched), g.rows.reshape(-1), (scalars,))
             for a, rows in zip(arrays, touched):
                 a[g.ids] = rows
-            taken[g.ids] = len(window) + 1  # this step is appended below
+            at[g.ids] = state.t
         else:
-            if taken is not None:
-                _sync_arrays(name, p, state)
-            state.live.pop(name, None)
+            if at is not None:
+                _catch_up(arrays, state.rows.pop(name), np.flatnonzero(at < state.t - 1),
+                          window, state.t - 1)
+                p.pending = None
             _adam_pass(*(a.reshape(-1) for a in arrays), g.reshape(-1), (scalars,))
     if state.rows:
         window.append(scalars)

@@ -32,7 +32,7 @@ from .corpus import (
 from .errors import DocGraphError
 from .graph import load_edge_weights
 from .heatmap import PREVIEW_CHARS, render_attention_svg
-from .model import SPECS, VARIANTS, ModelConfig, forward
+from .model import SPECS, VARIANTS, ModelConfig
 
 TWO_WAY_CLASSES = ("satire", "trusted")
 FOUR_WAY_CLASSES = ("hoax", "propaganda", "satire", "trusted")
@@ -212,7 +212,8 @@ def cmd_export_attention(args) -> int:
     raw = matches[0]
     doc = encode_document(raw, ckpt.vocab, config.class_set,
                           config.max_sentences, config.max_tokens)
-    _, attentions = forward(doc, ckpt.to_params(), config, _load_weights(args))
+    _, attentions = evaluation.checked_forward(doc, ckpt.to_params(), config,
+                                               _load_weights(args))
     if not attentions:
         raise DocGraphError(
             f"document '{raw.id}' has a single sentence; the graph-attention "

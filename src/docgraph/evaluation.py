@@ -18,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .corpus import Document, RawDocument, encode_corpus
-from .errors import EvaluationError
+from .errors import EvaluationError, NumericError
 from .graph import EdgeWeightSet
 from .model import ModelConfig, ModelParams, forward
 
@@ -103,13 +103,29 @@ def compute_metrics(confusion: np.ndarray) -> Metrics:
     )
 
 
+def checked_forward(
+    doc: Document,
+    params: ModelParams,
+    config: ModelConfig,
+    weights: EdgeWeightSet | None = None,
+) -> tuple[ad.Tensor, list[ad.Tensor]]:
+    """``forward`` under training's ``np.errstate``; raises ``NumericError``
+    naming the document if a logit is not finite, which finite parameters
+    large enough to overflow on the way give."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits, attentions = forward(doc, params, config, weights)
+    if not np.isfinite(logits.values).all():
+        raise NumericError(f"non-finite logits on document '{doc.id}'")
+    return logits, attentions
+
+
 def predict_label(
     doc: Document,
     params: ModelParams,
     config: ModelConfig,
     weights: EdgeWeightSet | None = None,
 ) -> int:
-    logits, _ = forward(doc, params, config, weights)
+    logits, _ = checked_forward(doc, params, config, weights)
     return int(np.argmax(logits.values))  # lowest index wins ties
 
 
@@ -119,9 +135,10 @@ def predict_probabilities(
     config: ModelConfig,
     weights: EdgeWeightSet | None = None,
 ) -> np.ndarray:
-    logits, _ = forward(doc, params, config, weights)
+    logits, _ = checked_forward(doc, params, config, weights)
     row = ad.reshape(logits, (1, logits.shape[0]))
-    return ad.softmax_rows(row).values[0]
+    with np.errstate(over="ignore"):  # logits further apart than the float range
+        return ad.softmax_rows(row).values[0]
 
 
 def evaluate_documents(

@@ -25,9 +25,6 @@ class EdgeWeightSet:
     def __init__(self, weights: dict[str, np.ndarray]):
         self._weights = weights
 
-    def __contains__(self, doc_id: str) -> bool:
-        return doc_id in self._weights
-
     def __len__(self) -> int:
         return len(self._weights)
 

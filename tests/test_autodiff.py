@@ -537,7 +537,7 @@ class TestAdam:
         g = ad.RowSparseGrad(np.array([1]), np.ones((1, cols)), (4, cols))
         with pytest.raises(ShapeError, match="'e'"):
             ad.adam_step(p, {"w": np.ones(2), "e": g}, state)
-        assert state.t == 0 and not state.rows and not state.live
+        assert state.t == 0 and not state.rows
         assert np.array_equal(p["w"].values, [1.0, 2.0])
         assert not state.m["w"].any() and p["e"].pending is None
 
@@ -603,7 +603,7 @@ class TestAdam:
     @pytest.mark.parametrize("field, value", [
         ("lr", 0.0), ("lr", -0.001), ("lr", math.inf), ("lr", math.nan), ("lr", "0.1"),
         ("lr", 10**400),
-        ("t", -1), ("t", 1.0), ("t", True), ("t", None),
+        ("t", -1), ("t", 1.0), ("t", True), ("t", None), ("t", int(ad.FIXED) - 1),
     ])
     def test_out_of_domain_setting_aborts_with_name(self, field, value):
         rng = np.random.default_rng(9)
@@ -882,8 +882,8 @@ class TestDeferredAdam:
                 state.lr = oracle_state.lr = arg
             elif kind == "sync":
                 ad.adam_sync(params, state)
-                assert not state.rows and not state.window
-                assert params["e"].pending is None
+                assert not state.window
+                assert all(np.all(at >= state.t) for at in state.rows.values())
                 assert_synced()
             elif kind == "gather":
                 ids = arg[0]
@@ -965,9 +965,9 @@ class TestDeferredAdam:
             assert sum(floats) <= rows * cols * steps
 
     def test_each_row_sparse_parameter_is_scanned_once(self):
-        # the live-row mask outlives syncs: a parameter's moments are scanned
-        # at its first row-sparse step, and again only at the first one
-        # after a dense gradient updated it
+        # the per-row step array outlives syncs: a parameter's moments are
+        # scanned at its first row-sparse step, and again only at the first
+        # one after a dense gradient updated it
         rng = np.random.default_rng(4)
         shapes = {"e": (50, 3), "f": (9, 2)}
         p = {name: ad.Tensor(rng.normal(size=shape)) for name, shape in shapes.items()}
@@ -1035,13 +1035,56 @@ class TestDeferredAdam:
             ad.adam_step(p, {"e": g}, state)
             expected, m, v = adam_oracle(expected, m, v, g.dense(), t)
             if t == ad.ADAM_WINDOW:
-                assert not state.rows and not state.window and p["e"].pending is None
+                assert not state.window and np.all(state.rows["e"] >= t)
                 assert p["e"].values.tobytes() == expected.tobytes()
             else:
                 assert len(state.window) == t % ad.ADAM_WINDOW
         ad.adam_sync(p, state)
         assert (p["e"].values.tobytes(), state.m["e"].tobytes(), state.v["e"].tobytes()) \
             == (expected.tobytes(), m.tobytes(), v.tobytes())
+
+    def test_a_sync_of_some_parameters_keeps_the_steps_the_others_owe(self):
+        # "f"'s rows owe the steps before "e" alone is synced; the window
+        # must still hold them for the gathers and the syncs that follow
+        rng = np.random.default_rng(21)
+        shapes = {"e": (30, 3), "f": (20, 2)}
+        p = {n: ad.Tensor(rng.normal(size=shape)) for n, shape in shapes.items()}
+        state = ad.AdamState.for_params(p, lr=0.01)
+        expected = {n: (t.values.copy(), np.zeros(t.shape), np.zeros(t.shape))
+                    for n, t in p.items()}
+
+        def step():
+            grads = {}
+            for n, (rows, cols) in shapes.items():
+                ids = np.unique(rng.integers(0, rows, size=3))
+                grads[n] = ad.RowSparseGrad(ids, rng.normal(size=(ids.size, cols)),
+                                            (rows, cols))
+            ad.adam_step(p, grads, state)
+            for n, g in grads.items():
+                expected[n] = adam_oracle(*expected[n], g.dense(), state.t, lr=0.01)
+
+        def assert_equal(names, ids=slice(None)):
+            for n in names:
+                for array, want in zip((p[n].values, state.m[n], state.v[n]), expected[n]):
+                    assert array[ids].tobytes() == want[ids].tobytes()
+
+        for _ in range(4):
+            step()
+        ad.adam_sync({"e": p["e"]}, state)
+        assert_equal(["e"])
+        for _ in range(3):
+            step()
+            for n, (rows, _) in shapes.items():
+                ids = rng.integers(0, rows, size=5)
+                assert ad.gather_rows(p[n], ids).values.tobytes() \
+                    == expected[n][0][ids].tobytes()
+                assert_equal([n], ids)
+        ad.adam_sync({"e": p["e"]}, state)
+        assert_equal(["e"])
+        step()
+        ad.adam_sync(p, state)
+        assert not state.window
+        assert_equal(shapes)
 
 
 def snapshot(params, state):

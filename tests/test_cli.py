@@ -407,6 +407,45 @@ class TestExportAttentionCommand:
         assert err.startswith("error: ")
 
 
+class TestNonFiniteScores:
+    @pytest.fixture
+    def overflowing(self, capsys, tmp_path):
+        """A trained gcn checkpoint whose graph and projection weights are
+        rescaled to max |w| = 1e300: every value is finite, so it loads,
+        but a forward pass overflows to non-finite logits."""
+        train = write_tsv(tmp_path / "train.tsv", planted_corpus(seed=6, n_docs=12))
+        dev = write_tsv(tmp_path / "dev.tsv", planted_corpus(seed=7, n_docs=6))
+        out = str(tmp_path / "gcn.ckpt")
+        code, _, _ = run_cli(capsys, [
+            "train", "--protocol", "two_way", "--train", train, "--dev", dev,
+            "--model", "gcn", "--seed", "3", "--epochs", "2", "--out", out,
+        ])
+        assert code == 0
+        ckpt = training.load_checkpoint(out)
+        ckpt.values = dict(ckpt.values)
+        for name in ("gcn.0.w", "proj.w"):
+            w = ckpt.values[name]
+            ckpt.values[name] = w * (1e300 / np.abs(w).max())
+        training.save_checkpoint(ckpt, out)
+        return out, dev
+
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    def test_scoring_rejects_non_finite_logits(self, overflowing, command):
+        # NaN probabilities are not JSON, and eval would count them as
+        # class 0; numpy's overflow warnings must not precede the error
+        ckpt, data = overflowing
+        src = str(Path(docgraph.__file__).parents[1])
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        result = subprocess.run([
+            sys.executable, "-W", "error::RuntimeWarning", "-m", "docgraph.cli", command,
+            "--ckpt", ckpt, "--data", data,
+        ], env=env, capture_output=True, text=True)
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == ["error: non-finite logits on document 'row-0'"]
+
+
 class TestGradcheckCommand:
     def test_fresh_build_passes_and_lists_every_op_once(self, capsys):
         code, stdout, err = run_cli(capsys, ["gradcheck"])

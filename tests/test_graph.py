@@ -41,7 +41,7 @@ class TestLoadEdgeWeights:
     def test_parse(self, tmp_path):
         p = weights_file(tmp_path, [{"id": "d1", "n": 2, "weights": [[0, 0.8], [0.8, 0]]}])
         ws = graph.load_edge_weights(p)
-        assert "d1" in ws and len(ws) == 1
+        assert len(ws) == 1
         assert np.array_equal(ws.matrix_for("d1", 2), [[0.0, 0.8], [0.8, 0.0]])
 
     def test_range_error(self, tmp_path):
@@ -82,7 +82,7 @@ class TestLoadEdgeWeights:
         [doc] = load_corpus(docs, "jsonl")
         ws = graph.load_edge_weights(weights_file(tmp_path, [{"id": 7, "n": 1,
                                                               "weights": [[0]]}]))
-        assert doc.id in ws
+        assert np.array_equal(ws.matrix_for(doc.id, 1), [[0.0]])
 
     def test_non_utf8_bytes_rejected_with_offset(self, tmp_path):
         p = tmp_path / "weights.jsonl"

@@ -242,7 +242,7 @@ class TestStepAllocations:
         # the replay copies the rows that owe a step a chunk at a time, so
         # a sync that replays every row allocates no more than one that
         # replays the touched rows only
-        assert not state.rows
+        assert not state.window
         assert sync_peak < 4 * 2**20
 
 
