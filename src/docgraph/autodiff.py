@@ -72,10 +72,10 @@ class Tensor:
 
     :func:`backward` fills ``grad`` on every tensor it reaches from the
     loss, parameters and intermediate results alike. Values supplied from
-    outside must be finite. ``pending`` links a parameter that has taken a
-    row-sparse step since its last dense one (see :func:`adam_step`) to
-    that optimizer, so :func:`gather_rows` can catch up the rows it reads;
-    it is ``None`` otherwise.
+    outside must be finite. ``pending`` links a parameter to the optimizer
+    that gave it its first row-sparse step (see :func:`adam_step`), for
+    that optimizer's life, so :func:`gather_rows` can catch up the rows it
+    reads; it is ``None`` otherwise.
     """
 
     __slots__ = ("values", "grad", "pending")
@@ -577,7 +577,7 @@ def _transpose_bwd(e: TapeEntry):
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     if len(shape) not in (1, 2):
         raise ShapeError("reshape target must be 1-D or 2-D")
-    if int(np.prod(shape)) != x.size:
+    if min(shape) < 0 or int(np.prod(shape)) != x.size:
         raise ShapeError(f"cannot reshape {x.shape} to {shape}")
     out = Tensor._wrap(x.values.reshape(shape))
     return _record("reshape", (x,), out, shape=x.shape)
@@ -735,24 +735,24 @@ Scalars = tuple[float, float]
 @dataclass
 class AdamState:
     """Per-parameter Adam moments, the shared step counter, and the steps
-    that rows of row-sparse parameters have yet to take.
+    that rows of row-sparse parameters have yet to take. A state serves
+    exactly the parameters ``m`` holds moments for.
 
     ``rows[name]`` exists for a parameter from its first row-sparse step
-    in :func:`adam_step` until a dense gradient updates it. It holds, for
-    each row, the step its p, m and v are at, or ``FIXED`` for a row whose
-    m and v hold no bit other than +0.0: the zero-gradient step leaves such
-    a row as it is (see ``_live_rows``), so it is never behind. The array
-    is built by one scan of m and v at that first step; each row-sparse
-    step sets its ids to the step. So write ``m`` or ``v`` of a parameter
-    only before its first row-sparse step. A row at step ``t`` holds the
-    dense update's bytes in p, m and v; :func:`gather_rows`,
-    :func:`adam_step` and :func:`adam_sync` bring rows there through one
-    replay of the steps they owe (``_catch_up``). ``window`` holds the
-    scalars of the last ``len(window)`` steps, every step a row owes among
-    them, oldest first, as they were when each ran, so a later change to
-    ``lr`` does not reach back. ``lr`` is the one settable
-    hyperparameter; the decay rates and epsilon are ``ADAM_B1``,
-    ``ADAM_B2`` and ``ADAM_EPS``.
+    in :func:`adam_step` on. It holds, for each row, the step its p, m and
+    v are at, or ``FIXED`` for a row whose m and v hold no bit other than
+    +0.0: the zero-gradient step leaves such a row as it is (see
+    ``_live_rows``), so it is never behind. One scan of m and v builds the
+    array at that first step and rebuilds it in place after each dense
+    gradient; each row-sparse step sets its ids to the step. So write
+    ``m`` or ``v`` of a parameter only before its first row-sparse step.
+    A row at step ``t`` holds the dense update's bytes in p, m and v;
+    :func:`gather_rows`, :func:`adam_step` and :func:`adam_sync` bring rows
+    there through one replay of the steps they owe (``_catch_up``).
+    ``window`` holds the scalars of the steps since the last sync, oldest
+    first, as they were when each ran, so a later change to ``lr`` does not
+    reach back. ``lr`` is the one settable hyperparameter; the decay rates
+    and epsilon are ``ADAM_B1``, ``ADAM_B2`` and ``ADAM_EPS``.
     """
 
     lr: float = 0.001
@@ -803,8 +803,13 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-def _check_settings(state: AdamState) -> None:
-    """Raise ``NumericError`` naming the first out-of-domain optimizer field."""
+def _check_state(params: dict[str, Tensor], state: AdamState) -> None:
+    """Raise ``ShapeError`` unless ``params`` are the names ``state`` has
+    moments for, and ``NumericError`` naming an out-of-domain setting."""
+    if params.keys() != state.m.keys():
+        raise ShapeError(f"Adam parameters must be the ones it has moments for: missing "
+                         f"{sorted(state.m.keys() - params.keys())}, "
+                         f"extra {sorted(params.keys() - state.m.keys())}")
     # a bound, not math.isfinite, so a huge int is rejected, not an OverflowError
     if not (_is_real(state.lr) and 0 < state.lr <= sys.float_info.max):
         raise NumericError(f"Adam lr must be a finite number above 0, got {state.lr!r}")
@@ -915,28 +920,25 @@ def _own_arrays(name: str, p: Tensor, state: AdamState) -> tuple[np.ndarray, ...
 
 
 def adam_sync(params: dict[str, Tensor], state: AdamState) -> None:
-    """Bring every row of every parameter in ``params`` up to step ``state.t``.
+    """Bring every row of every parameter up to step ``state.t``.
 
     Afterwards ``p.values``, ``state.m`` and ``state.v`` hold the bytes of
     the dense per-step update, as if every step had updated every row, and
-    no parameter in ``params`` lags. Call it before reading a row-sparse
+    ``state.window`` is empty. Call it before reading a row-sparse
     parameter's values or moments other than through :func:`gather_rows`.
-    Raises ``ShapeError`` before any update if the moments do not match a
-    row-sparse parameter. Only the rows that ``state.rows`` has behind
-    ``state.t`` are replayed, through the same catch-up as
-    :func:`gather_rows`'; the step arrays stay for the syncs that follow.
-    ``state.window`` is cleared only if ``params`` holds every parameter in
-    ``state.rows``, as only then does no row owe a step.
+    Aborts before any update, as :func:`adam_step` does, if ``params`` does
+    not name exactly the parameters ``state`` has moments for, a setting is
+    out of domain or a row-sparse parameter's moments do not match it. Only
+    the rows that ``state.rows`` has behind ``state.t`` are replayed,
+    through the same catch-up as :func:`gather_rows`'; the step arrays stay.
     """
-    names = [name for name in params if name in state.rows]
-    for name in names:
+    _check_state(params, state)
+    for name in state.rows:
         _check_moments(name, params[name], state)
-    for name in names:
-        at = state.rows[name]
+    for name, at in state.rows.items():
         _catch_up(_own_arrays(name, params[name], state), at, np.flatnonzero(at < state.t),
                   state.window, state.t)
-    if all(name in params for name in state.rows):
-        state.window.clear()
+    state.window.clear()
 
 
 def adam_step(
@@ -944,7 +946,7 @@ def adam_step(
     grads: dict[str, np.ndarray | RowSparseGrad],
     state: AdamState,
 ) -> None:
-    """One Adam update with bias correction over every named parameter.
+    """One Adam update with bias correction over every parameter of ``state``.
 
     ``p.values``, ``state.m[name]`` and ``state.v[name]`` are updated in
     place, so training changes the arrays handed to ``model.bind_params``.
@@ -968,20 +970,21 @@ def adam_step(
     previous step, gives them the full update and sets their entries to
     ``state.t``; the step's scalars join ``state.window``. :func:`adam_sync`
     brings the whole table up to date; the step calls it once the window
-    reaches ``ADAM_WINDOW`` steps. A dense gradient first catches up every
-    row of its parameter to the previous step and drops the parameter's
-    array and link. Read ``p.values``, ``state.m`` or ``state.v`` of a
-    row-sparse parameter only after a sync.
+    reaches ``ADAM_WINDOW`` steps. A dense gradient catches up every row of
+    its parameter to the previous step, updates them all and rebuilds the
+    array in place with the same scan. Read ``p.values``, ``state.m`` or
+    ``state.v`` of a row-sparse parameter only after a sync.
 
-    Aborts before touching any parameter or moment if ``lr`` is not finite
-    and above 0, ``t`` is not a non-negative integer below ``FIXED - 1``, a
-    gradient (a row-sparse one's rows) is missing, not an integer or float
-    array, non-finite or mis-shaped, a row-sparse gradient's ids are not
-    sorted, unique and in range, or the moments are not float64 arrays of
-    the parameter's shape, so a failed step leaves the model and the
-    optimizer unchanged, lagging rows included.
+    Aborts before touching any parameter or moment if ``params`` does not
+    name exactly the parameters ``state`` has moments for, ``lr`` is not
+    finite and above 0, ``t`` is not a non-negative integer below
+    ``FIXED - 1``, a gradient (a row-sparse one's rows) is missing, not an
+    integer or float array, non-finite or mis-shaped, a row-sparse
+    gradient's ids are not sorted, unique and in range, or the moments are
+    not float64 arrays of the parameter's shape, so a failed step leaves
+    the model and the optimizer unchanged, lagging rows included.
     """
-    _check_settings(state)
+    _check_state(params, state)
     for name, p in params.items():
         g = grads.get(name)
         if g is None:
@@ -999,7 +1002,6 @@ def adam_step(
             raise NumericError(f"non-finite gradient for parameter '{name}'")
     state.t += 1
     scalars = _scalars(state)
-    window = state.window
     for name, p in params.items():
         arrays = _own_arrays(name, p, state)
         g = grads[name]
@@ -1009,7 +1011,7 @@ def adam_step(
             if at is None:
                 at = state.rows[name] = np.where(_live_rows(*arrays[1:]), state.t - 1, FIXED)
                 p.pending = (state, name)
-            _catch_up(arrays, at, g.ids, window, state.t - 1)
+            _catch_up(arrays, at, g.ids, state.window, state.t - 1)
             touched = [a[g.ids] for a in arrays]
             _adam_pass(*(a.reshape(-1) for a in touched), g.rows.reshape(-1), (scalars,))
             for a, rows in zip(arrays, touched):
@@ -1017,13 +1019,11 @@ def adam_step(
             at[g.ids] = state.t
         else:
             if at is not None:
-                _catch_up(arrays, state.rows.pop(name), np.flatnonzero(at < state.t - 1),
-                          window, state.t - 1)
-                p.pending = None
+                _catch_up(arrays, at, np.flatnonzero(at < state.t - 1), state.window,
+                          state.t - 1)
             _adam_pass(*(a.reshape(-1) for a in arrays), g.reshape(-1), (scalars,))
-    if state.rows:
-        window.append(scalars)
-    else:
-        window.clear()
-    if len(window) >= ADAM_WINDOW:
+            if at is not None:
+                at[:] = np.where(_live_rows(*arrays[1:]), state.t, FIXED)
+    state.window.append(scalars)
+    if len(state.window) >= ADAM_WINDOW:
         adam_sync(params, state)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import re
 import string
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -116,9 +117,10 @@ class Vocabulary:
 # loading
 
 def json_id(value) -> str | None:
-    """A JSONL record's ``id`` as the string documents are keyed by: a string
-    as it is, a non-bool integer as its ``str()`` (so numeric ids still match
-    between a corpus and its edge weights), ``None`` for any other type."""
+    """A JSONL record's ``id`` (or ``label``) as the string documents are
+    keyed by: a string as it is, a non-bool integer as its ``str()`` (so
+    numeric ids still match between a corpus and its edge weights), ``None``
+    for any other type."""
     if isinstance(value, str):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
@@ -133,9 +135,9 @@ def load_corpus(
 ) -> list[RawDocument]:
     """Read a JSONL or TSV corpus file, preserving record order.
 
-    Blank lines are skipped. A JSONL ``id`` is a string or an integer (see
-    :func:`json_id`) and ``source`` a string; a record without an id, and
-    every TSV row, is ``row-{k}``. No id may appear twice. When
+    Blank lines are skipped. A JSONL ``id`` or ``label`` is a string or an
+    integer (see :func:`json_id`) and ``source`` a string; a record without
+    an id, and every TSV row, is ``row-{k}``. No id may appear twice. When
     ``class_set`` is given, a record whose label falls outside it is an
     error (use :func:`filter_by_labels` to subset instead).
     """
@@ -167,15 +169,16 @@ def load_corpus(
                 raise CorpusError(f"{path}:{lineno}: 'text' must be a string, "
                                   f"got {type(rec['text']).__name__}")
             doc_id = json_id(rec["id"]) if "id" in rec else f"row-{k}"
-            if doc_id is None:
-                raise CorpusError(f"{path}:{lineno}: 'id' must be a string or an integer, "
-                                  f"got {type(rec['id']).__name__}")
+            label = json_id(rec["label"])
+            for name, value in (("id", doc_id), ("label", label)):
+                if value is None:
+                    raise CorpusError(f"{path}:{lineno}: '{name}' must be a string or an "
+                                      f"integer, got {type(rec[name]).__name__}")
             source = rec.get("source", "")
             if not isinstance(source, str):
                 raise CorpusError(f"{path}:{lineno}: 'source' must be a string, "
                                   f"got {type(source).__name__}")
-            doc = RawDocument(id=doc_id, label=str(rec["label"]), source=source,
-                              text=rec["text"])
+            doc = RawDocument(id=doc_id, label=label, source=source, text=rec["text"])
         else:
             parts = line.split("\t", 1)
             if len(parts) != 2:
@@ -311,8 +314,9 @@ def encode_document(
     """Encode one document's first ``max_sentences`` sentences, each cut to
     its first ``max_tokens`` tokens. Empty text raises ``CorpusError``; every
     sentence of a non-empty text holds a token."""
-    if max_sentences < 1 or max_tokens < 1:
-        raise CorpusError("length caps must be at least 1")
+    # str.split takes a C ssize_t maxsplit
+    if not (1 <= max_sentences <= sys.maxsize and 1 <= max_tokens <= sys.maxsize):
+        raise CorpusError(f"length caps must be from 1 to {sys.maxsize}")
     label = class_set.index(doc.label)
     sentences = doc.tokens.split("\n", max_sentences)[:max_sentences]
     lookup = vocab.token_to_id.get

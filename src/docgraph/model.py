@@ -108,9 +108,10 @@ class ModelConfig:
         for name in ("vocab_size", "embed_dim", "hidden_dim", "node_dim", "max_sentences",
                      "max_tokens"):
             value = getattr(self, name)
-            # sizes become array shapes and loop bounds: 3.0 is not a size
-            if not _is_int(value) or value < 1:
-                raise ModelError(f"{name} must be a positive integer")
+            # sizes become array shapes, loop bounds and str.split's maxsplit:
+            # 3.0 is not a size, and neither is one past a C ssize_t
+            if not _is_int(value) or not 1 <= value <= sys.maxsize:
+                raise ModelError(f"{name} must be a positive integer up to {sys.maxsize}")
         for name in ("seed", "max_epochs"):
             value = getattr(self, name)
             if not _is_int(value) or value < 0:

@@ -322,6 +322,11 @@ class TestStructuralOps:
         with pytest.raises(ShapeError):
             ad.gather_rows(ad.Tensor([[1.0]]), [1])
 
+    @pytest.mark.parametrize("shape", [(4,), (2, 4), (6, 1, 1), (-2, -3), (-6,), (-1, 6)])
+    def test_reshape_to_a_bad_target(self, shape):
+        with pytest.raises(ShapeError, match="reshape"):
+            ad.reshape(ad.Tensor(np.ones((2, 3))), shape)
+
     def test_structural_gradients(self):
         rng = np.random.default_rng(9)
         check_op_gradient(ad.transpose, rng.normal(size=(3, 4)))
@@ -785,10 +790,11 @@ def deferred_runs(draw):
     that its rows repeat (see ``start_moments``), and a run of actions:
     steps that give "e" a row-sparse gradient (built directly or by backward
     through ``gather_rows``) or a dense one while a dense "w" always gets a
-    dense one, gathers, syncs and changes of ``lr``. Runs are long enough to
-    cross ``ADAM_WINDOW``; gradients hold -0.0 and +-1e-300. Small tables
-    may run with a tiny ``ADAM_CHUNK``, so that a catch-up replays its rows
-    in many copies of a few rows each."""
+    dense one, gathers, syncs, changes of ``lr`` and steps given "w" alone,
+    which must be rejected. Runs are long enough to cross ``ADAM_WINDOW``;
+    gradients hold -0.0 and +-1e-300. Small tables may run with a tiny
+    ``ADAM_CHUNK``, so that a catch-up replays its rows in many copies of a
+    few rows each."""
     cols = draw(st.integers(1, 4))
     rows = draw(st.sampled_from([1, 3, 40, ad.ADAM_CHUNK // cols + 3]))
     chunk = draw(st.sampled_from([ad.ADAM_CHUNK, 3, 8])) if rows <= 40 else ad.ADAM_CHUNK
@@ -799,7 +805,7 @@ def deferred_runs(draw):
         st.lists(st.integers(0, min(rows - 1, 12)), min_size=1, max_size=6),
     )
     value = st.sampled_from([-0.0, 0.0, 1e-300, -1e-300, -2.5, 0.75, 1e3])
-    kinds = ["sparse"] * 4 + ["taped"] * 3 + ["gather", "gather", "lr"]
+    kinds = ["sparse"] * 4 + ["taped"] * 3 + ["gather", "gather", "lr", "subset"]
     if draw(st.booleans()):  # else the run ends as one window
         kinds += ["dense", "sync"]
     actions = []
@@ -808,7 +814,7 @@ def deferred_runs(draw):
         kind = draw(st.sampled_from(kinds))
         if kind == "lr":
             actions.append((kind, draw(st.sampled_from([0.001, 0.05, 0.3]))))
-        elif kind in ("sync", "dense"):  # a dense gradient is drawn in the test
+        elif kind in ("sync", "dense", "subset"):  # their gradients are drawn in the test
             actions.append((kind, None))
         else:
             ids = draw(some_ids)
@@ -885,6 +891,11 @@ class TestDeferredAdam:
                 assert not state.window
                 assert all(np.all(at >= state.t) for at in state.rows.values())
                 assert_synced()
+            elif kind == "subset":
+                before = snapshot(params, state), state.t, list(state.window)
+                with pytest.raises(ShapeError, match=r"missing \['e'\]"):
+                    ad.adam_step({"w": params["w"]}, {"w": rng.normal(size=3)}, state)
+                assert (snapshot(params, state), state.t, state.window) == before
             elif kind == "gather":
                 ids = arg[0]
                 out = ad.gather_rows(params["e"], ids)
@@ -1043,48 +1054,44 @@ class TestDeferredAdam:
         assert (p["e"].values.tobytes(), state.m["e"].tobytes(), state.v["e"].tobytes()) \
             == (expected.tobytes(), m.tobytes(), v.tobytes())
 
-    def test_a_sync_of_some_parameters_keeps_the_steps_the_others_owe(self):
-        # "f"'s rows owe the steps before "e" alone is synced; the window
-        # must still hold them for the gathers and the syncs that follow
+    def test_a_subset_or_superset_of_the_parameters_is_rejected(self):
+        # a state serves exactly the parameters it has moments for: a step
+        # given "w" alone used to put its scalars in the window, which "e"'s
+        # rows then replayed at the next sync although they never took it
         rng = np.random.default_rng(21)
-        shapes = {"e": (30, 3), "f": (20, 2)}
-        p = {n: ad.Tensor(rng.normal(size=shape)) for n, shape in shapes.items()}
+        p = {"e": ad.Tensor(rng.normal(size=(4, 2))), "w": ad.Tensor(rng.normal(size=3))}
         state = ad.AdamState.for_params(p, lr=0.01)
         expected = {n: (t.values.copy(), np.zeros(t.shape), np.zeros(t.shape))
                     for n, t in p.items()}
-
-        def step():
-            grads = {}
-            for n, (rows, cols) in shapes.items():
-                ids = np.unique(rng.integers(0, rows, size=3))
-                grads[n] = ad.RowSparseGrad(ids, rng.normal(size=(ids.size, cols)),
-                                            (rows, cols))
+        extra = ad.Tensor(np.ones(2))
+        calls = [
+            (r"missing \['e'\], extra \[\]",
+             lambda: ad.adam_step({"w": p["w"]}, {"w": np.ones(3)}, state)),
+            (r"missing \['w'\], extra \[\]", lambda: ad.adam_sync({"e": p["e"]}, state)),
+            (r"missing \[\], extra \['x'\]", lambda: ad.adam_step(
+                {**p, "x": extra}, {"e": np.ones((4, 2)), "w": np.ones(3), "x": np.ones(2)},
+                state)),
+            (r"missing \[\], extra \['x'\]",
+             lambda: ad.adam_sync({**p, "x": extra}, state)),
+        ]
+        for ids in ([1], [2, 3]):  # after a sync, then with rows lagging
+            grads = {"e": ad.RowSparseGrad(np.array(ids), rng.normal(size=(len(ids), 2)), (4, 2)),
+                     "w": rng.normal(size=3)}
             ad.adam_step(p, grads, state)
             for n, g in grads.items():
-                expected[n] = adam_oracle(*expected[n], g.dense(), state.t, lr=0.01)
-
-        def assert_equal(names, ids=slice(None)):
-            for n in names:
-                for array, want in zip((p[n].values, state.m[n], state.v[n]), expected[n]):
-                    assert array[ids].tobytes() == want[ids].tobytes()
-
-        for _ in range(4):
-            step()
-        ad.adam_sync({"e": p["e"]}, state)
-        assert_equal(["e"])
-        for _ in range(3):
-            step()
-            for n, (rows, _) in shapes.items():
-                ids = rng.integers(0, rows, size=5)
-                assert ad.gather_rows(p[n], ids).values.tobytes() \
-                    == expected[n][0][ids].tobytes()
-                assert_equal([n], ids)
-        ad.adam_sync({"e": p["e"]}, state)
-        assert_equal(["e"])
-        step()
+                dense = g.dense() if isinstance(g, ad.RowSparseGrad) else g
+                expected[n] = adam_oracle(*expected[n], dense, state.t, lr=0.01)
+            if ids == [1]:
+                ad.adam_sync(p, state)
+            before = snapshot(p, state), state.t, list(state.window)
+            for match, call in calls:
+                with pytest.raises(ShapeError, match=match):
+                    call()
+                assert (snapshot(p, state), state.t, state.window) == before
         ad.adam_sync(p, state)
-        assert not state.window
-        assert_equal(shapes)
+        for n in p:
+            assert (p[n].values.tobytes(), state.m[n].tobytes(), state.v[n].tobytes()) \
+                == tuple(a.tobytes() for a in expected[n])
 
 
 def snapshot(params, state):

@@ -12,11 +12,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import docgraph
 from docgraph import autodiff as ad
 from docgraph import cli, evaluation, model, training
 from docgraph.corpus import encode_document
+from docgraph.errors import CheckpointError
 
 from conftest import HalfWriter, planted_corpus
 
@@ -172,6 +175,20 @@ class TestTrainCommand:
         assert code == 1 and stdout == ""
         assert err.splitlines()[-1].startswith("error: non-finite loss on document '")
         assert "Warning" not in err
+
+    @pytest.mark.parametrize("flag", ["--max-sentences", "--max-tokens"])
+    def test_huge_length_cap_is_an_error(self, capsys, corpus_files, flag):
+        # str.split's maxsplit is a C ssize_t, so this was an OverflowError
+        code, stdout, err = run_cli(capsys, [
+            "train", "--protocol", "two_way",
+            "--train", corpus_files["train"], "--dev", corpus_files["dev"],
+            "--model", "cnn", flag, str(10**30),
+            "--out", str(corpus_files["tmp"] / "cnn.ckpt"),
+        ])
+        assert code == 1 and stdout == ""
+        field = flag[2:].replace("-", "_")
+        assert err.splitlines() == [
+            f"error: {field} must be a positive integer up to {sys.maxsize}"]
 
     def test_determinism_byte_identical_outputs(self, capsys, corpus_files):
         out1, _ = train_checkpoint(capsys, corpus_files, "lstm")
@@ -444,6 +461,45 @@ class TestNonFiniteScores:
         assert result.returncode == 1
         assert result.stdout == ""
         assert result.stderr.splitlines() == ["error: non-finite logits on document 'row-0'"]
+
+
+# Where a checkpoint manifest holds an integer: (section, key).
+MANIFEST_INTEGERS = [("config", key) for key in (
+    "vocab_size", "embed_dim", "hidden_dim", "node_dim", "seed", "max_epochs",
+    "max_sentences", "max_tokens")] + [("vocabulary", "min_frequency")]
+
+
+@pytest.fixture(scope="module")
+def tiny_checkpoint(tmp_path_factory):
+    """A one-epoch gcn checkpoint and a corpus it can score."""
+    tmp = tmp_path_factory.mktemp("tiny")
+    train = write_tsv(tmp / "train.tsv", planted_corpus(seed=0, n_docs=8))
+    dev = write_tsv(tmp / "dev.tsv", planted_corpus(seed=1, n_docs=4))
+    out = tmp / "gcn.ckpt"
+    assert cli.main(["train", "--protocol", "two_way", "--train", train, "--dev", dev,
+                     "--model", "gcn", "--epochs", "1", "--out", str(out)]) == 0
+    return out, dev
+
+
+class TestMutatedManifest:
+    @settings(max_examples=100, deadline=None)
+    @given(where=st.sampled_from(MANIFEST_INTEGERS),
+           value=st.sampled_from([-1, 0, 2.5, True, "3", sys.maxsize + 1, 10**30]))
+    def test_is_rejected_on_load_or_scores_without_raising(self, tiny_checkpoint, where,
+                                                           value):
+        ckpt, data = tiny_checkpoint
+        head, rest = ckpt.read_bytes().split(b"\n", 1)
+        manifest = json.loads(head)
+        section, key = where
+        manifest[section][key] = value
+        mutant = ckpt.with_name("mutant.ckpt")
+        mutant.write_bytes(json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
+                           + b"\n" + rest)
+        try:
+            training.load_checkpoint(mutant)
+        except CheckpointError:
+            return
+        assert cli.main(["predict", "--ckpt", str(mutant), "--data", data]) in (0, 1)
 
 
 class TestGradcheckCommand:

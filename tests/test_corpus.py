@@ -1,6 +1,7 @@
 """Corpus pipeline tests: loading, segmentation, vocab, encoding, splits."""
 
 import string
+import sys
 from collections import Counter
 
 import pytest
@@ -82,6 +83,18 @@ class TestLoadCorpus:
     def test_numeric_jsonl_label_kept_as_string(self, tmp_path):
         p = write(tmp_path, "c.jsonl", '{"label":1,"text":"Fine."}\n')
         assert corpus.load_corpus(p, "jsonl")[0].label == "1"
+
+    @pytest.mark.parametrize("label, kind", [("null", "NoneType"), ("true", "bool"),
+                                             ('{"a": 1}', "dict"), ("2.5", "float"),
+                                             ('["a"]', "list")])
+    def test_jsonl_label_of_another_type_rejected(self, tmp_path, label, kind):
+        # str() would make these the classes "None", "True", "{'a': 1}", ...
+        p = write(tmp_path, "c.jsonl", '{"label":"trusted","text":"Fine."}\n'
+                  f'{{"label":{label},"text":"Fine."}}\n')
+        with pytest.raises(CorpusError,
+                           match=rf"c\.jsonl:2: 'label' must be a string or an integer, "
+                                 rf"got {kind}"):
+            corpus.load_corpus(p, "jsonl")
 
     @pytest.mark.parametrize("doc_id, kind", [("null", "NoneType"), ("7.0", "float"),
                                               ("true", "bool"), ('["a"]', "list"),
@@ -384,6 +397,14 @@ class TestEncodeCorpus:
         vocab = corpus.build_vocab([doc], min_frequency=1)
         out = corpus.encode_corpus([doc], vocab, two_way, max_sentences=64, max_tokens=3)
         assert len(out[0].sentences[0]) == 3
+
+    @pytest.mark.parametrize("caps", [(0, 5), (5, 0), (sys.maxsize + 1, 5), (5, 10**30)])
+    def test_cap_out_of_range_rejected(self, two_way, caps):
+        # str.split's maxsplit is a C ssize_t, so a huge cap was an OverflowError
+        doc = RawDocument("d", "satire", "", "one two. Three four.")
+        vocab = corpus.build_vocab([doc], min_frequency=1)
+        with pytest.raises(CorpusError, match="length caps"):
+            corpus.encode_document(doc, vocab, two_way, *caps)
 
     def test_all_oov_sentence_retained(self, two_way):
         train = [RawDocument("t", "satire", "", "common words here. common words here.")]

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import sys
 import threading
 import tracemalloc
 from types import SimpleNamespace
@@ -406,11 +407,18 @@ class TestCheckpointPersistence:
          "class_names must be a list"),
         (lambda raw: raw.replace(b'"seed":13,', b'"seed":"s",', 1),
          "seed must be a non-negative integer"),
+        # str.split's maxsplit is a C ssize_t: predict would raise OverflowError
+        (lambda raw: re.sub(rb'"max_tokens":\d+', b'"max_tokens":1' + b"0" * 30, raw, count=1),
+         "max_tokens must be a positive integer up to"),
+        (lambda raw: re.sub(rb'"max_sentences":\d+',
+                            b'"max_sentences":%d' % (sys.maxsize + 1), raw, count=1),
+         "max_sentences must be a positive integer up to"),
     ], ids=["non_object_manifest", "negative_shape", "float_dimension", "vocabulary_size",
             "integer_token", "null_token", "float_shape", "string_shape",
             "float_min_frequency", "negative_lr", "nan_lr", "huge_integer_lr",
             "stale_clip_norm", "non_string_class_names", "duplicate_class_names",
-            "string_class_names", "object_class_names", "string_seed"])
+            "string_class_names", "object_class_names", "string_seed", "huge_max_tokens",
+            "max_sentences_past_ssize_t"])
     def test_malformed_manifest_rejected(self, tmp_path, corrupt, message):
         _, path, _ = self.trained(tmp_path)
         path.write_bytes(corrupt(path.read_bytes()))
