@@ -202,21 +202,37 @@ def _rule(name: str):
 # ---------------------------------------------------------------------------
 # matmul
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of two 2-D tensors; c[i,j] = sum_k a[i,k] b[k,j]."""
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
+    """Matrix product of two 2-D tensors; c[i,j] = sum_k a[i,k] b[k,j].
+
+    An optional ``bias`` row, of shape (n,) or (1, n) for an (m, n) product,
+    is added to every row of the product in place, in the product's own
+    array: the bytes of ``add(matmul(a, b), bias)`` without its second
+    (m, n) array. The op is then one tape entry with inputs (a, b, bias),
+    and its rule returns the gradients of those two ops.
+    """
     if a.values.ndim != 2 or b.values.ndim != 2:
         raise ShapeError("matmul requires 2-D tensors")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul inner dimensions differ: {a.shape} x {b.shape}")
-    out = Tensor._wrap(a.values @ b.values)
-    return _record("matmul", (a, b), out)
+    if bias is None:
+        return _record("matmul", (a, b), Tensor._wrap(a.values @ b.values))
+    if bias.shape not in ((b.shape[1],), (1, b.shape[1])):
+        raise ShapeError(f"matmul bias must be ({b.shape[1]},) or (1, {b.shape[1]}), "
+                         f"got {bias.shape}")
+    out_v = a.values @ b.values
+    out_v += bias.values
+    return _record("matmul", (a, b, bias), Tensor._wrap(out_v))
 
 
 @_rule("matmul")
 def _matmul_bwd(e: TapeEntry):
-    a, b = e.inputs
+    a, b = e.inputs[:2]
     g = e.output.grad
-    return g @ b.values.T, a.values.T @ g
+    grads = g @ b.values.T, a.values.T @ g
+    if len(e.inputs) == 3:
+        return grads + (_broadcast_grad(e.inputs[2], g),)
+    return grads
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +342,7 @@ def lstm_last(xw: Tensor, w_h: Tensor, lengths: Sequence[int]) -> Tensor:
     sequence after another, with gate columns in i|f|o|g order (the three
     sigmoid gates first): it has ``sum(lengths)`` rows and 4H columns.
     ``w_h`` is the (H, 4H) recurrent weight, columns in the same order.
+    ``lengths`` must convert to a 1-D integer array.
     Row s of the (len(lengths), H) result is h_T of sequence s and depends
     on that sequence's rows alone.
 
@@ -339,16 +356,32 @@ def lstm_last(xw: Tensor, w_h: Tensor, lengths: Sequence[int]) -> Tensor:
     another. The loop runs under one ``np.errstate(over="ignore")`` for the
     sigmoid's ``exp``. It also hides the overflow warning of an ``h @ w_h``
     that overflows; that changes no value, only the warning is gone.
+
+    A tape-free call with one sequence (the ``lstm`` baseline, a
+    one-sentence document) needs no packing and runs on 1-D vectors
+    instead, in one (4H,) gate buffer reused by every step: ``pre = h @
+    w_h; pre += xw[t]``, then the same ufuncs in place on its contiguous
+    i|f|o block and its g block, and ``c = f*c + i*g`` in c's own array.
+    Its bytes are the packed loop's: float addition and multiplication are
+    commutative, numpy computes a 1-D ``h @ w_h`` and a (1, H) one with the
+    same gemv, and every other step is elementwise.
     """
     if w_h.values.ndim != 2 or w_h.shape[1] != 4 * w_h.shape[0]:
         raise ShapeError(f"lstm_last recurrent weight must be (H, 4H), got {w_h.shape}")
     hidden = w_h.shape[0]
-    lens = np.asarray(lengths, dtype=np.intp)
-    if lens.ndim != 1 or lens.size == 0 or lens.min() < 1:
-        raise ShapeError("lstm_last requires at least one sequence, each of length >= 1")
-    if xw.values.ndim != 2 or xw.shape != (int(lens.sum()), 4 * hidden):
-        raise ShapeError(f"lstm_last input must be ({int(lens.sum())}, {4 * hidden}), "
+    lens = np.asarray(lengths)
+    if lens.ndim != 1 or lens.size == 0 or lens.dtype.kind not in "iu" or lens.min() < 1:
+        raise ShapeError("lstm_last requires at least one sequence, each of integer "
+                         "length >= 1")
+    # a length above xw's row count is refused before the sum, which could wrap
+    if (xw.values.ndim != 2 or lens.max() > xw.shape[0]
+            or xw.shape != (int(lens.sum()), 4 * hidden)):
+        raise ShapeError(f"lstm_last input must be ({sum(lens.tolist())}, {4 * hidden}), "
                          f"got {xw.shape}")
+    lens = lens.astype(np.intp, copy=False)
+    taped = _ACTIVE_TAPE.get() is not None
+    if lens.size == 1 and not taped:
+        return Tensor._wrap(_lstm_one(xw.values, w_h.values).reshape(1, hidden))
     order = np.argsort(-lens, kind="stable")
     sorted_lens = lens[order]
     starts = (np.cumsum(lens) - lens)[order]
@@ -360,7 +393,6 @@ def lstm_last(xw: Tensor, w_h: Tensor, lengths: Sequence[int]) -> Tensor:
     h = np.zeros((lens.size, hidden))
     c = np.zeros((lens.size, hidden))
     last = np.empty((lens.size, hidden))
-    taped = _ACTIVE_TAPE.get() is not None
     steps = []
     h_packed = np.empty((xw.shape[0], hidden)) if taped else None
     offset = 0
@@ -386,6 +418,29 @@ def lstm_last(xw: Tensor, w_h: Tensor, lengths: Sequence[int]) -> Tensor:
     out = Tensor._wrap(out_v)
     return _record("lstm_last", (xw, w_h), out, order=order, packed_rows=packed_rows,
                    steps=steps, h_packed=h_packed)
+
+
+def _lstm_one(xw: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """h_T of the LSTM over the rows of ``xw`` as one sequence, on 1-D
+    vectors (see :func:`lstm_last`)."""
+    hidden = w.shape[0]
+    h = np.zeros(hidden)
+    c = np.zeros(hidden)
+    ig = np.empty(hidden)
+    pre = np.empty(4 * hidden)  # the step's gates, overwritten in place
+    ifo, g = pre[: 3 * hidden], pre[3 * hidden :]
+    i, f, o = ifo.reshape(3, hidden)
+    with np.errstate(over="ignore"):
+        for row in xw:
+            np.matmul(h, w, out=pre)
+            pre += row
+            _sigmoid(ifo, ifo)
+            np.tanh(g, out=g)
+            c *= f
+            np.multiply(i, g, out=ig)
+            c += ig
+            h = o * np.tanh(c)
+    return h
 
 
 @_rule("lstm_last")
@@ -532,18 +587,24 @@ def _concat_rows_bwd(e: TapeEntry):
 def gather_rows(matrix: Tensor, ids: Sequence[int]) -> Tensor:
     """Select rows of a 2-D tensor by index; repeated ids sum gradients.
 
-    Rows of a parameter that lag behind its optimizer are caught up in place
-    first, so the result holds the dense Adam update's bytes; two threads
-    must not gather from one lagging parameter at once."""
+    ``ids`` must convert to a 1-D integer array; float, string or bool ids
+    raise ``ShapeError`` instead of being cast. Rows of a parameter that lag
+    behind its optimizer are caught up in place first, so the result holds
+    the dense Adam update's bytes; two threads must not gather from one
+    lagging parameter at once."""
     if matrix.values.ndim != 2:
         raise ShapeError("gather_rows requires a 2-D tensor")
-    idx = np.asarray(list(ids), dtype=np.intp)
+    idx = np.asarray(list(ids))
     if idx.size == 0:
         raise ShapeError("gather_rows requires at least one index")
+    if idx.ndim != 1 or idx.dtype.kind not in "iu":
+        raise ShapeError(f"gather_rows ids must be integers, got {idx.dtype} of shape "
+                         f"{idx.shape}")
     if idx.min() < 0 or idx.max() >= matrix.shape[0]:
         raise ShapeError(
             f"row index out of range: max id {int(idx.max())} for {matrix.shape[0]} rows"
         )
+    idx = idx.astype(np.intp, copy=False)
     if matrix.pending is not None:
         state, name = matrix.pending
         _catch_up((matrix.values, state.m[name], state.v[name]), state.rows[name], idx,
@@ -575,9 +636,12 @@ def _transpose_bwd(e: TapeEntry):
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
-    if len(shape) not in (1, 2):
-        raise ShapeError("reshape target must be 1-D or 2-D")
-    if min(shape) < 0 or int(np.prod(shape)) != x.size:
+    """View of x with a 1-D or 2-D ``shape`` of non-negative integers
+    (not bools) whose exact product is x's size."""
+    if not isinstance(shape, (tuple, list)) or len(shape) not in (1, 2):
+        raise ShapeError(f"reshape target must be a 1-D or 2-D shape, got {shape!r}")
+    # the product of Python ints cannot wrap around to x's size
+    if not all(_is_int(d) and d >= 0 for d in shape) or math.prod(map(int, shape)) != x.size:
         raise ShapeError(f"cannot reshape {x.shape} to {shape}")
     out = Tensor._wrap(x.values.reshape(shape))
     return _record("reshape", (x,), out, shape=x.shape)
@@ -589,9 +653,10 @@ def _reshape_bwd(e: TapeEntry):
 
 
 def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
-    """Contiguous row slice (element slice for 1-D tensors)."""
+    """Contiguous row slice (element slice for 1-D tensors); the bounds are
+    integers, not bools."""
     n = x.shape[0]
-    if not (0 <= start < stop <= n):
+    if not (_is_int(start) and _is_int(stop) and 0 <= start < stop <= n):
         raise ShapeError(f"invalid slice [{start}:{stop}] of {n} rows")
     out = Tensor._wrap(x.values[start:stop].copy())
     return _record("slice_rows", (x,), out, start=start, stop=stop)
@@ -605,11 +670,14 @@ def _slice_rows_bwd(e: TapeEntry):
 
 
 def pad_rows(x: Tensor, before: int, after: int) -> Tensor:
-    """Prepend/append zero rows to a 2-D tensor."""
+    """Prepend/append zero rows to a 2-D tensor; the counts are non-negative
+    integers, not bools."""
     if x.values.ndim != 2:
         raise ShapeError("pad_rows requires a 2-D tensor")
-    if before < 0 or after < 0:
-        raise ShapeError("pad counts must be non-negative")
+    if not (_is_int(before) and _is_int(after) and before >= 0 and after >= 0):
+        raise ShapeError(f"pad counts must be non-negative integers, got {before!r}, "
+                         f"{after!r}")
+    before, after = int(before), int(after)
     out_v = np.zeros((x.shape[0] + before + after, x.shape[1]))
     out_v[before : before + x.shape[0]] = x.values
     out = Tensor._wrap(out_v)
@@ -641,8 +709,8 @@ def cross_entropy_logits(logits: Tensor, label: int) -> Tensor:
     if logits.values.ndim != 1:
         raise ShapeError("cross_entropy_logits requires a 1-D logits tensor")
     c = logits.shape[0]
-    if not (0 <= label < c):
-        raise ShapeError(f"label {label} out of range for {c} classes")
+    if not (_is_int(label) and 0 <= label < c):
+        raise ShapeError(f"label {label!r} out of range for {c} classes")
     v = logits.values
     m = v.max()
     lse = m + np.log(np.exp(v - m).sum())
@@ -803,6 +871,10 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _check_state(params: dict[str, Tensor], state: AdamState) -> None:
     """Raise ``ShapeError`` unless ``params`` are the names ``state`` has
     moments for, and ``NumericError`` naming an out-of-domain setting."""
@@ -814,8 +886,7 @@ def _check_state(params: dict[str, Tensor], state: AdamState) -> None:
     if not (_is_real(state.lr) and 0 < state.lr <= sys.float_info.max):
         raise NumericError(f"Adam lr must be a finite number above 0, got {state.lr!r}")
     # below FIXED - 1, so the step's t + 1 fits AdamState.rows and is not FIXED
-    if not (isinstance(state.t, numbers.Integral) and not isinstance(state.t, bool)
-            and 0 <= state.t < FIXED - 1):
+    if not (_is_int(state.t) and 0 <= state.t < FIXED - 1):
         raise NumericError(f"Adam t must be a non-negative integer below {FIXED - 1}, "
                            f"got {state.t!r}")
 

@@ -9,9 +9,12 @@ the bias ``b`` (4H,), each with its gate columns in i|f|o|g order, the
 order ``lstm_last`` reads, so the three sigmoid gates are contiguous.
 
 A document is one batched recurrence: one embedding lookup and one
-input projection for all of its tokens, then one ``lstm_last`` op over
-all of its sentences. Rows still depend only on their own sentence (no
-cross-sentence interaction before the graph layer).
+input projection for all of its tokens, the bias added into the
+projection's own array (``matmul``'s ``bias``), then one ``lstm_last``
+op over all of its sentences. Rows still depend only on their own
+sentence (no cross-sentence interaction before the graph layer). A
+tape-free call over one sequence (the ``lstm`` baseline, a one-sentence
+document) runs the recurrence on plain vectors, to the same bytes.
 """
 
 from __future__ import annotations
@@ -30,8 +33,9 @@ def embed(token_ids: Sequence[int], embedding: Tensor) -> Tensor:
 
 def _lstm(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor, lengths: Sequence[int]) -> Tensor:
     """Last hidden states, shape (len(lengths), hidden), of the LSTM over
-    consecutive runs of x's rows."""
-    return ad.lstm_last(ad.add(ad.matmul(x, w_x), b), w_h, lengths)
+    consecutive runs of x's rows: ``x @ w_x + b`` as one fused ``matmul``
+    (two tape entries with ``lstm_last``), then the recurrence."""
+    return ad.lstm_last(ad.matmul(x, w_x, b), w_h, lengths)
 
 
 def lstm_last_hidden(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor) -> Tensor:

@@ -104,8 +104,15 @@ def _op_fixtures(rng: np.random.Generator) -> dict[str, tuple[dict[str, Tensor],
 
     a = Tensor(rng.normal(size=(4, 5)))
     b = Tensor(rng.normal(size=(5, 3)))
-    w_ab = rng.normal(size=(4, 3))
-    register("matmul", {"a": a, "b": b}, lambda: _weighted(ad.matmul(a, b), w_ab))
+    bias = Tensor(rng.normal(size=3))
+    bias_row = Tensor(rng.normal(size=(1, 3)))
+    w_ab = rng.normal(size=(3, 4, 3))
+    # the plain product and the fused bias in both of its shapes
+    register("matmul", {"a": a, "b": b, "bias": bias, "bias_row": bias_row},
+             lambda bias=bias, bias_row=bias_row: ad.add(
+                 _weighted(ad.matmul(a, b), w_ab[0]),
+                 ad.add(_weighted(ad.matmul(a, b, bias), w_ab[1]),
+                        _weighted(ad.matmul(a, b, bias_row), w_ab[2]))))
 
     for name, op in (("add", ad.add), ("mul", ad.mul)):
         x = Tensor(rng.normal(size=(3, 4)))

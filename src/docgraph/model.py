@@ -266,7 +266,7 @@ def bind_params(config: ModelConfig, values: dict[str, np.ndarray]) -> ModelPara
 
 def _project(pooled: Tensor, params: ModelParams, n_classes: int) -> Tensor:
     row = ad.reshape(pooled, (1, pooled.shape[0]))
-    logits = ad.add(ad.matmul(row, params.tensors["proj.w"]), params.tensors["proj.b"])
+    logits = ad.matmul(row, params.tensors["proj.w"], params.tensors["proj.b"])
     return ad.reshape(logits, (n_classes,))
 
 

@@ -95,6 +95,42 @@ class TestMatmul:
         assert max_rel_err(a.grad, fa) < 1e-6
         assert max_rel_err(b.grad, fb) < 1e-6
 
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 6), k=st.integers(1, 6),
+           n=st.integers(1, 6), row=st.booleans(), taped=st.booleans())
+    def test_fused_bias_gives_the_bytes_of_matmul_then_add(self, seed, m, k, n, row, taped):
+        rng = np.random.default_rng(seed)
+        a_v, b_v = rng.normal(size=(m, k)), rng.normal(size=(k, n))
+        bias_v = rng.normal(size=(1, n) if row else n)
+        out_grad = rng.normal(size=(m, n))
+
+        def run(fused):
+            a, b, bias = ad.Tensor(a_v), ad.Tensor(b_v), ad.Tensor(bias_v)
+            with ad.Tape() if taped else contextlib.nullcontext() as tape:
+                out = (ad.matmul(a, b, bias) if fused
+                       else ad.add(ad.matmul(a, b), bias))
+                loss = weighted_sum(out, out_grad)
+            if taped:
+                ad.backward(tape, loss)
+                assert len(tape) == (1 if fused else 2) + 3  # weighted_sum records 3
+            return [out.values] + ([a.grad, b.grad, bias.grad] if taped else [])
+
+        fused, unfused = run(fused=True), run(fused=False)
+        for got, expected in zip(fused, unfused, strict=True):
+            assert got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("bias_shape", [(4,), (2,), (1, 2), (2, 3), (3, 1), (1, 1, 3)])
+    def test_a_mis_shaped_bias_is_rejected_before_any_work(self, bias_shape):
+        a, b = ad.Tensor(np.ones((2, 4))), ad.Tensor(np.ones((4, 3)))
+        bias = ad.Tensor.__new__(ad.Tensor)
+        bias.values = np.ones(bias_shape)
+        with ad.Tape() as tape, mock.patch.object(ad.Tensor, "_wrap") as wrap:
+            with pytest.raises(ShapeError, match="bias"):
+                ad.matmul(a, b, bias)
+        assert len(tape) == 0
+        wrap.assert_not_called()
+
 
 # Inputs that stress the sigmoid: signed zeros, exp overflow and underflow
 # thresholds, and the largest finite magnitudes.
@@ -322,10 +358,57 @@ class TestStructuralOps:
         with pytest.raises(ShapeError):
             ad.gather_rows(ad.Tensor([[1.0]]), [1])
 
-    @pytest.mark.parametrize("shape", [(4,), (2, 4), (6, 1, 1), (-2, -3), (-6,), (-1, 6)])
+    @pytest.mark.parametrize("shape", [(4,), (2, 4), (6, 1, 1), (-2, -3), (-6,), (-1, 6),
+                                       (2.0, 3), (True, 6), (6, False), ("2", 3),
+                                       (np.float64(6),), (np.bool_(True), 6), 6, None])
     def test_reshape_to_a_bad_target(self, shape):
         with pytest.raises(ShapeError, match="reshape"):
             ad.reshape(ad.Tensor(np.ones((2, 3))), shape)
+
+    @pytest.mark.parametrize("shape", [(2**32, 2**32), (2**63, 2), (2**64,),
+                                       (np.int64(2**32), np.int64(2**32))])
+    def test_reshape_of_an_empty_tensor_to_a_size_that_wraps(self, shape):
+        # a product that wraps to 0 in 64 bits must not pass for an empty tensor's size
+        with pytest.raises(ShapeError, match="reshape"):
+            ad.reshape(ad.Tensor(np.zeros(0)), shape)
+
+    def test_reshape_takes_numpy_integer_dimensions(self):
+        out = ad.reshape(ad.Tensor(np.arange(6.0)), (np.int64(2), np.uint8(3)))
+        assert out.shape == (2, 3)
+        assert all(type(d) is int for d in out.shape)
+
+    @pytest.mark.parametrize("start, stop", [(0.5, 2), (0, 2.0), (True, 2), (0, "2"),
+                                             (None, 2)])
+    def test_slice_rows_requires_integer_bounds(self, start, stop):
+        with pytest.raises(ShapeError, match="slice"):
+            ad.slice_rows(ad.Tensor(np.ones((3, 2))), start, stop)
+
+    @pytest.mark.parametrize("before, after", [(1.5, 0), (0, 1.0), (True, 0), (0, None),
+                                               (-1, 0)])
+    def test_pad_rows_requires_non_negative_integer_counts(self, before, after):
+        with pytest.raises(ShapeError, match="pad counts"):
+            ad.pad_rows(ad.Tensor(np.ones((3, 2))), before, after)
+
+    def test_integer_bounds_and_counts_of_any_integer_type_are_taken(self):
+        x = ad.Tensor(np.arange(6.0).reshape(3, 2))
+        assert np.array_equal(ad.slice_rows(x, np.int64(1), np.uint8(3)).values, x.values[1:])
+        assert ad.pad_rows(x, np.int32(1), np.uint64(2)).shape == (6, 2)
+
+    @pytest.mark.parametrize("ids", [[1.7, 2.2], [1.0], ["1"], [True, False],
+                                     np.array([1.0, 2.0]), [[0, 1]], [None]])
+    def test_gather_rows_rejects_ids_that_are_not_integers(self, ids):
+        with pytest.raises(ShapeError, match="gather_rows ids"):
+            ad.gather_rows(ad.Tensor(np.ones((3, 2))), ids)
+
+    @pytest.mark.parametrize("ids", [np.array([2, 0], dtype=np.uint8),
+                                     np.array([2, 0], dtype=np.int32), (2, 0),
+                                     [np.int64(2), np.int16(0)]])
+    def test_gather_rows_takes_ids_of_any_integer_type(self, ids):
+        matrix = ad.Tensor(np.arange(6.0).reshape(3, 2))
+        with ad.Tape() as tape:
+            out = ad.gather_rows(matrix, ids)
+        assert np.array_equal(out.values, matrix.values[[2, 0]])
+        assert tape.entries[0].ctx["ids"].dtype == np.intp
 
     def test_structural_gradients(self):
         rng = np.random.default_rng(9)
@@ -348,10 +431,35 @@ class TestLstmLast:
             (xw, w_h, [2, 2]),  # xw rows != sum(lengths)
             (xw, w_h, [3, 0]),  # zero-length sequence
             (xw, w_h, []),
+            (xw, w_h, [[1, 2]]),
         ]
         for bad_xw, bad_w_h, lengths in cases:
             with pytest.raises(ShapeError):
                 ad.lstm_last(bad_xw, bad_w_h, lengths)
+
+    @pytest.mark.parametrize("taped", [False, True])
+    @pytest.mark.parametrize("lengths", [[2.7], [1.0, 2.0], [True, True], ["3"], [None],
+                                         np.array([3.0])])
+    def test_lengths_that_are_not_integers_are_rejected(self, lengths, taped):
+        xw = ad.Tensor(np.zeros((3, 8)))
+        w_h = ad.Tensor(np.zeros((2, 8)))
+        with ad.Tape() if taped else contextlib.nullcontext():
+            with pytest.raises(ShapeError, match="integer length"):
+                ad.lstm_last(xw, w_h, lengths)
+
+    def test_lengths_whose_sum_wraps_are_rejected(self):
+        # four lengths of 2**62 sum to 0 in 64 bits, the row count of an empty xw
+        xw = ad.Tensor(np.zeros((0, 8)))
+        with pytest.raises(ShapeError, match="lstm_last input"):
+            ad.lstm_last(xw, ad.Tensor(np.zeros((2, 8))), [2**62] * 4)
+
+    def test_lengths_of_any_integer_type_are_taken(self):
+        rng = np.random.default_rng(4)
+        xw = ad.Tensor(rng.normal(size=(3, 8)))
+        w_h = ad.Tensor(rng.normal(size=(2, 8)))
+        expected = ad.lstm_last(xw, w_h, [1, 2]).values
+        for lengths in (np.array([1, 2], dtype=np.uint8), (np.int32(1), np.int64(2))):
+            assert ad.lstm_last(xw, w_h, lengths).values.tobytes() == expected.tobytes()
 
     def test_extreme_preactivations_stay_finite(self):
         xw = ad.Tensor(np.tile([800.0, -800.0], (3, 4)))
@@ -388,9 +496,10 @@ class TestCrossEntropy:
         loss = ad.cross_entropy_logits(ad.Tensor([10.0, -10.0]), 0)
         assert loss.values[0] < 1e-8
 
-    def test_label_out_of_range(self):
-        with pytest.raises(ShapeError):
-            ad.cross_entropy_logits(ad.Tensor([0.0, 0.0]), 2)
+    @pytest.mark.parametrize("label", [2, -1, 1.0, 0.5, True, None])
+    def test_label_out_of_range_or_not_an_integer(self, label):
+        with pytest.raises(ShapeError, match="label"):
+            ad.cross_entropy_logits(ad.Tensor([0.0, 0.0]), label)
 
     def test_gradient_is_softmax_minus_onehot(self):
         rng = np.random.default_rng(10)

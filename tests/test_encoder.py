@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -406,6 +407,24 @@ class TestLstmLastKernel:
             taped = ad.lstm_last(xw, w_h, lengths)
         assert taped.values.tobytes() == free.values.tobytes()
 
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), hidden=st.integers(1, 8), steps=st.integers(1, 40),
+           scale=st.sampled_from([0.5, 3.0, 40.0, 800.0]))
+    def test_one_sequence_runs_tape_free_to_the_taped_bytes(self, seed, hidden, steps, scale):
+        # tape-free, one sequence runs on 1-D vectors; taped, it runs the packed
+        # loop that BPTT reads; at scale 800 the sigmoid's exp overflows silently
+        rng = np.random.default_rng(seed)
+        xw = Tensor(scale * rng.normal(size=(steps, 4 * hidden)))
+        w_h = Tensor(rng.normal(size=(hidden, 4 * hidden)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            free = ad.lstm_last(xw, w_h, [steps])
+            with ad.Tape() as tape:
+                taped = ad.lstm_last(xw, w_h, [steps])
+        assert len(tape) == 1
+        assert free.shape == taped.shape == (1, hidden)
+        assert free.values.tobytes() == taped.values.tobytes()
+
     def test_tape_free_call_keeps_no_per_step_activations(self):
         # a 30-sentence document of 20-token sentences
         rng = np.random.default_rng(11)
@@ -497,5 +516,5 @@ def test_tape_size_does_not_grow_with_sentence_length(embedding, lstm):
             encoder.encode_document(doc, embedding, *lstm)
         sizes.add(len(tape))
     assert len(sizes) == 1
-    # gather_rows, matmul, add and lstm_last
-    assert sizes.pop() == 4
+    # gather_rows, matmul (with its fused bias) and lstm_last
+    assert sizes.pop() == 3
