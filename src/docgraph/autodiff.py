@@ -342,7 +342,7 @@ def lstm_last(xw: Tensor, w_h: Tensor, lengths: Sequence[int]) -> Tensor:
     sequence after another, with gate columns in i|f|o|g order (the three
     sigmoid gates first): it has ``sum(lengths)`` rows and 4H columns.
     ``w_h`` is the (H, 4H) recurrent weight, columns in the same order.
-    ``lengths`` must convert to a 1-D integer array.
+    ``lengths`` must convert to a 1-D integer array and hold no bool.
     Row s of the (len(lengths), H) result is h_T of sequence s and depends
     on that sequence's rows alone.
 
@@ -370,7 +370,8 @@ def lstm_last(xw: Tensor, w_h: Tensor, lengths: Sequence[int]) -> Tensor:
         raise ShapeError(f"lstm_last recurrent weight must be (H, 4H), got {w_h.shape}")
     hidden = w_h.shape[0]
     lens = np.asarray(lengths)
-    if lens.ndim != 1 or lens.size == 0 or lens.dtype.kind not in "iu" or lens.min() < 1:
+    if (lens.ndim != 1 or lens.size == 0 or lens.dtype.kind not in "iu" or lens.min() < 1
+            or _holds_bool(lengths)):
         raise ShapeError("lstm_last requires at least one sequence, each of integer "
                          "length >= 1")
     # a length above xw's row count is refused before the sum, which could wrap
@@ -587,19 +588,23 @@ def _concat_rows_bwd(e: TapeEntry):
 def gather_rows(matrix: Tensor, ids: Sequence[int]) -> Tensor:
     """Select rows of a 2-D tensor by index; repeated ids sum gradients.
 
-    ``ids`` must convert to a 1-D integer array; float, string or bool ids
-    raise ``ShapeError`` instead of being cast. Rows of a parameter that lag
-    behind its optimizer are caught up in place first, so the result holds
-    the dense Adam update's bytes; two threads must not gather from one
-    lagging parameter at once."""
+    ``ids`` must convert to a 1-D integer array; float, string or bool ids,
+    and a ``True`` among integers, raise ``ShapeError`` instead of being
+    cast. Rows of a parameter that lag behind its optimizer are caught up in
+    place first, so the result holds the dense Adam update's bytes; two
+    threads must not gather from one lagging parameter at once."""
     if matrix.values.ndim != 2:
         raise ShapeError("gather_rows requires a 2-D tensor")
-    idx = np.asarray(list(ids))
+    if not isinstance(ids, np.ndarray):
+        ids = list(ids)
+    idx = np.asarray(ids)
     if idx.size == 0:
         raise ShapeError("gather_rows requires at least one index")
     if idx.ndim != 1 or idx.dtype.kind not in "iu":
         raise ShapeError(f"gather_rows ids must be integers, got {idx.dtype} of shape "
                          f"{idx.shape}")
+    if _holds_bool(ids):
+        raise ShapeError("gather_rows ids must be integers, got a bool among them")
     if idx.min() < 0 or idx.max() >= matrix.shape[0]:
         raise ShapeError(
             f"row index out of range: max id {int(idx.max())} for {matrix.shape[0]} rows"
@@ -873,6 +878,13 @@ def _is_real(value) -> bool:
 
 def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _holds_bool(values) -> bool:
+    """Whether a sequence of indices that is not an array holds a bool: numpy
+    takes ``[True, 2]`` as the integer array [1, 2], so no dtype shows it."""
+    return not isinstance(values, np.ndarray) and any(
+        issubclass(t, (bool, np.bool_)) for t in set(map(type, values)))
 
 
 def _check_state(params: dict[str, Tensor], state: AdamState) -> None:

@@ -222,7 +222,7 @@ def cmd_export_attention(args) -> int:
                 split_sentences(raw.text)[: config.max_sentences]]
     svg = render_attention_svg([a.values for a in attentions], previews,
                                title=f"{config.variant} attention for {raw.id}")
-    Path(args.out).write_text(svg, encoding="utf-8")
+    training.write_files_atomic({args.out: [svg.encode("utf-8")]})
     _emit({"doc_id": raw.id, "heads": len(attentions),
            "n_sentences": doc.n_sentences, "out": args.out})
     return 0

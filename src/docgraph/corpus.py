@@ -2,7 +2,8 @@
 
 The whole pipeline is deterministic: given the same file bytes, caps, and
 seed, loading, vocabulary construction, encoding, and the stratified
-train/dev split always produce identical results.
+train/dev split always produce identical results. :func:`read_lines` reads
+every corpus and edge-weight file, so the loaders keep only their field rules.
 """
 
 from __future__ import annotations
@@ -15,10 +16,11 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
-from .errors import CorpusError
+from .errors import CorpusError, DocGraphError
 
 PAD = "<pad>"
 UNK = "<unk>"
@@ -116,16 +118,66 @@ class Vocabulary:
 # ---------------------------------------------------------------------------
 # loading
 
+def is_json_int(value) -> bool:
+    """Whether a parsed JSON value is an integer (``json`` reads ``true`` as a bool)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def json_id(value) -> str | None:
     """A JSONL record's ``id`` (or ``label``) as the string documents are
-    keyed by: a string as it is, a non-bool integer as its ``str()`` (so
-    numeric ids still match between a corpus and its edge weights), ``None``
-    for any other type."""
+    keyed by: a string as it is, a JSON integer as its ``str()`` (so numeric
+    ids still match between a corpus and its edge weights), ``None`` for any
+    other type."""
     if isinstance(value, str):
         return value
-    if isinstance(value, int) and not isinstance(value, bool):
-        return str(value)
-    return None
+    return str(value) if is_json_int(value) else None
+
+
+def _lone_surrogate(value) -> bool:
+    """Whether a parsed JSON value holds a string (key or value) that does not
+    encode as UTF-8, as only a lone surrogate escape such as ``\\ud800``
+    decodes to. Iterative, so deep nesting cannot exhaust the recursion limit."""
+    stack = [value]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, str):
+            try:
+                value.encode("utf-8")
+            except UnicodeEncodeError:
+                return True
+        elif isinstance(value, dict):
+            stack += [*value, *value.values()]
+        elif isinstance(value, list):
+            stack += value
+    return False
+
+
+def read_lines(path: Path, error: type[DocGraphError], what: str,
+               jsonl: bool = True) -> Iterator[tuple[int, object]]:
+    """``(line number, value)`` for each non-blank line of a UTF-8 file: its
+    JSON value, or the line itself unless ``jsonl``. Only "\\n", "\\r\\n" or
+    "\\r" ends a line: U+2028 may sit in a JSON string, a form feed in a TSV
+    text. An unreadable or non-UTF-8 file, a line that is not JSON and a
+    string that is not Unicode text raise ``error`` naming the file and line."""
+    try:
+        lines = path.read_text(encoding="utf-8").split("\n")
+    except OSError as err:
+        raise error(f"cannot read {what} {path}: {err}") from err
+    except UnicodeDecodeError as err:
+        raise error(f"{path}: not UTF-8 at byte offset {err.start}: {err.reason}") from err
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            value = json.loads(line) if jsonl else line
+        # JSONDecodeError, an int of over 4300 digits, or nesting too deep
+        except (ValueError, RecursionError) as err:
+            raise error(f"{path}:{lineno}: invalid JSON: {err}") from err
+        # a strict UTF-8 decode yields no surrogate, so only a JSON \u escape makes one
+        if "\\u" in line and _lone_surrogate(value):
+            raise error(f"{path}:{lineno}: a string holds a lone surrogate escape, "
+                        f"which is not Unicode text")
+        yield lineno, value
 
 
 def load_corpus(
@@ -144,43 +196,26 @@ def load_corpus(
     path = Path(path)
     if fmt not in ("jsonl", "tsv"):
         raise CorpusError(f"unknown corpus format '{fmt}'")
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as err:
-        raise CorpusError(f"cannot read corpus file {path}: {err}") from err
-    except UnicodeDecodeError as err:
-        raise CorpusError(
-            f"{path}: not UTF-8 at byte offset {err.start}: {err.reason}") from err
-
     docs: list[RawDocument] = []
     first_line: dict[str, int] = {}
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
+    for lineno, rec in read_lines(path, CorpusError, "corpus file", fmt == "jsonl"):
         k = len(docs)
         if fmt == "jsonl":
-            try:
-                rec = json.loads(line)
-            except ValueError as err:  # JSONDecodeError, or an int of over 4300 digits
-                raise CorpusError(f"{path}:{lineno}: invalid JSON: {err}") from err
             if not isinstance(rec, dict) or "label" not in rec or "text" not in rec:
                 raise CorpusError(f"{path}:{lineno}: record needs 'label' and 'text' fields")
-            if not isinstance(rec["text"], str):
-                raise CorpusError(f"{path}:{lineno}: 'text' must be a string, "
-                                  f"got {type(rec['text']).__name__}")
-            doc_id = json_id(rec["id"]) if "id" in rec else f"row-{k}"
-            label = json_id(rec["label"])
-            for name, value in (("id", doc_id), ("label", label)):
+            text, source = rec["text"], rec.get("source", "")
+            fields = {"text": text if isinstance(text, str) else None,
+                      "id": json_id(rec["id"]) if "id" in rec else f"row-{k}",
+                      "label": json_id(rec["label"]),
+                      "source": source if isinstance(source, str) else None}
+            for name, value in fields.items():
                 if value is None:
-                    raise CorpusError(f"{path}:{lineno}: '{name}' must be a string or an "
-                                      f"integer, got {type(rec[name]).__name__}")
-            source = rec.get("source", "")
-            if not isinstance(source, str):
-                raise CorpusError(f"{path}:{lineno}: 'source' must be a string, "
-                                  f"got {type(source).__name__}")
-            doc = RawDocument(id=doc_id, label=label, source=source, text=rec["text"])
+                    kind = "a string" if name in ("source", "text") else "a string or an integer"
+                    raise CorpusError(f"{path}:{lineno}: '{name}' must be {kind}, "
+                                      f"got {type(rec[name]).__name__}")
+            doc = RawDocument(**fields)
         else:
-            parts = line.split("\t", 1)
+            parts = rec.split("\t", 1)
             if len(parts) != 2:
                 raise CorpusError(f"{path}:{lineno}: expected label<TAB>text")
             doc = RawDocument(id=f"row-{k}", label=parts[0], source="", text=parts[1])

@@ -3,17 +3,17 @@
 The default adjacency is fully connected with a zero diagonal. When a
 precomputed sentence-similarity file is supplied, its per-document matrix
 replaces the 0/1 values; scores must already be normalized to [0, 1].
+The JSONL file is read by ``corpus.read_lines``, as the corpus is.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import numpy as np
 
 from .autodiff import Tensor
-from .corpus import Document, json_id
+from .corpus import Document, is_json_int, json_id, read_lines
 from .errors import GraphError
 
 SYMMETRY_TOL = 1e-9
@@ -57,43 +57,39 @@ def _validate_weights(doc_id: str, matrix: np.ndarray) -> None:
 
 
 def load_edge_weights(path: str | Path) -> EdgeWeightSet:
-    """Parse and validate an edge-weight JSONL file.
+    """Parse and validate an edge-weight JSONL file (see ``corpus.read_lines``).
 
     Each line holds {"id": str, "n": int, "weights": [[...], ...]} with a
-    symmetric, zero-diagonal n-by-n matrix of finite scores in [0, 1], and
-    no id appears twice. An integer id is kept as its ``str()``, as the
-    corpus loader keeps it.
+    symmetric, zero-diagonal n-by-n matrix of finite scores in [0, 1], each a
+    JSON number, and no id appears twice. An integer id is kept as its
+    ``str()``, as the corpus loader keeps it.
     """
     path = Path(path)
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as err:
-        raise GraphError(f"cannot read edge-weight file {path}: {err}") from err
-    except UnicodeDecodeError as err:
-        raise GraphError(
-            f"{path}: not UTF-8 at byte offset {err.start}: {err.reason}") from err
     weights: dict[str, np.ndarray] = {}
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-        except ValueError as err:  # JSONDecodeError, or an int of over 4300 digits
-            raise GraphError(f"{path}:{lineno}: invalid JSON: {err}") from err
+    first_line: dict[str, int] = {}
+    for lineno, rec in read_lines(path, GraphError, "edge-weight file"):
         if not isinstance(rec, dict) or not {"id", "n", "weights"} <= rec.keys():
             raise GraphError(f"{path}:{lineno}: record needs 'id', 'n' and 'weights'")
         doc_id = json_id(rec["id"])
         if doc_id is None:
             raise GraphError(f"{path}:{lineno}: 'id' must be a string or an integer, "
                              f"got {type(rec['id']).__name__}")
-        if doc_id in weights:
-            raise GraphError(f"{path}:{lineno}: duplicate id '{doc_id}'")
+        if doc_id in first_line:
+            raise GraphError(f"{path}:{lineno}: duplicate id '{doc_id}' "
+                             f"(first on line {first_line[doc_id]})")
+        first_line[doc_id] = lineno
         n = rec["n"]
-        if not isinstance(n, int) or isinstance(n, bool):
+        if not is_json_int(n):
             raise GraphError(f"{path}:{lineno}: 'n' must be an integer, got {n!r}")
+        rows = rec["weights"]
+        # numpy would cast true to 1.0 and "0.5" to 0.5
+        if not (isinstance(rows, list) and all(
+                isinstance(row, list) and {*map(type, row)} <= {int, float} for row in rows)):
+            raise GraphError(f"{path}:{lineno}: weights must be rows of JSON numbers, "
+                             f"not booleans, strings or deeper lists")
         try:
-            matrix = np.asarray(rec["weights"], dtype=np.float64)
-        except (TypeError, ValueError) as err:
+            matrix = np.asarray(rows, dtype=np.float64)
+        except (OverflowError, ValueError) as err:  # an integer past float range, ragged rows
             raise GraphError(
                 f"{path}:{lineno}: weights are not a numeric matrix: {err}") from err
         if matrix.shape != (n, n):

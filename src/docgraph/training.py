@@ -25,7 +25,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import AdamState, Tape
-from .corpus import Document, Vocabulary
+from .corpus import Document, Vocabulary, is_json_int
 from .errors import CheckpointError, CorpusError, ModelError, NumericError, TrainingError
 from .evaluation import evaluate_documents
 from .graph import EdgeWeightSet
@@ -241,7 +241,7 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
 def _json_int(value) -> int:
     """``value`` itself if it is a JSON integer: converting 2.9 or "2" would
     load a checkpoint that saves back to different bytes."""
-    if not isinstance(value, int) or isinstance(value, bool):
+    if not is_json_int(value):
         raise ValueError(f"expected an integer, got {value!r}")
     return value
 
@@ -264,7 +264,8 @@ def _read_checkpoint(f, path: str | Path) -> Checkpoint:
         raise CheckpointError(f"{path}: missing manifest line")
     try:
         manifest = json.loads(line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as err:
+    # bad UTF-8 or JSON, an int of over 4300 digits, or nesting too deep
+    except (ValueError, RecursionError) as err:
         raise CheckpointError(f"{path}: invalid manifest: {err}") from err
     if not isinstance(manifest, dict):
         raise CheckpointError(f"{path}: invalid manifest: not a JSON object")

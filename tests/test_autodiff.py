@@ -400,6 +400,12 @@ class TestStructuralOps:
         with pytest.raises(ShapeError, match="gather_rows ids"):
             ad.gather_rows(ad.Tensor(np.ones((3, 2))), ids)
 
+    @pytest.mark.parametrize("ids", [[True, 2], [0, False], (2, np.True_), [np.False_, 1]])
+    def test_gather_rows_rejects_a_bool_among_integer_ids(self, ids):
+        # np.asarray([True, 2]) is an int64 array: its dtype cannot show the bool
+        with pytest.raises(ShapeError, match="gather_rows ids must be integers, got a bool"):
+            ad.gather_rows(ad.Tensor(np.ones((3, 2))), ids)
+
     @pytest.mark.parametrize("ids", [np.array([2, 0], dtype=np.uint8),
                                      np.array([2, 0], dtype=np.int32), (2, 0),
                                      [np.int64(2), np.int16(0)]])
@@ -441,6 +447,15 @@ class TestLstmLast:
     @pytest.mark.parametrize("lengths", [[2.7], [1.0, 2.0], [True, True], ["3"], [None],
                                          np.array([3.0])])
     def test_lengths_that_are_not_integers_are_rejected(self, lengths, taped):
+        xw = ad.Tensor(np.zeros((3, 8)))
+        w_h = ad.Tensor(np.zeros((2, 8)))
+        with ad.Tape() if taped else contextlib.nullcontext():
+            with pytest.raises(ShapeError, match="integer length"):
+                ad.lstm_last(xw, w_h, lengths)
+
+    @pytest.mark.parametrize("taped", [False, True])
+    @pytest.mark.parametrize("lengths", [[True, 2], (2, np.True_), [1, True, 1]])
+    def test_a_bool_among_integer_lengths_is_rejected(self, lengths, taped):
         xw = ad.Tensor(np.zeros((3, 8)))
         w_h = ad.Tensor(np.zeros((2, 8)))
         with ad.Tape() if taped else contextlib.nullcontext():

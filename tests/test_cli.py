@@ -2,23 +2,25 @@
 fixed when numpy loads, so comparing thread counts takes a subprocess each)."""
 
 import argparse
+import io
 import json
 import os
 import subprocess
 import sys
 import weakref
 import xml.etree.ElementTree as ET
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import docgraph
 from docgraph import autodiff as ad
 from docgraph import cli, evaluation, model, training
-from docgraph.corpus import encode_document
+from docgraph.corpus import build_vocab, encode_document
 from docgraph.errors import CheckpointError
 
 from conftest import HalfWriter, planted_corpus
@@ -423,6 +425,23 @@ class TestExportAttentionCommand:
         assert stdout == ""
         assert err.startswith("error: ")
 
+    def test_failed_svg_write_leaves_no_file(self, capsys, corpus_files, monkeypatch):
+        ckpt, _ = train_checkpoint(capsys, corpus_files, "gat", epochs="1")
+        out = corpus_files["tmp"] / "attention.svg"
+
+        def failing_open(path, mode):
+            f = open(path, mode)
+            return HalfWriter(f) if "w" in mode else f
+
+        monkeypatch.setattr(training, "open", failing_open, raising=False)
+        code, stdout, err = run_cli(capsys, [
+            "export-attention", "--ckpt", ckpt,
+            "--data", corpus_files["dev_jsonl"], "--doc-id", "doc-0", "--out", str(out),
+        ])
+        assert code == 1 and stdout == "" and "disk full" in err
+        assert not out.exists()
+        assert not list(corpus_files["tmp"].glob(".*.tmp"))
+
 
 class TestNonFiniteScores:
     @pytest.fixture
@@ -500,6 +519,81 @@ class TestMutatedManifest:
         except CheckpointError:
             return
         assert cli.main(["predict", "--ckpt", str(mutant), "--data", data]) in (0, 1)
+
+
+def _ss_records():
+    """A 4-document JSONL corpus and its edge weights: 3 sentences each."""
+    docs = planted_corpus(seed=1, n_docs=4)
+    data = "".join(json.dumps({"id": d.id, "label": d.label, "source": d.source,
+                               "text": d.text}) + "\n" for d in docs)
+    weights = "".join(json.dumps({"id": d.id, "n": 3, "weights": [[0, 0.5, 0.25], [0.5, 0, 1],
+                                                                  [0.25, 1, 0]]}) + "\n"
+                      for d in docs)
+    return data.encode(), weights.encode()
+
+
+SS_DATA, SS_WEIGHTS = _ss_records()
+# fragments that reach the loaders' rules: escapes, JSON literals, brackets,
+# line breaks, bytes that are not UTF-8, numbers past float range
+FRAGMENTS = [b"\\ud800", b"\\udfff", b"\\ud83d\\ude00", b"\\u00e9", b"true", b"null", b'"0.5"',
+             b"[", b"]", b"{", b"}", b'"', b",", b":", b"\\", b"\n", b"\xff", b"\xe2\x80\xa8",
+             b"\x85", b"1e400", b"-1", b"NaN", b"9" * 400, b"7" * 5000]
+EDITS = st.lists(st.tuples(st.integers(0, len(SS_DATA)), st.integers(0, 3),
+                           st.sampled_from(FRAGMENTS) | st.binary(max_size=3)),
+                 min_size=1, max_size=3)
+
+
+def mutate(raw: bytes, edits) -> bytes:
+    """Replace ``cut`` bytes at each position (wrapped to the data) by ``insert``."""
+    for pos, cut, insert in edits:
+        pos %= len(raw) + 1
+        raw = raw[:pos] + insert + raw[pos + cut:]
+    return raw
+
+
+@pytest.fixture(scope="module")
+def ss_checkpoint(tmp_path_factory):
+    """An untrained gcn_attn_ss checkpoint of tiny dimensions over the
+    SS_DATA documents' vocabulary, and a directory for mutated inputs."""
+    tmp = tmp_path_factory.mktemp("ss")
+    vocab = build_vocab(planted_corpus(seed=1, n_docs=4), min_frequency=1)
+    config = model.ModelConfig(variant="gcn_attn_ss", vocab_size=len(vocab),
+                               class_names=("satire", "trusted"), embed_dim=3, hidden_dim=3,
+                               node_dim=2)
+    values = {name: t.values for name, t in model.init_params(config).tensors.items()}
+    out = tmp / "ss.ckpt"
+    training.save_checkpoint(training.Checkpoint(config, vocab, values, metadata={}), out)
+    return tmp, str(out)
+
+
+class TestMutatedInputFiles:
+    # a lone surrogate escape is valid JSON that no UTF-8 output can hold, and
+    # a true among the weights is a JSON bool, not a number
+    @example(command="export-attention", target="data",
+             edits=[(SS_DATA.index(b'"text": "') + 9, 0, b"\\ud800")])
+    @example(command="eval", target="weights", edits=[(SS_WEIGHTS.index(b"0.5"), 3, b"true")])
+    @settings(max_examples=300, deadline=None)
+    @given(command=st.sampled_from(["predict", "eval", "export-attention", "stats"]),
+           target=st.sampled_from(["data", "weights"]), edits=EDITS)
+    def test_every_command_exits_0_or_1_and_leaves_no_partial_output(self, ss_checkpoint,
+                                                                       command, target, edits):
+        tmp, ckpt = ss_checkpoint
+        data, weights, svg = tmp / "data.jsonl", tmp / "weights.jsonl", tmp / "a.svg"
+        data.write_bytes(mutate(SS_DATA, edits) if target == "data" else SS_DATA)
+        weights.write_bytes(mutate(SS_WEIGHTS, edits) if target == "weights" else SS_WEIGHTS)
+        svg.unlink(missing_ok=True)
+        inputs = ["--ckpt", ckpt, "--data", str(data), "--edge-weights", str(weights)]
+        argv = {"stats": [command, "--data", str(data)],
+                "export-attention": [command, *inputs, "--doc-id", "doc-0", "--out", str(svg)],
+                }.get(command, [command, *inputs])
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
+        assert code in (0, 1)
+        if command == "export-attention" and code == 0:
+            assert ET.parse(svg).getroot().tag == f"{SVG_NS}svg"
+        else:
+            assert not svg.exists()
+        assert not list(tmp.glob(".*.tmp"))
 
 
 class TestGradcheckCommand:

@@ -135,6 +135,51 @@ class TestLoadCorpus:
             corpus.load_corpus(p, "jsonl")
 
 
+    @pytest.mark.parametrize("field", ["id", "label", "source", "text"])
+    def test_lone_surrogate_escape_in_a_field_rejected(self, tmp_path, field):
+        # valid JSON, but no UTF-8 output could ever hold the string
+        record = {"id": "d", "label": "trusted", "source": "s", "text": "Fine."}
+        record[field] = "A\\ud800b."
+        fields = ",".join(f'"{k}":"{v}"' for k, v in record.items())
+        p = write(tmp_path, "c.jsonl", '{"label":"trusted","text":"Fine."}\n'
+                  f"{{{fields}}}\n")
+        with pytest.raises(CorpusError, match=r"c\.jsonl:2: a string holds a lone surrogate"):
+            corpus.load_corpus(p, "jsonl")
+
+    def test_lone_surrogate_escape_in_an_ignored_key_rejected(self, tmp_path):
+        p = write(tmp_path, "c.jsonl", '{"label":"trusted","text":"Fine.","x":{"\\udfff":1}}\n')
+        with pytest.raises(CorpusError, match=r"c\.jsonl:1: a string holds a lone surrogate"):
+            corpus.load_corpus(p, "jsonl")
+
+    def test_paired_surrogate_escape_loads_as_one_character(self, tmp_path):
+        p = write(tmp_path, "c.jsonl",
+                  '{"id":"\\ud83d\\ude00","label":"trusted","text":"Smile \\ud83d\\ude00."}\n')
+        [doc] = corpus.load_corpus(p, "jsonl")
+        assert doc.id == "\U0001F600" and doc.text == "Smile \U0001F600."
+
+    def test_escaped_backslash_before_u_is_text(self, tmp_path):
+        p = write(tmp_path, "c.jsonl", '{"label":"trusted","text":"A \\\\ud800 b."}\n')
+        assert corpus.load_corpus(p, "jsonl")[0].text == "A \\ud800 b."
+
+    def test_json_nested_too_deep_rejected(self, tmp_path):
+        deep = "[" * 100_000 + "]" * 100_000
+        p = write(tmp_path, "c.jsonl", f'{{"label":"a","text":"Fine.","x":{deep}}}\n')
+        with pytest.raises(CorpusError, match=r"c\.jsonl:1: invalid JSON"):
+            corpus.load_corpus(p, "jsonl")
+
+    @pytest.mark.parametrize("sep", ["\u2028", "\u2029", "\x85"])
+    def test_only_a_newline_ends_a_jsonl_line(self, tmp_path, sep):
+        # json.dumps(..., ensure_ascii=False) writes these inside a string as they are
+        p = write(tmp_path, "c.jsonl",
+                  f'{{"label":"trusted","text":"One.{sep}Two."}}\r\n{{"label":"a","text":"x"}}\n')
+        assert [d.text for d in corpus.load_corpus(p, "jsonl")] == [f"One.{sep}Two.", "x"]
+
+    @pytest.mark.parametrize("sep", ["\u2028", "\u2029", "\x85", "\x0c", "\x0b", "\x1c"])
+    def test_only_a_newline_ends_a_tsv_line(self, tmp_path, sep):
+        p = write(tmp_path, "c.tsv", f"trusted\tOne.{sep}Two.\r\na\tx\n")
+        assert [d.text for d in corpus.load_corpus(p, "tsv")] == [f"One.{sep}Two.", "x"]
+
+
 # Arbitrary unicode, salted with the fragments the segmenter reacts to:
 # terminators, capitals and digits after a space, abbreviations and
 # non-ASCII whitespace.

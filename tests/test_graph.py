@@ -96,6 +96,41 @@ class TestLoadEdgeWeights:
             graph.load_edge_weights(p)
 
 
+    @pytest.mark.parametrize("rows", [[[0, True], [True, 0]], [[0, "0.5"], ["0.5", 0]],
+                                      [[0, None], [None, 0]], [[[0], [0.5]], [[0.5], [0]]],
+                                      "0.5", [0.5, 0.5]],
+                             ids=["bool", "numeric_string", "null", "nested_list",
+                                  "string_matrix", "flat_list"])
+    def test_weights_must_be_rows_of_json_numbers(self, tmp_path, rows):
+        # numpy would cast true to 1.0 and "0.5" to 0.5
+        p = weights_file(tmp_path, [{"id": "d1", "n": 2, "weights": rows}])
+        with pytest.raises(GraphError, match=r"weights\.jsonl:1: weights must be rows of "
+                                             r"JSON numbers"):
+            graph.load_edge_weights(p)
+
+    def test_weight_past_float_range_rejected(self, tmp_path):
+        p = tmp_path / "weights.jsonl"
+        p.write_text('{"id": "d1", "n": 1, "weights": [[%s]]}\n' % ("9" * 400), encoding="utf-8")
+        with pytest.raises(GraphError, match=r"weights\.jsonl:1: weights are not a numeric "
+                                             r"matrix: int too large"):
+            graph.load_edge_weights(p)
+
+    def test_lone_surrogate_escape_in_id_rejected(self, tmp_path):
+        p = tmp_path / "weights.jsonl"
+        p.write_text('{"id": "d1", "n": 1, "weights": [[0]]}\n'
+                     '{"id": "d\\udc00", "n": 1, "weights": [[0]]}\n', encoding="utf-8")
+        with pytest.raises(GraphError, match=r"weights\.jsonl:2: a string holds a lone "
+                                             r"surrogate"):
+            graph.load_edge_weights(p)
+
+    def test_repeated_id_names_both_lines(self, tmp_path):
+        record = {"id": "d1", "n": 1, "weights": [[0]]}
+        p = weights_file(tmp_path, [record, {**record, "id": "d2"}, record])
+        with pytest.raises(GraphError, match=r"weights\.jsonl:3: duplicate id 'd1' "
+                                             r"\(first on line 1\)"):
+            graph.load_edge_weights(p)
+
+
 class TestBuildGraph:
     def doc(self, n):
         return Document("d1", 0, tuple((1, 2) for _ in range(n)))

@@ -425,6 +425,16 @@ class TestCheckpointPersistence:
         with pytest.raises(CheckpointError, match=message):
             training.load_checkpoint(path)
 
+    @pytest.mark.parametrize("head", [b"[" * 100_000 + b"]" * 100_000,
+                                      b'{"format_version":' + b"4" * 5000 + b"}"],
+                             ids=["nested_too_deep", "integer_of_5000_digits"])
+    def test_manifest_json_cannot_parse_rejected(self, tmp_path, head):
+        # json.loads raises RecursionError and a bare ValueError for these
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(head + b"\n")
+        with pytest.raises(CheckpointError, match="invalid manifest"):
+            training.load_checkpoint(path)
+
     def test_huge_claimed_vocabulary_rejected_before_allocating(self, tmp_path):
         run, path, _ = self.trained(tmp_path)
         size = run.config.vocab_size
