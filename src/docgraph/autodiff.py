@@ -25,14 +25,12 @@ from __future__ import annotations
 
 import contextvars
 import math
-import numbers
-import sys
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import NumericError, ShapeError
+from .errors import NumericError, ShapeError, is_finite_real, is_int
 
 __all__ = [
     "Tensor",
@@ -646,7 +644,7 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     if not isinstance(shape, (tuple, list)) or len(shape) not in (1, 2):
         raise ShapeError(f"reshape target must be a 1-D or 2-D shape, got {shape!r}")
     # the product of Python ints cannot wrap around to x's size
-    if not all(_is_int(d) and d >= 0 for d in shape) or math.prod(map(int, shape)) != x.size:
+    if not all(is_int(d) and d >= 0 for d in shape) or math.prod(map(int, shape)) != x.size:
         raise ShapeError(f"cannot reshape {x.shape} to {shape}")
     out = Tensor._wrap(x.values.reshape(shape))
     return _record("reshape", (x,), out, shape=x.shape)
@@ -661,7 +659,7 @@ def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
     """Contiguous row slice (element slice for 1-D tensors); the bounds are
     integers, not bools."""
     n = x.shape[0]
-    if not (_is_int(start) and _is_int(stop) and 0 <= start < stop <= n):
+    if not (is_int(start) and is_int(stop) and 0 <= start < stop <= n):
         raise ShapeError(f"invalid slice [{start}:{stop}] of {n} rows")
     out = Tensor._wrap(x.values[start:stop].copy())
     return _record("slice_rows", (x,), out, start=start, stop=stop)
@@ -679,7 +677,7 @@ def pad_rows(x: Tensor, before: int, after: int) -> Tensor:
     integers, not bools."""
     if x.values.ndim != 2:
         raise ShapeError("pad_rows requires a 2-D tensor")
-    if not (_is_int(before) and _is_int(after) and before >= 0 and after >= 0):
+    if not (is_int(before) and is_int(after) and before >= 0 and after >= 0):
         raise ShapeError(f"pad counts must be non-negative integers, got {before!r}, "
                          f"{after!r}")
     before, after = int(before), int(after)
@@ -714,7 +712,7 @@ def cross_entropy_logits(logits: Tensor, label: int) -> Tensor:
     if logits.values.ndim != 1:
         raise ShapeError("cross_entropy_logits requires a 1-D logits tensor")
     c = logits.shape[0]
-    if not (_is_int(label) and 0 <= label < c):
+    if not (is_int(label) and 0 <= label < c):
         raise ShapeError(f"label {label!r} out of range for {c} classes")
     v = logits.values
     m = v.max()
@@ -872,14 +870,6 @@ def _check_moments(name: str, p: Tensor, state: AdamState) -> None:
             raise ShapeError(f"Adam moments of '{name}' must be float64 arrays of its shape")
 
 
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 def _holds_bool(values) -> bool:
     """Whether a sequence of indices that is not an array holds a bool: numpy
     takes ``[True, 2]`` as the integer array [1, 2], so no dtype shows it."""
@@ -894,11 +884,10 @@ def _check_state(params: dict[str, Tensor], state: AdamState) -> None:
         raise ShapeError(f"Adam parameters must be the ones it has moments for: missing "
                          f"{sorted(state.m.keys() - params.keys())}, "
                          f"extra {sorted(params.keys() - state.m.keys())}")
-    # a bound, not math.isfinite, so a huge int is rejected, not an OverflowError
-    if not (_is_real(state.lr) and 0 < state.lr <= sys.float_info.max):
+    if not (is_finite_real(state.lr) and state.lr > 0):
         raise NumericError(f"Adam lr must be a finite number above 0, got {state.lr!r}")
     # below FIXED - 1, so the step's t + 1 fits AdamState.rows and is not FIXED
-    if not (_is_int(state.t) and 0 <= state.t < FIXED - 1):
+    if not (is_int(state.t) and 0 <= state.t < FIXED - 1):
         raise NumericError(f"Adam t must be a non-negative integer below {FIXED - 1}, "
                            f"got {state.t!r}")
 

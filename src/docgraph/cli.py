@@ -29,7 +29,7 @@ from .corpus import (
     split_sentences,
     split_train_dev,
 )
-from .errors import DocGraphError
+from .errors import CorpusError, DocGraphError
 from .graph import load_edge_weights
 from .heatmap import PREVIEW_CHARS, render_attention_svg
 from .model import SPECS, VARIANTS, ModelConfig
@@ -65,8 +65,14 @@ def _info(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _load(path: str, fmt: str | None) -> list[RawDocument]:
-    return load_corpus(path, fmt or infer_format(path))
+def _load(path: str, fmt: str | None, labelled: bool = False) -> list[RawDocument]:
+    """The corpus at ``path``; when ``labelled``, a document without a label
+    raises ``CorpusError`` naming it."""
+    docs = load_corpus(path, fmt or infer_format(path))
+    unlabelled = [d.id for d in docs if d.label is None] if labelled else []
+    if unlabelled:
+        raise CorpusError(f"{path}: document '{unlabelled[0]}' has no label")
+    return docs
 
 
 def _load_weights(args):
@@ -82,7 +88,7 @@ def cmd_train(args) -> int:
     out_dir = Path(args.out).parent
     if not out_dir.is_dir():
         raise DocGraphError(f"output directory {out_dir} does not exist")
-    train_raw = _load(args.train, args.format)
+    train_raw = _load(args.train, args.format, labelled=True)
     weights = _load_weights(args)
     if SPECS[args.model].edge_weights and weights is None:
         raise DocGraphError(
@@ -103,13 +109,13 @@ def cmd_train(args) -> int:
         else:
             if args.dev is None:
                 raise DocGraphError(f"protocol '{preset.name}' requires --dev")
-            dev_raw = _load(args.dev, args.format)
+            dev_raw = _load(args.dev, args.format, labelled=True)
             if preset.filter_labels:
                 dev_raw = filter_by_labels(dev_raw, class_names)
     else:
         if args.dev is None:
             raise DocGraphError("--dev is required when no --protocol is given")
-        dev_raw = _load(args.dev, args.format)
+        dev_raw = _load(args.dev, args.format, labelled=True)
         class_names = tuple(sorted({d.label for d in train_raw}))
 
     if not train_raw:
@@ -147,7 +153,7 @@ def cmd_train(args) -> int:
     summary["checkpoint"] = args.out
     summary["run_log"] = str(log_path)
     if args.test is not None:
-        test_raw = _load(args.test, args.format)
+        test_raw = _load(args.test, args.format, labelled=True)
         if args.protocol is not None and PROTOCOLS[args.protocol].filter_labels:
             test_raw = filter_by_labels(test_raw, class_names)
         metrics = evaluation.evaluate(run.checkpoint, test_raw, weights)
@@ -179,8 +185,7 @@ def cmd_predict(args) -> int:
     # score every document before printing, so a bad one leaves no partial output
     scored = []
     for raw in docs:
-        doc = encode_document(raw, ckpt.vocab, config.class_set,
-                              config.max_sentences, config.max_tokens)
+        doc = encode_document(raw, ckpt.vocab, None, config.max_sentences, config.max_tokens)
         scored.append((raw.id, evaluation.predict_probabilities(doc, params, config, weights)))
     for doc_id, probabilities in scored:
         _emit({
@@ -210,8 +215,7 @@ def cmd_export_attention(args) -> int:
     if not matches:
         raise DocGraphError(f"document id '{args.doc_id}' not found in {args.data}")
     raw = matches[0]
-    doc = encode_document(raw, ckpt.vocab, config.class_set,
-                          config.max_sentences, config.max_tokens)
+    doc = encode_document(raw, ckpt.vocab, None, config.max_sentences, config.max_tokens)
     _, attentions = evaluation.checked_forward(doc, ckpt.to_params(), config,
                                                _load_weights(args))
     if not attentions:
@@ -245,7 +249,7 @@ def cmd_stats(args) -> int:
     docs = _load(args.data, args.format)
     if not docs:
         _info(f"warning: no documents in {args.data}")
-    by_class = Counter(d.label for d in docs)
+    by_class = Counter(d.label for d in docs if d.label is not None)
     by_source = Counter(d.source for d in docs)
     sentence_counts: Counter[int] = Counter()
     token_counts: Counter[int] = Counter()
@@ -260,6 +264,7 @@ def cmd_stats(args) -> int:
         "documents": len(docs),
         "sentences_per_document": sorted(sentence_counts.items()),
         "tokens_per_sentence": sorted(token_counts.items()),
+        "unlabelled": len(docs) - by_class.total(),
     })
     return 0
 

@@ -20,7 +20,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import CorpusError, DocGraphError
+from .errors import CorpusError, DocGraphError, is_count, is_int
 
 PAD = "<pad>"
 UNK = "<unk>"
@@ -43,10 +43,11 @@ _CANDIDATE = re.compile(r"[.!?] ")
 
 @dataclass(frozen=True)
 class RawDocument:
-    """An article as read from disk, before any encoding."""
+    """An article as read from disk, before any encoding; ``label`` is
+    ``None`` for a JSONL record without one."""
 
     id: str
-    label: str
+    label: str | None
     source: str
     text: str
 
@@ -62,10 +63,11 @@ class RawDocument:
 
 @dataclass(frozen=True)
 class Document:
-    """A sentence-segmented, token-encoded article."""
+    """A sentence-segmented, token-encoded article; ``label`` is ``None``
+    when it was encoded without a class set."""
 
     id: str
-    label: int
+    label: int | None
     sentences: tuple[tuple[int, ...], ...]
 
     @property
@@ -85,10 +87,6 @@ class ClassSet:
         if len(set(self.names)) != len(self.names):
             raise CorpusError("class names must be unique")
 
-    @property
-    def n_classes(self) -> int:
-        return len(self.names)
-
     def index(self, label: str) -> int:
         try:
             return self.names.index(label)
@@ -105,6 +103,9 @@ class Vocabulary:
     token_to_id: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self):
+        # a checkpoint stores it, and its loader takes nothing but an integer
+        if not is_int(self.min_frequency):
+            raise CorpusError(f"min_frequency must be an integer, got {self.min_frequency!r}")
         if self.id_to_token[:2] != [PAD, UNK]:
             raise CorpusError("vocabulary must reserve PAD=0 and UNK=1")
         self.token_to_id = {tok: i for i, tok in enumerate(self.id_to_token)}
@@ -118,11 +119,6 @@ class Vocabulary:
 # ---------------------------------------------------------------------------
 # loading
 
-def is_json_int(value) -> bool:
-    """Whether a parsed JSON value is an integer (``json`` reads ``true`` as a bool)."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def json_id(value) -> str | None:
     """A JSONL record's ``id`` (or ``label``) as the string documents are
     keyed by: a string as it is, a JSON integer as its ``str()`` (so numeric
@@ -130,7 +126,7 @@ def json_id(value) -> str | None:
     other type."""
     if isinstance(value, str):
         return value
-    return str(value) if is_json_int(value) else None
+    return str(value) if is_int(value) else None
 
 
 def _lone_surrogate(value) -> bool:
@@ -189,7 +185,8 @@ def load_corpus(
 
     Blank lines are skipped. A JSONL ``id`` or ``label`` is a string or an
     integer (see :func:`json_id`) and ``source`` a string; a record without
-    an id, and every TSV row, is ``row-{k}``. No id may appear twice. When
+    an id, and every TSV row, is ``row-{k}``, and a record without a label
+    has the label ``None``. No id may appear twice. When
     ``class_set`` is given, a record whose label falls outside it is an
     error (use :func:`filter_by_labels` to subset instead).
     """
@@ -201,15 +198,15 @@ def load_corpus(
     for lineno, rec in read_lines(path, CorpusError, "corpus file", fmt == "jsonl"):
         k = len(docs)
         if fmt == "jsonl":
-            if not isinstance(rec, dict) or "label" not in rec or "text" not in rec:
-                raise CorpusError(f"{path}:{lineno}: record needs 'label' and 'text' fields")
+            if not isinstance(rec, dict) or "text" not in rec:
+                raise CorpusError(f"{path}:{lineno}: record needs a 'text' field")
             text, source = rec["text"], rec.get("source", "")
             fields = {"text": text if isinstance(text, str) else None,
                       "id": json_id(rec["id"]) if "id" in rec else f"row-{k}",
-                      "label": json_id(rec["label"]),
+                      "label": json_id(rec["label"]) if "label" in rec else None,
                       "source": source if isinstance(source, str) else None}
             for name, value in fields.items():
-                if value is None:
+                if value is None and name in rec:
                     kind = "a string" if name in ("source", "text") else "a string or an integer"
                     raise CorpusError(f"{path}:{lineno}: '{name}' must be {kind}, "
                                       f"got {type(rec[name]).__name__}")
@@ -342,17 +339,23 @@ def build_vocab(docs: list[RawDocument], min_frequency: int = DEFAULT_MIN_FREQUE
 def encode_document(
     doc: RawDocument,
     vocab: Vocabulary,
-    class_set: ClassSet,
+    class_set: ClassSet | None,
     max_sentences: int = DEFAULT_MAX_SENTENCES,
     max_tokens: int = DEFAULT_MAX_TOKENS,
 ) -> Document:
     """Encode one document's first ``max_sentences`` sentences, each cut to
     its first ``max_tokens`` tokens. Empty text raises ``CorpusError``; every
-    sentence of a non-empty text holds a token."""
-    # str.split takes a C ssize_t maxsplit
-    if not (1 <= max_sentences <= sys.maxsize and 1 <= max_tokens <= sys.maxsize):
+    sentence of a non-empty text holds a token. Without a class set, as for
+    scoring, the label is not read and the encoded label is ``None``; with
+    one, a document without a label raises ``CorpusError``."""
+    if not (is_count(max_sentences) and is_count(max_tokens)):
         raise CorpusError(f"length caps must be from 1 to {sys.maxsize}")
-    label = class_set.index(doc.label)
+    if class_set is None:
+        label = None
+    elif doc.label is None:
+        raise CorpusError(f"document '{doc.id}' has no label")
+    else:
+        label = class_set.index(doc.label)
     sentences = doc.tokens.split("\n", max_sentences)[:max_sentences]
     lookup = vocab.token_to_id.get
     return Document(id=doc.id, label=label, sentences=tuple([

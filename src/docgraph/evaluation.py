@@ -150,6 +150,9 @@ def evaluate_documents(
     """Score already-encoded documents against their gold labels."""
     if not docs:
         raise EvaluationError("no documents to evaluate")
+    unlabelled = [d.id for d in docs if d.label is None]
+    if unlabelled:  # encoded without a class set
+        raise EvaluationError(f"document '{unlabelled[0]}' has no label")
     predicted = [predict_label(d, params, config, weights) for d in docs]
     c = config.n_classes
     confusion = np.zeros((c, c), dtype=np.int64)
@@ -165,8 +168,9 @@ def evaluate(
 ) -> Metrics:
     """Re-encode raw documents with the checkpoint's vocabulary and score them.
 
-    Labels outside the checkpoint's class set raise; unknown tokens map
-    to UNK, which is how unseen publication sources are handled.
+    A document without a label, or with one outside the checkpoint's class
+    set, raises ``CorpusError``; unknown tokens map to UNK, which is how
+    unseen publication sources are handled.
     """
     config = ckpt.config
     encoded = encode_corpus(docs, ckpt.vocab, config.class_set,

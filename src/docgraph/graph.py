@@ -13,8 +13,8 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Tensor
-from .corpus import Document, is_json_int, json_id, read_lines
-from .errors import GraphError
+from .corpus import Document, json_id, read_lines
+from .errors import GraphError, is_int
 
 SYMMETRY_TOL = 1e-9
 
@@ -79,7 +79,7 @@ def load_edge_weights(path: str | Path) -> EdgeWeightSet:
                              f"(first on line {first_line[doc_id]})")
         first_line[doc_id] = lineno
         n = rec["n"]
-        if not is_json_int(n):
+        if not is_int(n):
             raise GraphError(f"{path}:{lineno}: 'n' must be an integer, got {n!r}")
         rows = rec["weights"]
         # numpy would cast true to 1.0 and "0.5" to 0.5

@@ -76,9 +76,8 @@ def gat_layer(
     a_dst = ad.reshape(ad.slice_rows(attn, out_dim, 2 * out_dim), (out_dim, 1))
     src = ad.matmul(projected, a_src)  # (n, 1)
     dst = ad.matmul(projected, a_dst)  # (n, 1)
-    ones_row = Tensor(np.ones((1, n)))
-    ones_col = Tensor(np.ones((n, 1)))
-    pair_scores = ad.add(ad.matmul(src, ones_row), ad.matmul(ones_col, ad.transpose(dst)))
+    # (i, j) -> src_i + dst_j: the (1, n) row dst^T adds to every row
+    pair_scores = ad.add(ad.matmul(src, Tensor(np.ones((1, n)))), ad.transpose(dst))
     scores = ad.leaky_relu(pair_scores, slope)
     attention = ad.softmax_rows(scores, mask=mask)
     out = ad.leaky_relu(ad.matmul(attention, projected), slope)

@@ -19,7 +19,6 @@ layer weights directly.
 
 from __future__ import annotations
 
-import numbers
 import sys
 from dataclasses import dataclass, fields
 
@@ -29,7 +28,7 @@ from . import autodiff as ad
 from .autodiff import AdamState, Tensor
 from .corpus import DEFAULT_MAX_SENTENCES, DEFAULT_MAX_TOKENS, ClassSet, Document
 from .encoder import embed, encode_document, flat_tokens, lstm_last_hidden
-from .errors import ModelError
+from .errors import ModelError, is_count, is_finite_real, is_int
 from .graph import EdgeWeightSet, build_graph
 from .layers import gcn_layer, multi_head, self_attention
 
@@ -71,16 +70,6 @@ VARIANTS = tuple(SPECS)
 GRAPH_VARIANTS = tuple(v for v, spec in SPECS.items() if spec.is_graph)
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _is_finite_real(value) -> bool:
-    # a bound, not math.isfinite, so a huge int is rejected, not an OverflowError
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and abs(value) <= sys.float_info.max)
-
-
 @dataclass(frozen=True)
 class ModelConfig:
     """Variant selector, dimensions, and training hyperparameters."""
@@ -108,15 +97,13 @@ class ModelConfig:
         for name in ("vocab_size", "embed_dim", "hidden_dim", "node_dim", "max_sentences",
                      "max_tokens"):
             value = getattr(self, name)
-            # sizes become array shapes, loop bounds and str.split's maxsplit:
-            # 3.0 is not a size, and neither is one past a C ssize_t
-            if not _is_int(value) or not 1 <= value <= sys.maxsize:
+            if not is_count(value):
                 raise ModelError(f"{name} must be a positive integer up to {sys.maxsize}")
         for name in ("seed", "max_epochs"):
             value = getattr(self, name)
-            if not _is_int(value) or value < 0:
+            if not is_int(value) or value < 0:
                 raise ModelError(f"{name} must be a non-negative integer")
-        if not _is_finite_real(self.lr) or self.lr <= 0:
+        if not is_finite_real(self.lr) or self.lr <= 0:
             raise ModelError("lr must be a finite number above 0")
         object.__setattr__(self, "class_names", tuple(self.class_names))
 

@@ -25,8 +25,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import AdamState, Tape
-from .corpus import Document, Vocabulary, is_json_int
-from .errors import CheckpointError, CorpusError, ModelError, NumericError, TrainingError
+from .corpus import Document, Vocabulary
+from .errors import CheckpointError, CorpusError, ModelError, NumericError, TrainingError, is_int
 from .evaluation import evaluate_documents
 from .graph import EdgeWeightSet
 from .model import (
@@ -241,7 +241,7 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
 def _json_int(value) -> int:
     """``value`` itself if it is a JSON integer: converting 2.9 or "2" would
     load a checkpoint that saves back to different bytes."""
-    if not is_json_int(value):
+    if not is_int(value):
         raise ValueError(f"expected an integer, got {value!r}")
     return value
 

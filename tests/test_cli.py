@@ -2,6 +2,7 @@
 fixed when numpy loads, so comparing thread counts takes a subprocess each)."""
 
 import argparse
+import dataclasses
 import io
 import json
 import os
@@ -34,16 +35,39 @@ def write_tsv(path, docs):
 
 
 def write_jsonl(path, docs):
-    lines = [json.dumps({"id": d.id, "label": d.label, "source": d.source,
-                         "text": d.text}) for d in docs]
+    """``docs`` as JSONL records; a ``None`` label is left out of its record."""
+    records = [{"id": d.id, "label": d.label, "source": d.source, "text": d.text}
+               for d in docs]
+    lines = [json.dumps({k: v for k, v in r.items() if v is not None}) for r in records]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return str(path)
+
+
+def without_labels(docs, ids):
+    """``docs`` with the label of each document in ``ids`` removed."""
+    return [dataclasses.replace(d, label=None) if d.id in ids else d for d in docs]
 
 
 def run_cli(capsys, argv):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def criterion_6_bytes(tmp_path, **env) -> tuple[bytes, bytes]:
+    """The checkpoint and run-log bytes of criterion 6's train command, run in
+    a fresh process with ``env`` added to the environment."""
+    train = write_tsv(tmp_path / "train.tsv", planted_corpus(seed=6, n_docs=12))
+    dev = write_tsv(tmp_path / "dev.tsv", planted_corpus(seed=7, n_docs=6))
+    src = str(Path(docgraph.__file__).parents[1])
+    out = tmp_path / "c6.ckpt"
+    subprocess.run([
+        sys.executable, "-m", "docgraph.cli", "train", "--protocol", "two_way",
+        "--train", train, "--dev", dev, "--model", "gcn", "--seed", "5",
+        "--epochs", "2", "--out", str(out),
+    ], env=dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))), check=True, capture_output=True)
+    return out.read_bytes(), (tmp_path / "c6.ckpt.runlog.json").read_bytes()
 
 
 @pytest.fixture
@@ -225,23 +249,27 @@ class TestTrainCommand:
                         else (os.cpu_count() or 1) < 2,
                         reason="OpenBLAS runs at most one thread per available CPU")
     def test_checkpoint_bytes_do_not_depend_on_blas_threads(self, tmp_path):
-        # criterion 6's command, in a fresh process per thread count
-        train = write_tsv(tmp_path / "train.tsv", planted_corpus(seed=6, n_docs=12))
-        dev = write_tsv(tmp_path / "dev.tsv", planted_corpus(seed=7, n_docs=6))
-        src = str(Path(docgraph.__file__).parents[1])
-        outputs = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"threads{threads}.ckpt"
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-            subprocess.run([
-                sys.executable, "-m", "docgraph.cli", "train", "--protocol", "two_way",
-                "--train", train, "--dev", dev, "--model", "gcn", "--seed", "5",
-                "--epochs", "2", "--out", str(out),
-            ], env=env, check=True, capture_output=True)
-            outputs.append((out.read_bytes(),
-                            (tmp_path / f"threads{threads}.ckpt.runlog.json").read_bytes()))
-        assert outputs[0] == outputs[1]
+        assert (criterion_6_bytes(tmp_path, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+                == criterion_6_bytes(tmp_path, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2"))
+
+    def test_checkpoint_bytes_do_not_depend_on_the_hash_seed(self, tmp_path):
+        # iterating a set of strings would order by hash, which this seed sets
+        assert (criterion_6_bytes(tmp_path, PYTHONHASHSEED="1")
+                == criterion_6_bytes(tmp_path, PYTHONHASHSEED="2"))
+
+    @pytest.mark.parametrize("protocol", [[], ["--protocol", "two_way"]])
+    def test_unlabelled_document_is_an_error(self, capsys, corpus_files, protocol):
+        # two_way would otherwise drop it with the labels it filters out
+        tmp = corpus_files["tmp"]
+        train = write_jsonl(tmp / "train.jsonl",
+                            without_labels(planted_corpus(seed=0, n_docs=16), {"doc-3"}))
+        code, stdout, err = run_cli(capsys, [
+            "train", *protocol, "--train", train, "--dev", corpus_files["dev"],
+            "--model", "gcn", "--epochs", "1", "--out", str(tmp / "x.ckpt"),
+        ])
+        assert code == 1 and stdout == ""
+        assert err == f"error: {train}: document 'doc-3' has no label\n"
+        assert not (tmp / "x.ckpt").exists()
 
     def test_four_way_protocol_runs(self, capsys, tmp_path):
         docs = planted_corpus(seed=3, n_docs=24,
@@ -298,6 +326,14 @@ class TestEvalCommand:
         assert code == 1
         assert "hoax" in err
 
+    def test_unlabelled_document_is_an_error(self, capsys, corpus_files, tmp_path):
+        ckpt, _ = train_checkpoint(capsys, corpus_files, "gcn", epochs="1")
+        data = write_jsonl(tmp_path / "dev.jsonl",
+                           without_labels(corpus_files["dev_docs"], {"doc-1"}))
+        code, stdout, err = run_cli(capsys, ["eval", "--ckpt", ckpt, "--data", data])
+        assert code == 1 and stdout == ""
+        assert err == "error: document 'doc-1' has no label\n"
+
 
 class TestPredictCommand:
     def test_one_line_per_document_probabilities_sum_to_one(self, capsys, corpus_files):
@@ -329,18 +365,29 @@ class TestPredictCommand:
             assert np.allclose(got, expected, atol=1e-12)
 
 
-    def test_bad_document_leaves_no_partial_output(self, capsys, corpus_files, tmp_path):
+    def test_labels_are_not_read(self, capsys, corpus_files, tmp_path):
         ckpt, _ = train_checkpoint(capsys, corpus_files, "gcn", epochs="1")
-        first, second = corpus_files["dev_docs"][:2]
-        data = tmp_path / "mixed.jsonl"
-        data.write_text(
-            json.dumps({"id": first.id, "label": first.label, "text": first.text}) + "\n"
-            + json.dumps({"id": second.id, "label": "hoax", "text": second.text}) + "\n",
-            encoding="utf-8")
-        code, stdout, err = run_cli(capsys, ["predict", "--ckpt", ckpt, "--data", str(data)])
+        docs = corpus_files["dev_docs"]
+        docs = without_labels([dataclasses.replace(docs[0], label="zzz"), *docs[1:]],
+                              {"doc-1"})
+        data = write_jsonl(tmp_path / "unlabelled.jsonl", docs)
+        code, stdout, _ = run_cli(capsys, ["predict", "--ckpt", ckpt, "--data", data])
+        assert code == 0
+        _, labelled, _ = run_cli(capsys, ["predict", "--ckpt", ckpt,
+                                          "--data", corpus_files["dev_jsonl"]])
+        assert stdout == labelled
+
+    def test_bad_document_leaves_no_partial_output(self, capsys, ss_checkpoint, tmp_path):
+        # the second document has no edge weights, which only scoring finds
+        _, ckpt = ss_checkpoint
+        data, weights = tmp_path / "data.jsonl", tmp_path / "weights.jsonl"
+        data.write_bytes(SS_DATA)
+        weights.write_bytes(SS_WEIGHTS.splitlines(keepends=True)[0])
+        code, stdout, err = run_cli(capsys, ["predict", "--ckpt", ckpt, "--data", str(data),
+                                             "--edge-weights", str(weights)])
         assert code == 1
         assert stdout == ""
-        assert "hoax" in err
+        assert "doc-1" in err
 
 
 class TestExportAttentionCommand:
@@ -392,6 +439,20 @@ class TestExportAttentionCommand:
         assert cells[(0, 1)][0] == 1.0 and cells[(1, 0)][0] == 1.0
         assert cells[(0, 0)][1] == "rgb(255,255,255)"
         assert cells[(0, 1)][1] == cells[(1, 0)][1] != "rgb(255,255,255)"
+
+    def test_labels_are_not_read(self, capsys, corpus_files):
+        ckpt, _ = train_checkpoint(capsys, corpus_files, "gat", epochs="1")
+        tmp = corpus_files["tmp"]
+        data = write_jsonl(tmp / "unlabelled.jsonl",
+                           without_labels(corpus_files["dev_docs"], {"doc-0"}))
+        svgs = []
+        for name, source in (("unlabelled", data), ("labelled", corpus_files["dev_jsonl"])):
+            out = tmp / f"{name}.svg"
+            code, _, _ = run_cli(capsys, ["export-attention", "--ckpt", ckpt, "--data", source,
+                                          "--doc-id", "doc-0", "--out", str(out)])
+            assert code == 0
+            svgs.append(out.read_bytes())
+        assert svgs[0] == svgs[1]
 
     def test_variant_without_attention(self, capsys, corpus_files):
         ckpt, _ = train_checkpoint(capsys, corpus_files, "gcn")
@@ -642,6 +703,15 @@ class TestStatsCommand:
         assert stats["by_class"] == {"hoax": 2, "satire": 2, "trusted": 2}
         # sentence counts: 2,1,3,1,2,2 -> {1: 2, 2: 3, 3: 1}
         assert stats["sentences_per_document"] == [[1, 2], [2, 3], [3, 1]]
+
+    def test_unlabelled_documents_are_counted_apart(self, capsys, tmp_path):
+        docs = without_labels(planted_corpus(seed=0, n_docs=4), {"doc-1", "doc-2"})
+        data = write_jsonl(tmp_path / "c.jsonl", docs)
+        code, stdout, _ = run_cli(capsys, ["stats", "--data", data])
+        assert code == 0
+        stats = json.loads(stdout)
+        assert stats["by_class"] == {"satire": 1, "trusted": 1}
+        assert stats["unlabelled"] == 2 and stats["documents"] == 4
 
     def test_empty_file_reports_zeros_with_warning(self, capsys, tmp_path):
         path = tmp_path / "empty.tsv"

@@ -52,6 +52,15 @@ class TestLoadCorpus:
         with pytest.raises(CorpusError, match=":2:"):
             corpus.load_corpus(p, "jsonl")
 
+    def test_jsonl_record_without_label_loads_unlabelled(self, tmp_path):
+        p = write(tmp_path, "c.jsonl", '{"id":"d1","text":"A b."}\n')
+        assert corpus.load_corpus(p, "jsonl") == [RawDocument("d1", None, "", "A b.")]
+
+    def test_jsonl_null_label_rejected(self, tmp_path):
+        p = write(tmp_path, "c.jsonl", '{"label":null,"text":"A b."}\n')
+        with pytest.raises(CorpusError, match="'label' must be a string or an integer"):
+            corpus.load_corpus(p, "jsonl")
+
     def test_unknown_label_with_class_filter(self, tmp_path, two_way):
         p = write(tmp_path, "c.tsv", "hoax\tSome text.\n")
         with pytest.raises(CorpusError, match="hoax"):
@@ -424,6 +433,14 @@ class TestBuildVocab:
         vocab = corpus.build_vocab(self.docs(), min_frequency=1)
         assert set(vocab.id_to_token) == {"<pad>", "<unk>", "a", "b"}
 
+    @pytest.mark.parametrize("min_frequency", [True, 2.5])
+    def test_non_integer_min_frequency_rejected(self, min_frequency):
+        # a checkpoint stores it, and loading one takes nothing but an integer
+        with pytest.raises(CorpusError, match="min_frequency must be an integer"):
+            corpus.build_vocab(self.docs(), min_frequency)
+        with pytest.raises(CorpusError, match="min_frequency must be an integer"):
+            corpus.Vocabulary([corpus.PAD, corpus.UNK], min_frequency)
+
     def test_frequency_ties_broken_lexicographically(self):
         docs = [RawDocument("d", "x", "", "zz yy zz yy")]
         vocab = corpus.build_vocab(docs, min_frequency=1)
@@ -443,13 +460,32 @@ class TestEncodeCorpus:
         out = corpus.encode_corpus([doc], vocab, two_way, max_sentences=64, max_tokens=3)
         assert len(out[0].sentences[0]) == 3
 
-    @pytest.mark.parametrize("caps", [(0, 5), (5, 0), (sys.maxsize + 1, 5), (5, 10**30)])
+    @pytest.mark.parametrize("caps", [(0, 5), (5, 0), (sys.maxsize + 1, 5), (5, 10**30),
+                                      (True, 5), (5, True), (3.0, 5), (5, 3.0)])
     def test_cap_out_of_range_rejected(self, two_way, caps):
-        # str.split's maxsplit is a C ssize_t, so a huge cap was an OverflowError
+        # str.split's maxsplit is a C ssize_t, so a huge cap was an OverflowError;
+        # True would cut to 1, and 3.0 would reach str.split as a TypeError
         doc = RawDocument("d", "satire", "", "one two. Three four.")
         vocab = corpus.build_vocab([doc], min_frequency=1)
         with pytest.raises(CorpusError, match="length caps"):
             corpus.encode_document(doc, vocab, two_way, *caps)
+
+    def test_without_a_class_set_the_label_is_not_read(self, two_way):
+        docs = [RawDocument("d", "satire", "", "one two."), RawDocument("u", None, "", "one.")]
+        vocab = corpus.build_vocab(docs, min_frequency=1)
+        encoded = corpus.encode_document(docs[0], vocab, two_way)
+        assert encoded.label == 0
+        for doc in docs:
+            unlabelled = corpus.encode_document(doc, vocab, None)
+            assert unlabelled.label is None
+            assert unlabelled.sentences == corpus.encode_document(
+                RawDocument(doc.id, "satire", "", doc.text), vocab, two_way).sentences
+
+    def test_unlabelled_document_with_a_class_set_names_it(self, two_way):
+        doc = RawDocument("d7", None, "", "Some text.")
+        vocab = corpus.build_vocab([doc], min_frequency=1)
+        with pytest.raises(CorpusError, match="document 'd7' has no label"):
+            corpus.encode_corpus([doc], vocab, two_way)
 
     def test_all_oov_sentence_retained(self, two_way):
         train = [RawDocument("t", "satire", "", "common words here. common words here.")]

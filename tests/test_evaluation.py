@@ -1,5 +1,7 @@
 """Metric arithmetic and evaluation-path tests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,13 @@ class TestEvaluateDocuments:
         with pytest.raises(EvaluationError, match="no documents"):
             evaluation.evaluate_documents(self.params, self.config, [])
 
+    def test_document_encoded_without_a_class_set_rejected(self):
+        # a None label would index the confusion matrix as a new axis
+        unlabelled = dataclasses.replace(self.docs[1], label=None)
+        with pytest.raises(EvaluationError, match=f"document '{unlabelled.id}' has no label"):
+            evaluation.evaluate_documents(self.params, self.config,
+                                          [self.docs[0], unlabelled])
+
     def test_confusion_totals_match_document_count(self):
         m = evaluation.evaluate_documents(self.params, self.config, self.docs)
         assert int(m.confusion.sum()) == len(self.docs)
@@ -123,6 +132,11 @@ class TestEvaluateCheckpoint:
         bad = [RawDocument("x", "hoax", "", "Label outside the checkpoint classes.")]
         with pytest.raises(CorpusError, match="hoax"):
             evaluation.evaluate(ckpt, bad)
+
+    def test_unlabelled_document_rejected(self):
+        ckpt, _ = self.make_checkpoint()
+        with pytest.raises(CorpusError, match="document 'x' has no label"):
+            evaluation.evaluate(ckpt, [RawDocument("x", None, "", "No label here.")])
 
     def test_argmax_tie_goes_to_lowest_class(self):
         # zeroed model: logits equal the zero projection bias for every doc

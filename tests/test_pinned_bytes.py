@@ -7,10 +7,13 @@ syncs all run), then ``docgraph predict`` scores the dev file with the
 checkpoint. The SHA-256 of each checkpoint, run log and predict output is
 compared with ``DIGESTS``.
 
-The bytes depend on the numpy build and on the OpenBLAS kernel picked for
-the CPU, so the digests hold on the host that ``HOST`` describes; on any
-other host the test skips and prints the digests it got. A change that
-moves bytes on purpose updates ``DIGESTS`` and says why.
+The bytes depend on the numpy build, on the SIMD loops numpy dispatches to
+at run time (``np.exp`` and ``np.log`` differ between its AVX-512 and AVX2
+loops) and on the OpenBLAS kernel picked for the CPU, so the digests hold on
+the host that ``HOST`` describes, with neither ``NPY_DISABLE_CPU_FEATURES``
+nor ``OPENBLAS_CORETYPE`` set; on any other host the test skips and prints
+the digests it got. A change that moves bytes on purpose updates ``DIGESTS``
+and says why.
 """
 
 import hashlib
@@ -42,6 +45,8 @@ HOST = {
              "avx512_vpopcntdq", "avx512bw", "avx512cd", "avx512dq", "avx512f",
              "avx512ifma", "avx512vbmi", "avx512vl", "avx_vnni", "f16c", "fma", "sse",
              "sse2", "sse4_1", "sse4_2", "ssse3"],
+    "numpy dispatch": ["AVX512_ICL", "AVX512_SPR", "X86_V3", "X86_V4"],
+    "environment": {"NPY_DISABLE_CPU_FEATURES": None, "OPENBLAS_CORETYPE": None},
 }
 
 DIGESTS = {
@@ -91,6 +96,16 @@ DIGESTS = {
 SIMD_FLAG = re.compile(r"(sse|ssse|avx|fma|f16c|amx|asimd|sve|neon)")
 
 
+def numpy_dispatch() -> list[str]:
+    """numpy's dispatch targets that are enabled at run time, after
+    ``NPY_DISABLE_CPU_FEATURES`` has switched some off."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x, which the pinned host does not run
+        return []
+    return sorted(t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t))
+
+
 def host_fingerprint() -> dict:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     try:
@@ -103,6 +118,8 @@ def host_fingerprint() -> dict:
         "numpy": np.__version__,
         "blas": {k: blas.get(k) for k in HOST["blas"]},
         "simd": sorted(f for f in set(flags) if SIMD_FLAG.match(f)),
+        "numpy dispatch": numpy_dispatch(),
+        "environment": {k: os.environ.get(k) for k in HOST["environment"]},
     }
 
 
