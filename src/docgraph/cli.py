@@ -29,7 +29,7 @@ from .corpus import (
     split_sentences,
     split_train_dev,
 )
-from .errors import CorpusError, DocGraphError
+from .errors import CorpusError, DocGraphError, EvaluationError
 from .graph import load_edge_weights
 from .heatmap import PREVIEW_CHARS, render_attention_svg
 from .model import SPECS, VARIANTS, ModelConfig
@@ -43,17 +43,14 @@ SPLIT_RATIO = 0.8
 class ProtocolPreset:
     """Named wiring of class filters and train/dev roles."""
 
-    name: str
     classes: tuple[str, ...]
     filter_labels: bool  # drop other labels instead of rejecting them
     split_train: bool  # carve dev out of the training file
 
 
 PROTOCOLS = {
-    "two_way": ProtocolPreset("two_way", TWO_WAY_CLASSES, filter_labels=True,
-                              split_train=False),
-    "four_way": ProtocolPreset("four_way", FOUR_WAY_CLASSES, filter_labels=False,
-                               split_train=True),
+    "two_way": ProtocolPreset(TWO_WAY_CLASSES, filter_labels=True, split_train=False),
+    "four_way": ProtocolPreset(FOUR_WAY_CLASSES, filter_labels=False, split_train=True),
 }
 
 
@@ -88,38 +85,34 @@ def cmd_train(args) -> int:
     out_dir = Path(args.out).parent
     if not out_dir.is_dir():
         raise DocGraphError(f"output directory {out_dir} does not exist")
-    train_raw = _load(args.train, args.format, labelled=True)
+    preset = PROTOCOLS.get(args.protocol)
+
+    def load(path: str) -> list[RawDocument]:
+        docs = _load(path, args.format, labelled=True)
+        return filter_by_labels(docs, preset.classes) if preset and preset.filter_labels else docs
+
+    train_raw = load(args.train)
     weights = _load_weights(args)
     if SPECS[args.model].edge_weights and weights is None:
         raise DocGraphError(
             f"model '{args.model}' requires --edge-weights (precomputed "
             f"sentence-similarity scores)")
-
-    if args.protocol is not None:
-        preset = PROTOCOLS[args.protocol]
-        class_names = preset.classes
-        if preset.filter_labels:
-            train_raw = filter_by_labels(train_raw, class_names)
-        if preset.split_train:
-            if args.dev is not None:
-                raise DocGraphError(
-                    "the four_way protocol derives its dev set from --train "
-                    "via a stratified 80:20 split; do not pass --dev")
-            train_raw, dev_raw = split_train_dev(train_raw, SPLIT_RATIO, args.seed)
-        else:
-            if args.dev is None:
-                raise DocGraphError(f"protocol '{preset.name}' requires --dev")
-            dev_raw = _load(args.dev, args.format, labelled=True)
-            if preset.filter_labels:
-                dev_raw = filter_by_labels(dev_raw, class_names)
+    if preset and preset.split_train:
+        if args.dev is not None:
+            raise DocGraphError(
+                "the four_way protocol derives its dev set from --train "
+                "via a stratified 80:20 split; do not pass --dev")
+        train_raw, dev_raw = split_train_dev(train_raw, SPLIT_RATIO, args.seed)
+    elif args.dev is None:
+        raise DocGraphError(f"protocol '{args.protocol}' requires --dev" if preset else
+                            "--dev is required when no --protocol is given")
     else:
-        if args.dev is None:
-            raise DocGraphError("--dev is required when no --protocol is given")
-        dev_raw = _load(args.dev, args.format, labelled=True)
-        class_names = tuple(sorted({d.label for d in train_raw}))
+        dev_raw = load(args.dev)
+    test_raw = [] if args.test is None else load(args.test)
 
     if not train_raw:
         raise DocGraphError("no training documents after protocol filtering")
+    class_names = preset.classes if preset else tuple(sorted({d.label for d in train_raw}))
     class_set = ClassSet(class_names)
     vocab = build_vocab(train_raw, DEFAULT_MIN_FREQUENCY)
     config = ModelConfig(
@@ -132,12 +125,16 @@ def cmd_train(args) -> int:
         max_sentences=args.max_sentences,
         max_tokens=args.max_tokens,
     )
-    train_docs = encode_corpus(train_raw, vocab, class_set,
-                               config.max_sentences, config.max_tokens)
-    dev_docs = encode_corpus(dev_raw, vocab, class_set,
-                             config.max_sentences, config.max_tokens)
+    train_docs, dev_docs, test_docs = [
+        encode_corpus(raw, vocab, class_set, config.max_sentences, config.max_tokens)
+        for raw in (train_raw, dev_raw, test_raw)]
     # the raw text and its token form are not needed through training
-    del train_raw, dev_raw
+    del train_raw, dev_raw, test_raw
+    if args.test is not None and not test_docs:
+        raise EvaluationError("no documents to evaluate")
+    if config.spec.edge_weights:  # a missing or too small matrix fails now, not mid-run
+        for doc in [*train_docs, *dev_docs, *test_docs]:
+            weights.matrix_for(doc.id, doc.n_sentences)
 
     _info(f"training {args.model} on {len(train_docs)} documents "
           f"({len(dev_docs)} dev), up to {config.max_epochs} epoch(s)")
@@ -153,11 +150,8 @@ def cmd_train(args) -> int:
     summary["checkpoint"] = args.out
     summary["run_log"] = str(log_path)
     if args.test is not None:
-        test_raw = _load(args.test, args.format, labelled=True)
-        if args.protocol is not None and PROTOCOLS[args.protocol].filter_labels:
-            test_raw = filter_by_labels(test_raw, class_names)
-        metrics = evaluation.evaluate(run.checkpoint, test_raw, weights)
-        summary["test"] = metrics.to_dict(class_names)
+        summary["test"] = evaluation.evaluate_documents(
+            run.checkpoint.to_params(), config, test_docs, weights).to_dict(class_names)
     _info(f"best dev macro-F1 {run.best_dev_macro_f1:.4f} at epoch {run.best_epoch}")
     _emit(summary)
     return 0

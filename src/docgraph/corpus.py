@@ -224,9 +224,9 @@ def load_corpus(
             raise CorpusError(f"{path}:{lineno}: empty text for document '{doc.id}'")
         if class_set is not None and doc.label not in class_set.names:
             raise CorpusError(
-                f"{path}:{lineno}: label '{doc.label}' not in class set "
-                f"{list(class_set.names)}"
-            )
+                f"{path}:{lineno}: document '{doc.id}' has no label" if doc.label is None
+                else f"{path}:{lineno}: label '{doc.label}' not in class set "
+                     f"{list(class_set.names)}")
         docs.append(doc)
     return docs
 

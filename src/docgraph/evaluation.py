@@ -175,6 +175,4 @@ def evaluate(
     config = ckpt.config
     encoded = encode_corpus(docs, ckpt.vocab, config.class_set,
                             config.max_sentences, config.max_tokens)
-    if not encoded:
-        raise EvaluationError("no documents to evaluate")
     return evaluate_documents(ckpt.to_params(), config, encoded, weights)

@@ -46,8 +46,6 @@ class EdgeWeightSet:
 
 
 def _validate_weights(doc_id: str, matrix: np.ndarray) -> None:
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise GraphError(f"weights for '{doc_id}' must be a square matrix")
     if np.any(matrix < 0.0) or np.any(matrix > 1.0):
         raise GraphError(f"weights for '{doc_id}' must lie in [0, 1]")
     if np.any(np.abs(matrix - matrix.T) > SYMMETRY_TOL):

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import docgraph
 from docgraph import autodiff as ad
 from docgraph import cli, evaluation, model, training
-from docgraph.corpus import build_vocab, encode_document
+from docgraph.corpus import build_vocab, encode_document, load_corpus
 from docgraph.errors import CheckpointError
 
 from conftest import HalfWriter, planted_corpus
@@ -189,6 +189,51 @@ class TestTrainCommand:
         assert stdout == ""
         assert "missing" in err and "does not exist" in err
 
+    @pytest.mark.parametrize("case", [
+        "unlabelled test record", "unreadable test path", "test label outside the classes",
+        "test emptied by the protocol", "weights miss a dev document",
+        "weights miss a test document"])
+    def test_bad_input_fails_before_training(self, capsys, corpus_files, monkeypatch, case):
+        monkeypatch.setattr(training, "train", lambda *args: pytest.fail("training ran"))
+        tmp = corpus_files["tmp"]
+        dev = [dataclasses.replace(d, id=f"dev-{d.id}") for d in corpus_files["dev_docs"]]
+        test = [dataclasses.replace(d, id=f"test-{d.id}") for d in planted_corpus(seed=5, n_docs=6)]
+        test_file = str(tmp / "test.jsonl")
+        protocol, edge = ["--protocol", "two_way"], []
+        if case == "unlabelled test record":
+            test = without_labels(test, {"test-doc-2"})
+            error = f"{test_file}: document 'test-doc-2' has no label"
+        elif case == "unreadable test path":
+            test_file = str(tmp / "missing.jsonl")
+            error = (f"cannot read corpus file {test_file}: "
+                     f"[Errno 2] No such file or directory: '{test_file}'")
+        elif case == "test label outside the classes":
+            protocol, test = [], [*test[:3], dataclasses.replace(test[3], label="hoax")]
+            error = "label 'hoax' not in class set ['satire', 'trusted']"
+        elif case == "test emptied by the protocol":
+            test = [dataclasses.replace(d, label="hoax") for d in test]
+            error = "no documents to evaluate"
+        else:
+            missing = "dev" if "dev" in case else "test"
+            # the TSV training file's documents are row-0 ... row-15
+            covered = [f"row-{k}" for k in range(16)] + [
+                d.id for d in (test if missing == "dev" else dev)]
+            matrix = [[0, 0.5, 0.25], [0.5, 0, 1], [0.25, 1, 0]]
+            (tmp / "weights.jsonl").write_text("".join(
+                json.dumps({"id": i, "n": 3, "weights": matrix}) + "\n" for i in covered))
+            edge = ["--edge-weights", str(tmp / "weights.jsonl")]
+            error = f"no edge weights for document '{missing}-doc-0'"
+        if case != "unreadable test path":
+            write_jsonl(tmp / "test.jsonl", test)
+        code, stdout, err = run_cli(capsys, [
+            "train", *protocol, "--train", corpus_files["train"],
+            "--dev", write_jsonl(tmp / "dev_ids.jsonl", dev), "--test", test_file,
+            "--model", "gcn_ss" if edge else "gcn", *edge, "--out", str(tmp / "x.ckpt"),
+        ])
+        assert code == 1 and stdout == ""
+        assert err == f"error: {error}\n"
+        assert not list(tmp.glob("x.ckpt*"))
+
     def test_diverging_run_ends_with_its_error_alone(self, capsys, corpus_files):
         # the overflow on the way to a non-finite loss is not reported as
         # numpy warnings (which tier-1 turns into errors) before the error
@@ -235,12 +280,19 @@ class TestTrainCommand:
             return docs
 
         def checked_train(*args):
-            assert refs and all(r() is None for r in refs)
+            # train, dev and test are all read, and released, before the first step
+            assert len(refs) == 16 + 8 + 6 and all(r() is None for r in refs)
             return train(*args)
 
         monkeypatch.setattr(cli, "load_corpus", tracked_load)
         monkeypatch.setattr(training, "train", checked_train)
-        train_checkpoint(capsys, corpus_files, "gcn", epochs="1")
+        test = write_tsv(corpus_files["tmp"] / "test.tsv", planted_corpus(seed=5, n_docs=6))
+        code, _, _ = run_cli(capsys, [
+            "train", "--protocol", "two_way",
+            "--train", corpus_files["train"], "--dev", corpus_files["dev"], "--test", test,
+            "--model", "gcn", "--epochs", "1", "--out", str(corpus_files["tmp"] / "gcn.ckpt"),
+        ])
+        assert code == 0
 
     @pytest.mark.xfail(strict=True, raises=AssertionError,
                        reason="ROADMAP item 12: backward products whose "
@@ -296,6 +348,10 @@ class TestTrainCommand:
         assert code == 0
         summary = json.loads(stdout)
         assert summary["test"]["documents"] == 6
+        # the same scores as re-encoding the file with the saved checkpoint
+        assert summary["test"] == evaluation.evaluate(
+            training.load_checkpoint(out), load_corpus(test_file, "tsv")).to_dict(
+            cli.TWO_WAY_CLASSES)
 
 
 class TestEvalCommand:

@@ -66,6 +66,13 @@ class TestLoadCorpus:
         with pytest.raises(CorpusError, match="hoax"):
             corpus.load_corpus(p, "tsv", class_set=two_way)
 
+    def test_missing_label_with_class_filter_is_named(self, tmp_path, two_way):
+        p = write(tmp_path, "c.jsonl", '{"id":"a","label":"satire","text":"A."}\n'
+                                       '{"id":"d1","text":"A b."}\n')
+        with pytest.raises(CorpusError) as excinfo:
+            corpus.load_corpus(p, "jsonl", class_set=two_way)
+        assert str(excinfo.value) == f"{p}:2: document 'd1' has no label"
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(CorpusError):
             corpus.load_corpus(tmp_path / "nope.tsv", "tsv")

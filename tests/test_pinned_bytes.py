@@ -9,13 +9,14 @@ compared with ``DIGESTS``.
 
 The bytes depend on the numpy build, on the SIMD loops numpy dispatches to
 at run time (``np.exp`` and ``np.log`` differ between its AVX-512 and AVX2
-loops) and on the OpenBLAS kernel picked for the CPU, so the digests hold on
+loops) and on the OpenBLAS core picked for the CPU, so the digests hold on
 the host that ``HOST`` describes, with neither ``NPY_DISABLE_CPU_FEATURES``
 nor ``OPENBLAS_CORETYPE`` set; on any other host the test skips and prints
 the digests it got. A change that moves bytes on purpose updates ``DIGESTS``
 and says why.
 """
 
+import ctypes
 import hashlib
 import json
 import os
@@ -46,6 +47,7 @@ HOST = {
              "avx512ifma", "avx512vbmi", "avx512vl", "avx_vnni", "f16c", "fma", "sse",
              "sse2", "sse4_1", "sse4_2", "ssse3"],
     "numpy dispatch": ["AVX512_ICL", "AVX512_SPR", "X86_V3", "X86_V4"],
+    "openblas core": "SkylakeX",
     "environment": {"NPY_DISABLE_CPU_FEATURES": None, "OPENBLAS_CORETYPE": None},
 }
 
@@ -106,6 +108,26 @@ def numpy_dispatch() -> list[str]:
     return sorted(t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t))
 
 
+def openblas_core() -> str | None:
+    """The kernel core the OpenBLAS that numpy loaded picked at run time (a
+    DYNAMIC_ARCH build chooses by CPU unless ``OPENBLAS_CORETYPE`` says), or
+    ``None`` when the library or its ``scipy_openblas_get_corename64_`` is
+    not found."""
+    try:
+        maps = Path("/proc/self/maps").read_text().splitlines()
+    except OSError:
+        return None
+    path = next((line.split()[-1] for line in maps if "openblas" in line.split()[-1]), None)
+    if path is None:
+        return None
+    try:
+        corename = ctypes.CDLL(path).scipy_openblas_get_corename64_
+    except (OSError, AttributeError):  # the library does not load or lacks the symbol
+        return None
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
+
+
 def host_fingerprint() -> dict:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     try:
@@ -119,6 +141,7 @@ def host_fingerprint() -> dict:
         "blas": {k: blas.get(k) for k in HOST["blas"]},
         "simd": sorted(f for f in set(flags) if SIMD_FLAG.match(f)),
         "numpy dispatch": numpy_dispatch(),
+        "openblas core": openblas_core(),
         "environment": {k: os.environ.get(k) for k in HOST["environment"]},
     }
 
