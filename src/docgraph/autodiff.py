@@ -26,6 +26,7 @@ from __future__ import annotations
 import contextvars
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
@@ -535,52 +536,35 @@ def _max_over_rows_bwd(e: TapeEntry):
     return (dx,)
 
 
+def _concat(op: str, parts: Sequence[Tensor], axis: int) -> Tensor:
+    """Concatenation of 2-D tensors along ``axis``; every other size must match."""
+    if not parts:
+        raise ShapeError(f"{op} requires at least one part")
+    kept = parts[0].shape[1 - axis] if parts[0].values.ndim == 2 else None
+    for p in parts:
+        if p.values.ndim != 2 or p.shape[1 - axis] != kept:
+            raise ShapeError(f"{op} parts must be 2-D with equal "
+                             f"{'row' if axis else 'column'} counts")
+    out = Tensor._wrap(np.concatenate([p.values for p in parts], axis=axis))
+    return _record(op, tuple(parts), out, axis=axis, sizes=[p.shape[axis] for p in parts])
+
+
 def concat_cols(parts: Sequence[Tensor]) -> Tensor:
     """Column-wise concatenation of 2-D tensors with equal row counts."""
-    if not parts:
-        raise ShapeError("concat_cols requires at least one part")
-    rows = parts[0].shape[0]
-    for p in parts:
-        if p.values.ndim != 2 or p.shape[0] != rows:
-            raise ShapeError("concat_cols parts must be 2-D with equal row counts")
-    out = Tensor._wrap(np.concatenate([p.values for p in parts], axis=1))
-    widths = [p.shape[1] for p in parts]
-    return _record("concat_cols", tuple(parts), out, widths=widths)
-
-
-@_rule("concat_cols")
-def _concat_cols_bwd(e: TapeEntry):
-    g = e.output.grad
-    grads = []
-    start = 0
-    for w in e.ctx["widths"]:
-        grads.append(g[:, start : start + w])
-        start += w
-    return tuple(grads)
+    return _concat("concat_cols", parts, axis=1)
 
 
 def concat_rows(parts: Sequence[Tensor]) -> Tensor:
     """Row-wise concatenation of 2-D tensors with equal column counts."""
-    if not parts:
-        raise ShapeError("concat_rows requires at least one part")
-    cols = parts[0].shape[1] if parts[0].values.ndim == 2 else None
-    for p in parts:
-        if p.values.ndim != 2 or p.shape[1] != cols:
-            raise ShapeError("concat_rows parts must be 2-D with equal column counts")
-    out = Tensor._wrap(np.concatenate([p.values for p in parts], axis=0))
-    heights = [p.shape[0] for p in parts]
-    return _record("concat_rows", tuple(parts), out, heights=heights)
+    return _concat("concat_rows", parts, axis=0)
 
 
+@_rule("concat_cols")
 @_rule("concat_rows")
-def _concat_rows_bwd(e: TapeEntry):
+def _concat_bwd(e: TapeEntry):
     g = e.output.grad
-    grads = []
-    start = 0
-    for h in e.ctx["heights"]:
-        grads.append(g[start : start + h, :])
-        start += h
-    return tuple(grads)
+    ends = list(accumulate(e.ctx["sizes"]))
+    return tuple(g[:, a:b] if e.ctx["axis"] else g[a:b] for a, b in zip([0, *ends], ends))
 
 
 def gather_rows(matrix: Tensor, ids: Sequence[int]) -> Tensor:

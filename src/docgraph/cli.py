@@ -31,7 +31,7 @@ from .corpus import (
 )
 from .errors import CorpusError, DocGraphError, EvaluationError
 from .graph import load_edge_weights
-from .heatmap import PREVIEW_CHARS, render_attention_svg
+from .heatmap import render_attention_svg
 from .model import SPECS, VARIANTS, ModelConfig
 
 TWO_WAY_CLASSES = ("satire", "trusted")
@@ -72,9 +72,18 @@ def _load(path: str, fmt: str | None, labelled: bool = False) -> list[RawDocumen
     return docs
 
 
-def _load_weights(args):
-    if args.edge_weights is None:
+def _load_weights(args, variant: str):
+    """The ``--edge-weights`` set, which a variant must have if its spec reads
+    edge weights and must not be given otherwise."""
+    if not SPECS[variant].edge_weights:
+        if args.edge_weights is not None:
+            raise DocGraphError(f"model '{variant}' reads no edge weights; "
+                                f"do not pass --edge-weights")
         return None
+    if args.edge_weights is None:
+        raise DocGraphError(
+            f"model '{variant}' requires --edge-weights (precomputed "
+            f"sentence-similarity scores)")
     return load_edge_weights(args.edge_weights)
 
 
@@ -83,8 +92,12 @@ def _load_weights(args):
 
 def cmd_train(args) -> int:
     out_dir = Path(args.out).parent
+    log_path = Path(args.out + ".runlog.json")
     if not out_dir.is_dir():
         raise DocGraphError(f"output directory {out_dir} does not exist")
+    for path in (Path(args.out), log_path):
+        if path.is_dir():
+            raise DocGraphError(f"output path {path} is a directory")
     preset = PROTOCOLS.get(args.protocol)
 
     def load(path: str) -> list[RawDocument]:
@@ -92,11 +105,7 @@ def cmd_train(args) -> int:
         return filter_by_labels(docs, preset.classes) if preset and preset.filter_labels else docs
 
     train_raw = load(args.train)
-    weights = _load_weights(args)
-    if SPECS[args.model].edge_weights and weights is None:
-        raise DocGraphError(
-            f"model '{args.model}' requires --edge-weights (precomputed "
-            f"sentence-similarity scores)")
+    weights = _load_weights(args, args.model)
     if preset and preset.split_train:
         if args.dev is not None:
             raise DocGraphError(
@@ -139,7 +148,6 @@ def cmd_train(args) -> int:
     _info(f"training {args.model} on {len(train_docs)} documents "
           f"({len(dev_docs)} dev), up to {config.max_epochs} epoch(s)")
     run = training.train(train_docs, dev_docs, config, vocab, weights)
-    log_path = Path(args.out + ".runlog.json")
     # both files are written before either replaces its predecessor
     training.write_files_atomic({
         args.out: training.checkpoint_buffers(run.checkpoint),
@@ -163,7 +171,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     ckpt = training.load_checkpoint(args.ckpt)
     docs = _load(args.data, args.format)
-    metrics = evaluation.evaluate(ckpt, docs, _load_weights(args))
+    metrics = evaluation.evaluate(ckpt, docs, _load_weights(args, ckpt.config.variant))
     _emit(metrics.to_dict(ckpt.config.class_names))
     return 0
 
@@ -173,8 +181,8 @@ def cmd_predict(args) -> int:
     docs = _load(args.data, args.format)
     if not docs:
         raise DocGraphError("no documents to predict")
-    weights = _load_weights(args)
     config = ckpt.config
+    weights = _load_weights(args, config.variant)
     params = ckpt.to_params()
     # score every document before printing, so a bad one leaves no partial output
     scored = []
@@ -211,14 +219,12 @@ def cmd_export_attention(args) -> int:
     raw = matches[0]
     doc = encode_document(raw, ckpt.vocab, None, config.max_sentences, config.max_tokens)
     _, attentions = evaluation.checked_forward(doc, ckpt.to_params(), config,
-                                               _load_weights(args))
+                                               _load_weights(args, config.variant))
     if not attentions:
         raise DocGraphError(
             f"document '{raw.id}' has a single sentence; the graph-attention "
             f"layer is bypassed and produces no attention map")
-    previews = [s[:PREVIEW_CHARS] for s in
-                split_sentences(raw.text)[: config.max_sentences]]
-    svg = render_attention_svg([a.values for a in attentions], previews,
+    svg = render_attention_svg([a.values for a in attentions], split_sentences(raw.text),
                                title=f"{config.variant} attention for {raw.id}")
     training.write_files_atomic({args.out: [svg.encode("utf-8")]})
     _emit({"doc_id": raw.id, "heads": len(attentions),

@@ -65,6 +65,11 @@ class Metrics:
         }
 
 
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den elementwise, and ZERO_DENOMINATOR_VALUE where den is 0."""
+    return np.divide(num, den, out=np.full(num.shape, ZERO_DENOMINATOR_VALUE), where=den > 0)
+
+
 def compute_metrics(confusion: np.ndarray) -> Metrics:
     """Macro-averaged metrics from a gold-by-predicted confusion matrix."""
     confusion = np.asarray(confusion)
@@ -77,24 +82,16 @@ def compute_metrics(confusion: np.ndarray) -> Metrics:
     if total == 0:
         raise EvaluationError("no documents to evaluate")
 
-    c = confusion.shape[0]
-    precision, recall, f1 = [], [], []
-    for i in range(c):
-        tp = float(confusion[i, i])
-        fp = float(confusion[:, i].sum()) - tp
-        fn = float(confusion[i, :].sum()) - tp
-        p = tp / (tp + fp) if tp + fp > 0 else ZERO_DENOMINATOR_VALUE
-        r = tp / (tp + fn) if tp + fn > 0 else ZERO_DENOMINATOR_VALUE
-        f = 2 * p * r / (p + r) if p + r > 0 else ZERO_DENOMINATOR_VALUE
-        precision.append(p)
-        recall.append(r)
-        f1.append(f)
+    tp = np.diag(confusion).astype(float)
+    precision = _ratio(tp, confusion.sum(axis=0).astype(float))
+    recall = _ratio(tp, confusion.sum(axis=1).astype(float))
+    f1 = _ratio(2 * precision * recall, precision + recall)
 
     return Metrics(
         confusion=confusion.copy(),
-        precision=tuple(precision),
-        recall=tuple(recall),
-        f1=tuple(f1),
+        precision=tuple(precision.tolist()),
+        recall=tuple(recall.tolist()),
+        f1=tuple(f1.tolist()),
         macro_precision=float(np.mean(precision)),
         macro_recall=float(np.mean(recall)),
         macro_f1=float(np.mean(f1)),

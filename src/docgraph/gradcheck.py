@@ -13,7 +13,7 @@ suite calls the same entry points.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -58,15 +58,15 @@ def _rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.max(np.abs(analytic - numeric) / denom))
 
 
-def _compare(tensors: dict[str, Tensor], forward_fn: Callable[[], Tensor]) -> float:
+def _compare(tensors: Sequence[Tensor], forward_fn: Callable[[], Tensor]) -> float:
     """Worst relative error between tape gradients and finite differences."""
-    for t in tensors.values():
+    for t in tensors:
         t.zero_grad()
     with Tape() as tape:
         out = forward_fn()
     ad.backward(tape, out)
     worst = 0.0
-    for t in tensors.values():
+    for t in tensors:
         if t.grad is None:
             analytic = np.zeros_like(t.values)
         elif isinstance(t.grad, ad.RowSparseGrad):
@@ -95,112 +95,61 @@ def _weighted(out: Tensor, weights: np.ndarray) -> Tensor:
     return ad.reshape(ad.matmul(ad.reshape(out, (1, n)), Tensor(weights.reshape(n, 1))), (1,))
 
 
-def _op_fixtures(rng: np.random.Generator) -> dict[str, tuple[dict[str, Tensor], Callable]]:
-    """One deterministic gradient fixture per differentiable op."""
-    fixtures: dict[str, tuple[dict[str, Tensor], Callable]] = {}
+def _op_fixtures(rng: np.random.Generator) -> dict[str, tuple[list[Tensor], Callable]]:
+    """One deterministic gradient fixture per differentiable op.
 
-    def register(name, tensors, fn):
-        fixtures[name] = (tensors, fn)
+    A fixture gives its input tensors and its op call. ``register`` makes a
+    non-scalar output a scalar loss, weighting it by a random array drawn in
+    the output's own shape.
+    """
+    fixtures: dict[str, tuple[list[Tensor], Callable]] = {}
 
-    a = Tensor(rng.normal(size=(4, 5)))
-    b = Tensor(rng.normal(size=(5, 3)))
-    bias = Tensor(rng.normal(size=3))
-    bias_row = Tensor(rng.normal(size=(1, 3)))
-    w_ab = rng.normal(size=(3, 4, 3))
-    # the plain product and the fused bias in both of its shapes
-    register("matmul", {"a": a, "b": b, "bias": bias, "bias_row": bias_row},
-             lambda bias=bias, bias_row=bias_row: ad.add(
-                 _weighted(ad.matmul(a, b), w_ab[0]),
-                 ad.add(_weighted(ad.matmul(a, b, bias), w_ab[1]),
-                        _weighted(ad.matmul(a, b, bias_row), w_ab[2]))))
+    def register(name, tensors, op):
+        out = op(*tensors)
+        if out.size == 1:
+            fixtures[name] = (tensors, lambda: op(*tensors))
+            return
+        weights = rng.normal(size=out.shape)
+        fixtures[name] = (tensors, lambda: _weighted(op(*tensors), weights))
 
-    for name, op in (("add", ad.add), ("mul", ad.mul)):
-        x = Tensor(rng.normal(size=(3, 4)))
-        y = Tensor(rng.normal(size=(3, 4)))
-        bias = Tensor(rng.normal(size=4))
-        w = rng.normal(size=(3, 4))
-        register(
-            name,
-            {"x": x, "y": y, "bias": bias},
-            lambda op=op, x=x, y=y, bias=bias, w=w: ad.add(
-                _weighted(op(x, y), w), _weighted(op(x, bias), w)),
-        )
+    def normal(*shape):
+        return Tensor(rng.normal(size=shape))
 
-    for name, fn in (("sigmoid", ad.sigmoid), ("tanh", ad.tanh)):
-        x = Tensor(rng.normal(size=(3, 3)))
-        w = rng.normal(size=(3, 3))
-        register(name, {"x": x}, lambda fn=fn, x=x, w=w: _weighted(fn(x), w))
-
-    # unsorted, uneven lengths: the op batches sequences longest first
-    lengths = [3, 1, 2]
-    xw = Tensor(rng.normal(size=(sum(lengths), 8)))
-    w_h = Tensor(rng.normal(size=(2, 8)))
-    w_lstm = rng.normal(size=(3, 2))
-    register("lstm_last", {"xw": xw, "w_h": w_h},
-             lambda: _weighted(ad.lstm_last(xw, w_h, lengths), w_lstm))
-
-    x_lr = Tensor(rng.normal(size=(3, 3)) + np.sign(rng.normal(size=(3, 3))) * 0.05)
-    w_lr = rng.normal(size=(3, 3))
-    register("leaky_relu", {"x": x_lr},
-             lambda: _weighted(ad.leaky_relu(x_lr, 0.2), w_lr))
-
-    x_sm = Tensor(rng.normal(size=(3, 4)))
+    away = rng.normal(size=(3, 3))
     mask = np.ones((3, 4), dtype=bool)
     mask[0, 1] = mask[2, 3] = False
-    w_sm = rng.normal(size=(3, 4))
-    register(
-        "softmax_rows", {"x": x_sm},
-        lambda: ad.add(_weighted(ad.softmax_rows(x_sm), w_sm),
-                       _weighted(ad.softmax_rows(x_sm, mask=mask), w_sm)),
-    )
-
-    x_max = Tensor(rng.normal(size=(5, 3)))
-    w_max = rng.normal(size=3)
-    register("max_over_rows", {"x": x_max},
-             lambda: _weighted(ad.max_over_rows(x_max), w_max))
-
-    c1 = Tensor(rng.normal(size=(3, 2)))
-    c2 = Tensor(rng.normal(size=(3, 3)))
-    w_cc = rng.normal(size=(3, 5))
-    register("concat_cols", {"a": c1, "b": c2},
-             lambda: _weighted(ad.concat_cols([c1, c2]), w_cc))
-
-    r1 = Tensor(rng.normal(size=(2, 3)))
-    r2 = Tensor(rng.normal(size=(1, 3)))
-    w_cr = rng.normal(size=(3, 3))
-    register("concat_rows", {"a": r1, "b": r2},
-             lambda: _weighted(ad.concat_rows([r1, r2]), w_cr))
-
-    logits = Tensor(rng.normal(size=5))
-    register("cross_entropy_logits", {"logits": logits},
-             lambda: ad.cross_entropy_logits(logits, 2))
-
-    m_g = Tensor(rng.normal(size=(6, 3)))
-    w_g = rng.normal(size=(4, 3))
-    register("gather_rows", {"m": m_g},
-             lambda: _weighted(ad.gather_rows(m_g, [0, 2, 2, 5]), w_g))
-
-    x_t = Tensor(rng.normal(size=(3, 4)))
-    w_t = rng.normal(size=(4, 3))
-    register("transpose", {"x": x_t}, lambda: _weighted(ad.transpose(x_t), w_t))
-
-    x_r = Tensor(rng.normal(size=(3, 4)))
-    w_r = rng.normal(size=(2, 6))
-    register("reshape", {"x": x_r}, lambda: _weighted(ad.reshape(x_r, (2, 6)), w_r))
-
-    x_s = Tensor(rng.normal(size=(5, 3)))
-    w_s = rng.normal(size=(3, 3))
-    register("slice_rows", {"x": x_s},
-             lambda: _weighted(ad.slice_rows(x_s, 1, 4), w_s))
-
-    x_p = Tensor(rng.normal(size=(2, 3)))
-    w_p = rng.normal(size=(5, 3))
-    register("pad_rows", {"x": x_p}, lambda: _weighted(ad.pad_rows(x_p, 1, 2), w_p))
-
-    x_sc = Tensor(rng.normal(size=(3, 3)))
-    w_sc = rng.normal(size=(3, 3))
-    register("scale", {"x": x_sc}, lambda: _weighted(ad.scale(x_sc, 0.7), w_sc))
-
+    for name, tensors, op in (
+        # the plain product and the fused bias in both of its shapes
+        ("matmul", [normal(4, 5), normal(5, 3), normal(3), normal(1, 3)],
+         lambda a, b, bias, row: ad.add(ad.matmul(a, b), ad.add(ad.matmul(a, b, bias),
+                                                                ad.matmul(a, b, row)))),
+        # equal shapes, plus a row-broadcast bias
+        ("add", [normal(3, 4), normal(3, 4), normal(4)],
+         lambda x, y, row: ad.add(ad.add(x, y), ad.add(x, row))),
+        ("mul", [normal(3, 4), normal(3, 4), normal(4)],
+         lambda x, y, row: ad.add(ad.mul(x, y), ad.mul(x, row))),
+        ("sigmoid", [normal(3, 3)], ad.sigmoid),
+        ("tanh", [normal(3, 3)], ad.tanh),
+        # unsorted, uneven lengths: the op batches sequences longest first
+        ("lstm_last", [normal(6, 8), normal(2, 8)],
+         lambda xw, w_h: ad.lstm_last(xw, w_h, [3, 1, 2])),
+        # inputs kept at least 0.05 from the kink at 0
+        ("leaky_relu", [Tensor(away + np.sign(away) * 0.05)], lambda x: ad.leaky_relu(x, 0.2)),
+        ("softmax_rows", [normal(3, 4)],
+         lambda x: ad.add(ad.softmax_rows(x), ad.softmax_rows(x, mask=mask))),
+        ("max_over_rows", [normal(5, 3)], ad.max_over_rows),
+        ("concat_cols", [normal(3, 2), normal(3, 3)], lambda *parts: ad.concat_cols(parts)),
+        ("concat_rows", [normal(2, 3), normal(1, 3)], lambda *parts: ad.concat_rows(parts)),
+        ("cross_entropy_logits", [normal(5)], lambda x: ad.cross_entropy_logits(x, 2)),
+        # a repeated id sums two gradients into one row
+        ("gather_rows", [normal(6, 3)], lambda x: ad.gather_rows(x, [0, 2, 2, 5])),
+        ("transpose", [normal(3, 4)], ad.transpose),
+        ("reshape", [normal(3, 4)], lambda x: ad.reshape(x, (2, 6))),
+        ("slice_rows", [normal(5, 3)], lambda x: ad.slice_rows(x, 1, 4)),
+        ("pad_rows", [normal(2, 3)], lambda x: ad.pad_rows(x, 1, 2)),
+        ("scale", [normal(3, 3)], lambda x: ad.scale(x, 0.7)),
+    ):
+        register(name, tensors, op)
     return fixtures
 
 
@@ -249,7 +198,7 @@ def check_variant(variant: str, seed: int = 0) -> CheckResult:
         logits, _ = forward(doc, params, config, weights)
         return model_loss(logits, doc.label)
 
-    worst = _compare(params.tensors, forward_fn)
+    worst = _compare(list(params.tensors.values()), forward_fn)
     return CheckResult(f"variant:{variant}", worst, VARIANT_TOLERANCE)
 
 

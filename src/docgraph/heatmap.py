@@ -39,7 +39,11 @@ def render_attention_svg(
     sentence_previews: list[str],
     title: str,
 ) -> str:
-    """Render one grid per matrix; all matrices must be n-by-n."""
+    """Render one grid per matrix; all matrices must be n-by-n.
+
+    ``sentence_previews`` are the document's sentences, uncut: the legend
+    shows the first n, each cut to ``PREVIEW_CHARS`` characters.
+    """
     if not matrices:
         raise ValueError("no attention matrices to render")
     n = matrices[0].shape[0]

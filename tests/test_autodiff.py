@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from docgraph import autodiff as ad
+from docgraph import gradcheck
 from docgraph.errors import NumericError, ShapeError
 from docgraph.gradcheck import _weighted
 
@@ -326,22 +327,37 @@ class TestConcat:
         x = ad.Tensor([[1.0, 2.0]])
         assert np.array_equal(ad.concat_cols([x]).values, x.values)
 
-    def test_gradient_splits(self):
-        a = ad.Tensor([[1.0], [2.0]])
-        b = ad.Tensor([[3.0], [4.0]])
+    @pytest.mark.parametrize("op, a_shape, b_shape, a_part, b_part", [
+        (ad.concat_cols, (2, 1), (2, 2), np.s_[:, :1], np.s_[:, 1:]),
+        (ad.concat_rows, (1, 2), (2, 2), np.s_[:1], np.s_[1:]),
+    ], ids=["concat_cols", "concat_rows"])
+    def test_gradient_splits(self, op, a_shape, b_shape, a_part, b_part):
+        a, b = ad.Tensor(np.ones(a_shape)), ad.Tensor(np.ones(b_shape))
+        w = np.arange(6.0).reshape(op([a, b]).shape)
         with ad.Tape() as tape:
-            loss = weighted_sum(ad.concat_cols([a, b]))
+            loss = weighted_sum(op([a, b]), w)
         ad.backward(tape, loss)
-        assert np.array_equal(a.grad, [[1.0], [1.0]])
-        assert np.array_equal(b.grad, [[1.0], [1.0]])
+        assert np.array_equal(a.grad, w[a_part])
+        assert np.array_equal(b.grad, w[b_part])
 
     def test_concat_rows(self):
         out = ad.concat_rows([ad.Tensor([[1.0, 2.0]]), ad.Tensor([[3.0, 4.0]])])
         assert np.array_equal(out.values, [[1.0, 2.0], [3.0, 4.0]])
 
-    def test_row_mismatch(self):
-        with pytest.raises(ShapeError):
-            ad.concat_cols([ad.Tensor([[1.0]]), ad.Tensor([[1.0], [2.0]])])
+    @pytest.mark.parametrize("op, shapes, message", [
+        (ad.concat_cols, [], "concat_cols requires at least one part"),
+        (ad.concat_rows, [], "concat_rows requires at least one part"),
+        (ad.concat_cols, [(1, 1), (2, 1)], "concat_cols parts must be 2-D with equal row counts"),
+        (ad.concat_cols, [(2,)], "concat_cols parts must be 2-D with equal row counts"),
+        (ad.concat_rows, [(1, 1), (1, 2)],
+         "concat_rows parts must be 2-D with equal column counts"),
+        (ad.concat_rows, [(2,), (1, 2)], "concat_rows parts must be 2-D with equal column counts"),
+        (ad.concat_rows, [(1, 2), (2,)], "concat_rows parts must be 2-D with equal column counts"),
+    ])
+    def test_shape_errors_name_the_op_and_the_axis(self, op, shapes, message):
+        with pytest.raises(ShapeError) as excinfo:
+            op([ad.Tensor(np.ones(shape)) for shape in shapes])
+        assert str(excinfo.value) == message
 
 
 class TestStructuralOps:
@@ -573,6 +589,24 @@ class TestBackward:
             return out.values.tobytes(), a.grad.tobytes(), b.grad.tobytes()
 
         assert run() == run()
+
+
+def halved(rule):
+    """``rule`` with every gradient it returns halved, a RowSparseGrad's rows too."""
+    def halved_rule(entry):
+        return tuple(
+            None if g is None
+            else ad.RowSparseGrad(g.ids, g.rows * 0.5, g.shape) if isinstance(g, ad.RowSparseGrad)
+            else g * 0.5
+            for g in rule(entry))
+    return halved_rule
+
+
+@pytest.mark.parametrize("op", ad.OP_NAMES)
+def test_gradcheck_fails_an_op_whose_rule_halves_its_gradients(op, monkeypatch):
+    monkeypatch.setitem(ad.BACKWARD_RULES, op, halved(ad.BACKWARD_RULES[op]))
+    failed = [r.name for r in gradcheck.check_ops() if not r.passed]
+    assert op in failed
 
 
 class TestAdam:

@@ -174,20 +174,29 @@ class TestTrainCommand:
         assert [p.read_bytes() for p in paths] == before
         assert not list(corpus_files["tmp"].glob("*.tmp"))
 
+    @pytest.mark.parametrize("existing, error", [
+        ((), "output directory {tmp}/missing does not exist"),
+        (("missing", "missing/x.ckpt"), "output path {tmp}/missing/x.ckpt is a directory"),
+        (("missing", "missing/x.ckpt.runlog.json"),
+         "output path {tmp}/missing/x.ckpt.runlog.json is a directory"),
+    ], ids=["missing parent", "out is a directory", "run log is a directory"])
     def test_missing_output_directory_fails_before_training(self, capsys, corpus_files,
-                                                            monkeypatch):
+                                                            monkeypatch, existing, error):
         def never(*args, **kwargs):
             raise AssertionError("training ran")
 
         monkeypatch.setattr(training, "train", never)
+        tmp = corpus_files["tmp"]
+        for name in existing:
+            (tmp / name).mkdir()
         code, stdout, err = run_cli(capsys, [
             "train", "--protocol", "two_way",
             "--train", corpus_files["train"], "--dev", corpus_files["dev"],
-            "--model", "cnn", "--out", str(corpus_files["tmp"] / "missing" / "x.ckpt"),
+            "--model", "cnn", "--out", str(tmp / "missing" / "x.ckpt"),
         ])
         assert code == 1
         assert stdout == ""
-        assert "missing" in err and "does not exist" in err
+        assert err == f"error: {error.format(tmp=tmp)}\n"
 
     @pytest.mark.parametrize("case", [
         "unlabelled test record", "unreadable test path", "test label outside the classes",
@@ -668,19 +677,52 @@ def mutate(raw: bytes, edits) -> bytes:
     return raw
 
 
-@pytest.fixture(scope="module")
-def ss_checkpoint(tmp_path_factory):
-    """An untrained gcn_attn_ss checkpoint of tiny dimensions over the
-    SS_DATA documents' vocabulary, and a directory for mutated inputs."""
-    tmp = tmp_path_factory.mktemp("ss")
+def untrained_checkpoint(path, variant):
+    """An untrained checkpoint of ``variant`` of tiny dimensions over the
+    SS_DATA documents' vocabulary, written to ``path``."""
     vocab = build_vocab(planted_corpus(seed=1, n_docs=4), min_frequency=1)
-    config = model.ModelConfig(variant="gcn_attn_ss", vocab_size=len(vocab),
+    config = model.ModelConfig(variant=variant, vocab_size=len(vocab),
                                class_names=("satire", "trusted"), embed_dim=3, hidden_dim=3,
                                node_dim=2)
     values = {name: t.values for name, t in model.init_params(config).tensors.items()}
-    out = tmp / "ss.ckpt"
-    training.save_checkpoint(training.Checkpoint(config, vocab, values, metadata={}), out)
-    return tmp, str(out)
+    training.save_checkpoint(training.Checkpoint(config, vocab, values, metadata={}), path)
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def ss_checkpoint(tmp_path_factory):
+    """A tiny gcn_attn_ss checkpoint and a directory for mutated inputs."""
+    tmp = tmp_path_factory.mktemp("ss")
+    return tmp, untrained_checkpoint(tmp / "ss.ckpt", "gcn_attn_ss")
+
+
+@pytest.mark.parametrize("reads_weights", [False, True], ids=["refused", "required"])
+@pytest.mark.parametrize("command", ["train", "eval", "predict", "export-attention"])
+def test_edge_weights_are_given_exactly_to_the_variants_that_read_them(
+        capsys, tmp_path, monkeypatch, command, reads_weights):
+    monkeypatch.setattr(training, "train", lambda *args: pytest.fail("training ran"))
+    variant = "gcn_attn_ss" if reads_weights else "gcn_attn"
+    data, weights, out = tmp_path / "data.jsonl", tmp_path / "weights.jsonl", tmp_path / "out"
+    data.write_bytes(SS_DATA)
+    # one matrix, for a document in no corpus
+    weights.write_text(json.dumps({"id": "elsewhere", "n": 2, "weights": [[0, 1], [1, 0]]}))
+    if command == "train":
+        argv = ["train", "--protocol", "two_way", "--train", str(data), "--dev", str(data),
+                "--model", variant, "--out", str(out)]
+    else:
+        argv = [command, "--ckpt", untrained_checkpoint(tmp_path / "x.ckpt", variant),
+                "--data", str(data)]
+    if command == "export-attention":
+        argv += ["--doc-id", "doc-0", "--out", str(out)]
+    before = sorted(tmp_path.iterdir())
+    code, stdout, err = run_cli(capsys, argv if reads_weights else
+                                [*argv, "--edge-weights", str(weights)])
+    assert code == 1 and stdout == ""
+    assert err == (f"error: model '{variant}' requires --edge-weights (precomputed "
+                   f"sentence-similarity scores)\n" if reads_weights else
+                   f"error: model '{variant}' reads no edge weights; do not pass "
+                   f"--edge-weights\n")
+    assert sorted(tmp_path.iterdir()) == before
 
 
 class TestMutatedInputFiles:

@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from docgraph import evaluation, model, training
 from docgraph.corpus import RawDocument
@@ -64,6 +66,33 @@ class TestComputeMetrics:
         assert shuffled.macro_precision == pytest.approx(base.macro_precision, abs=1e-15)
         assert shuffled.macro_recall == pytest.approx(base.macro_recall, abs=1e-15)
         assert shuffled.macro_f1 == pytest.approx(base.macro_f1, abs=1e-15)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), c=st.integers(2, 5))
+    def test_matches_the_per_class_loop_bit_for_bit(self, data, c):
+        counts = st.integers(0, 10**6) | st.just(0)
+        confusion = np.array(data.draw(st.lists(st.lists(counts, min_size=c, max_size=c),
+                                                min_size=c, max_size=c)), dtype=np.int64)
+        # a class never predicted: a zero precision denominator
+        for j in data.draw(st.lists(st.integers(0, c - 1), max_size=2)):
+            confusion[:, j] = 0
+        if confusion.sum() == 0:
+            confusion[0, 0] = 1
+        oracle = {"precision": [], "recall": [], "f1": []}
+        for i in range(c):
+            tp = float(confusion[i, i])
+            fp = float(confusion[:, i].sum()) - tp
+            fn = float(confusion[i, :].sum()) - tp
+            p = tp / (tp + fp) if tp + fp > 0 else evaluation.ZERO_DENOMINATOR_VALUE
+            r = tp / (tp + fn) if tp + fn > 0 else evaluation.ZERO_DENOMINATOR_VALUE
+            f = 2 * p * r / (p + r) if p + r > 0 else evaluation.ZERO_DENOMINATOR_VALUE
+            for name, value in (("precision", p), ("recall", r), ("f1", f)):
+                oracle[name].append(value)
+        m = evaluation.compute_metrics(confusion)
+        for name, values in oracle.items():
+            assert [v.hex() for v in getattr(m, name)] == [v.hex() for v in values], name
+            assert all(type(v) is float for v in getattr(m, name))
+            assert getattr(m, f"macro_{name}").hex() == float(np.mean(values)).hex()
 
     def test_dict_output_documents_zero_denominator_convention(self):
         m = evaluation.compute_metrics(np.diag([1, 1]))
