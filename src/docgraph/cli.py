@@ -32,7 +32,7 @@ from .corpus import (
 from .errors import CorpusError, DocGraphError, EvaluationError
 from .graph import load_edge_weights
 from .heatmap import render_attention_svg
-from .model import SPECS, VARIANTS, ModelConfig
+from .model import SPECS, VARIANTS, ModelConfig, check_documents
 
 TWO_WAY_CLASSES = ("satire", "trusted")
 FOUR_WAY_CLASSES = ("hoax", "propaganda", "satire", "trusted")
@@ -141,9 +141,9 @@ def cmd_train(args) -> int:
     del train_raw, dev_raw, test_raw
     if args.test is not None and not test_docs:
         raise EvaluationError("no documents to evaluate")
-    if config.spec.edge_weights:  # a missing or too small matrix fails now, not mid-run
-        for doc in [*train_docs, *dev_docs, *test_docs]:
-            weights.matrix_for(doc.id, doc.n_sentences)
+    # what training or test scoring would refuse fails now, not mid-run
+    training.check_inputs(train_docs, dev_docs, config, weights)
+    check_documents(test_docs, config, weights, EvaluationError)
 
     _info(f"training {args.model} on {len(train_docs)} documents "
           f"({len(dev_docs)} dev), up to {config.max_epochs} epoch(s)")

@@ -20,7 +20,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import CorpusError, DocGraphError, is_count, is_int
+from .errors import CorpusError, DocGraphError, is_count, is_finite_real, is_int
 
 PAD = "<pad>"
 UNK = "<unk>"
@@ -381,10 +381,13 @@ def split_train_dev(docs: list, ratio: float, seed: int) -> tuple[list, list]:
     """Stratified shuffle split; works on anything with a ``label`` attribute.
 
     Per class the train share is round(ratio * count), clamped so both
-    sides stay non-empty. Deterministic given the seed.
+    sides stay non-empty. Deterministic given the seed, a non-negative
+    integer; the ratio is a real number in (0, 1).
     """
-    if not (0.0 < ratio < 1.0):
-        raise CorpusError(f"split ratio must be in (0, 1), got {ratio}")
+    if not (is_finite_real(ratio) and 0.0 < ratio < 1.0):
+        raise CorpusError(f"split ratio must be in (0, 1), got {ratio!r}")
+    if not is_int(seed) or seed < 0:  # ModelConfig's rule and message for its seed
+        raise CorpusError("seed must be a non-negative integer")
     groups: dict[object, list] = {}
     for d in docs:
         groups.setdefault(d.label, []).append(d)

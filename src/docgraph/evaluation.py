@@ -20,7 +20,7 @@ from . import autodiff as ad
 from .corpus import Document, RawDocument, encode_corpus
 from .errors import EvaluationError, NumericError
 from .graph import EdgeWeightSet
-from .model import ModelConfig, ModelParams, forward
+from .model import ModelConfig, ModelParams, check_documents, forward
 
 if TYPE_CHECKING:  # pragma: no cover
     from .training import Checkpoint
@@ -147,9 +147,7 @@ def evaluate_documents(
     """Score already-encoded documents against their gold labels."""
     if not docs:
         raise EvaluationError("no documents to evaluate")
-    unlabelled = [d.id for d in docs if d.label is None]
-    if unlabelled:  # encoded without a class set
-        raise EvaluationError(f"document '{unlabelled[0]}' has no label")
+    check_documents(docs, config, weights, EvaluationError)
     predicted = [predict_label(d, params, config, weights) for d in docs]
     c = config.n_classes
     confusion = np.zeros((c, c), dtype=np.int64)

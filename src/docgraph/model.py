@@ -146,6 +146,29 @@ class ModelConfig:
         return cls(**data)
 
 
+def _require_weights(config: ModelConfig, weights: EdgeWeightSet | None) -> None:
+    """Raise ModelError if the variant reads edge weights and ``weights`` is None."""
+    if config.spec.edge_weights and weights is None:
+        raise ModelError(f"variant '{config.variant}' requires an edge-weight set")
+
+
+def check_documents(docs: list[Document], config: ModelConfig,
+                    weights: EdgeWeightSet | None, error: type[Exception]) -> None:
+    """The rule for a document that can be trained on or scored, checked in
+    order so the first bad document is named: its label is a class index of
+    ``config`` (``error`` if not) and, for a variant that reads edge weights,
+    ``weights`` holds its matrix (``matrix_for``'s GraphError if not)."""
+    _require_weights(config, weights)
+    for doc in docs:
+        if doc.label is None:  # encoded without a class set
+            raise error(f"document '{doc.id}' has no label")
+        if not (is_int(doc.label) and 0 <= doc.label < config.n_classes):
+            raise error(f"document '{doc.id}' has label {doc.label!r}, not a class "
+                        f"index below {config.n_classes}")
+        if config.spec.edge_weights:
+            weights.matrix_for(doc.id, doc.n_sentences)
+
+
 @dataclass
 class ModelParams:
     """All learned tensors for one variant, keyed by their ``param_layout`` name."""
@@ -322,8 +345,7 @@ def forward(
     """Class logits for one document, plus attention matrices when the
     variant produces them (one per head for gat2)."""
     check_layout(config, [(name, t.shape) for name, t in params.tensors.items()])
-    if config.spec.edge_weights and weights is None:
-        raise ModelError(f"variant '{config.variant}' requires an edge-weight set")
+    _require_weights(config, weights)
     if config.spec.kind == "cnn":
         return cnn_forward(doc, params, config), None
     if config.spec.kind == "lstm":

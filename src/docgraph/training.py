@@ -33,6 +33,7 @@ from .model import (
     ModelConfig,
     ModelParams,
     bind_params,
+    check_documents,
     check_layout,
     forward,
     init_params,
@@ -100,6 +101,26 @@ class TrainRun:
         }
 
 
+def check_inputs(
+    train_docs: list[Document],
+    dev_docs: list[Document],
+    config: ModelConfig,
+    weights: EdgeWeightSet | None = None,
+) -> None:
+    """Raise what ``train`` would refuse before its first step: no epoch, an
+    empty set, a document ``check_documents`` refuses, or a class without a
+    training document."""
+    if config.max_epochs < 1:
+        raise TrainingError("training requires at least one epoch")
+    if not train_docs or not dev_docs:
+        raise TrainingError("training and dev sets must be non-empty")
+    check_documents([*train_docs, *dev_docs], config, weights, TrainingError)
+    present = {d.label for d in train_docs}
+    missing = [name for i, name in enumerate(config.class_names) if i not in present]
+    if missing:
+        raise TrainingError(f"no training documents for class(es): {missing}")
+
+
 def train(
     train_docs: list[Document],
     dev_docs: list[Document],
@@ -107,15 +128,7 @@ def train(
     vocab: Vocabulary,
     weights: EdgeWeightSet | None = None,
 ) -> TrainRun:
-    if config.max_epochs < 1:
-        raise TrainingError("training requires at least one epoch")
-    if not train_docs or not dev_docs:
-        raise TrainingError("training and dev sets must be non-empty")
-    present = {d.label for d in train_docs}
-    missing = [name for i, name in enumerate(config.class_names) if i not in present]
-    if missing:
-        raise TrainingError(f"no training documents for class(es): {missing}")
-
+    check_inputs(train_docs, dev_docs, config, weights)
     rng = np.random.default_rng(config.seed)
     params = init_params(config, rng)
     optimizer = AdamState.for_params(params.tensors, lr=config.lr)

@@ -270,6 +270,33 @@ class TestTrainCommand:
         assert err.splitlines() == [
             f"error: {field} must be a positive integer up to {sys.maxsize}"]
 
+    @pytest.mark.parametrize("protocol", [None, "two_way", "four_way"])
+    @pytest.mark.parametrize("flag, value, error", [
+        ("--seed", "-1", "seed must be a non-negative integer"),
+        ("--epochs", "0", "training requires at least one epoch"),
+        ("--epochs", "-1", "max_epochs must be a non-negative integer"),
+        ("--lr", "0", "lr must be a finite number above 0"),
+        ("--max-sentences", "0", f"max_sentences must be a positive integer up to {sys.maxsize}"),
+        ("--max-tokens", "0", f"max_tokens must be a positive integer up to {sys.maxsize}"),
+    ])
+    def test_numeric_flag_out_of_range_is_the_only_message(self, capsys, tmp_path, protocol,
+                                                           flag, value, error):
+        # four_way splits with the seed before ModelConfig checks it, and
+        # train's own checks run before the progress line
+        classes = cli.PROTOCOLS[protocol].classes if protocol else cli.TWO_WAY_CLASSES
+        train = write_tsv(tmp_path / "train.tsv",
+                          planted_corpus(seed=0, n_docs=16, class_names=classes))
+        args = ["--train", train]
+        if protocol:
+            args = ["--protocol", protocol, *args]
+        if protocol != "four_way":
+            args += ["--dev", write_tsv(tmp_path / "dev.tsv", planted_corpus(seed=1, n_docs=8))]
+        code, stdout, err = run_cli(capsys, [
+            "train", *args, "--model", "gcn", flag, value, "--out", str(tmp_path / "x.ckpt")])
+        assert code == 1 and stdout == ""
+        assert err == f"error: {error}\n"
+        assert not list(tmp_path.glob("x.ckpt*"))
+
     def test_determinism_byte_identical_outputs(self, capsys, corpus_files):
         out1, _ = train_checkpoint(capsys, corpus_files, "lstm")
         log1 = (corpus_files["tmp"] / "lstm.ckpt.runlog.json").read_bytes()

@@ -606,9 +606,21 @@ class TestSplitTrainDev:
         with pytest.raises(CorpusError, match="'a'"):
             corpus.split_train_dev(docs, 0.8, seed=0)
 
-    def test_bad_ratio(self):
-        with pytest.raises(CorpusError):
-            corpus.split_train_dev(self.make_docs({"a": 4, "b": 4}), 1.0, seed=0)
+    @pytest.mark.parametrize("ratio, seed, error", [
+        (1.0, 0, "split ratio must be in (0, 1), got 1.0"),
+        ("0.8", 1, "split ratio must be in (0, 1), got '0.8'"),
+        (float("nan"), 1, "split ratio must be in (0, 1), got nan"),
+        (True, 1, "split ratio must be in (0, 1), got True"),
+        (0.8, -1, "seed must be a non-negative integer"),
+        (0.8, 1.5, "seed must be a non-negative integer"),
+        (0.8, True, "seed must be a non-negative integer"),
+        (0.8, "1", "seed must be a non-negative integer"),
+    ])
+    def test_bad_ratio_or_seed(self, ratio, seed, error):
+        # numpy's default_rng raised ValueError or TypeError, or took True as 1
+        with pytest.raises(CorpusError) as excinfo:
+            corpus.split_train_dev(self.make_docs({"a": 4, "b": 4}), ratio, seed)
+        assert str(excinfo.value) == error
 
 
 class TestPipelineDeterminism:

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from docgraph import autodiff as ad
 from docgraph import evaluation, model, training
 from docgraph.corpus import RawDocument
-from docgraph.errors import CorpusError, EvaluationError
+from docgraph.errors import CorpusError, EvaluationError, GraphError, ModelError, TrainingError
+from docgraph.graph import EdgeWeightSet
 
 from conftest import encode_planted, planted_corpus
 
@@ -174,3 +176,143 @@ class TestEvaluateCheckpoint:
             ckpt.values[name][:] = 0.0
         metrics = evaluation.evaluate(ckpt, raw)
         assert int(metrics.confusion[:, 0].sum()) == len(raw)
+
+
+THREE_CLASSES = ("hoax", "satire", "trusted")
+# class indices, as Python and numpy integers, and what is not one
+VALID_LABELS = st.one_of(st.integers(0, 2), st.integers(0, 2).map(np.int64))
+BAD_LABELS = st.sampled_from([None, -1, 3, True, 1.0])
+
+
+class FirstStep(Exception):
+    """Raised by a patched ``adam_step``: training reached its first update."""
+
+
+def first_step(*args):
+    raise FirstStep
+
+
+class TestOneDocumentRule:
+    """``train`` and ``evaluate_documents`` refuse, before their first step or
+    forward, a document whose label is not a class index or, for a variant
+    that reads edge weights, that has no matrix; the first such is named."""
+
+    def setup_method(self):
+        raw = planted_corpus(seed=4, n_docs=6, class_names=THREE_CLASSES)
+        self.vocab, _, self.docs = encode_planted(raw, THREE_CLASSES)
+        self.dev = [dataclasses.replace(d, id=f"dev-{d.id}") for d in self.docs]
+        rng = np.random.default_rng(0)
+        self.matrices = {}
+        for d in [*self.docs, *self.dev]:
+            m = rng.uniform(0.1, 1.0, size=(d.n_sentences, d.n_sentences))
+            self.matrices[d.id] = (m + m.T) / 2 * (1 - np.eye(d.n_sentences))
+
+    def config(self, variant):
+        return model.ModelConfig(variant=variant, vocab_size=len(self.vocab),
+                                 class_names=THREE_CLASSES, embed_dim=4, hidden_dim=4,
+                                 node_dim=3, seed=3, max_epochs=1)
+
+    def draw_weights(self, data, variant):
+        """None for a variant without edge weights; for gcn_ss, a set missing
+        some ids. Also the ids the set holds."""
+        if variant == "gcn":
+            return None, set()
+        missing = data.draw(st.sets(st.sampled_from(sorted(self.matrices)), max_size=3),
+                            label="missing")
+        held = {i: m for i, m in self.matrices.items() if i not in missing}
+        return EdgeWeightSet(held), set(held)
+
+    @staticmethod
+    def first_bad(docs, config, held):
+        """The error the rule raises and a part of its message, by brute force."""
+        for d in docs:
+            label = d.label
+            if not (isinstance(label, (int, np.integer)) and not isinstance(label, bool)
+                    and 0 <= label < config.n_classes):
+                return "label", f"document '{d.id}' has "
+            if config.spec.edge_weights and d.id not in held:
+                return GraphError, f"no edge weights for document '{d.id}'"
+        return None, None
+
+    def relabel(self, data, docs):
+        """``docs`` with drawn class indices, and a bad label at a few of them."""
+        bad = data.draw(st.sets(st.integers(0, len(docs) - 1), max_size=2), label="bad")
+        return [dataclasses.replace(d, label=data.draw(BAD_LABELS if k in bad else VALID_LABELS,
+                                                       label=d.id))
+                for k, d in enumerate(docs)]
+
+    @pytest.mark.parametrize("call", ["evaluate", "train"])
+    def test_a_missing_weight_set_is_refused_before_the_first_step(self, monkeypatch, call):
+        monkeypatch.setattr(ad, "adam_step", first_step)
+        config = self.config("gcn_ss")
+        with pytest.raises(ModelError, match="variant 'gcn_ss' requires an edge-weight set"):
+            if call == "evaluate":
+                evaluation.evaluate_documents(model.init_params(config), config, self.dev)
+            else:
+                training.train(self.docs, self.dev, config, self.vocab)
+
+    @pytest.mark.parametrize("label", [-1, 3, True, 1.0])
+    def test_evaluate_names_a_label_that_is_not_a_class_index(self, label):
+        config = self.config("gcn")
+        docs = [self.docs[0], dataclasses.replace(self.docs[1], label=label)]
+        with pytest.raises(EvaluationError) as excinfo:
+            evaluation.evaluate_documents(model.init_params(config), config, docs)
+        assert str(excinfo.value) == (
+            f"document 'doc-1' has label {label!r}, not a class index below 3")
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_evaluate_refuses_or_counts_exactly(self, data):
+        variant = data.draw(st.sampled_from(["gcn", "gcn_ss"]), label="variant")
+        config = self.config(variant)
+        params = model.init_params(config)
+        weights, held = self.draw_weights(data, variant)
+        docs = self.relabel(data, self.dev)
+        error, message = self.first_bad(docs, config, held)
+        if error is None:
+            expected = np.zeros((3, 3), dtype=np.int64)
+            for d in docs:
+                logits, _ = model.forward(d, params, config, weights)
+                expected[int(d.label), int(np.argmax(logits.values))] += 1
+            metrics = evaluation.evaluate_documents(params, config, docs, weights)
+            assert np.array_equal(metrics.confusion, expected)
+            return
+        with pytest.raises(EvaluationError if error == "label" else error) as excinfo:
+            evaluation.evaluate_documents(params, config, docs, weights)
+        assert message in str(excinfo.value)
+
+    @pytest.mark.parametrize("case", ["label -1", "label True", "no matrix"])
+    def test_train_refuses_a_bad_dev_document_before_its_first_step(self, monkeypatch, case):
+        monkeypatch.setattr(ad, "adam_step", first_step)
+        dev, weights = list(self.dev), None
+        if case == "no matrix":
+            weights = EdgeWeightSet({i: m for i, m in self.matrices.items() if i != "dev-doc-2"})
+            error, message = GraphError, "no edge weights for document 'dev-doc-2'"
+        else:
+            label = -1 if case == "label -1" else True
+            dev[2] = dataclasses.replace(dev[2], label=label)
+            error, message = TrainingError, f"document 'dev-doc-2' has label {label!r}"
+        config = self.config("gcn" if weights is None else "gcn_ss")
+        with pytest.raises(error, match=message):
+            training.train(self.docs, dev, config, self.vocab, weights)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_train_refuses_before_its_first_step(self, data):
+        variant = data.draw(st.sampled_from(["gcn", "gcn_ss"]), label="variant")
+        config = self.config(variant)
+        weights, held = self.draw_weights(data, variant)
+        train_docs = self.docs
+        if data.draw(st.booleans(), label="relabel the training set"):
+            train_docs = self.relabel(data, train_docs)
+        dev_docs = self.relabel(data, self.dev)
+        error, message = self.first_bad([*train_docs, *dev_docs], config, held)
+        if error == "label":
+            error = TrainingError
+        elif error is None and {d.label for d in train_docs} != {0, 1, 2}:
+            error, message = TrainingError, "no training documents for class"
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ad, "adam_step", first_step)
+            with pytest.raises(error or FirstStep) as excinfo:
+                training.train(train_docs, dev_docs, config, self.vocab, weights)
+        assert message is None or message in str(excinfo.value)
