@@ -36,7 +36,6 @@ from .model import SPECS, VARIANTS, ModelConfig, check_documents
 
 TWO_WAY_CLASSES = ("satire", "trusted")
 FOUR_WAY_CLASSES = ("hoax", "propaganda", "satire", "trusted")
-SPLIT_RATIO = 0.8
 
 
 @dataclass(frozen=True)
@@ -111,7 +110,7 @@ def cmd_train(args) -> int:
             raise DocGraphError(
                 "the four_way protocol derives its dev set from --train "
                 "via a stratified 80:20 split; do not pass --dev")
-        train_raw, dev_raw = split_train_dev(train_raw, SPLIT_RATIO, args.seed)
+        train_raw, dev_raw = split_train_dev(train_raw, args.seed)
     elif args.dev is None:
         raise DocGraphError(f"protocol '{args.protocol}' requires --dev" if preset else
                             "--dev is required when no --protocol is given")
@@ -237,7 +236,7 @@ def cmd_export_attention(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     report = gradcheck.run_all()
-    for entry in report["ops"] + report["variants"]:
+    for entry in report["ops"] + report["variants"] + report["full_size"]:
         status = "PASS" if entry["passed"] else "FAIL"
         _info(f"{status} {entry['name']}: worst rel err {entry['max_rel_err']:.3e} "
               f"(tolerance {entry['tolerance']:.0e})")
@@ -331,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_export_attention)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of every op "
-                                         "and model variant")
+                                         "and model variant, tiny and full-size")
     p.set_defaults(handler=cmd_gradcheck)
 
     p = sub.add_parser("stats", help="corpus statistics as JSON")

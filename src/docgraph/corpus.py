@@ -20,16 +20,17 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import CorpusError, DocGraphError, is_count, is_finite_real, is_int
+from .errors import CorpusError, DocGraphError, is_count, is_int
 
 PAD = "<pad>"
 UNK = "<unk>"
-PAD_ID = 0
 UNK_ID = 1
 
 DEFAULT_MAX_SENTENCES = 64
 DEFAULT_MAX_TOKENS = 64
 DEFAULT_MIN_FREQUENCY = 2
+# the train share of each class in the four-way protocol's train/dev split
+SPLIT_RATIO = 0.8
 
 # Words that end with a period without terminating a sentence.
 ABBREVIATIONS = frozenset(
@@ -99,13 +100,9 @@ class Vocabulary:
     """Token/id bijection with reserved PAD=0 and UNK=1 entries."""
 
     id_to_token: list[str]
-    min_frequency: int
     token_to_id: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self):
-        # a checkpoint stores it, and its loader takes nothing but an integer
-        if not is_int(self.min_frequency):
-            raise CorpusError(f"min_frequency must be an integer, got {self.min_frequency!r}")
         if self.id_to_token[:2] != [PAD, UNK]:
             raise CorpusError("vocabulary must reserve PAD=0 and UNK=1")
         self.token_to_id = {tok: i for i, tok in enumerate(self.id_to_token)}
@@ -324,6 +321,8 @@ def build_vocab(docs: list[RawDocument], min_frequency: int = DEFAULT_MIN_FREQUE
     Ordering is deterministic: by descending frequency, ties broken
     lexicographically. Tokens below ``min_frequency`` encode to UNK.
     """
+    if not is_int(min_frequency):
+        raise CorpusError(f"min_frequency must be an integer, got {min_frequency!r}")
     if not docs:
         raise CorpusError("cannot build a vocabulary from an empty corpus")
     counts: Counter[str] = Counter()
@@ -333,7 +332,7 @@ def build_vocab(docs: list[RawDocument], min_frequency: int = DEFAULT_MIN_FREQUE
         (tok for tok, c in counts.items() if c >= min_frequency),
         key=lambda tok: (-counts[tok], tok),
     )
-    return Vocabulary(id_to_token=[PAD, UNK] + kept, min_frequency=min_frequency)
+    return Vocabulary(id_to_token=[PAD, UNK] + kept)
 
 
 def encode_document(
@@ -377,15 +376,13 @@ def encode_corpus(
 # ---------------------------------------------------------------------------
 # splits
 
-def split_train_dev(docs: list, ratio: float, seed: int) -> tuple[list, list]:
+def split_train_dev(docs: list, seed: int) -> tuple[list, list]:
     """Stratified shuffle split; works on anything with a ``label`` attribute.
 
-    Per class the train share is round(ratio * count), clamped so both
+    Per class the train share is round(SPLIT_RATIO * count), clamped so both
     sides stay non-empty. Deterministic given the seed, a non-negative
-    integer; the ratio is a real number in (0, 1).
+    integer.
     """
-    if not (is_finite_real(ratio) and 0.0 < ratio < 1.0):
-        raise CorpusError(f"split ratio must be in (0, 1), got {ratio!r}")
     if not is_int(seed) or seed < 0:  # ModelConfig's rule and message for its seed
         raise CorpusError("seed must be a non-negative integer")
     groups: dict[object, list] = {}
@@ -400,7 +397,7 @@ def split_train_dev(docs: list, ratio: float, seed: int) -> tuple[list, list]:
             raise CorpusError(
                 f"class '{label}' has fewer than 2 documents; cannot split"
             )
-        n_train = int(ratio * len(members) + 0.5)
+        n_train = int(SPLIT_RATIO * len(members) + 0.5)
         n_train = min(max(n_train, 1), len(members) - 1)
         order = rng.permutation(len(members))
         train.extend(members[i] for i in order[:n_train])

@@ -42,8 +42,7 @@ class Metrics:
     accuracy: float
     n_documents: int
 
-    def to_dict(self, class_names: tuple[str, ...] | None = None) -> dict:
-        names = class_names or tuple(str(i) for i in range(len(self.precision)))
+    def to_dict(self, class_names: tuple[str, ...]) -> dict:
         return {
             "accuracy": self.accuracy,
             "confusion": [[int(v) for v in row] for row in self.confusion],
@@ -59,7 +58,7 @@ class Metrics:
                     "precision": self.precision[i],
                     "recall": self.recall[i],
                 }
-                for i, name in enumerate(names)
+                for i, name in enumerate(class_names)
             },
             "zero_denominator_value": ZERO_DENOMINATOR_VALUE,
         }

@@ -4,7 +4,9 @@ Each differentiable op gets one deterministic fixture; its analytic
 gradients are compared elementwise against central finite differences
 (h = 1e-5) with relative error |a - f| / max(1, |a|, |f|). Every model
 variant is additionally checked end-to-end on a tiny configuration,
-differentiating the loss against every named parameter.
+differentiating the loss against every named parameter, and at the default
+sizes along one random direction per parameter, where products have the
+inner dimensions of a real model and sentences are ragged.
 
 This is the release gate behind the ``gradcheck`` CLI command; the test
 suite calls the same entry points.
@@ -33,6 +35,16 @@ TINY_EMBED = 6
 TINY_HIDDEN = 6
 TINY_NODE = 4
 
+# the full-size check: a central-difference step, and the smaller one a
+# failing tensor is measured again at
+FULL_STEPS = (1e-6, 1e-7)
+FULL_TOLERANCE = 1e-6
+# no product's inner dimension depends on the vocabulary, so it stays small
+FULL_VOCAB = 1000
+# sentence lengths of its ragged document: a one-token sentence among them
+RAGGED_LENGTHS = (1, 7, 30, 2, 19, 30, 4)
+SINGLE_LENGTH = 12
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -58,21 +70,20 @@ def _rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.max(np.abs(analytic - numeric) / denom))
 
 
-def _compare(tensors: Sequence[Tensor], forward_fn: Callable[[], Tensor]) -> float:
-    """Worst relative error between tape gradients and finite differences."""
+def _tape_grads(tensors: Sequence[Tensor], forward_fn: Callable[[], Tensor]) -> list:
+    """Each tensor's dense gradient of ``forward_fn``'s scalar, off the tape."""
     for t in tensors:
         t.zero_grad()
     with Tape() as tape:
         out = forward_fn()
     ad.backward(tape, out)
+    return [np.zeros_like(t.values) if t.grad is None else ad._dense(t.grad) for t in tensors]
+
+
+def _compare(tensors: Sequence[Tensor], forward_fn: Callable[[], Tensor]) -> float:
+    """Worst relative error between tape gradients and finite differences."""
     worst = 0.0
-    for t in tensors:
-        if t.grad is None:
-            analytic = np.zeros_like(t.values)
-        elif isinstance(t.grad, ad.RowSparseGrad):
-            analytic = t.grad.dense()
-        else:
-            analytic = t.grad
+    for t, analytic in zip(tensors, _tape_grads(tensors, forward_fn)):
         numeric = np.zeros_like(t.values)
         it = np.nditer(t.values, flags=["multi_index"])
         while not it.finished:
@@ -169,6 +180,17 @@ def check_ops(seed: int = 0) -> list[CheckResult]:
     return results
 
 
+def _edge_weights(rng: np.random.Generator, docs: list[Document]) -> EdgeWeightSet:
+    """A symmetric, zero-diagonal similarity matrix for each document."""
+    matrices = {}
+    for doc in docs:
+        m = rng.uniform(0.1, 1.0, size=(doc.n_sentences, doc.n_sentences))
+        m = (m + m.T) / 2
+        np.fill_diagonal(m, 0.0)
+        matrices[doc.id] = m
+    return EdgeWeightSet(matrices)
+
+
 def _tiny_setup(variant: str, seed: int):
     rng = np.random.default_rng(seed)
     config = ModelConfig(
@@ -177,16 +199,12 @@ def _tiny_setup(variant: str, seed: int):
         hidden_dim=TINY_HIDDEN, node_dim=TINY_NODE, seed=seed,
     )
     params = init_params(config, rng)
-    n = 3
     doc = Document(
         "tiny", 1,
         tuple(tuple(int(t) for t in rng.integers(2, TINY_VOCAB, size=4))
-              for _ in range(n)),
+              for _ in range(3)),
     )
-    m = rng.uniform(0.1, 1.0, size=(n, n))
-    m = (m + m.T) / 2
-    np.fill_diagonal(m, 0.0)
-    weights = EdgeWeightSet({"tiny": m}) if config.spec.edge_weights else None
+    weights = _edge_weights(rng, [doc]) if config.spec.edge_weights else None
     return config, params, doc, weights
 
 
@@ -206,12 +224,67 @@ def check_variants(seed: int = 0) -> list[CheckResult]:
     return [check_variant(v, seed) for v in VARIANTS]
 
 
+def _compare_along_directions(tensors: Sequence[Tensor], forward_fn: Callable[[], Tensor],
+                              rng: np.random.Generator) -> float:
+    """Worst relative error between each tensor's tape gradient along one
+    random unit direction and the central difference along it. A tensor that
+    errs by ``FULL_TOLERANCE`` or more at the first of ``FULL_STEPS`` is
+    measured again at the second, and that error stands: a step across a
+    leaky-ReLU or max-pool kink errs less at a smaller step, a wrong rule
+    does not."""
+    worst = 0.0
+    for t, analytic in zip(tensors, _tape_grads(tensors, forward_fn)):
+        direction = rng.normal(size=t.shape)
+        direction /= np.linalg.norm(direction)
+        slope = float(np.vdot(analytic, direction))
+        orig = t.values.copy()
+        for step in FULL_STEPS:
+            np.add(orig, step * direction, out=t.values)
+            up = float(forward_fn().values[0])
+            np.subtract(orig, step * direction, out=t.values)
+            down = float(forward_fn().values[0])
+            err = _rel_err(slope, (up - down) / (2 * step))
+            if err < FULL_TOLERANCE:
+                break
+        np.copyto(t.values, orig)
+        worst = max(worst, err)
+    return worst
+
+
+def check_variant_full(variant: str, seed: int = 0) -> CheckResult:
+    """End-to-end gradient check of one variant at the default sizes, on a
+    document of ragged sentences, one of them a single token, and on a
+    one-sentence document, which graph variants project without propagation."""
+    rng = np.random.default_rng(seed)
+    config = ModelConfig(variant=variant, vocab_size=FULL_VOCAB,
+                         class_names=("satire", "trusted"), seed=seed)
+    params = init_params(config, rng)
+
+    def document(doc_id, label, lengths):
+        return Document(doc_id, label, tuple(
+            tuple(int(t) for t in rng.integers(2, FULL_VOCAB, n)) for n in lengths))
+
+    docs = [document("ragged", 1, RAGGED_LENGTHS), document("single", 0, (SINGLE_LENGTH,))]
+    weights = _edge_weights(rng, docs) if config.spec.edge_weights else None
+    worst = 0.0
+    for doc in docs:
+        def forward_fn():
+            logits, _ = forward(doc, params, config, weights)
+            return model_loss(logits, doc.label)
+
+        worst = max(worst, _compare_along_directions(list(params.tensors.values()),
+                                                     forward_fn, rng))
+    return CheckResult(f"variant_full:{variant}", worst, FULL_TOLERANCE)
+
+
 def run_all(seed: int = 0) -> dict:
     """The full gradient suite; report dict is JSON-serializable."""
     ops = check_ops(seed)
     variants = check_variants(seed)
+    full_size = [check_variant_full(v, seed) for v in VARIANTS]
     return {
+        "full_size": [r.to_dict() for r in full_size],
         "ops": [r.to_dict() for r in ops],
-        "passed": all(r.passed for r in ops + variants),
+        "passed": all(r.passed for r in ops + variants + full_size),
         "variants": [r.to_dict() for r in variants],
     }

@@ -100,6 +100,4 @@ def multi_head(
         out, attention = gat_layer(adjacency, nodes, weight, attn, slope)
         outputs.append(out)
         attentions.append(attention)
-    if len(outputs) == 1:
-        return outputs[0], attentions
     return ad.concat_cols(outputs), attentions

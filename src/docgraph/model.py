@@ -320,8 +320,7 @@ def _graph_forward(
     if spec.kind == "gat":
         heads = [(t[f"gat.{h}.w"], t[f"gat.{h}.a"]) for h in range(spec.heads)]
         if single:
-            parts = [ad.matmul(features, weight) for weight, _ in heads]
-            z = parts[0] if len(parts) == 1 else ad.concat_cols(parts)
+            z = ad.concat_cols([ad.matmul(features, weight) for weight, _ in heads])
         else:
             z, attentions = multi_head(adjacency, features, heads, LEAKY_SLOPE)
     else:

@@ -8,17 +8,21 @@ not touch (see ``autodiff.adam_step``); every forward still sees the dense
 update's bytes, and each epoch ends with ``autodiff.adam_sync``, which
 brings the whole table up to date. Then the dev set is scored with
 macro-F1 and the best epoch's parameters are kept (ties go to the earliest
-epoch).
+epoch). ``train`` holds OpenBLAS at one thread, so the checkpoint's bytes do
+not follow the host's core count.
 """
 
 from __future__ import annotations
 
+import ctypes
 import io
 import json
 import math
 import os
 import stat
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +44,7 @@ from .model import (
     loss,
 )
 
-CHECKPOINT_FORMAT_VERSION = 4
+CHECKPOINT_FORMAT_VERSION = 5
 
 
 @dataclass(frozen=True)
@@ -121,6 +125,45 @@ def check_inputs(
         raise TrainingError(f"no training documents for class(es): {missing}")
 
 
+@cache
+def openblas() -> ctypes.CDLL | None:
+    """The OpenBLAS library numpy has mapped into this process, found once,
+    or ``None`` where ``/proc/self/maps`` names none or it does not load."""
+    try:
+        maps = Path("/proc/self/maps").read_text().splitlines()
+    except OSError:
+        return None
+    path = next((line.split()[-1] for line in maps if "openblas" in line.split()[-1]), None)
+    try:
+        return None if path is None else ctypes.CDLL(path)
+    except OSError:
+        return None
+
+
+@contextmanager
+def one_blas_thread():
+    """Hold OpenBLAS at one thread, and put the old count back on exit: at
+    two threads the backward products whose inner dimension exceeds 100 sum
+    in another order, and a checkpoint's bytes would follow the thread count.
+    Does nothing where the library lacks the thread-count functions."""
+    lib = openblas()
+    try:
+        get, set_ = (lib.scipy_openblas_get_num_threads64_,
+                     lib.scipy_openblas_set_num_threads64_)
+    except AttributeError:  # no library, or another build of it
+        yield
+        return
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    threads = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(threads)
+
+
+@one_blas_thread()
 def train(
     train_docs: list[Document],
     dev_docs: list[Document],
@@ -182,7 +225,6 @@ def train(
         vocab=vocab,
         values=best_values,
         metadata={
-            "seed": config.seed,
             "best_epoch": run.best_epoch,
             "best_dev_macro_f1": run.best_dev_macro_f1,
         },
@@ -227,10 +269,7 @@ def checkpoint_buffers(ckpt: Checkpoint) -> list:
     manifest = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "config": ckpt.config.to_dict(),
-        "vocabulary": {
-            "id_to_token": ckpt.vocab.id_to_token,
-            "min_frequency": ckpt.vocab.min_frequency,
-        },
+        "vocabulary": ckpt.vocab.id_to_token,
         "parameters": [
             {"name": name, "shape": list(values.shape)}
             for name, values in ckpt.values.items()
@@ -294,11 +333,10 @@ def _read_checkpoint(f, path: str | Path) -> Checkpoint:
     malformed = (KeyError, TypeError, ValueError, ModelError, CorpusError)
     try:
         config = ModelConfig.from_dict(manifest["config"])
-        tokens = manifest["vocabulary"]["id_to_token"]
+        tokens = manifest["vocabulary"]
         if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
             raise ValueError("vocabulary tokens must be strings")
-        vocab = Vocabulary(id_to_token=tokens,
-                           min_frequency=_json_int(manifest["vocabulary"]["min_frequency"]))
+        vocab = Vocabulary(id_to_token=tokens)
         directory = [(str(p["name"]), tuple(_json_int(s) for s in p["shape"]))
                      for p in manifest["parameters"]]
         metadata = manifest["metadata"]

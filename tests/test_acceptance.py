@@ -67,10 +67,11 @@ def symmetric_matrix(rng, n):
 
 def test_criterion_1_gradient_suite():
     with criterion(1, "finite-difference gradients: ops < 1e-6, variants < 1e-4, "
-                      "under 2 minutes"):
+                      "variants at full size < 1e-6, under 2 minutes"):
         start = time.time()
         ops = gradcheck.check_ops(seed=0)
         variants = gradcheck.check_variants(seed=0)
+        full_size = [gradcheck.check_variant_full(v, seed=0) for v in model.VARIANTS]
         elapsed = time.time() - start
         assert [r.name for r in ops] == sorted(ad.OP_NAMES)
         for result in ops:
@@ -78,6 +79,8 @@ def test_criterion_1_gradient_suite():
         assert [r.name for r in variants] == [f"variant:{v}" for v in model.VARIANTS]
         for result in variants:
             assert result.max_rel_err < 1e-4, f"{result.name}: {result.max_rel_err}"
+        for result in full_size:
+            assert result.max_rel_err < 1e-6, f"{result.name}: {result.max_rel_err}"
         assert elapsed < 120.0, f"gradient suite took {elapsed:.1f}s"
 
 
@@ -289,7 +292,7 @@ def test_criterion_8_protocol_wiring(tmp_path, capsys):
 
         seed = 9
         loaded = load_corpus(corpus_file, "tsv")
-        train_raw, dev_raw = split_train_dev(loaded, cli.SPLIT_RATIO, seed)
+        train_raw, dev_raw = split_train_dev(loaded, seed)
         assert len(train_raw) == 800 and len(dev_raw) == 200
         for label in classes:
             n_train = sum(d.label == label for d in train_raw)
@@ -331,7 +334,7 @@ def test_criterion_9_dataset_smoke():
             members = [d for d in raw if d.label == label]
             take = min(2000, len(members))
             subsample.extend(members[i] for i in rng.permutation(len(members))[:take])
-        train_raw, dev_raw = split_train_dev(subsample, 0.8, seed=0)
+        train_raw, dev_raw = split_train_dev(subsample, seed=0)
         vocab = build_vocab(train_raw)
         config = model.ModelConfig(
             variant="gcn", vocab_size=len(vocab), class_names=classes,

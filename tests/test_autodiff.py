@@ -609,6 +609,21 @@ def test_gradcheck_fails_an_op_whose_rule_halves_its_gradients(op, monkeypatch):
     assert op in failed
 
 
+@pytest.mark.parametrize("op", ["lstm_last", "matmul"])
+def test_full_size_check_fails_a_rule_that_halves_its_gradients(op, monkeypatch):
+    monkeypatch.setitem(ad.BACKWARD_RULES, op, halved(ad.BACKWARD_RULES[op]))
+    assert not gradcheck.check_variant_full("gat2").passed
+
+
+def test_full_size_check_measures_a_failing_tensor_again_at_the_smaller_step(monkeypatch):
+    # a first step of 1e-2 errs past the tolerance (it crosses kinks, and its
+    # truncation error is large); the retry at 1e-6 decides
+    monkeypatch.setattr(gradcheck, "FULL_STEPS", (1e-2, 1e-6))
+    assert gradcheck.check_variant_full("gat2").passed
+    monkeypatch.setattr(gradcheck, "FULL_STEPS", (1e-2, 1e-2))
+    assert not gradcheck.check_variant_full("gat2").passed
+
+
 class TestAdam:
     def test_first_step_hand_computed(self):
         # m_hat/sqrt(v_hat) = 1 on the first step, so theta moves by lr/(1+eps)

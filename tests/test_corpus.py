@@ -403,7 +403,7 @@ class TestStrMethodOracle:
         if segmented:
             vocab = corpus.build_vocab([d for d in docs if d.id in segmented], min_frequency)
         else:
-            vocab = corpus.Vocabulary([corpus.PAD, corpus.UNK], min_frequency)
+            vocab = corpus.Vocabulary([corpus.PAD, corpus.UNK])
         assert vocab.id_to_token[2:] == sorted(
             (t for t, c in counts.items() if c >= min_frequency),
             key=lambda t: (-counts[t], t))
@@ -442,11 +442,8 @@ class TestBuildVocab:
 
     @pytest.mark.parametrize("min_frequency", [True, 2.5])
     def test_non_integer_min_frequency_rejected(self, min_frequency):
-        # a checkpoint stores it, and loading one takes nothing but an integer
         with pytest.raises(CorpusError, match="min_frequency must be an integer"):
             corpus.build_vocab(self.docs(), min_frequency)
-        with pytest.raises(CorpusError, match="min_frequency must be an integer"):
-            corpus.Vocabulary([corpus.PAD, corpus.UNK], min_frequency)
 
     def test_frequency_ties_broken_lexicographically(self):
         docs = [RawDocument("d", "x", "", "zz yy zz yy")]
@@ -509,7 +506,7 @@ class TestEncodeCorpus:
 
     def test_whitespace_only_document_raises(self, two_way):
         doc = RawDocument("d", "satire", "", " \t\u3000")
-        vocab = corpus.Vocabulary([corpus.PAD, corpus.UNK], 1)
+        vocab = corpus.Vocabulary([corpus.PAD, corpus.UNK])
         with pytest.raises(CorpusError, match="empty text"):
             corpus.encode_document(doc, vocab, two_way)
         with pytest.raises(CorpusError, match="empty text"):
@@ -556,8 +553,8 @@ class TestTokenForm:
         tokenize = corpus.tokenize
         monkeypatch.setattr(corpus, "tokenize", lambda s: calls.append(s) or tokenize(s))
         doc = RawDocument("d", "trusted", "", "The cat sat. A dog ran. Birds flew.")
-        big = corpus.Vocabulary([corpus.PAD, corpus.UNK, "the", "cat", "dog"], 1)
-        small = corpus.Vocabulary([corpus.PAD, corpus.UNK, "dog"], 1)
+        big = corpus.Vocabulary([corpus.PAD, corpus.UNK, "the", "cat", "dog"])
+        small = corpus.Vocabulary([corpus.PAD, corpus.UNK, "dog"])
         a = corpus.encode_document(doc, big, two_way)
         b = corpus.encode_document(doc, small, two_way)
         assert calls == ["The cat sat.", "A dog ran.", "Birds flew."]
@@ -575,7 +572,7 @@ class TestSplitTrainDev:
 
     def test_stratified_counts(self):
         docs = self.make_docs({"satire": 50, "trusted": 50})
-        train, dev = corpus.split_train_dev(docs, 0.8, seed=7)
+        train, dev = corpus.split_train_dev(docs, seed=7)
         assert len(train) == 80 and len(dev) == 20
         for label in ("satire", "trusted"):
             assert sum(d.label == label for d in train) == 40
@@ -583,20 +580,20 @@ class TestSplitTrainDev:
 
     def test_determinism(self):
         docs = self.make_docs({"a": 30, "b": 20})
-        s1 = corpus.split_train_dev(docs, 0.8, seed=7)
-        s2 = corpus.split_train_dev(docs, 0.8, seed=7)
+        s1 = corpus.split_train_dev(docs, seed=7)
+        s2 = corpus.split_train_dev(docs, seed=7)
         assert [d.id for d in s1[0]] == [d.id for d in s2[0]]
         assert [d.id for d in s1[1]] == [d.id for d in s2[1]]
 
     def test_small_class_ratio(self):
         docs = self.make_docs({"a": 10, "b": 10})
-        train, dev = corpus.split_train_dev(docs, 0.8, seed=1)
+        train, dev = corpus.split_train_dev(docs, seed=1)
         assert sum(d.label == "a" for d in train) == 8
         assert sum(d.label == "a" for d in dev) == 2
 
     def test_partition_disjoint_exhaustive(self):
         docs = self.make_docs({"a": 13, "b": 9})
-        train, dev = corpus.split_train_dev(docs, 0.7, seed=3)
+        train, dev = corpus.split_train_dev(docs, seed=3)
         ids = sorted(d.id for d in train) + sorted(d.id for d in dev)
         assert sorted(ids) == sorted(d.id for d in docs)
         assert len(set(ids)) == len(docs)
@@ -604,23 +601,14 @@ class TestSplitTrainDev:
     def test_class_below_two_documents(self):
         docs = self.make_docs({"a": 1, "b": 5})
         with pytest.raises(CorpusError, match="'a'"):
-            corpus.split_train_dev(docs, 0.8, seed=0)
+            corpus.split_train_dev(docs, seed=0)
 
-    @pytest.mark.parametrize("ratio, seed, error", [
-        (1.0, 0, "split ratio must be in (0, 1), got 1.0"),
-        ("0.8", 1, "split ratio must be in (0, 1), got '0.8'"),
-        (float("nan"), 1, "split ratio must be in (0, 1), got nan"),
-        (True, 1, "split ratio must be in (0, 1), got True"),
-        (0.8, -1, "seed must be a non-negative integer"),
-        (0.8, 1.5, "seed must be a non-negative integer"),
-        (0.8, True, "seed must be a non-negative integer"),
-        (0.8, "1", "seed must be a non-negative integer"),
-    ])
-    def test_bad_ratio_or_seed(self, ratio, seed, error):
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "1"])
+    def test_bad_seed(self, seed):
         # numpy's default_rng raised ValueError or TypeError, or took True as 1
         with pytest.raises(CorpusError) as excinfo:
-            corpus.split_train_dev(self.make_docs({"a": 4, "b": 4}), ratio, seed)
-        assert str(excinfo.value) == error
+            corpus.split_train_dev(self.make_docs({"a": 4, "b": 4}), seed)
+        assert str(excinfo.value) == "seed must be a non-negative integer"
 
 
 class TestPipelineDeterminism:
@@ -634,7 +622,7 @@ class TestPipelineDeterminism:
 
         def run():
             docs = corpus.load_corpus(p, "tsv")
-            train, dev = corpus.split_train_dev(docs, 0.8, seed=11)
+            train, dev = corpus.split_train_dev(docs, seed=11)
             vocab = corpus.build_vocab(train, min_frequency=2)
             enc = corpus.encode_corpus(train, vocab, two_way)
             return vocab.id_to_token, [(d.id, d.label, d.sentences) for d in enc]

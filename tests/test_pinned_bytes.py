@@ -29,6 +29,7 @@ import numpy as np
 import pytest
 
 import docgraph
+from docgraph import training
 from docgraph.model import VARIANTS
 
 from conftest import planted_corpus
@@ -53,42 +54,42 @@ HOST = {
 
 DIGESTS = {
     "cnn": {
-        "checkpoint": "379934bee02e5bc7db1de6deb1d73ff7042b862bd34d24c2d040777d526a702e",
+        "checkpoint": "c55e971521df5686ca16ddf02888c83ed38780fdc92cca5a87560e2a8c5440fb",
         "runlog": "6d306887aad205bc25c6dbbcf0047a7e6035166542e57f9d5eca688c9d692bff",
         "predict": "b7f06cf7e196689d859c885406731ec7d679242d72ae3f6c521ebca0e018b861",
     },
     "lstm": {
-        "checkpoint": "a6a1b60c4b601109bfafb34380b1324ef8d6bd96f55c5a2f1d133103dc78bb9c",
+        "checkpoint": "f3951c68fe3880caf4ab0d7bd3e9c8bbcf8e6d00d9505ab64eb64b674a5041f5",
         "runlog": "3a72dec4e3a6e908cda61f670d0daafdf352af5644ccbb3abc9291b42714278c",
         "predict": "8e2fd2926d91eb70ed67435129cf388d0ef4b55c5b332d7c6bcc418024443123",
     },
     "gcn": {
-        "checkpoint": "f6eedddacedc649c9db04541ea20dbdb304ac38fda7a5d9617eb2af9b3fa7ee8",
+        "checkpoint": "3db6fb6acb9d7ef5181b8b96cb685c2941f67a227c1a41d76e85efd78c836189",
         "runlog": "751852ce99823a6a2600cff14618e0136beef606307e15c2dc5f1597562059c6",
         "predict": "a5c34f056b4fb907283b7e42a62cf9210e2aa82ff6ebdb8765f2b842384240b7",
     },
     "gcn_ss": {
-        "checkpoint": "6072a4d49636587d462a04b6138810f3e7013cda9ba9b4059e5164eb42b26fcd",
+        "checkpoint": "f85592d99008f6f74da42ede7df988fc44f9314da4c5d2f4147299bac5e817fa",
         "runlog": "436fad397eb03f049f864aa8bc767ae7cc1cd6819e14553042670587c9771e3f",
         "predict": "d8e0ee5500059c8ccf61d62a2769e13c73fb2993cee7d1925543a7792376b558",
     },
     "gcn_attn": {
-        "checkpoint": "ffe7fcc386ccf48c503439451115275d289d5d12cef1f201dd6b17a0de92743c",
+        "checkpoint": "5bdc1d0654457fd8ef71af3985668ca557d6ad9e70f635a8ef1b3ebcd779ea70",
         "runlog": "bb5f775b737f84608c5b863ab422589f22cb729ae8ff8da53bc0a7479477be32",
         "predict": "4dce3214db05de8a8719fc6ec87d79a4f232913a44a3a1f016af74e15721d507",
     },
     "gcn_attn_ss": {
-        "checkpoint": "f7104dba53f389db04b255b4d4155ce4dc4550d0de5cc69ebb5844a2da3cf948",
+        "checkpoint": "db982ff610f562dd9bf00260e8fad5012de783037b8b8ff82fb6416d7c362112",
         "runlog": "3197f2819ddfac28c37a10990cbdc08cc00574beb9c7bf62ffa183b7f2fdaaac",
         "predict": "203db09c0b2bb869bcf14c9d8a5e674916d03a0481c15ec88ae3cd587b188168",
     },
     "gat": {
-        "checkpoint": "4b69c4af4e72de71bff349b254eeb0510a016e6eb1559e0f385048fa5f1b8768",
+        "checkpoint": "d3d204b2b12a3ed468567dd7d9098a43dc354f8b5a2df326e32e135ba01e2116",
         "runlog": "2269d25750887e4a17f8f387cb2d5c61ac3f06f64e227aee026e2281d1c85f98",
         "predict": "5766498e5d2b5869bad933b3a2ef89c687197b28842600726e91cd2d5860598f",
     },
     "gat2": {
-        "checkpoint": "6e14f42183f09722335b2e5dce1a757e211cbeb71d0e53fc2d0f786e12a4e375",
+        "checkpoint": "050094c052e5d9ec54473218f406bbd31ea62e243bff3f52b3de0be83f49088f",
         "runlog": "839b96877faaa9eb6465d07ec9a901eac9426f580fab44f7d6a4b8b3522e1b0a",
         "predict": "78ee50b1a9badaf40134eec392a44ef8df99736120314030143de37c7580a1b6",
     },
@@ -114,17 +115,10 @@ def openblas_core() -> str | None:
     ``None`` when the library or its ``scipy_openblas_get_corename64_`` is
     not found."""
     try:
-        maps = Path("/proc/self/maps").read_text().splitlines()
-    except OSError:
+        corename = training.openblas().scipy_openblas_get_corename64_
+    except AttributeError:  # no library, or one without the symbol
         return None
-    path = next((line.split()[-1] for line in maps if "openblas" in line.split()[-1]), None)
-    if path is None:
-        return None
-    try:
-        corename = ctypes.CDLL(path).scipy_openblas_get_corename64_
-    except (OSError, AttributeError):  # the library does not load or lacks the symbol
-        return None
-    corename.restype = ctypes.c_char_p
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
     return corename().decode()
 
 

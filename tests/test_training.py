@@ -93,6 +93,26 @@ class TestDeterminism:
         assert log1 == log2
         assert bytes1 == bytes2
 
+    def test_train_runs_at_one_blas_thread_and_restores_the_count(self, monkeypatch):
+        # the bytes across thread counts are criterion 6's subprocess test in test_cli
+        lib = training.openblas()
+        get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+        if get is None:
+            pytest.skip("numpy's BLAS has no scipy-openblas thread-count functions")
+        set_threads = lib.scipy_openblas_set_num_threads64_
+        seen, forward = [], training.forward
+        monkeypatch.setattr(training, "forward",
+                            lambda *args: seen.append(get()) or forward(*args))
+        vocab, class_set, docs = setup_corpus(n_docs=4)
+        before = get()
+        set_threads(2)
+        try:
+            training.train(docs, docs, tiny_config("gcn", vocab, class_set, max_epochs=1), vocab)
+            assert get() == 2
+        finally:
+            set_threads(before)
+        assert seen and set(seen) == {1}
+
 
 class TestModelSelection:
     def test_tie_goes_to_earliest_epoch(self, monkeypatch):
@@ -333,11 +353,26 @@ class TestCheckpointPersistence:
             training.load_checkpoint(path)
         assert re.search(rf"version {version}\b", str(err.value))
 
+    def test_version_4_file_rejected_by_version(self, tmp_path):
+        # format 4 stored the vocabulary as an object with its frequency
+        # cutoff, and the seed again in the metadata
+        run, _, _ = self.trained(tmp_path)
+        header, blob = training.checkpoint_bytes(run.checkpoint).split(b"\n", 1)
+        manifest = json.loads(header)
+        manifest["format_version"] = 4
+        manifest["vocabulary"] = {"id_to_token": manifest["vocabulary"], "min_frequency": 2}
+        manifest["metadata"]["seed"] = run.config.seed
+        path = tmp_path / "v4.ckpt"
+        path.write_bytes(json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
+                         + b"\n" + blob)
+        with pytest.raises(CheckpointError, match=r"unsupported format version 4 \(expected 5\)"):
+            training.load_checkpoint(path)
+
     def test_config_keys_pinned_to_format_version(self, tmp_path):
         # the manifest's config is ModelConfig.to_dict(): a field added or
         # removed changes what a file holds, so it needs a new format version
         # and a new entry here
-        keys = {4: ["class_names", "embed_dim", "hidden_dim", "lr", "max_epochs",
+        keys = {5: ["class_names", "embed_dim", "hidden_dim", "lr", "max_epochs",
                     "max_sentences", "max_tokens", "node_dim", "seed", "variant",
                     "vocab_size"]}
         _, path, _ = self.trained(tmp_path)
@@ -384,8 +419,6 @@ class TestCheckpointPersistence:
          "expected an integer, got 4.7"),
         (lambda raw: raw.replace(b'"proj.w","shape":[4,2]', b'"proj.w","shape":["4","2"]', 1),
          "expected an integer, got '4'"),
-        (lambda raw: raw.replace(b'"min_frequency":2', b'"min_frequency":2.9', 1),
-         "expected an integer, got 2.9"),
         (lambda raw: raw.replace(b'"lr":0.01', b'"lr":-1', 1), "lr must be a finite number"),
         (lambda raw: raw.replace(b'"lr":0.01', b'"lr":NaN', 1), "lr must be a finite number"),
         (lambda raw: raw.replace(b'"lr":0.01', b'"lr":' + b"9" * 400, 1),
@@ -415,7 +448,7 @@ class TestCheckpointPersistence:
          "max_sentences must be a positive integer up to"),
     ], ids=["non_object_manifest", "negative_shape", "float_dimension", "vocabulary_size",
             "integer_token", "null_token", "float_shape", "string_shape",
-            "float_min_frequency", "negative_lr", "nan_lr", "huge_integer_lr",
+            "negative_lr", "nan_lr", "huge_integer_lr",
             "stale_clip_norm", "non_string_class_names", "duplicate_class_names",
             "string_class_names", "object_class_names", "string_seed", "huge_max_tokens",
             "max_sentences_past_ssize_t"])
@@ -526,7 +559,7 @@ class TestCheckpointPersistence:
 def saved_checkpoint(path, vocab_size):
     """An initialised (untrained) checkpoint over ``vocab_size`` tokens,
     saved to ``path``; returns its config."""
-    vocab = Vocabulary(["<pad>", "<unk>"] + [f"w{k}" for k in range(vocab_size - 2)], 2)
+    vocab = Vocabulary(["<pad>", "<unk>"] + [f"w{k}" for k in range(vocab_size - 2)])
     config = model.ModelConfig(variant="gcn", vocab_size=vocab_size,
                                class_names=("satire", "trusted"), seed=5)
     values = {n: t.values for n, t in model.init_params(config).tensors.items()}
@@ -644,7 +677,7 @@ class TestCheckpointLoading:
 
 @pytest.fixture(scope="module")
 def tiny_checkpoint_bytes(tmp_path_factory):
-    vocab = Vocabulary(["<pad>", "<unk>", "zebra", "quokka"], min_frequency=2)
+    vocab = Vocabulary(["<pad>", "<unk>", "zebra", "quokka"])
     config = model.ModelConfig(variant="gat2", vocab_size=len(vocab),
                                class_names=("satire", "trusted"), embed_dim=3,
                                hidden_dim=3, node_dim=2)
@@ -675,7 +708,7 @@ def test_any_single_byte_manifest_change_loads_or_raises_checkpoint_error(
 @settings(max_examples=100, deadline=None)
 @given(variant=st.sampled_from(model.VARIANTS), seed=st.integers(0, 2**32 - 1))
 def test_checkpoint_save_load_save_round_trips(tmp_path_factory, variant, seed):
-    vocab = Vocabulary(["<pad>", "<unk>", "zebra", "quokka"], min_frequency=2)
+    vocab = Vocabulary(["<pad>", "<unk>", "zebra", "quokka"])
     config = model.ModelConfig(variant=variant, vocab_size=len(vocab),
                                class_names=("satire", "trusted"), embed_dim=3,
                                hidden_dim=3, node_dim=2, seed=seed)
