@@ -747,9 +747,7 @@ def backward(tape: Tape, loss: Tensor) -> None:
         if entry.output.grad is None:
             continue
         grads = BACKWARD_RULES[entry.op](entry)
-        for t, g in zip(entry.inputs, grads):
-            if g is None:
-                continue
+        for t, g in zip(entry.inputs, grads, strict=True):
             if t.grad is None:
                 t.grad = g
             else:
@@ -883,49 +881,44 @@ def _scalars(state: AdamState) -> Scalars:
 
 
 def _adam_pass(p: np.ndarray, m: np.ndarray, v: np.ndarray, g: np.ndarray | None,
-               steps: Sequence[Scalars]) -> None:
-    """Run the Adam steps ``steps`` in order on the flat arrays ``p``, ``m``
-    and ``v`` in place, ``ADAM_CHUNK`` floats at a time: every step on one
-    chunk, then the next chunk. A step runs the operations of
+               step: float, eps_hat: float) -> None:
+    """Run one Adam step on the flat arrays ``p``, ``m`` and ``v`` in place,
+    ``ADAM_CHUNK`` floats at a time. The step runs the operations of
     ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*(g*g)`` and
     ``p = p - (m*step) / (sqrt(v) + eps_hat)`` in that order, where b1, b2
     and eps are ``ADAM_B1``, ``ADAM_B2`` and ``ADAM_EPS``,
     ``step = lr*sqrt(bc2)/bc1`` and ``eps_hat = eps*sqrt(bc2)`` (Kingma &
     Ba's reordered form, algebraically ``lr*(m/bc1) / (sqrt(v/bc2) + eps)``).
-    ``g`` is every step's gradient; ``g = None`` stands for an all-(+0.0)
-    gradient and runs 8 of the 12 ufuncs, to the same bytes.
-
-    Each float goes through the same operations in the same order as in one
-    pass per step, so the bytes do not depend on the chunking; a chunk of p,
-    m and v stays in cache across the steps instead of leaving it after
-    each."""
+    ``g = None`` stands for an all-(+0.0) gradient and runs 8 of the 12
+    ufuncs, to the same bytes. Each float goes through the same operations
+    in the same order whatever the chunking, so the bytes do not depend
+    on it."""
     scratch = np.empty((2, min(ADAM_CHUNK, p.size)))
     for lo in range(0, p.size, ADAM_CHUNK):
         pc = p[lo : lo + ADAM_CHUNK]
         mc = m[lo : lo + ADAM_CHUNK]
         vc = v[lo : lo + ADAM_CHUNK]
-        gc = None if g is None else g[lo : lo + ADAM_CHUNK]
         s = scratch[0, : pc.size]
         u = scratch[1, : pc.size]
-        for step, eps_hat in steps:
-            np.multiply(mc, ADAM_B1, out=mc)
-            np.multiply(vc, ADAM_B2, out=vc)
-            if gc is None:
-                # (1-b1)*g is +0.0, and m + 0.0 turns a -0.0 in m into +0.0 as
-                # the full formula does. v needs no + 0.0: it starts at +0.0 and
-                # only ever adds (1-b2)*(g*g) >= +0.0, so it never holds -0.0.
-                np.add(mc, 0.0, out=mc)
-            else:
-                np.multiply(gc, 1.0 - ADAM_B1, out=s)
-                np.add(mc, s, out=mc)
-                np.multiply(gc, gc, out=s)
-                np.multiply(s, 1.0 - ADAM_B2, out=s)
-                np.add(vc, s, out=vc)
-            np.sqrt(vc, out=u)
-            np.add(u, eps_hat, out=u)
-            np.multiply(mc, step, out=s)
-            np.divide(s, u, out=s)
-            np.subtract(pc, s, out=pc)
+        np.multiply(mc, ADAM_B1, out=mc)
+        np.multiply(vc, ADAM_B2, out=vc)
+        if g is None:
+            # (1-b1)*g is +0.0, and m + 0.0 turns a -0.0 in m into +0.0 as
+            # the full formula does. v needs no + 0.0: it starts at +0.0 and
+            # only ever adds (1-b2)*(g*g) >= +0.0, so it never holds -0.0.
+            np.add(mc, 0.0, out=mc)
+        else:
+            gc = g[lo : lo + ADAM_CHUNK]
+            np.multiply(gc, 1.0 - ADAM_B1, out=s)
+            np.add(mc, s, out=mc)
+            np.multiply(gc, gc, out=s)
+            np.multiply(s, 1.0 - ADAM_B2, out=s)
+            np.add(vc, s, out=vc)
+        np.sqrt(vc, out=u)
+        np.add(u, eps_hat, out=u)
+        np.multiply(mc, step, out=s)
+        np.divide(s, u, out=s)
+        np.subtract(pc, s, out=pc)
 
 
 def _catch_up(arrays: Sequence[np.ndarray], at: np.ndarray, ids: np.ndarray,
@@ -949,7 +942,7 @@ def _catch_up(arrays: Sequence[np.ndarray], at: np.ndarray, ids: np.ndarray,
         part_at = at[part]
         for k in range(int(part_at[0]) + 1, now + 1):
             owing = int(np.searchsorted(part_at, k))
-            _adam_pass(*(r[:owing].reshape(-1) for r in rows), None, (window[k - now - 1],))
+            _adam_pass(*(r[:owing].reshape(-1) for r in rows), None, *window[k - now - 1])
         for a, r in zip(arrays, rows):
             a[part] = r
     at[behind] = now
@@ -1069,7 +1062,7 @@ def adam_step(
                 p.pending = (state, name)
             _catch_up(arrays, at, g.ids, state.window, state.t - 1)
             touched = [a[g.ids] for a in arrays]
-            _adam_pass(*(a.reshape(-1) for a in touched), g.rows.reshape(-1), (scalars,))
+            _adam_pass(*(a.reshape(-1) for a in touched), g.rows.reshape(-1), *scalars)
             for a, rows in zip(arrays, touched):
                 a[g.ids] = rows
             at[g.ids] = state.t
@@ -1077,7 +1070,7 @@ def adam_step(
             if at is not None:
                 _catch_up(arrays, at, np.flatnonzero(at < state.t - 1), state.window,
                           state.t - 1)
-            _adam_pass(*(a.reshape(-1) for a in arrays), g.reshape(-1), (scalars,))
+            _adam_pass(*(a.reshape(-1) for a in arrays), g.reshape(-1), *scalars)
             if at is not None:
                 at[:] = np.where(_live_rows(*arrays[1:]), state.t, FIXED)
     state.window.append(scalars)

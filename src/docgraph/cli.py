@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections import Counter
 from dataclasses import dataclass
@@ -29,7 +30,7 @@ from .corpus import (
     split_sentences,
     split_train_dev,
 )
-from .errors import CorpusError, DocGraphError, EvaluationError
+from .errors import CorpusError, DocGraphError, EvaluationError, GraphError
 from .graph import load_edge_weights
 from .heatmap import render_attention_svg
 from .model import SPECS, VARIANTS, ModelConfig, check_documents
@@ -86,6 +87,30 @@ def _load_weights(args, variant: str):
     return load_edge_weights(args.edge_weights)
 
 
+def _refuse_overwriting(outputs: dict[str, str], inputs: dict[str, str | None]) -> None:
+    """Raise ``DocGraphError`` naming both if an output path (keyed by how to
+    name it) is the same file as an input path (keyed by its flag)."""
+    for name, out in outputs.items():
+        for flag, path in inputs.items():
+            if (path is not None and os.path.exists(out) and os.path.exists(path)
+                    and os.path.samefile(out, path)):
+                raise DocGraphError(f"{name} {out} is the {flag} input; "
+                                    f"refusing to overwrite it")
+
+
+def _refuse_shared_ids(sets: dict[str, list[RawDocument]]) -> None:
+    """Raise ``GraphError`` if one id names documents of different text in two
+    of ``sets``: the edge-weight file holds one matrix per id."""
+    first: dict[str, tuple[str, str]] = {}
+    for name, docs in sets.items():
+        for d in docs:
+            where, text = first.setdefault(d.id, (name, d.text))
+            if text != d.text:
+                raise GraphError(f"document id '{d.id}' names different texts in the "
+                                 f"{where} and {name} sets; --edge-weights holds one "
+                                 f"matrix per id")
+
+
 # ---------------------------------------------------------------------------
 # train
 
@@ -97,6 +122,9 @@ def cmd_train(args) -> int:
     for path in (Path(args.out), log_path):
         if path.is_dir():
             raise DocGraphError(f"output path {path} is a directory")
+    _refuse_overwriting({"--out": args.out, "the --out run log": str(log_path)},
+                        {"--train": args.train, "--dev": args.dev, "--test": args.test,
+                         "--edge-weights": args.edge_weights})
     preset = PROTOCOLS.get(args.protocol)
 
     def load(path: str) -> list[RawDocument]:
@@ -120,6 +148,8 @@ def cmd_train(args) -> int:
 
     if not train_raw:
         raise DocGraphError("no training documents after protocol filtering")
+    if weights is not None:
+        _refuse_shared_ids({"train": train_raw, "dev": dev_raw, "test": test_raw})
     class_names = preset.classes if preset else tuple(sorted({d.label for d in train_raw}))
     class_set = ClassSet(class_names)
     vocab = build_vocab(train_raw, DEFAULT_MIN_FREQUENCY)
@@ -204,6 +234,8 @@ def cmd_predict(args) -> int:
 # attention export
 
 def cmd_export_attention(args) -> int:
+    _refuse_overwriting({"--out": args.out}, {"--ckpt": args.ckpt, "--data": args.data,
+                                              "--edge-weights": args.edge_weights})
     ckpt = training.load_checkpoint(args.ckpt)
     config = ckpt.config
     if not config.spec.produces_attention:

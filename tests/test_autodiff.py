@@ -70,6 +70,17 @@ def op_values(op, x):
     return op(ad.Tensor(x)).values
 
 
+@pytest.mark.parametrize("values, error, message", [
+    (np.ones((2, 2, 2)), ShapeError, "tensors are 1-D or 2-D, got ndim=3"),
+    ([1.0, np.nan], NumericError, "tensor values must be finite"),
+], ids=["ndim 3", "nan"])
+def test_tensor_refuses(values, error, message):
+    with pytest.raises(error) as excinfo:
+        ad.Tensor(values)
+    assert type(excinfo.value) is error
+    assert str(excinfo.value) == message
+
+
 class TestMatmul:
     def test_identity(self):
         out = ad.matmul(ad.Tensor([[1.0, 0.0], [0.0, 1.0]]), ad.Tensor([[3.0, 4.0], [5.0, 6.0]]))
@@ -432,6 +443,26 @@ class TestStructuralOps:
         assert np.array_equal(out.values, matrix.values[[2, 0]])
         assert tape.entries[0].ctx["ids"].dtype == np.intp
 
+    @pytest.mark.parametrize("op, shapes, message", [
+        (ad.matmul, [(3,), (3, 2)], "matmul requires 2-D tensors"),
+        (ad.softmax_rows, [(3,)], "softmax_rows requires a 2-D tensor"),
+        (ad.max_over_rows, [(3,)], "max_over_rows requires a 2-D tensor"),
+        (ad.transpose, [(3,)], "transpose requires a 2-D tensor"),
+        (lambda x: ad.pad_rows(x, 1, 1), [(3,)], "pad_rows requires a 2-D tensor"),
+        (lambda x: ad.gather_rows(x, [0]), [(3,)], "gather_rows requires a 2-D tensor"),
+        (lambda x: ad.cross_entropy_logits(x, 0), [(1, 3)],
+         "cross_entropy_logits requires a 1-D logits tensor"),
+        (ad.max_over_rows, [(0, 3)], "max_over_rows requires at least one row"),
+        (lambda x: ad.gather_rows(x, []), [(3, 2)], "gather_rows requires at least one index"),
+        (lambda x: ad.softmax_rows(x, mask=np.ones((2, 2), dtype=bool)), [(3, 3)],
+         "mask shape must match input shape"),
+    ], ids=["matmul", "softmax_rows", "max_over_rows", "transpose", "pad_rows", "gather_rows",
+            "cross_entropy_logits", "max_over_zero_rows", "gather_no_ids", "softmax_mask"])
+    def test_op_refuses_a_tensor_of_the_wrong_shape(self, op, shapes, message):
+        with pytest.raises(ShapeError) as excinfo:
+            op(*(ad.Tensor(np.ones(shape)) for shape in shapes))
+        assert str(excinfo.value) == message
+
     def test_structural_gradients(self):
         rng = np.random.default_rng(9)
         check_op_gradient(ad.transpose, rng.normal(size=(3, 4)))
@@ -577,6 +608,24 @@ class TestBackward:
             ad.backward(tape, loss)
         assert np.array_equal(w.grad, [2.0, 2.0])
 
+    def test_an_entry_whose_output_reaches_no_loss_is_skipped(self):
+        w = ad.Tensor([1.0, 2.0])
+        with ad.Tape() as tape:
+            ad.scale(w, 3.0)
+            loss = weighted_sum(w)
+        ad.backward(tape, loss)
+        assert len(tape) == 4 and tape.entries[0].output.grad is None
+        assert np.array_equal(w.grad, [1.0, 1.0])
+
+    def test_a_loss_that_holds_a_gradient_gets_one_more(self):
+        w = ad.Tensor([1.0, 2.0])
+        with ad.Tape() as tape:
+            loss = weighted_sum(w)
+        loss.grad = np.array([2.0])
+        ad.backward(tape, loss)
+        assert np.array_equal(loss.grad, [3.0])
+        assert np.array_equal(w.grad, [3.0, 3.0])
+
     def test_tape_determinism_bitwise(self):
         def run():
             rng = np.random.default_rng(11)
@@ -595,11 +644,45 @@ def halved(rule):
     """``rule`` with every gradient it returns halved, a RowSparseGrad's rows too."""
     def halved_rule(entry):
         return tuple(
-            None if g is None
-            else ad.RowSparseGrad(g.ids, g.rows * 0.5, g.shape) if isinstance(g, ad.RowSparseGrad)
+            ad.RowSparseGrad(g.ids, g.rows * 0.5, g.shape) if isinstance(g, ad.RowSparseGrad)
             else g * 0.5
             for g in rule(entry))
     return halved_rule
+
+
+def test_every_rule_returns_one_gradient_of_its_inputs_shape_per_input(monkeypatch):
+    returned = []
+
+    def recording(rule):
+        def recording_rule(entry):
+            grads = rule(entry)
+            returned.append((entry, grads))
+            return grads
+        return recording_rule
+
+    for op, rule in list(ad.BACKWARD_RULES.items()):
+        monkeypatch.setitem(ad.BACKWARD_RULES, op, recording(rule))
+    for tensors, fn in gradcheck._op_fixtures(np.random.default_rng(0)).values():
+        with ad.Tape() as tape:
+            loss = fn()
+        ad.backward(tape, loss)
+    assert {entry.op for entry, _ in returned} == set(ad.OP_NAMES)
+    for entry, grads in returned:
+        assert len(grads) == len(entry.inputs), entry.op
+        for t, g in zip(entry.inputs, grads):
+            kind = ad.RowSparseGrad if entry.op == "gather_rows" else np.ndarray
+            assert isinstance(g, kind), entry.op
+            assert tuple(g.shape) == t.shape, entry.op
+
+
+def test_a_rule_that_returns_one_gradient_too_few_fails_backward(monkeypatch):
+    rule = ad.BACKWARD_RULES["matmul"]
+    monkeypatch.setitem(ad.BACKWARD_RULES, "matmul", lambda entry: rule(entry)[:-1])
+    a, b = ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((3, 2)))
+    with ad.Tape() as tape:
+        loss = weighted_sum(ad.matmul(a, b))
+    with pytest.raises(ValueError, match="zip"):
+        ad.backward(tape, loss)
 
 
 @pytest.mark.parametrize("op", ad.OP_NAMES)
@@ -664,6 +747,14 @@ class TestAdam:
             assert np.array_equal(state.m[n], moments[n][0])
             assert np.array_equal(state.v[n], moments[n][1])
 
+    def test_missing_gradient_aborts_with_name(self):
+        p = {"w": ad.Tensor([1.0]), "b": ad.Tensor([0.0])}
+        state = ad.AdamState.for_params(p)
+        with pytest.raises(NumericError) as excinfo:
+            ad.adam_step(p, {"w": np.array([1.0])}, state)
+        assert str(excinfo.value) == "missing gradient for parameter 'b'"
+        assert state.t == 0 and p["w"].values.tolist() == [1.0] and not state.m["w"].any()
+
     def test_misshaped_last_gradient_aborts_before_any_update(self):
         rng = np.random.default_rng(5)
         p = {"w": ad.Tensor(rng.normal(size=(3, 2))),
@@ -678,19 +769,27 @@ class TestAdam:
         assert {n: (p[n].values.tobytes(), state.m[n].tobytes(), state.v[n].tobytes())
                 for n in p} == snapshot
 
-    @pytest.mark.parametrize("layout", ["fortran", "transposed", "read_only"])
+    @pytest.mark.parametrize("layout", ["fortran", "transposed", "read_only",
+                                        "fortran_moments", "read_only_moments"])
     def test_non_contiguous_or_read_only_parameter_is_updated(self, layout):
+        # the moments, too, may be set to such an array before the first step
         rng = np.random.default_rng(6)
         base = rng.normal(size=(5, 3))
+        values = base.copy()
         if layout == "fortran":
             values = np.asfortranarray(base)
         elif layout == "transposed":
             values = base.T.copy().T  # a transposed view of a C array
-        else:
-            values = base.copy()
+        elif layout == "read_only":
             values.flags.writeable = False
         p = {"w": ad.Tensor(values)}
         state = ad.AdamState.for_params(p, lr=0.01)
+        for moments in (state.m, state.v):
+            if layout == "fortran_moments":
+                moments["w"] = np.asfortranarray(moments["w"])
+                assert not moments["w"].flags.c_contiguous
+            elif layout == "read_only_moments":
+                moments["w"].flags.writeable = False
         expected = (base.copy(), np.zeros_like(base), np.zeros_like(base))
         for t in range(1, 4):
             g = rng.normal(size=(5, 3))
@@ -910,6 +1009,20 @@ class TestRowSparseGradient:
         ad.adam_sync(twin, twin_state)
         assert snapshot(p, state) == snapshot(twin, twin_state)
 
+    @pytest.mark.parametrize("name, shape, message", [
+        ("e", (5, 2), "row-sparse gradient shape (5, 2) != parameter shape (4, 2) for 'e'"),
+        ("w", (3, 1), "row-sparse gradient shape (3, 1) != parameter shape (3,) for 'w'"),
+    ], ids=["other_rows", "1d_parameter"])
+    def test_mis_shaped_row_sparse_gradient_aborts_before_any_update(self, name, shape, message):
+        p, state = lagging_model()
+        raw = snapshot(p, state)
+        grads = {"w": np.ones(3), "e": np.ones((4, 2))}
+        grads[name] = ad.RowSparseGrad(np.array([1]), np.ones((1, shape[1])), shape)
+        with pytest.raises(ShapeError) as excinfo:
+            ad.adam_step(p, grads, state)
+        assert str(excinfo.value) == message
+        assert state.t == 2 and snapshot(p, state) == raw
+
     @pytest.mark.parametrize("kind", ["dense", "row_sparse"])
     @pytest.mark.parametrize("make", [
         lambda shape: np.ones(shape, dtype=complex),
@@ -1093,11 +1206,11 @@ class TestDeferredAdam:
                     params["e"].zero_grad()
                 ad.adam_step(params, {"e": e_grad, "w": w_grad}, state)
                 oracle_state.t += 1
-                scalars = (ad._scalars(oracle_state),)
+                scalars = ad._scalars(oracle_state)
                 for n, g in (("e", e_grad), ("w", w_grad)):
                     dense = g.dense() if isinstance(g, ad.RowSparseGrad) else g
                     ad._adam_pass(*(a.reshape(-1) for a in oracle[n]), dense.reshape(-1),
-                                  scalars)
+                                  *scalars)
                 assert len(state.window) < ad.ADAM_WINDOW
                 assert params["w"].values.tobytes() == oracle["w"][0].tobytes()
                 if isinstance(e_grad, ad.RowSparseGrad):
@@ -1131,9 +1244,9 @@ class TestDeferredAdam:
         floats = []
         adam_pass = ad._adam_pass
 
-        def counting_pass(p, m, v, g, scalars):
-            floats.append(p.size * len(scalars))
-            adam_pass(p, m, v, g, scalars)
+        def counting_pass(p, m, v, g, step, eps_hat):
+            floats.append(p.size)
+            adam_pass(p, m, v, g, step, eps_hat)
 
         with mock.patch.object(ad, "_adam_pass", counting_pass):
             ad.adam_sync(p, state)

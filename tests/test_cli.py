@@ -43,6 +43,15 @@ def write_jsonl(path, docs):
     return str(path)
 
 
+def write_row_weights(path):
+    """One 3x3 edge-weight matrix for each of the TSV ids row-0 ... row-15
+    (a planted document has 3 sentences)."""
+    matrix = [[0, 0.5, 0.25], [0.5, 0, 1], [0.25, 1, 0]]
+    path.write_text("".join(json.dumps({"id": f"row-{k}", "n": 3, "weights": matrix}) + "\n"
+                            for k in range(16)))
+    return str(path)
+
+
 def without_labels(docs, ids):
     """``docs`` with the label of each document in ``ids`` removed."""
     return [dataclasses.replace(d, label=None) if d.id in ids else d for d in docs]
@@ -200,11 +209,12 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize("case", [
         "unlabelled test record", "unreadable test path", "test label outside the classes",
-        "test emptied by the protocol", "weights miss a dev document",
-        "weights miss a test document"])
+        "test emptied by the protocol", "train emptied by the protocol",
+        "weights miss a dev document", "weights miss a test document"])
     def test_bad_input_fails_before_training(self, capsys, corpus_files, monkeypatch, case):
         monkeypatch.setattr(training, "train", lambda *args: pytest.fail("training ran"))
         tmp = corpus_files["tmp"]
+        train_file = corpus_files["train"]
         dev = [dataclasses.replace(d, id=f"dev-{d.id}") for d in corpus_files["dev_docs"]]
         test = [dataclasses.replace(d, id=f"test-{d.id}") for d in planted_corpus(seed=5, n_docs=6)]
         test_file = str(tmp / "test.jsonl")
@@ -222,6 +232,10 @@ class TestTrainCommand:
         elif case == "test emptied by the protocol":
             test = [dataclasses.replace(d, label="hoax") for d in test]
             error = "no documents to evaluate"
+        elif case == "train emptied by the protocol":
+            train_file = write_tsv(tmp / "hoax.tsv", [dataclasses.replace(d, label="hoax")
+                                                      for d in planted_corpus(seed=0)])
+            error = "no training documents after protocol filtering"
         else:
             missing = "dev" if "dev" in case else "test"
             # the TSV training file's documents are row-0 ... row-15
@@ -235,13 +249,86 @@ class TestTrainCommand:
         if case != "unreadable test path":
             write_jsonl(tmp / "test.jsonl", test)
         code, stdout, err = run_cli(capsys, [
-            "train", *protocol, "--train", corpus_files["train"],
+            "train", *protocol, "--train", train_file,
             "--dev", write_jsonl(tmp / "dev_ids.jsonl", dev), "--test", test_file,
             "--model", "gcn_ss" if edge else "gcn", *edge, "--out", str(tmp / "x.ckpt"),
         ])
         assert code == 1 and stdout == ""
         assert err == f"error: {error}\n"
         assert not list(tmp.glob("x.ckpt*"))
+
+    @pytest.mark.parametrize("protocol, error", [
+        ([], "--dev is required when no --protocol is given"),
+        (["--protocol", "two_way"], "protocol 'two_way' requires --dev"),
+    ], ids=["no protocol", "two_way"])
+    def test_missing_dev_is_refused(self, capsys, corpus_files, protocol, error):
+        code, stdout, err = run_cli(capsys, [
+            "train", *protocol, "--train", corpus_files["train"], "--model", "gcn",
+            "--out", str(corpus_files["tmp"] / "x.ckpt")])
+        assert code == 1 and stdout == ""
+        assert err == f"error: {error}\n"
+        assert not list(corpus_files["tmp"].glob("x.ckpt*"))
+
+    @pytest.mark.parametrize("overwritten", ["--train", "--dev", "--test", "--edge-weights",
+                                             "--train run log", "--train hard link"])
+    def test_output_that_is_an_input_is_refused(self, capsys, corpus_files, monkeypatch,
+                                                overwritten):
+        monkeypatch.setattr(training, "train", lambda *args: pytest.fail("training ran"))
+        tmp = corpus_files["tmp"]
+        inputs = {"--train": corpus_files["train"], "--dev": corpus_files["dev"],
+                  "--test": write_tsv(tmp / "test.tsv", planted_corpus(seed=5, n_docs=6)),
+                  "--edge-weights": write_row_weights(tmp / "weights.jsonl")}
+        # dev and test share train's ids row-0 ... with the same text
+        for flag in ("--dev", "--test"):
+            Path(inputs[flag]).write_bytes(Path(inputs["--train"]).read_bytes())
+        flag = overwritten.split()[0]
+        out, named = inputs[flag], "--out"
+        if overwritten.endswith("run log"):
+            out, named = str(tmp / "x.ckpt"), "the --out run log"
+            inputs[flag] = write_tsv(tmp / "x.ckpt.runlog.json", planted_corpus(seed=0))
+        elif overwritten.endswith("hard link"):
+            out = str(tmp / "link.ckpt")
+            os.link(inputs[flag], out)
+        before = {path: Path(path).read_bytes() for path in inputs.values()}
+        argv = ["train", "--protocol", "two_way", "--format", "tsv", "--model", "gcn_ss",
+                "--out", out]
+        for name, path in inputs.items():
+            argv += [name, path]
+        code, stdout, err = run_cli(capsys, argv)
+        assert code == 1 and stdout == ""
+        target = out if named == "--out" else f"{out}.runlog.json"
+        assert err == (f"error: {named} {target} is the {flag} input; "
+                       f"refusing to overwrite it\n")
+        assert {path: Path(path).read_bytes() for path in inputs.values()} == before
+
+    @pytest.mark.parametrize("shared", ["dev", "test"])
+    def test_one_id_naming_two_documents_is_refused_with_edge_weights(
+            self, capsys, corpus_files, monkeypatch, shared):
+        # TSV documents are row-0, row-1, ... in every file, so dev or test
+        # row-k would be scored with training row-k's matrix
+        monkeypatch.setattr(training, "train", lambda *args: pytest.fail("training ran"))
+        tmp = corpus_files["tmp"]
+        dev = corpus_files["dev"] if shared == "dev" else corpus_files["train"]
+        test = ["--test", corpus_files["dev"]] if shared == "test" else []
+        code, stdout, err = run_cli(capsys, [
+            "train", "--protocol", "two_way", "--train", corpus_files["train"], "--dev", dev,
+            *test, "--model", "gcn_ss", "--edge-weights", write_row_weights(tmp / "w.jsonl"),
+            "--out", str(tmp / "x.ckpt")])
+        assert code == 1 and stdout == ""
+        assert err == (f"error: document id 'row-0' names different texts in the train and "
+                       f"{shared} sets; --edge-weights holds one matrix per id\n")
+        assert not list(tmp.glob("x.ckpt*"))
+
+    def test_one_file_given_twice_shares_its_edge_weights(self, capsys, corpus_files):
+        tmp = corpus_files["tmp"]
+        code, stdout, _ = run_cli(capsys, [
+            "train", "--protocol", "two_way", "--train", corpus_files["train"],
+            "--dev", corpus_files["train"], "--test", corpus_files["train"],
+            "--model", "gcn_ss", "--edge-weights", write_row_weights(tmp / "w.jsonl"),
+            "--epochs", "1",
+            "--out", str(tmp / "x.ckpt")])
+        assert code == 0
+        assert json.loads(stdout)["test"]["documents"] == 16
 
     def test_diverging_run_ends_with_its_error_alone(self, capsys, corpus_files):
         # the overflow on the way to a non-finite loss is not reported as
@@ -466,6 +553,14 @@ class TestPredictCommand:
                                           "--data", corpus_files["dev_jsonl"]])
         assert stdout == labelled
 
+    def test_empty_corpus_is_refused(self, capsys, ss_checkpoint, tmp_path):
+        _, ckpt = ss_checkpoint
+        (tmp_path / "empty.jsonl").write_text("")
+        code, stdout, err = run_cli(capsys, ["predict", "--ckpt", ckpt, "--data",
+                                             str(tmp_path / "empty.jsonl")])
+        assert code == 1 and stdout == ""
+        assert err == "error: no documents to predict\n"
+
     def test_bad_document_leaves_no_partial_output(self, capsys, ss_checkpoint, tmp_path):
         # the second document has no edge weights, which only scoring finds
         _, ckpt = ss_checkpoint
@@ -563,6 +658,34 @@ class TestExportAttentionCommand:
         assert code == 1
         assert "nope" in err
 
+
+    def test_one_sentence_document_is_refused(self, capsys, tmp_path):
+        data = tmp_path / "one.jsonl"
+        data.write_text(json.dumps({"id": "one", "text": "Only one sentence here."}) + "\n")
+        code, stdout, err = run_cli(capsys, [
+            "export-attention", "--ckpt", untrained_checkpoint(tmp_path / "gat.ckpt", "gat"),
+            "--data", str(data), "--doc-id", "one", "--out", str(tmp_path / "a.svg")])
+        assert code == 1 and stdout == ""
+        assert err == ("error: document 'one' has a single sentence; the graph-attention "
+                       "layer is bypassed and produces no attention map\n")
+        assert not (tmp_path / "a.svg").exists()
+
+    @pytest.mark.parametrize("overwritten", ["--ckpt", "--data", "--edge-weights"])
+    def test_output_that_is_an_input_is_refused(self, capsys, tmp_path, overwritten):
+        inputs = {"--ckpt": untrained_checkpoint(tmp_path / "x.ckpt", "gcn_attn_ss"),
+                  "--data": str(tmp_path / "data.jsonl"),
+                  "--edge-weights": str(tmp_path / "weights.jsonl")}
+        Path(inputs["--data"]).write_bytes(SS_DATA)
+        Path(inputs["--edge-weights"]).write_bytes(SS_WEIGHTS)
+        before = {path: Path(path).read_bytes() for path in inputs.values()}
+        out = inputs[overwritten]
+        argv = ["export-attention", "--doc-id", "doc-0", "--out", out]
+        for name, path in inputs.items():
+            argv += [name, path]
+        code, stdout, err = run_cli(capsys, argv)
+        assert code == 1 and stdout == ""
+        assert err == f"error: --out {out} is the {overwritten} input; refusing to overwrite it\n"
+        assert {path: Path(path).read_bytes() for path in inputs.values()} == before
 
     def test_unwritable_output_is_an_error(self, capsys, corpus_files):
         ckpt, _ = train_checkpoint(capsys, corpus_files, "gat", epochs="1")

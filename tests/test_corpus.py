@@ -77,6 +77,18 @@ class TestLoadCorpus:
         with pytest.raises(CorpusError):
             corpus.load_corpus(tmp_path / "nope.tsv", "tsv")
 
+    def test_unknown_format_rejected(self, tmp_path):
+        p = write(tmp_path, "c.jsonl", '{"text": "A b."}\n')
+        with pytest.raises(CorpusError) as excinfo:
+            corpus.load_corpus(p, "xml")
+        assert str(excinfo.value) == "unknown corpus format 'xml'"
+
+    def test_format_of_a_txt_path_is_not_inferred(self):
+        with pytest.raises(CorpusError) as excinfo:
+            corpus.infer_format("notes.txt")
+        assert str(excinfo.value) == ("cannot infer corpus format from 'notes.txt'; "
+                                      "pass the format explicitly")
+
     def test_empty_text_rejected(self, tmp_path):
         p = write(tmp_path, "c.tsv", "a\t   \n")
         with pytest.raises(CorpusError, match="empty text"):
@@ -421,6 +433,27 @@ class TestStrMethodOracle:
                                           max_tokens) == expected
 
 
+class TestClassSetAndVocabulary:
+    @pytest.mark.parametrize("names, message", [
+        (("satire",), "a class set needs at least 2 classes"),
+        (("satire", "trusted", "satire"), "class names must be unique"),
+    ], ids=["one name", "repeated name"])
+    def test_class_set_refuses(self, names, message):
+        with pytest.raises(CorpusError) as excinfo:
+            ClassSet(names)
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("tokens, message", [
+        (["<unk>", "<pad>", "a"], "vocabulary must reserve PAD=0 and UNK=1"),
+        (["a", "b"], "vocabulary must reserve PAD=0 and UNK=1"),
+        ([corpus.PAD, corpus.UNK, "a", "b", "a"], "vocabulary tokens must be unique"),
+    ], ids=["swapped reserved tokens", "no reserved tokens", "repeated token"])
+    def test_vocabulary_refuses(self, tokens, message):
+        with pytest.raises(CorpusError) as excinfo:
+            corpus.Vocabulary(tokens)
+        assert str(excinfo.value) == message
+
+
 class TestBuildVocab:
     def docs(self):
         # token frequencies: a:3, b:1
@@ -444,6 +477,11 @@ class TestBuildVocab:
     def test_non_integer_min_frequency_rejected(self, min_frequency):
         with pytest.raises(CorpusError, match="min_frequency must be an integer"):
             corpus.build_vocab(self.docs(), min_frequency)
+
+    def test_empty_corpus_rejected(self):
+        with pytest.raises(CorpusError) as excinfo:
+            corpus.build_vocab([])
+        assert str(excinfo.value) == "cannot build a vocabulary from an empty corpus"
 
     def test_frequency_ties_broken_lexicographically(self):
         docs = [RawDocument("d", "x", "", "zz yy zz yy")]

@@ -197,6 +197,19 @@ class TestGatLayer:
             layers.gat_layer(Tensor(e), Tensor(rng.normal(size=(2, 3))), weight, attn, SLOPE)
 
 
+    @pytest.mark.parametrize("adjacency, message", [
+        (np.ones((3, 3)) - np.eye(3), "adjacency (3, 3) does not match 2 nodes"),
+        (np.ones((2, 2)), "graph attention expects a zero-diagonal adjacency"),
+    ], ids=["mismatched", "nonzero diagonal"])
+    def test_bad_adjacency_rejected(self, adjacency, message):
+        rng = np.random.default_rng(35)
+        weight, attn = gat_head(rng, 3, 2)
+        with pytest.raises(GraphError) as excinfo:
+            layers.gat_layer(Tensor(adjacency), Tensor(rng.normal(size=(2, 3))), weight, attn,
+                             SLOPE)
+        assert str(excinfo.value) == message
+
+
 class TestMultiHead:
     def test_single_head_identity(self):
         rng = np.random.default_rng(32)
@@ -224,3 +237,9 @@ class TestMultiHead:
         out, attentions = layers.multi_head(Tensor(e), Tensor(h), heads, SLOPE)
         assert out.shape == (3, 64)
         assert len(attentions) == 2
+
+    def test_no_heads_rejected(self):
+        e = np.ones((3, 3)) - np.eye(3)
+        with pytest.raises(GraphError) as excinfo:
+            layers.multi_head(Tensor(e), Tensor(np.ones((3, 4))), [], SLOPE)
+        assert str(excinfo.value) == "multi_head needs at least one head"

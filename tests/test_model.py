@@ -255,6 +255,12 @@ class TestConfigOptions:
             tiny_config("gcn", **{field: 10**400})
 
 
+    def test_one_class_rejected(self):
+        with pytest.raises(ModelError) as excinfo:
+            tiny_config("gcn", class_names=("satire",))
+        assert str(excinfo.value) == "a model needs at least 2 classes"
+
+
 class TestLoss:
     def test_uniform_four_way(self):
         value = model.loss(Tensor([0.0, 0.0, 0.0, 0.0]), 1).values[0]

@@ -17,6 +17,7 @@ and says why.
 """
 
 import ctypes
+import dataclasses
 import hashlib
 import json
 import os
@@ -154,19 +155,22 @@ def sha256(data: bytes) -> str:
 
 
 def test_train_and_predict_bytes_are_pinned(tmp_path):
-    train_docs, dev_docs = planted_corpus(0, 40), planted_corpus(1, 10)
+    train_docs = [dataclasses.replace(d, id=f"train-{d.id}") for d in planted_corpus(0, 40)]
+    dev_docs = planted_corpus(1, 10)
     train = write_jsonl(tmp_path / "train.jsonl", corpus_records(train_docs))
     dev = write_jsonl(tmp_path / "dev.jsonl", corpus_records(dev_docs))
-    # train and dev ids overlap (doc-0 ...), and every planted document has
-    # 3 sentences, so one matrix per id serves both files
+    # every planted document has 3 sentences; dev doc-k gets the matrix of
+    # train-doc-k, as one id must not name two documents
     rng = np.random.default_rng(0)
     matrices = []
     for d in train_docs:
         m = rng.uniform(0.1, 1.0, size=(3, 3))
         m = (m + m.T) / 2
         np.fill_diagonal(m, 0.0)
-        matrices.append({"id": d.id, "n": 3, "weights": m.tolist()})
-    weights = write_jsonl(tmp_path / "weights.jsonl", matrices)
+        matrices.append(m.tolist())
+    weights = write_jsonl(tmp_path / "weights.jsonl", [
+        {"id": d.id, "n": 3, "weights": m}
+        for docs in (train_docs, dev_docs) for d, m in zip(docs, matrices)])
 
     src = str(Path(docgraph.__file__).parents[1])
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",

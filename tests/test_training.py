@@ -293,6 +293,13 @@ class TestCheckpointPersistence:
             lb, _ = model.forward(doc, params_b, loaded.config)
             assert np.array_equal(la.values, lb.values)
 
+    def test_missing_path_is_a_checkpoint_error(self, tmp_path):
+        path = tmp_path / "missing.ckpt"
+        with pytest.raises(CheckpointError) as excinfo:
+            training.load_checkpoint(path)
+        assert str(excinfo.value) == (f"cannot read checkpoint {path}: [Errno 2] "
+                                      f"No such file or directory: '{path}'")
+
     def test_truncated_file_rejected(self, tmp_path):
         _, path, _ = self.trained(tmp_path)
         raw = path.read_bytes()
