@@ -26,14 +26,14 @@ from .graph import EdgeWeightSet
 from .model import VARIANTS, ModelConfig, forward, init_params
 from .model import loss as model_loss
 
+# the one seed of every fixture, model, document and direction
+SEED = 0
 FD_STEP = 1e-5
 OP_TOLERANCE = 1e-6
 VARIANT_TOLERANCE = 1e-4
 
 TINY_VOCAB = 20
-TINY_EMBED = 6
-TINY_HIDDEN = 6
-TINY_NODE = 4
+TINY_SIZES = {"embed_dim": 6, "hidden_dim": 6, "node_dim": 4}
 
 # the full-size check: a central-difference step, and the smaller one a
 # failing tensor is measured again at
@@ -66,8 +66,10 @@ class CheckResult:
 
 
 def _rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
+    """The worst elementwise error; a NaN on either side errs infinitely,
+    since ``max`` would otherwise drop it and pass the check."""
     denom = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(numeric)))
-    return float(np.max(np.abs(analytic - numeric) / denom))
+    return float(np.nan_to_num(np.max(np.abs(analytic - numeric) / denom), nan=np.inf))
 
 
 def _tape_grads(tensors: Sequence[Tensor], forward_fn: Callable[[], Tensor]) -> list:
@@ -80,22 +82,28 @@ def _tape_grads(tensors: Sequence[Tensor], forward_fn: Callable[[], Tensor]) -> 
     return [np.zeros_like(t.values) if t.grad is None else ad._dense(t.grad) for t in tensors]
 
 
+def _central_difference(t: Tensor, delta: np.ndarray, forward_fn: Callable[[], Tensor]) -> float:
+    """Half the change in ``forward_fn``'s scalar from ``t - delta`` to
+    ``t + delta``; ``t`` keeps its values."""
+    orig = t.values.copy()
+    np.add(orig, delta, out=t.values)
+    up = float(forward_fn().values[0])
+    np.subtract(orig, delta, out=t.values)
+    down = float(forward_fn().values[0])
+    np.copyto(t.values, orig)
+    return (up - down) / 2
+
+
 def _compare(tensors: Sequence[Tensor], forward_fn: Callable[[], Tensor]) -> float:
     """Worst relative error between tape gradients and finite differences."""
     worst = 0.0
     for t, analytic in zip(tensors, _tape_grads(tensors, forward_fn)):
         numeric = np.zeros_like(t.values)
-        it = np.nditer(t.values, flags=["multi_index"])
-        while not it.finished:
-            idx = it.multi_index
-            orig = t.values[idx]
-            t.values[idx] = orig + FD_STEP
-            up = float(forward_fn().values[0])
-            t.values[idx] = orig - FD_STEP
-            down = float(forward_fn().values[0])
-            t.values[idx] = orig
-            numeric[idx] = (up - down) / (2 * FD_STEP)
-            it.iternext()
+        delta = np.zeros_like(t.values)
+        for idx in np.ndindex(t.shape):
+            delta[idx] = FD_STEP
+            numeric[idx] = _central_difference(t, delta, forward_fn) / FD_STEP
+            delta[idx] = 0.0
         worst = max(worst, _rel_err(analytic, numeric))
     return worst
 
@@ -164,9 +172,9 @@ def _op_fixtures(rng: np.random.Generator) -> dict[str, tuple[list[Tensor], Call
     return fixtures
 
 
-def check_ops(seed: int = 0) -> list[CheckResult]:
+def check_ops() -> list[CheckResult]:
     """One finite-difference check per differentiable op, sorted by name."""
-    fixtures = _op_fixtures(np.random.default_rng(seed))
+    fixtures = _op_fixtures(np.random.default_rng(SEED))
     missing = set(ad.OP_NAMES) - set(fixtures)
     if missing:
         raise AssertionError(f"ops without gradient fixtures: {sorted(missing)}")
@@ -191,37 +199,34 @@ def _edge_weights(rng: np.random.Generator, docs: list[Document]) -> EdgeWeightS
     return EdgeWeightSet(matrices)
 
 
-def _tiny_setup(variant: str, seed: int):
-    rng = np.random.default_rng(seed)
-    config = ModelConfig(
-        variant=variant, vocab_size=TINY_VOCAB,
-        class_names=("satire", "trusted"), embed_dim=TINY_EMBED,
-        hidden_dim=TINY_HIDDEN, node_dim=TINY_NODE, seed=seed,
-    )
+def _build(variant: str, vocab_size: int, docs: Sequence[tuple[str, int, Sequence[int]]],
+           **sizes):
+    """The generator seeded with ``SEED``, the tensors of a model of
+    ``variant`` it draws, and one loss function per document it then draws
+    (each given as id, label and sentence lengths). For a variant that reads
+    edge weights, the documents' matrices are drawn last."""
+    rng = np.random.default_rng(SEED)
+    config = ModelConfig(variant=variant, vocab_size=vocab_size,
+                         class_names=("satire", "trusted"), seed=SEED, **sizes)
     params = init_params(config, rng)
-    doc = Document(
-        "tiny", 1,
-        tuple(tuple(int(t) for t in rng.integers(2, TINY_VOCAB, size=4))
-              for _ in range(3)),
-    )
-    weights = _edge_weights(rng, [doc]) if config.spec.edge_weights else None
-    return config, params, doc, weights
+    documents = [Document(doc_id, label, tuple(
+        tuple(int(t) for t in rng.integers(2, vocab_size, n)) for n in lengths))
+        for doc_id, label, lengths in docs]
+    weights = _edge_weights(rng, documents) if config.spec.edge_weights else None
+
+    def loss_fn(doc):
+        return lambda: model_loss(forward(doc, params, config, weights)[0], doc.label)
+    return rng, list(params.tensors.values()), [loss_fn(doc) for doc in documents]
 
 
-def check_variant(variant: str, seed: int = 0) -> CheckResult:
+def check_variant(variant: str) -> CheckResult:
     """End-to-end gradient check of one variant on a tiny model."""
-    config, params, doc, weights = _tiny_setup(variant, seed)
-
-    def forward_fn():
-        logits, _ = forward(doc, params, config, weights)
-        return model_loss(logits, doc.label)
-
-    worst = _compare(list(params.tensors.values()), forward_fn)
-    return CheckResult(f"variant:{variant}", worst, VARIANT_TOLERANCE)
+    _, tensors, [loss_fn] = _build(variant, TINY_VOCAB, [("tiny", 1, (4, 4, 4))], **TINY_SIZES)
+    return CheckResult(f"variant:{variant}", _compare(tensors, loss_fn), VARIANT_TOLERANCE)
 
 
-def check_variants(seed: int = 0) -> list[CheckResult]:
-    return [check_variant(v, seed) for v in VARIANTS]
+def check_variants() -> list[CheckResult]:
+    return [check_variant(v) for v in VARIANTS]
 
 
 def _compare_along_directions(tensors: Sequence[Tensor], forward_fn: Callable[[], Tensor],
@@ -237,51 +242,29 @@ def _compare_along_directions(tensors: Sequence[Tensor], forward_fn: Callable[[]
         direction = rng.normal(size=t.shape)
         direction /= np.linalg.norm(direction)
         slope = float(np.vdot(analytic, direction))
-        orig = t.values.copy()
         for step in FULL_STEPS:
-            np.add(orig, step * direction, out=t.values)
-            up = float(forward_fn().values[0])
-            np.subtract(orig, step * direction, out=t.values)
-            down = float(forward_fn().values[0])
-            err = _rel_err(slope, (up - down) / (2 * step))
+            err = _rel_err(slope, _central_difference(t, step * direction, forward_fn) / step)
             if err < FULL_TOLERANCE:
                 break
-        np.copyto(t.values, orig)
         worst = max(worst, err)
     return worst
 
 
-def check_variant_full(variant: str, seed: int = 0) -> CheckResult:
+def check_variant_full(variant: str) -> CheckResult:
     """End-to-end gradient check of one variant at the default sizes, on a
     document of ragged sentences, one of them a single token, and on a
     one-sentence document, which graph variants project without propagation."""
-    rng = np.random.default_rng(seed)
-    config = ModelConfig(variant=variant, vocab_size=FULL_VOCAB,
-                         class_names=("satire", "trusted"), seed=seed)
-    params = init_params(config, rng)
-
-    def document(doc_id, label, lengths):
-        return Document(doc_id, label, tuple(
-            tuple(int(t) for t in rng.integers(2, FULL_VOCAB, n)) for n in lengths))
-
-    docs = [document("ragged", 1, RAGGED_LENGTHS), document("single", 0, (SINGLE_LENGTH,))]
-    weights = _edge_weights(rng, docs) if config.spec.edge_weights else None
-    worst = 0.0
-    for doc in docs:
-        def forward_fn():
-            logits, _ = forward(doc, params, config, weights)
-            return model_loss(logits, doc.label)
-
-        worst = max(worst, _compare_along_directions(list(params.tensors.values()),
-                                                     forward_fn, rng))
+    rng, tensors, losses = _build(
+        variant, FULL_VOCAB, [("ragged", 1, RAGGED_LENGTHS), ("single", 0, (SINGLE_LENGTH,))])
+    worst = max(_compare_along_directions(tensors, loss_fn, rng) for loss_fn in losses)
     return CheckResult(f"variant_full:{variant}", worst, FULL_TOLERANCE)
 
 
-def run_all(seed: int = 0) -> dict:
+def run_all() -> dict:
     """The full gradient suite; report dict is JSON-serializable."""
-    ops = check_ops(seed)
-    variants = check_variants(seed)
-    full_size = [check_variant_full(v, seed) for v in VARIANTS]
+    ops = check_ops()
+    variants = check_variants()
+    full_size = [check_variant_full(v) for v in VARIANTS]
     return {
         "full_size": [r.to_dict() for r in full_size],
         "ops": [r.to_dict() for r in ops],

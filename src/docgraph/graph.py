@@ -28,20 +28,20 @@ class EdgeWeightSet:
     def __len__(self) -> int:
         return len(self._weights)
 
-    def matrix_for(self, doc_id: str, n: int) -> np.ndarray:
-        """The document's weights, truncated to its (possibly capped) size.
-
-        Truncation keeps the leading principal submatrix, consistent with
-        sentence truncation keeping the leading sentences.
+    def matrix_for(self, doc_id: str, n: int, max_sentences: int | None = None) -> np.ndarray:
+        """The document's n-by-n weights. ``max_sentences`` is the sentence
+        cap the document was encoded under, if any. A larger matrix is cut
+        to its leading principal submatrix only for a document of exactly
+        that many sentences, as encoding keeps the leading sentences; any
+        other size is an error.
         """
         if doc_id not in self._weights:
             raise GraphError(f"no edge weights for document '{doc_id}'")
         m = self._weights[doc_id]
-        if m.shape[0] < n:
-            raise GraphError(
-                f"edge-weight matrix for '{doc_id}' is {m.shape[0]}x{m.shape[0]} "
-                f"but the document has {n} sentences"
-            )
+        size = m.shape[0]
+        if size != n and not (size > n and n == max_sentences):
+            raise GraphError(f"edge-weight matrix for '{doc_id}' is {size}x{size} "
+                             f"but the document has {n} sentences")
         return m[:n, :n]
 
 
@@ -113,10 +113,11 @@ def build_graph(
     doc: Document,
     features: Tensor,
     weights: EdgeWeightSet | None = None,
+    max_sentences: int | None = None,
 ) -> Tensor:
     """The document's adjacency (not learned): fully connected, or the
-    document's edge weights when a weight set is given. ``features`` must
-    hold one row per sentence."""
+    document's edge weights (``matrix_for`` under ``max_sentences``) when a
+    weight set is given. ``features`` must hold one row per sentence."""
     n = doc.n_sentences
     if features.shape[0] != n:
         raise GraphError(
@@ -125,4 +126,4 @@ def build_graph(
         )
     if weights is None:
         return build_adjacency(n)
-    return Tensor(weights.matrix_for(doc.id, n))
+    return Tensor(weights.matrix_for(doc.id, n, max_sentences))

@@ -157,7 +157,8 @@ def check_documents(docs: list[Document], config: ModelConfig,
     """The rule for a document that can be trained on or scored, checked in
     order so the first bad document is named: its label is a class index of
     ``config`` (``error`` if not) and, for a variant that reads edge weights,
-    ``weights`` holds its matrix (``matrix_for``'s GraphError if not)."""
+    ``weights`` holds a matrix that fits it under ``config.max_sentences``
+    (``matrix_for``'s GraphError if not)."""
     _require_weights(config, weights)
     for doc in docs:
         if doc.label is None:  # encoded without a class set
@@ -166,7 +167,7 @@ def check_documents(docs: list[Document], config: ModelConfig,
             raise error(f"document '{doc.id}' has label {doc.label!r}, not a class "
                         f"index below {config.n_classes}")
         if config.spec.edge_weights:
-            weights.matrix_for(doc.id, doc.n_sentences)
+            weights.matrix_for(doc.id, doc.n_sentences, config.max_sentences)
 
 
 @dataclass
@@ -312,7 +313,8 @@ def _graph_forward(
     t = params.tensors
     features = encode_document(doc, t["embedding"], t["lstm.w_x"], t["lstm.w_h"], t["lstm.b"])
     spec = config.spec
-    adjacency = build_graph(doc, features, weights if spec.edge_weights else None)
+    adjacency = build_graph(doc, features, weights if spec.edge_weights else None,
+                            config.max_sentences)
     attentions: list[Tensor] | None = None
     # no neighbors to propagate over: project the node through the layer weights
     single = doc.n_sentences == 1

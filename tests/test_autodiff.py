@@ -692,6 +692,26 @@ def test_gradcheck_fails_an_op_whose_rule_halves_its_gradients(op, monkeypatch):
     assert op in failed
 
 
+@pytest.mark.parametrize("op_names, message", [
+    ((*ad.OP_NAMES, "unfixtured"), r"ops without gradient fixtures: \['unfixtured'\]"),
+    (tuple(n for n in ad.OP_NAMES if n != "scale"), r"fixtures for unknown ops: \['scale'\]"),
+], ids=["op_without_fixture", "fixture_without_op"])
+def test_check_ops_refuses_an_op_table_its_fixtures_do_not_match(op_names, message,
+                                                                 monkeypatch):
+    monkeypatch.setattr(ad, "OP_NAMES", op_names)
+    with pytest.raises(AssertionError, match=message):
+        gradcheck.check_ops()
+
+
+def test_gradcheck_fails_a_rule_that_returns_nan(monkeypatch):
+    # max(0.0, nan) is 0.0: a NaN error must not read as no error
+    rule = ad.BACKWARD_RULES["scale"]
+    monkeypatch.setitem(ad.BACKWARD_RULES, "scale",
+                        lambda entry: [np.full_like(g, np.nan) for g in rule(entry)])
+    [result] = [r for r in gradcheck.check_ops() if r.name == "scale"]
+    assert result.max_rel_err == np.inf and not result.passed
+
+
 @pytest.mark.parametrize("op", ["lstm_last", "matmul"])
 def test_full_size_check_fails_a_rule_that_halves_its_gradients(op, monkeypatch):
     monkeypatch.setitem(ad.BACKWARD_RULES, op, halved(ad.BACKWARD_RULES[op]))

@@ -872,6 +872,29 @@ def test_edge_weights_are_given_exactly_to_the_variants_that_read_them(
     assert sorted(tmp_path.iterdir()) == before
 
 
+@pytest.mark.parametrize("command", ["train", "eval", "predict", "export-attention"])
+def test_a_matrix_larger_than_a_document_below_the_cap_is_refused(capsys, tmp_path, command):
+    # 4x4 matrices, as for 4-sentence documents, given with 3-sentence ones:
+    # only a document cut to the sentence cap takes a leading submatrix
+    data, weights, out = tmp_path / "data.jsonl", tmp_path / "weights.jsonl", tmp_path / "out"
+    data.write_bytes(SS_DATA)
+    matrix = (np.ones((4, 4)) - np.eye(4)).tolist()
+    weights.write_text("".join(json.dumps({"id": f"doc-{k}", "n": 4, "weights": matrix}) + "\n"
+                               for k in range(4)))
+    if command == "train":
+        argv = ["train", "--protocol", "two_way", "--train", str(data), "--dev", str(data),
+                "--model", "gcn_attn_ss", "--epochs", "1", "--out", str(out)]
+    else:
+        argv = [command, "--ckpt", untrained_checkpoint(tmp_path / "x.ckpt", "gcn_attn_ss"),
+                "--data", str(data)]
+    if command == "export-attention":
+        argv += ["--doc-id", "doc-0", "--out", str(out)]
+    code, stdout, err = run_cli(capsys, [*argv, "--edge-weights", str(weights)])
+    assert code == 1 and stdout == ""
+    assert err == "error: edge-weight matrix for 'doc-0' is 4x4 but the document has 3 sentences\n"
+    assert not list(tmp_path.glob("out*"))
+
+
 class TestMutatedInputFiles:
     # a lone surrogate escape is valid JSON that no UTF-8 output can hold, and
     # a true among the weights is a JSON bool, not a number

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from docgraph import autodiff as ad
 from docgraph import evaluation, model, training
 from docgraph.corpus import RawDocument
-from docgraph.errors import CorpusError, EvaluationError, GraphError, ModelError, TrainingError
+from docgraph.errors import (CorpusError, EvaluationError, GraphError, ModelError, NumericError,
+                             TrainingError)
 from docgraph.graph import EdgeWeightSet
 
 from conftest import encode_planted, planted_corpus
@@ -135,6 +136,21 @@ class TestEvaluateDocuments:
     def test_confusion_totals_match_document_count(self):
         m = evaluation.evaluate_documents(self.params, self.config, self.docs)
         assert int(m.confusion.sum()) == len(self.docs)
+
+    @pytest.mark.parametrize("score", [
+        lambda params, config, docs: evaluation.predict_label(docs[0], params, config),
+        lambda params, config, docs: evaluation.predict_probabilities(docs[0], params, config),
+        evaluation.evaluate_documents,
+    ], ids=["predict_label", "predict_probabilities", "evaluate_documents"])
+    def test_non_finite_logits_are_refused_naming_the_document(self, score):
+        # finite weights of max |w| = 1e300 overflow on the way to the logits;
+        # the overflow must not surface as a RuntimeWarning, which tier-1 raises
+        for name in ("gcn.0.w", "proj.w"):
+            w = self.params.tensors[name].values
+            w *= 1e300 / np.abs(w).max()
+        with pytest.raises(NumericError, match=f"^non-finite logits on document "
+                                               f"'{self.docs[0].id}'$"):
+            score(self.params, self.config, self.docs)
 
 
 class TestEvaluateCheckpoint:

@@ -155,8 +155,17 @@ class TestBuildGraph:
         m = [[0, 0.1, 0.2], [0.1, 0, 0.3], [0.2, 0.3, 0]]
         ws = graph.load_edge_weights(weights_file(
             tmp_path, [{"id": "d1", "n": 3, "weights": m}]))
-        g = graph.build_graph(self.doc(2), Tensor(np.zeros((2, 4))), ws)
+        g = graph.build_graph(self.doc(2), Tensor(np.zeros((2, 4))), ws, max_sentences=2)
         assert np.array_equal(g.values, [[0.0, 0.1], [0.1, 0.0]])
+
+    @pytest.mark.parametrize("max_sentences", [None, 3, 32])
+    def test_oversized_weights_below_the_cap_error(self, tmp_path, max_sentences):
+        # only a document cut to the cap can have lost the matrix's last rows
+        ws = graph.load_edge_weights(weights_file(
+            tmp_path, [{"id": "d1", "n": 3, "weights": [[0, 0.1, 0.2], [0.1, 0, 0.3],
+                                                        [0.2, 0.3, 0]]}]))
+        with pytest.raises(GraphError, match="'d1' is 3x3 but the document has 2 sentences"):
+            graph.build_graph(self.doc(2), Tensor(np.zeros((2, 4))), ws, max_sentences)
 
     def test_undersized_weights_error(self, tmp_path):
         ws = graph.load_edge_weights(weights_file(

@@ -203,7 +203,8 @@ class TestEdgeWeightTruncation:
                               config.max_tokens)
         assert doc.n_sentences == k
         m = symmetric_weights(rng, n)
-        adjacency = build_graph(doc, Tensor(np.zeros((k, 1))), EdgeWeightSet({"d": m}))
+        adjacency = build_graph(doc, Tensor(np.zeros((k, 1))), EdgeWeightSet({"d": m}),
+                                config.max_sentences)
         assert np.array_equal(adjacency.values, m[:k, :k])
         params = model.init_params(config, rng)
         full, _ = model.forward(doc, params, config, EdgeWeightSet({"d": m}))

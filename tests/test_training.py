@@ -113,6 +113,36 @@ class TestDeterminism:
             set_threads(before)
         assert seen and set(seen) == {1}
 
+    @pytest.mark.parametrize("maps", [
+        PermissionError("/proc/self/maps"),
+        "7f00-7f01 r-xp 00000000 08:01 17 /usr/lib/libm.so.6\n",
+        "7f00-7f01 r-xp 00000000 08:01 17 {tmp}/libscipy_openblas64_.so\n",
+    ], ids=["maps_unreadable", "no_openblas_mapped", "openblas_does_not_load"])
+    def test_without_a_loadable_openblas_one_blas_thread_changes_nothing(self, monkeypatch,
+                                                                        tmp_path, maps):
+        lib = training.openblas()
+        get = getattr(lib, "scipy_openblas_get_num_threads64_", lambda: None)
+        set_threads = getattr(lib, "scipy_openblas_set_num_threads64_", lambda n: None)
+
+        def read_text():
+            if isinstance(maps, OSError):
+                raise maps
+            return maps.format(tmp=tmp_path)  # a path where no library is
+
+        monkeypatch.setattr(training, "Path", lambda path: SimpleNamespace(read_text=read_text))
+        before = get()
+        set_threads(2)
+        expected, seen = get(), []  # 2 where numpy's OpenBLAS has the functions
+        training.openblas.cache_clear()
+        try:
+            assert training.openblas() is None
+            with training.one_blas_thread():
+                seen.append(get())
+        finally:
+            training.openblas.cache_clear()
+            set_threads(before)
+        assert seen == [expected]
+
 
 class TestModelSelection:
     def test_tie_goes_to_earliest_epoch(self, monkeypatch):
