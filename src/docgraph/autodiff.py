@@ -109,9 +109,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape})"
-
 
 @dataclass(eq=False)
 class RowSparseGrad:
@@ -426,20 +423,20 @@ def _lstm_one(xw: np.ndarray, w: np.ndarray) -> np.ndarray:
     hidden = w.shape[0]
     h = np.zeros(hidden)
     c = np.zeros(hidden)
-    ig = np.empty(hidden)
+    ig, tanh_c = np.empty(hidden), np.empty(hidden)
     pre = np.empty(4 * hidden)  # the step's gates, overwritten in place
     ifo, g = pre[: 3 * hidden], pre[3 * hidden :]
     i, f, o = ifo.reshape(3, hidden)
     with np.errstate(over="ignore"):
         for row in xw:
-            np.matmul(h, w, out=pre)
+            np.dot(h, w, out=pre)
             pre += row
             _sigmoid(ifo, ifo)
             np.tanh(g, out=g)
             c *= f
             np.multiply(i, g, out=ig)
             c += ig
-            h = o * np.tanh(c)
+            np.multiply(o, np.tanh(c, out=tanh_c), out=h)
     return h
 
 

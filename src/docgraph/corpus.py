@@ -103,10 +103,13 @@ class Vocabulary:
     token_to_id: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.id_to_token[:2] != [PAD, UNK]:
+        tokens = self.id_to_token
+        if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+            raise CorpusError("vocabulary tokens must be strings in a list")
+        if tokens[:2] != [PAD, UNK]:
             raise CorpusError("vocabulary must reserve PAD=0 and UNK=1")
-        self.token_to_id = {tok: i for i, tok in enumerate(self.id_to_token)}
-        if len(self.token_to_id) != len(self.id_to_token):
+        self.token_to_id = {tok: i for i, tok in enumerate(tokens)}
+        if len(self.token_to_id) != len(tokens):
             raise CorpusError("vocabulary tokens must be unique")
 
     def __len__(self) -> int:

@@ -67,7 +67,6 @@ SPECS: dict[str, VariantSpec] = {
     "gat2": VariantSpec("gat", heads=2),
 }
 VARIANTS = tuple(SPECS)
-GRAPH_VARIANTS = tuple(v for v, spec in SPECS.items() if spec.is_graph)
 
 
 @dataclass(frozen=True)

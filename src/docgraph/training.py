@@ -262,10 +262,27 @@ def write_files_atomic(files: dict[str | Path, list]) -> None:
 # values as little-endian float64 in manifest directory order. The layout
 # round-trips byte-exactly.
 
+def _check_checkpoint(ckpt: Checkpoint, where: str = "") -> None:
+    """Raise CheckpointError, its message led by ``where``, for what no
+    checkpoint file may hold: a vocabulary of other than ``config.vocab_size``
+    tokens, values off the config's parameter layout, or a non-finite value."""
+    try:
+        if len(ckpt.vocab) != ckpt.config.vocab_size:
+            raise ValueError(f"vocabulary has {len(ckpt.vocab)} tokens, "
+                             f"config.vocab_size is {ckpt.config.vocab_size}")
+        check_layout(ckpt.config, [(n, v.shape) for n, v in ckpt.values.items()])
+    except (ValueError, ModelError) as err:
+        raise CheckpointError(f"{where}malformed manifest: {err}") from err
+    for name, value in ckpt.values.items():
+        if not np.all(np.isfinite(value)):
+            raise CheckpointError(f"{where}parameter '{name}' has non-finite values")
+
+
 def checkpoint_buffers(ckpt: Checkpoint) -> list:
     """The checkpoint file's contents in order: the manifest line, then each
     value as a C-ordered little-endian float64 array (the value itself, not a
-    copy, when it already is one)."""
+    copy, when it already is one). Refuses what ``load_checkpoint`` would."""
+    _check_checkpoint(ckpt)
     manifest = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "config": ckpt.config.to_dict(),
@@ -279,11 +296,6 @@ def checkpoint_buffers(ckpt: Checkpoint) -> list:
     header = json.dumps(manifest, sort_keys=True, separators=(",", ":"))
     return [header.encode("utf-8") + b"\n",
             *(np.ascontiguousarray(v, dtype="<f8") for v in ckpt.values.values())]
-
-
-def checkpoint_bytes(ckpt: Checkpoint) -> bytes:
-    """The checkpoint file's contents."""
-    return b"".join(checkpoint_buffers(ckpt))
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
@@ -323,32 +335,20 @@ def _read_checkpoint(f, path: str | Path) -> Checkpoint:
         raise CheckpointError(f"{path}: invalid manifest: not a JSON object")
     version = manifest.get("format_version")
     if version != CHECKPOINT_FORMAT_VERSION:
-        raise CheckpointError(
-            f"{path}: unsupported format version {version!r} "
-            f"(expected {CHECKPOINT_FORMAT_VERSION})"
-        )
+        raise CheckpointError(f"{path}: unsupported format version {version!r} "
+                              f"(expected {CHECKPOINT_FORMAT_VERSION})")
     # A manifest can hold any JSON, so every value-level failure while
     # building the config and vocabulary from it, or checking the parameter
     # directory against the config's layout, is a bad file.
-    malformed = (KeyError, TypeError, ValueError, ModelError, CorpusError)
     try:
         config = ModelConfig.from_dict(manifest["config"])
-        tokens = manifest["vocabulary"]
-        if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
-            raise ValueError("vocabulary tokens must be strings")
-        vocab = Vocabulary(id_to_token=tokens)
+        vocab = Vocabulary(id_to_token=manifest["vocabulary"])
         directory = [(str(p["name"]), tuple(_json_int(s) for s in p["shape"]))
                      for p in manifest["parameters"]]
         metadata = manifest["metadata"]
-        for name, shape in directory:
-            if any(d < 0 for d in shape):
-                raise CheckpointError(f"{path}: negative shape {shape} for '{name}'")
         # before any allocation: a manifest may claim arbitrarily large shapes
         check_layout(config, directory)
-        if len(vocab) != config.vocab_size:
-            raise ValueError(f"vocabulary has {len(vocab)} tokens, "
-                             f"config.vocab_size is {config.vocab_size}")
-    except malformed as err:
+    except (KeyError, TypeError, ValueError, ModelError, CorpusError) as err:
         raise CheckpointError(f"{path}: malformed manifest: {err}") from err
 
     st = os.fstat(f.fileno())
@@ -367,9 +367,9 @@ def _read_checkpoint(f, path: str | Path) -> Checkpoint:
         values[name] = value = np.empty(shape, dtype="<f8")  # native on little-endian hosts
         if f.readinto(memoryview(value).cast("B")) != nbytes:
             raise CheckpointError(f"{path}: truncated parameter data at '{name}'")
-        if not np.all(np.isfinite(value)):
-            raise CheckpointError(f"{path}: parameter '{name}' has non-finite values")
         offset += nbytes
     if offset != size:
         raise CheckpointError(f"{path}: {size - offset} trailing bytes")
-    return Checkpoint(config=config, vocab=vocab, values=values, metadata=metadata)
+    ckpt = Checkpoint(config=config, vocab=vocab, values=values, metadata=metadata)
+    _check_checkpoint(ckpt, f"{path}: ")
+    return ckpt

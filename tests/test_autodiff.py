@@ -473,6 +473,29 @@ class TestStructuralOps:
         check_op_gradient(lambda t: ad.gather_rows(t, [0, 2, 2]), rng.normal(size=(3, 2)))
 
 
+def allocating_lstm_one(xw, w):
+    """``autodiff._lstm_one`` in its earlier form: ``np.matmul`` for the
+    step's product, and a new ``tanh(c)`` and ``h`` on every step."""
+    hidden = w.shape[0]
+    h = np.zeros(hidden)
+    c = np.zeros(hidden)
+    ig = np.empty(hidden)
+    pre = np.empty(4 * hidden)
+    ifo, g = pre[: 3 * hidden], pre[3 * hidden :]
+    i, f, o = ifo.reshape(3, hidden)
+    with np.errstate(over="ignore"):
+        for row in xw:
+            np.matmul(h, w, out=pre)
+            pre += row
+            ad._sigmoid(ifo, ifo)
+            np.tanh(g, out=g)
+            c *= f
+            np.multiply(i, g, out=ig)
+            c += ig
+            h = o * np.tanh(c)
+    return h
+
+
 class TestLstmLast:
     def test_bad_shapes_and_empty_sequences_rejected(self):
         xw = ad.Tensor(np.zeros((3, 8)))
@@ -522,6 +545,24 @@ class TestLstmLast:
         expected = ad.lstm_last(xw, w_h, [1, 2]).values
         for lengths in (np.array([1, 2], dtype=np.uint8), (np.int32(1), np.int64(2))):
             assert ad.lstm_last(xw, w_h, lengths).values.tobytes() == expected.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(hidden=st.integers(1, 8), steps=st.integers(1, 40), scale=st.floats(0, 800),
+           seed=st.integers(0, 2**32 - 1))
+    def test_one_sequence_loop_keeps_the_allocating_forms_bytes(self, hidden, steps, scale,
+                                                                seed):
+        # scales past about 700 overflow exp in the gates
+        rng = np.random.default_rng(seed)
+        xw = rng.normal(size=(steps, 4 * hidden)) * scale
+        w = rng.normal(size=(hidden, 4 * hidden))
+        assert ad._lstm_one(xw, w).tobytes() == allocating_lstm_one(xw, w).tobytes()
+
+    @pytest.mark.parametrize("steps", [113, 452, 904])
+    def test_one_sequence_loop_keeps_the_allocating_forms_bytes_at_hidden_100(self, steps):
+        rng = np.random.default_rng(steps)
+        xw = rng.normal(size=(steps, 400))
+        w = rng.uniform(-0.1, 0.1, size=(100, 400))
+        assert ad._lstm_one(xw, w).tobytes() == allocating_lstm_one(xw, w).tobytes()
 
     def test_extreme_preactivations_stay_finite(self):
         xw = ad.Tensor(np.tile([800.0, -800.0], (3, 4)))

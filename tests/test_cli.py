@@ -183,6 +183,29 @@ class TestTrainCommand:
         assert [p.read_bytes() for p in paths] == before
         assert not list(corpus_files["tmp"].glob("*.tmp"))
 
+    def test_checkpoint_load_would_refuse_is_not_written(self, capsys, corpus_files,
+                                                          monkeypatch):
+        train_checkpoint(capsys, corpus_files, "cnn", epochs="1")
+        paths = [corpus_files["tmp"] / "cnn.ckpt", corpus_files["tmp"] / "cnn.ckpt.runlog.json"]
+        before = [p.read_bytes() for p in paths]
+        train = training.train
+
+        def non_finite_train(*args):
+            run = train(*args)
+            run.checkpoint.values["proj.b"][0] = np.inf
+            return run
+
+        monkeypatch.setattr(training, "train", non_finite_train)
+        code, stdout, err = run_cli(capsys, [
+            "train", "--protocol", "two_way",
+            "--train", corpus_files["train"], "--dev", corpus_files["dev"],
+            "--model", "cnn", "--seed", "42", "--epochs", "1", "--out", str(paths[0]),
+        ])
+        assert code == 1 and stdout == ""
+        assert "parameter 'proj.b' has non-finite values" in err
+        assert [p.read_bytes() for p in paths] == before
+        assert not list(corpus_files["tmp"].glob("*.tmp"))
+
     @pytest.mark.parametrize("existing, error", [
         ((), "output directory {tmp}/missing does not exist"),
         (("missing", "missing/x.ckpt"), "output path {tmp}/missing/x.ckpt is a directory"),

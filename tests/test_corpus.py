@@ -447,7 +447,10 @@ class TestClassSetAndVocabulary:
         (["<unk>", "<pad>", "a"], "vocabulary must reserve PAD=0 and UNK=1"),
         (["a", "b"], "vocabulary must reserve PAD=0 and UNK=1"),
         ([corpus.PAD, corpus.UNK, "a", "b", "a"], "vocabulary tokens must be unique"),
-    ], ids=["swapped reserved tokens", "no reserved tokens", "repeated token"])
+        ([corpus.PAD, corpus.UNK, "a", 5], "vocabulary tokens must be strings in a list"),
+        ((corpus.PAD, corpus.UNK, "a"), "vocabulary tokens must be strings in a list"),
+    ], ids=["swapped reserved tokens", "no reserved tokens", "repeated token",
+            "integer token", "tuple of tokens"])
     def test_vocabulary_refuses(self, tokens, message):
         with pytest.raises(CorpusError) as excinfo:
             corpus.Vocabulary(tokens)

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from docgraph import autodiff as ad
 from docgraph import model, training
 from docgraph.corpus import Document, Vocabulary
-from docgraph.errors import CheckpointError, NumericError, TrainingError
+from docgraph.errors import CheckpointError, CorpusError, NumericError, TrainingError
 from docgraph.graph import EdgeWeightSet
 
 from conftest import HalfWriter, encode_planted, planted_corpus
@@ -36,6 +36,11 @@ def tiny_config(variant, vocab, class_set, **overrides):
                     node_dim=4, seed=13, lr=0.01, max_epochs=2)
     defaults.update(overrides)
     return model.ModelConfig(**defaults)
+
+
+def checkpoint_bytes(ckpt):
+    """The bytes ``save_checkpoint`` writes for ``ckpt``."""
+    return b"".join(training.checkpoint_buffers(ckpt))
 
 
 def edge_weights_for(docs, seed=0):
@@ -358,7 +363,7 @@ class TestCheckpointPersistence:
             for name in ("w_x", "w_h", "b"):
                 values[f"lstm.{gate}.{name}"] = ckpt.values[f"lstm.{name}"][..., k : k + hidden]
         values.update({n: v for n, v in ckpt.values.items() if not n.startswith("lstm.")})
-        manifest = json.loads(training.checkpoint_bytes(ckpt).split(b"\n", 1)[0])
+        manifest = json.loads(checkpoint_bytes(ckpt).split(b"\n", 1)[0])
         manifest["format_version"] = 1
         manifest["parameters"] = [{"name": n, "shape": list(v.shape)} for n, v in values.items()]
         header = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
@@ -379,7 +384,7 @@ class TestCheckpointPersistence:
         # formats 2 and 3 stored config keys whose values this tree can no
         # longer vary; such a file is refused for its version
         run, _, _ = self.trained(tmp_path)
-        header, blob = training.checkpoint_bytes(run.checkpoint).split(b"\n", 1)
+        header, blob = checkpoint_bytes(run.checkpoint).split(b"\n", 1)
         manifest = json.loads(header)
         manifest["format_version"] = version
         manifest["config"].update(removed)
@@ -394,7 +399,7 @@ class TestCheckpointPersistence:
         # format 4 stored the vocabulary as an object with its frequency
         # cutoff, and the seed again in the metadata
         run, _, _ = self.trained(tmp_path)
-        header, blob = training.checkpoint_bytes(run.checkpoint).split(b"\n", 1)
+        header, blob = checkpoint_bytes(run.checkpoint).split(b"\n", 1)
         manifest = json.loads(header)
         manifest["format_version"] = 4
         manifest["vocabulary"] = {"id_to_token": manifest["vocabulary"], "min_frequency": 2}
@@ -435,15 +440,21 @@ class TestCheckpointPersistence:
 
     def test_non_finite_parameter_rejected(self, tmp_path):
         run, path, _ = self.trained(tmp_path)
+        raw = path.read_bytes()
         run.checkpoint.values["embedding"][3, 1] = np.nan
-        training.save_checkpoint(run.checkpoint, path)
+        with pytest.raises(CheckpointError, match="'embedding' has non-finite"):
+            training.save_checkpoint(run.checkpoint, path)
+        assert path.read_bytes() == raw and list(tmp_path.iterdir()) == [path]
+        # the same NaN, written into the file's bytes: the embedding comes first
+        start = raw.index(b"\n") + 1 + 8 * (3 * run.config.embed_dim + 1)
+        path.write_bytes(raw[:start] + np.array(np.nan, "<f8").tobytes() + raw[start + 8:])
         with pytest.raises(CheckpointError, match="'embedding' has non-finite"):
             training.load_checkpoint(path)
 
     @pytest.mark.parametrize("corrupt, message", [
         (lambda raw: b"[1]" + raw[raw.index(b"\n"):], "not a JSON object"),
         (lambda raw: raw.replace(b'"proj.w","shape":[', b'"proj.w","shape":[-', 1),
-         "negative shape"),
+         r"parameter 'proj.w' has shape \(-4, 2\), expected \(4, 2\)"),
         (lambda raw: raw.replace(b'"embed_dim":6,', b'"embed_dim":6.0,', 1),
          "embed_dim must be a positive integer"),
         (lambda raw: raw.replace(b'"<unk>",', b'"<unk>","x1","x2",', 1),
@@ -568,7 +579,7 @@ class TestCheckpointPersistence:
         # may pass any layout: every one is written as C-ordered <f8
         run, path, _ = self.trained(tmp_path)
         native = run.checkpoint.values
-        reference = training.checkpoint_bytes(run.checkpoint)
+        reference = checkpoint_bytes(run.checkpoint)
 
         def strided(v):
             wide = np.zeros((2 * v.shape[0],) + v.shape[1:])
@@ -586,7 +597,7 @@ class TestCheckpointPersistence:
             training.save_checkpoint(ckpt, saved)
             header = reference.split(b"\n", 1)[0]  # the same shapes
             blob = b"".join(v.astype("<f8").tobytes() for v in ckpt.values.values())
-            assert saved.read_bytes() == training.checkpoint_bytes(ckpt) == header + b"\n" + blob
+            assert saved.read_bytes() == checkpoint_bytes(ckpt) == header + b"\n" + blob
             if name != "float32":
                 assert saved.read_bytes() == reference
             loaded = training.load_checkpoint(saved)
@@ -670,7 +681,7 @@ class TestCheckpointLoading:
         assert piped.config == regular.config and piped.metadata == regular.metadata
         assert list(piped.values) == list(regular.values)
         assert all(np.array_equal(piped.values[n], v) for n, v in regular.values.items())
-        assert training.checkpoint_bytes(piped) == path.read_bytes()
+        assert checkpoint_bytes(piped) == path.read_bytes()
 
     def test_short_read_rejected(self, tmp_path, monkeypatch):
         # a file cut after its size was taken reads short: that must not
@@ -755,7 +766,74 @@ def test_checkpoint_save_load_save_round_trips(tmp_path_factory, variant, seed):
     training.save_checkpoint(ckpt, path)
     loaded = training.load_checkpoint(path)
     assert loaded.config == config and loaded.metadata == ckpt.metadata
-    assert training.checkpoint_bytes(loaded) == path.read_bytes()
+    assert checkpoint_bytes(loaded) == path.read_bytes()
+
+
+DEFECTS = {
+    "none": None,
+    "token": "tokens must be strings",
+    "long_vocabulary": "malformed manifest: vocabulary has 5 tokens, config.vocab_size is 4",
+    "shape": "malformed manifest: parameter '.*' has shape",
+    "order": "malformed manifest: parameters .* do not match",
+    "non_finite": "parameter '.*' has non-finite values",
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(variant=st.sampled_from(model.VARIANTS), defect=st.sampled_from(list(DEFECTS)),
+       data=st.data())
+def test_save_refuses_what_load_refuses_and_writes_nothing(tmp_path_factory, variant, defect,
+                                                            data):
+    # the token rule lives in Vocabulary; vocabulary size, layout and
+    # finiteness in the one check that saving and loading both apply
+    tokens = ["<pad>", "<unk>", "zebra", "quokka"]
+    config = model.ModelConfig(variant=variant, vocab_size=len(tokens),
+                               class_names=("satire", "trusted"), embed_dim=3,
+                               hidden_dim=3, node_dim=2, seed=data.draw(st.integers(0, 99)))
+    values = {name: t.values for name, t in model.init_params(config).tensors.items()}
+    names = list(values)
+    if defect == "token":
+        tokens[data.draw(st.integers(2, 3))] = data.draw(
+            st.one_of(st.integers(), st.none(), st.floats(), st.binary(), st.lists(st.text())))
+        with pytest.raises(CorpusError, match=DEFECTS[defect]):
+            Vocabulary(tokens)
+        return
+    if defect == "long_vocabulary":
+        tokens.append("emu")
+    elif defect == "shape":
+        name = data.draw(st.sampled_from(names))
+        shape = list(values[name].shape)
+        axis = data.draw(st.integers(0, len(shape)))  # len(shape): one axis more
+        shape[axis:axis + 1] = [shape[axis] + data.draw(st.sampled_from([-1, 1]))
+                                if axis < len(shape) else 1]
+        values[name] = np.zeros(shape)
+    elif defect == "order":
+        k = data.draw(st.integers(0, len(names) - 2))
+        names[k:k + 2] = names[k + 1], names[k]
+        values = {name: values[name] for name in names}
+    elif defect == "non_finite":
+        name = data.draw(st.sampled_from(names))
+        values[name] = values[name].copy()
+        values[name].flat[data.draw(st.integers(0, values[name].size - 1))] = data.draw(
+            st.sampled_from([np.nan, np.inf, -np.inf]))
+    ckpt = training.Checkpoint(config, Vocabulary(tokens), values, metadata={"best_epoch": 1})
+    directory = tmp_path_factory.mktemp("save")
+    path, log = directory / "model.ckpt", directory / "model.ckpt.runlog.json"
+    if defect == "none":
+        training.save_checkpoint(ckpt, path)
+        loaded = training.load_checkpoint(path)
+        assert (loaded.config, loaded.vocab, loaded.metadata) == (config, ckpt.vocab,
+                                                                  ckpt.metadata)
+        assert list(loaded.values) == names
+        assert all(np.array_equal(loaded.values[n], v) for n, v in values.items())
+        assert checkpoint_bytes(loaded) == path.read_bytes()
+        return
+    with pytest.raises(CheckpointError, match=DEFECTS[defect]):
+        training.save_checkpoint(ckpt, path)
+    # the train command's write of the checkpoint and its run log together
+    with pytest.raises(CheckpointError, match=DEFECTS[defect]):
+        training.write_files_atomic({path: training.checkpoint_buffers(ckpt), log: [b"{}\n"]})
+    assert list(directory.iterdir()) == []
 
 
 @settings(max_examples=300, deadline=None)
@@ -782,7 +860,7 @@ def test_parameter_byte_changes_load_exactly_or_raise_checkpoint_error(
         assert "non-finite" in str(err)
     else:
         assert all(np.isfinite(v).all() for v in loaded.values.values())
-        assert training.checkpoint_bytes(loaded) == bytes(raw)
+        assert checkpoint_bytes(loaded) == bytes(raw)
 
 
 @settings(max_examples=100, deadline=None)
