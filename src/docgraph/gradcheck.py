@@ -1,12 +1,12 @@
 """Finite-difference verification of every backward rule and model variant.
 
-Each differentiable op gets one deterministic fixture; its analytic
-gradients are compared elementwise against central finite differences
-(h = 1e-5) with relative error |a - f| / max(1, |a|, |f|). Every model
-variant is additionally checked end-to-end on a tiny configuration,
-differentiating the loss against every named parameter, and at the default
-sizes along one random direction per parameter, where products have the
-inner dimensions of a real model and sentences are ragged.
+Every check is one comparison: along each direction it walks, the tape
+gradient's slope against the central difference, with relative error
+|a - f| / max(1, |a|, |f|). Each differentiable op gets one deterministic
+fixture, walked along every coordinate's unit vector (h = 1e-5). Every model
+variant is additionally walked the same way on a tiny configuration, and at
+the default sizes along one random direction per parameter, where products
+have the inner dimensions of a real model and sentences are ragged.
 
 This is the release gate behind the ``gradcheck`` CLI command; the test
 suite calls the same entry points.
@@ -15,7 +15,7 @@ suite calls the same entry points.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -72,16 +72,6 @@ def _rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.nan_to_num(np.max(np.abs(analytic - numeric) / denom), nan=np.inf))
 
 
-def _tape_grads(tensors: Sequence[Tensor], forward_fn: Callable[[], Tensor]) -> list:
-    """Each tensor's dense gradient of ``forward_fn``'s scalar, off the tape."""
-    for t in tensors:
-        t.zero_grad()
-    with Tape() as tape:
-        out = forward_fn()
-    ad.backward(tape, out)
-    return [np.zeros_like(t.values) if t.grad is None else ad._dense(t.grad) for t in tensors]
-
-
 def _central_difference(t: Tensor, delta: np.ndarray, forward_fn: Callable[[], Tensor]) -> float:
     """Half the change in ``forward_fn``'s scalar from ``t - delta`` to
     ``t + delta``; ``t`` keeps its values."""
@@ -94,17 +84,39 @@ def _central_difference(t: Tensor, delta: np.ndarray, forward_fn: Callable[[], T
     return (up - down) / 2
 
 
-def _compare(tensors: Sequence[Tensor], forward_fn: Callable[[], Tensor]) -> float:
-    """Worst relative error between tape gradients and finite differences."""
+def _unit_directions(t: Tensor):
+    """Every coordinate's unit vector in ``t``'s shape, one at a time in one
+    buffer: all of them at once would take ``t.size`` squared floats."""
+    direction = np.zeros(t.shape)
+    for idx in np.ndindex(t.shape):
+        direction[idx] = 1.0
+        yield direction
+        direction[idx] = 0.0
+
+
+def _compare(tensors: Sequence[Tensor], forward_fn: Callable[[], Tensor],
+             directions: Callable[[Tensor], Iterable[np.ndarray]], steps: Sequence[float],
+             tolerance: float) -> float:
+    """Worst relative error between each tensor's tape gradient along each of
+    ``directions(t)`` and the central difference along it. A direction that
+    errs by ``tolerance`` or more at the first of ``steps`` is measured again
+    at the next, and the last error stands: a step across a leaky-ReLU or
+    max-pool kink errs less at a smaller step, a wrong rule does not."""
+    for t in tensors:
+        t.zero_grad()
+    with Tape() as tape:
+        out = forward_fn()
+    ad.backward(tape, out)
+    grads = [np.zeros_like(t.values) if t.grad is None else ad._dense(t.grad) for t in tensors]
     worst = 0.0
-    for t, analytic in zip(tensors, _tape_grads(tensors, forward_fn)):
-        numeric = np.zeros_like(t.values)
-        delta = np.zeros_like(t.values)
-        for idx in np.ndindex(t.shape):
-            delta[idx] = FD_STEP
-            numeric[idx] = _central_difference(t, delta, forward_fn) / FD_STEP
-            delta[idx] = 0.0
-        worst = max(worst, _rel_err(analytic, numeric))
+    for t, analytic in zip(tensors, grads):
+        for direction in directions(t):
+            slope = float(np.vdot(analytic, direction))
+            for step in steps:
+                err = _rel_err(slope, _central_difference(t, step * direction, forward_fn) / step)
+                if err < tolerance:
+                    break
+            worst = max(worst, err)
     return worst
 
 
@@ -184,7 +196,8 @@ def check_ops() -> list[CheckResult]:
     results = []
     for name in sorted(fixtures):
         tensors, fn = fixtures[name]
-        results.append(CheckResult(name, _compare(tensors, fn), OP_TOLERANCE))
+        err = _compare(tensors, fn, _unit_directions, (FD_STEP,), OP_TOLERANCE)
+        results.append(CheckResult(name, err, OP_TOLERANCE))
     return results
 
 
@@ -222,32 +235,12 @@ def _build(variant: str, vocab_size: int, docs: Sequence[tuple[str, int, Sequenc
 def check_variant(variant: str) -> CheckResult:
     """End-to-end gradient check of one variant on a tiny model."""
     _, tensors, [loss_fn] = _build(variant, TINY_VOCAB, [("tiny", 1, (4, 4, 4))], **TINY_SIZES)
-    return CheckResult(f"variant:{variant}", _compare(tensors, loss_fn), VARIANT_TOLERANCE)
+    err = _compare(tensors, loss_fn, _unit_directions, (FD_STEP,), VARIANT_TOLERANCE)
+    return CheckResult(f"variant:{variant}", err, VARIANT_TOLERANCE)
 
 
 def check_variants() -> list[CheckResult]:
     return [check_variant(v) for v in VARIANTS]
-
-
-def _compare_along_directions(tensors: Sequence[Tensor], forward_fn: Callable[[], Tensor],
-                              rng: np.random.Generator) -> float:
-    """Worst relative error between each tensor's tape gradient along one
-    random unit direction and the central difference along it. A tensor that
-    errs by ``FULL_TOLERANCE`` or more at the first of ``FULL_STEPS`` is
-    measured again at the second, and that error stands: a step across a
-    leaky-ReLU or max-pool kink errs less at a smaller step, a wrong rule
-    does not."""
-    worst = 0.0
-    for t, analytic in zip(tensors, _tape_grads(tensors, forward_fn)):
-        direction = rng.normal(size=t.shape)
-        direction /= np.linalg.norm(direction)
-        slope = float(np.vdot(analytic, direction))
-        for step in FULL_STEPS:
-            err = _rel_err(slope, _central_difference(t, step * direction, forward_fn) / step)
-            if err < FULL_TOLERANCE:
-                break
-        worst = max(worst, err)
-    return worst
 
 
 def check_variant_full(variant: str) -> CheckResult:
@@ -256,7 +249,12 @@ def check_variant_full(variant: str) -> CheckResult:
     one-sentence document, which graph variants project without propagation."""
     rng, tensors, losses = _build(
         variant, FULL_VOCAB, [("ragged", 1, RAGGED_LENGTHS), ("single", 0, (SINGLE_LENGTH,))])
-    worst = max(_compare_along_directions(tensors, loss_fn, rng) for loss_fn in losses)
+
+    def random_direction(t: Tensor) -> list[np.ndarray]:
+        direction = rng.normal(size=t.shape)
+        return [direction / np.linalg.norm(direction)]
+    worst = max(_compare(tensors, loss_fn, random_direction, FULL_STEPS, FULL_TOLERANCE)
+                for loss_fn in losses)
     return CheckResult(f"variant_full:{variant}", worst, FULL_TOLERANCE)
 
 

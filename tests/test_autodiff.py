@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from docgraph import autodiff as ad
-from docgraph import gradcheck
+from docgraph import gradcheck, model
 from docgraph.errors import NumericError, ShapeError
 from docgraph.gradcheck import _weighted
 
@@ -766,6 +766,75 @@ def test_full_size_check_measures_a_failing_tensor_again_at_the_smaller_step(mon
     assert gradcheck.check_variant_full("gat2").passed
     monkeypatch.setattr(gradcheck, "FULL_STEPS", (1e-2, 1e-2))
     assert not gradcheck.check_variant_full("gat2").passed
+
+
+@pytest.mark.parametrize("entry_index", range(9))
+def test_gradcheck_fails_a_rule_wrong_in_one_gradient_entry(entry_index, monkeypatch):
+    # the other controls perturb whole gradients; any one entry of the scale
+    # fixture's 3x3 gradient off by 1e-3 must fail too
+    rule = ad.BACKWARD_RULES["scale"]
+
+    def one_entry_off(entry):
+        grads = [g.copy() for g in rule(entry)]
+        grads[0].flat[entry_index] += 1e-3
+        return grads
+
+    monkeypatch.setitem(ad.BACKWARD_RULES, "scale", one_entry_off)
+    assert [r.name for r in gradcheck.check_ops() if not r.passed] == ["scale"]
+
+
+def per_coordinate_compare(tensors, forward_fn):
+    """The reference for a walk along unit directions: every coordinate's
+    central difference gathered into one array, then the worst elementwise
+    error against the tape gradient."""
+    for t in tensors:
+        t.zero_grad()
+    with ad.Tape() as tape:
+        out = forward_fn()
+    ad.backward(tape, out)
+    grads = [np.zeros_like(t.values) if t.grad is None else ad._dense(t.grad) for t in tensors]
+    worst = 0.0
+    for t, analytic in zip(tensors, grads):
+        numeric = np.zeros_like(t.values)
+        delta = np.zeros_like(t.values)
+        for idx in np.ndindex(t.shape):
+            delta[idx] = gradcheck.FD_STEP
+            numeric[idx] = gradcheck._central_difference(t, delta, forward_fn) / gradcheck.FD_STEP
+            delta[idx] = 0.0
+        worst = max(worst, gradcheck._rel_err(analytic, numeric))
+    return worst
+
+
+@pytest.mark.parametrize("case", [*ad.OP_NAMES, "variant:lstm", "variant:gat2"])
+def test_unit_direction_walk_equals_the_per_coordinate_loop(case):
+    if case.startswith("variant:"):
+        _, tensors, [fn] = gradcheck._build(case.removeprefix("variant:"), gradcheck.TINY_VOCAB,
+                                            [("tiny", 1, (4, 4, 4))], **gradcheck.TINY_SIZES)
+    else:
+        tensors, fn = gradcheck._op_fixtures(np.random.default_rng(gradcheck.SEED))[case]
+    expected = per_coordinate_compare(tensors, fn)
+    walked = gradcheck._compare(tensors, fn, gradcheck._unit_directions,
+                                (gradcheck.FD_STEP,), gradcheck.OP_TOLERANCE)
+    assert expected > 0.0
+    assert walked == expected
+
+
+@pytest.mark.parametrize("variant", model.VARIANTS)
+@settings(max_examples=2, deadline=None)
+@given(lengths=st.lists(st.integers(1, 40), min_size=1, max_size=9),
+       label=st.integers(0, 1), seed=st.integers(0, 2**32 - 1))
+def test_full_size_check_passes_on_drawn_document_shapes(variant, lengths, label, seed):
+    _, tensors, [loss_fn] = gradcheck._build(
+        variant, gradcheck.FULL_VOCAB, [("drawn", label, lengths)])
+    rng = np.random.default_rng(seed)
+
+    def random_direction(t):
+        direction = rng.normal(size=t.shape)
+        return [direction / np.linalg.norm(direction)]
+
+    err = gradcheck._compare(tensors, loss_fn, random_direction,
+                             gradcheck.FULL_STEPS, gradcheck.FULL_TOLERANCE)
+    assert err < gradcheck.FULL_TOLERANCE, (lengths, err)
 
 
 class TestAdam:
